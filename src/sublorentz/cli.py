@@ -20,6 +20,7 @@ All output is deterministic for a fixed seed (default 1729); floats in the
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -350,6 +351,12 @@ def cmd_sl2(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    if args.steps < 1:
+        sys.stderr.write("steps must be >= 1\n")
+        return EXIT_USAGE
+    if args.budget < 0:
+        sys.stderr.write("budget must be >= 0\n")
+        return EXIT_USAGE
     case = _case_from_args(args)
     if case.case_id == "9":
         sys.stderr.write(
@@ -368,7 +375,7 @@ def cmd_solve(args) -> int:
     verdict = check_case(case)
     if verdict.witness is not None:
         bound = distance_upper_bound(structure, target, np.asarray(verdict.witness))
-    payload = SolveResultView(result, bound).to_json()
+    payload = dataclasses.replace(result, upper_bound=bound).to_json()
     payload["case"] = case.case_id
     payload["params"] = case.params()
     payload["target"] = target_spec
@@ -377,18 +384,6 @@ def cmd_solve(args) -> int:
                                  for row in integrate(result.curve).trajectory]
     _emit(json.dumps(payload) + "\n", args.out)
     return EXIT_OK if result.found else EXIT_NOT_FOUND
-
-
-class SolveResultView:
-    def __init__(self, result, bound):
-        self.result = result
-        self.bound = bound
-
-    def to_json(self) -> dict:
-        out = self.result.to_json()
-        out["upper_bound"] = self.bound
-        out["gap"] = (self.bound - self.result.length) if (self.bound is not None and self.result.found) else None
-        return out
 
 
 def cmd_witness(args) -> int:

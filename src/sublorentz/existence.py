@@ -32,7 +32,7 @@ from .conegeom import (
     dual_contains,
     find_interior_dual_in_annihilator,
 )
-from .liealg3 import SL2_CASES, SU2_CASE, LieAlgebra3, SubLorentzCase, from_case
+from .liealg3 import SL2_CASES, SU2_CASE, LieAlgebra3, SubLorentzCase, from_case, su2_loop_period
 
 _SIG_TOL = 1e-10
 
@@ -144,8 +144,7 @@ def killing_containment(algebra: LieAlgebra3, cone: SegmentCone = DEFAULT_CONE) 
 
 def _loop_description(case: SubLorentzCase) -> dict:
     # one-parameter subgroup of X1; it closes after the stated parameter time
-    period = 4.0 * math.pi / math.sqrt(-(case.kappa + case.chi))
-    return {"control": [1.0, 0.0, 0.0], "period": period}
+    return {"control": [1.0, 0.0, 0.0], "period": su2_loop_period(case)}
 
 
 def check_case(case: SubLorentzCase, cone: SolidCone = DEFAULT_CONE) -> Verdict:

@@ -256,19 +256,6 @@ class SubLorentzCase:
     def label(self) -> str:
         return CASE_LABELS[self.case_id]
 
-    def h_matrix(self) -> np.ndarray:
-        """Canonical 2x2 invariant pattern of the row (display use)."""
-        cid, x = self.case_id, self.chi
-        if cid in ("1", "2", "2*"):
-            return np.zeros((2, 2))
-        if cid in ("3", "4", "5", "6"):
-            return np.array([[1.0, -1.0], [1.0, -1.0]]) if self.variant == 1 else np.array([[-1.0, -1.0], [1.0, 1.0]])
-        if cid in ("7", "8"):
-            return np.array([[1.0, 1.0], [-1.0, -1.0]]) if self.variant == 1 else np.array([[-1.0, 1.0], [-1.0, 1.0]])
-        if cid == "19":
-            return np.array([[x, 0.0], [0.0, -x]])
-        return np.array([[0.0, -x], [x, 0.0]])
-
     def params(self) -> dict:
         out: dict = {}
         if self.kappa is not None:
@@ -314,6 +301,11 @@ class SubLorentzCase:
             return np.array([[0., 0., 0.], [-2. * x, 0., 0.], [s, 0., 1.]])
         # case 19
         return np.array([[x, k, 0.], [k, -x, 0.], [0., 0., 1.]])
+
+
+def su2_loop_period(case: SubLorentzCase) -> float:
+    """Parameter time after which exp(t X1) returns to the identity on the su2 row."""
+    return 4.0 * math.pi / math.sqrt(-(case.kappa + case.chi))
 
 
 def algebra_from_structure_matrix(A, label: str = "") -> LieAlgebra3:

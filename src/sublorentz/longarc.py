@@ -7,7 +7,10 @@ subgroup steps, on one of three concrete group realizations:
 
 * a simply connected semidirect product R x| R^2 for the solvable rows,
   with exact exponential steps (the angle-like factor coordinate is tracked
-  separately so that rotation-type actions do not wrap);
+  separately so that rotation-type actions do not wrap); the 2x2
+  exponential and its integral are evaluated in closed form on the
+  eigenvalues, with a series branch where they nearly coincide, and nothing
+  is cached;
 * unit quaternions for the su2 row;
 * cover coordinates (c, w) with a classical 4th-order one-step integrator of
   the left-invariant dynamics for the sl2-type rows.
@@ -28,7 +31,7 @@ import numpy as np
 
 from . import sl2cover
 from .conegeom import DEFAULT_CONE, Covector, SegmentCone, SolidCone, contains, dual_contains
-from .liealg3 import SL2_CASES, SU2_CASE, LieAlgebra3, SubLorentzCase, from_case
+from .liealg3 import SL2_CASES, SU2_CASE, LieAlgebra3, SubLorentzCase, from_case, su2_loop_period
 from .sl2cover import CoverElement, TangentVector
 
 DEFAULT_SEED = 1729
@@ -45,19 +48,25 @@ class AntiNorm:
 
     ``kind="lorentzian"`` evaluates sqrt(x1^2 - x2^2) (the value is only
     meaningful on the planar cone |x2| <= x1); any other concave homogeneous
-    choice is supplied as ``kind="custom"`` with an evaluator.
+    choice is supplied as ``kind="custom"`` with an evaluator.  Called on an
+    (N, 3) array it returns the N row values, each equal to the value of the
+    row on its own.
     """
 
     kind: str = "lorentzian"
     fn: Optional[Callable[[np.ndarray], float]] = None
     name: str = ""
 
-    def __call__(self, u) -> float:
+    def __call__(self, u):
         u = np.asarray(u, dtype=float)
         if self.kind == "lorentzian":
+            if u.ndim == 2:
+                return np.sqrt(np.maximum(u[:, 0] * u[:, 0] - u[:, 1] * u[:, 1], 0.0))
             return math.sqrt(max(u[0] * u[0] - u[1] * u[1], 0.0))
         if self.fn is None:
             raise ValueError("custom anti-norm needs an evaluator")
+        if u.ndim == 2:
+            return np.array([float(self.fn(row)) for row in u])
         return float(self.fn(u))
 
 
@@ -65,33 +74,84 @@ LORENTZIAN = AntiNorm("lorentzian", name="lorentzian")
 
 
 # ---------------------------------------------------------------------------
-# 2x2 exponential helpers (series with argument doubling; exact enough at 1e-15)
+# closed-form 2x2 exponential and its integral
 
-def _exp_and_int(A: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """Return (expm(h A), integral_0^h expm(s A) ds) for a 2x2 matrix A."""
-    norm = abs(h) * max(1.0, float(np.max(np.abs(A))) * 2.0)
-    n_half = 0
-    if norm > 0.25:
-        n_half = int(math.ceil(math.log2(norm / 0.25)))
-    hs = h / (2 ** n_half)
-    X = hs * A
-    E = np.eye(2)
-    S = hs * np.eye(2)
-    P = np.eye(2)
-    for k in range(1, 19):
-        P = P @ X / k
-        if float(np.max(np.abs(P))) < 1e-17:
-            break
-        E = E + P
-        S = S + hs * P / (k + 1)
-    for _ in range(n_half):
-        S = S + E @ S
-        E = E @ E
+# Below this |(sigma h)^2| the eigenvalues count as confluent: the divided
+# difference in the integral is summed as a series in (sigma h)^2, which is
+# truncated after (sigma h)^4 (the next term is below 2e-15 relative).
+_CONFLUENT_W2 = 1e-4
+
+_MOMENTS_AT_ZERO = tuple(1.0 / (j + 1) for j in range(6))
+
+
+def _moments(mu: float, n: int) -> Sequence[float]:
+    """M_j = integral_0^1 t^j e^(mu t) dt for j < n <= 6."""
+    if mu == 0.0:
+        return _MOMENTS_AT_ZERO[:n]
+    e = math.exp(mu)
+    if abs(mu) >= 0.25:
+        # upward, M_j = (e^mu - j M_(j-1)) / mu: amplifies errors by j / |mu|,
+        # which only reaches the terms carrying powers of (sigma h)^2
+        out = [math.expm1(mu) / mu]
+        for j in range(1, n):
+            out.append((e - j * out[-1]) / mu)
+        return out
+    # downward, M_(j-1) = (e^mu - mu M_j) / j: shrinks the error of the crude
+    # start value by |mu| / j < 1 / (4 j) per step, below 1e-16 after 13 steps
+    out = [0.0] * n
+    m = e / (n + 13)
+    for j in range(n + 12, 0, -1):
+        m = (e - mu * m) / j
+        if j <= n:
+            out[j - 1] = m
+    return out
+
+
+def _g(z: float) -> float:
+    return math.expm1(z) / z if z else 1.0
+
+
+def _exp_flow(A: tuple, h: float) -> tuple[tuple, tuple]:
+    """Return (expm(h A), integral_0^h expm(s A) ds) for A = (a11, a12, a21, a22).
+
+    Both are row-major 4-tuples of floats.  With h A = mu I + Y, Y traceless
+    and Y^2 = w2 I (w2 = (sigma h)^2, negative on the rotation type),
+    expm(h A) = e^mu (cosh(w) I + sinhc(w) Y) and the integral is
+    h (alpha I + beta Y), alpha and beta being the mean and divided
+    difference of g(z) = expm1(z) / z over the eigenvalues mu +- w of h A.
+    """
+    a11, a12, a21, a22 = A
+    mu = 0.5 * (a11 + a22) * h
+    y11, y12, y21 = 0.5 * (a11 - a22) * h, a12 * h, a21 * h
+    w2 = y11 * y11 + y12 * y21
+    if w2 == 0.0:
+        # A scalar or m I + nilpotent: the series below reduces to its first term
+        ch = shc = 1.0
+        alpha, beta = _moments(mu, 2)
+    elif abs(w2) < _CONFLUENT_W2:
+        ch = 1.0 + w2 / 2.0 * (1.0 + w2 / 12.0 * (1.0 + w2 / 30.0))
+        shc = 1.0 + w2 / 6.0 * (1.0 + w2 / 20.0 * (1.0 + w2 / 42.0))
+        M = _moments(mu, 6)
+        alpha = M[0] + w2 * (M[2] / 2.0 + w2 * M[4] / 24.0)
+        beta = M[1] + w2 * (M[3] / 6.0 + w2 * M[5] / 120.0)
+    elif w2 > 0.0:
+        w = math.sqrt(w2)
+        ch, shc = math.cosh(w), math.sinh(w) / w
+        gp, gm = _g(mu + w), _g(mu - w)
+        alpha, beta = 0.5 * (gp + gm), (gp - gm) / (2.0 * w)
+    else:
+        th = math.sqrt(-w2)
+        ch, sn = math.cos(th), math.sin(th)
+        shc = sn / th
+        # expm1(mu + i th), accurate for small mu and th
+        half = math.sin(0.5 * th)
+        g = complex(math.expm1(mu) * ch - 2.0 * half * half, math.exp(mu) * sn) / complex(mu, th)
+        alpha, beta = g.real, g.imag / th
+    e = math.exp(mu)
+    es = e * shc
+    E = (e * ch + es * y11, es * y12, es * y21, e * ch - es * y11)
+    S = (h * (alpha + beta * y11), h * beta * y12, h * beta * y21, h * (alpha - beta * y11))
     return E, S
-
-
-def _expm2(A: np.ndarray) -> np.ndarray:
-    return _exp_and_int(A, 1.0)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +162,7 @@ class SemidirectModel:
 
     The algebra is split as span{W} + I with I a two-dimensional abelian ideal
     containing the derived subalgebra; ad_W acts on I through the 2x2 matrix
-    ``action``.  Elements are pairs (t, q) with product
+    ``action``.  Elements are pairs (t, q), q a pair of floats, with product
     (t1, q1)(t2, q2) = (t1 + t2, q1 + expm(t1 action) q2); exponentials of
     algebra vectors are available in closed form, so constant-control steps
     are exact.
@@ -127,8 +187,8 @@ class SemidirectModel:
         mix = self._frame @ algebra.bracket(ideal[0], ideal[1])
         if float(np.max(np.abs(mix))) > 1e-9:
             raise AssertionError("chosen ideal is not abelian")
-        self._exp_cache: dict[tuple, tuple] = {}
-        self._trans_cache: dict[float, np.ndarray] = {}
+        self._act = tuple(self.action.ravel().tolist())
+        self._frame_rows = tuple(map(tuple, self._frame.tolist()))
 
     @staticmethod
     def _abelian_ideal(algebra: LieAlgebra3) -> np.ndarray:
@@ -151,50 +211,49 @@ class SemidirectModel:
         return np.array([y, z])
 
     def identity(self):
-        return (0.0, np.zeros(2))
+        return (0.0, (0.0, 0.0))
 
-    def split(self, u) -> tuple[float, np.ndarray]:
-        coords = self._frame @ np.asarray(u, dtype=float)
-        return float(coords[0]), coords[1:]
+    def split(self, u) -> tuple[float, tuple[float, float]]:
+        u0, u1, u2 = np.asarray(u, dtype=float).tolist()
+        r0, r1, r2 = self._frame_rows
+        return (r0[0] * u0 + r0[1] * u1 + r0[2] * u2,
+                (r1[0] * u0 + r1[1] * u1 + r1[2] * u2, r2[0] * u0 + r2[1] * u1 + r2[2] * u2))
 
-    def unsplit(self, a: float, v: np.ndarray) -> np.ndarray:
+    def unsplit(self, a: float, v) -> np.ndarray:
         return self._frame_inv @ np.array([a, v[0], v[1]])
 
-    def exp(self, u, time: float = 1.0):
-        u = np.asarray(u, dtype=float)
-        key = (u[0], u[1], u[2], time)
-        hit = self._exp_cache.get(key)
-        if hit is None:
-            a, v = self.split(u)
-            _, S = _exp_and_int(a * self.action, time)
-            hit = (time * a, S @ v)
-            if len(self._exp_cache) > 40000:
-                self._exp_cache.clear()
-            self._exp_cache[key] = hit
-        return (hit[0], hit[1].copy())
+    def _flow(self, a: float, h: float) -> tuple[tuple, tuple]:
+        p, q, r, s = self._act
+        return _exp_flow((a * p, a * q, a * r, a * s), h)
 
-    def _translation(self, t: float) -> np.ndarray:
-        E = self._trans_cache.get(t)
-        if E is None:
-            E = _expm2(t * self.action)
-            if len(self._trans_cache) > 40000:
-                self._trans_cache.clear()
-            self._trans_cache[t] = E
-        return E
+    def exp(self, u, time: float = 1.0):
+        a, (v0, v1) = self.split(u)
+        _, S = self._flow(a, time)
+        return (time * a, (S[0] * v0 + S[1] * v1, S[2] * v0 + S[3] * v1))
+
+    def _translate(self, t: float, q) -> tuple[float, float]:
+        """expm(t action) q."""
+        E, _ = _exp_flow(self._act, t)
+        q0, q1 = q
+        return (E[0] * q0 + E[1] * q1, E[2] * q0 + E[3] * q1)
 
     def multiply(self, x, y):
-        return (x[0] + y[0], x[1] + self._translation(x[0]) @ y[1])
+        p0, p1 = x[1]
+        q0, q1 = self._translate(x[0], y[1])
+        return (x[0] + y[0], (p0 + q0, p1 + q1))
 
     def inverse(self, x):
-        return (-x[0], -(self._translation(-x[0]) @ x[1]))
+        q0, q1 = self._translate(-x[0], x[1])
+        return (-x[0], (-q0, -q1))
 
     def log(self, x) -> np.ndarray:
         a = x[0]
-        _, S = _exp_and_int(a * self.action, 1.0)
-        if abs(np.linalg.det(S)) < 1e-12:
+        _, S = self._flow(a, 1.0)
+        det = S[0] * S[3] - S[1] * S[2]
+        if abs(det) < 1e-12:
             raise ValueError("logarithm is singular at this element")
-        v = np.linalg.solve(S, x[1])
-        return self.unsplit(a, v)
+        q0, q1 = x[1]
+        return self.unsplit(a, ((S[3] * q0 - S[1] * q1) / det, (S[0] * q1 - S[2] * q0) / det))
 
     def step(self, x, u, dt: float):
         return self.multiply(x, self.exp(u, dt))
@@ -221,6 +280,7 @@ class QuaternionModel:
         self.beta = math.sqrt(k - x) / 2.0
         self.gamma = 2.0 * self.alpha * self.beta
         self.scales = np.array([self.alpha, self.beta, self.gamma])
+        self.period = su2_loop_period(case)
 
     def identity(self):
         return np.array([1.0, 0.0, 0.0, 0.0])
@@ -264,7 +324,7 @@ class QuaternionModel:
 
     def loop_period(self) -> float:
         """Parameter time after which exp(t X1) returns to the identity."""
-        return 2.0 * math.pi / self.alpha
+        return self.period
 
 
 def sl2_cover_frame(algebra: LieAlgebra3) -> np.ndarray:
@@ -442,10 +502,15 @@ def integrate(curve: ControlCurve) -> IntegrationResult:
     return IntegrationResult(endpoint=x, trajectory=np.array(samples))
 
 
+def _length(nu: AntiNorm, controls: np.ndarray, dt: float) -> float:
+    # a left-to-right sum, the same as over the rows one by one (np.sum rounds differently)
+    return float(sum(nu(controls).tolist()) * dt)
+
+
 def length(curve: ControlCurve, nu: Optional[AntiNorm] = None) -> float:
     """Generalized length: sum of anti-norm values of the controls times dt."""
     nu = curve.structure.anti_norm if nu is None else nu
-    return float(sum(nu(u) for u in curve.controls) * curve.dt)
+    return _length(nu, curve.controls, curve.dt)
 
 
 def target_from_exp2(structure: CaseStructure, abc: Sequence[float]):
@@ -474,7 +539,8 @@ def _section_ratio_max(cone: SegmentCone, nu: AntiNorm, p: np.ndarray) -> float:
         return nu(v) / float(np.dot(p, v))
 
     grid = np.linspace(-h, h, 4001)
-    vals = np.array([ratio(s) for s in grid])
+    V = u1 + grid[:, None] * u2
+    vals = nu(V) / (V @ p)
     i = int(np.argmax(vals))
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, len(grid) - 1)]
@@ -620,7 +686,7 @@ class _Search:
         self._last_controls = controls
         self._last_states = states
         err = float(np.linalg.norm(self.model.coords(x) - self.tcoords))
-        ell = float(sum(self.nu(u) for u in controls) * self.dt)
+        ell = _length(self.nu, controls, self.dt)
         return ell, err
 
     def score(self, theta: np.ndarray, mu: float) -> float:

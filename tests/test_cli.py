@@ -130,6 +130,38 @@ def test_solve_not_found_exit_code(capsys):
     assert json.loads(out)["found"] is False
 
 
+@pytest.mark.parametrize("steps", ["0", "-3"])
+def test_solve_rejects_steps_below_one(capsys, steps):
+    code, out, err = run(capsys, "solve", "--case", "1", "--kappa", "0",
+                         "--target", "[1,0,0]", f"--steps={steps}", "--budget", "50")
+    assert code == EXIT_USAGE
+    assert out == "" and err == "steps must be >= 1\n"
+
+
+def test_solve_rejects_negative_budget(capsys):
+    code, out, err = run(capsys, "solve", "--case", "1", "--kappa", "0",
+                         "--target", "[1,0,0]", "--steps", "4", "--budget=-1")
+    assert code == EXIT_USAGE
+    assert out == "" and err == "budget must be >= 0\n"
+
+
+def test_solve_zero_budget_is_not_found(capsys):
+    code, out, _ = run(capsys, "solve", "--case", "1", "--kappa", "0",
+                       "--target", "[1,0,0]", "--steps", "1", "--budget", "0")
+    assert code == EXIT_NOT_FOUND
+    data = json.loads(out)
+    assert data["found"] is False and data["evaluations"] == 0
+
+
+def test_solve_payload_layout(capsys):
+    _, out, _ = run(capsys, "solve", "--case", "1", "--kappa", "0", "--target", "[1,0,0]",
+                    "--steps", "4", "--budget", "20", "--seed", "1")
+    data = json.loads(out)
+    assert list(data) == ["found", "length", "endpoint_error", "evaluations", "upper_bound",
+                          "gap", "curve", "case", "params", "target", "trajectory"]
+    assert data["gap"] == data["upper_bound"] - data["length"]
+
+
 def test_witness_command(capsys):
     code, out, _ = run(capsys, "witness", "--case", "9", "--kappa", "0", "--chi", "-1",
                        "--length", "10")

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from sublorentz.conegeom import SegmentCone
 from sublorentz.existence import check_case
@@ -17,6 +19,7 @@ from sublorentz.longarc import (
     length,
     maximize,
     sl2_cover_frame,
+    _exp_flow,
     su2_unbounded_witness,
     target_from_exp2,
 )
@@ -29,6 +32,88 @@ SL2 = SubLorentzCase("10", kappa=-2.0, chi=-1.0)
 
 def constant_curve(structure, u, n=16, total=1.0) -> ControlCurve:
     return ControlCurve(total / n, np.tile(np.asarray(u, dtype=float), (n, 1)), structure)
+
+
+# -- closed-form 2x2 exponential ---------------------------------------------------
+
+def reference_exp_flow(A, h):
+    """(expm(h A), integral_0^h expm(s A) ds) by Taylor series with argument halving."""
+    A = np.array(A, dtype=float).reshape(2, 2)
+    norm = abs(h) * float(np.abs(A).sum())
+    halvings = int(math.ceil(math.log2(norm / 0.25))) if norm > 0.25 else 0
+    hs_ = h / 2 ** halvings
+    X = hs_ * A
+    E, S, P = np.eye(2), hs_ * np.eye(2), np.eye(2)
+    for k in range(1, 30):
+        P = P @ X / k
+        E = E + P
+        S = S + hs_ * P / (k + 1)
+    for _ in range(halvings):
+        S = S + E @ S
+        E = E @ E
+    return E, S
+
+
+_coef = hs.floats(-2.0, 2.0)
+_off = hs.builds(lambda sign, mag: sign * mag, hs.sampled_from([-1.0, 1.0]), hs.floats(0.5, 2.0))
+_time = hs.builds(lambda sign, mag: sign * mag, hs.sampled_from([-1.0, 1.0]), hs.floats(0.01, 2.0))
+
+
+@hs.composite
+def flow_inputs(draw):
+    """(branch, A, h) with A = m I + N, N = [[d, b], [c, -d]], N^2 = sigma^2 I."""
+    branch = draw(hs.sampled_from(
+        ["nilpotent", "scalar", "real", "rotation", "jordan", "near-confluent"]))
+    m, d, b, h = draw(_coef), draw(_coef), draw(_off), draw(_time)
+    if branch == "nilpotent":
+        return branch, (0.0, b, 0.0, 0.0), h
+    if branch == "scalar":
+        return branch, (m, 0.0, 0.0, m), h
+    if branch == "jordan":
+        return branch, (m, b, 0.0, m), h
+    if branch == "near-confluent":
+        # |sigma h| from 1e-9 to 1e-2, on both sides of sigma^2 = 0
+        w = 10.0 ** draw(hs.floats(-9.0, -2.0))
+        sigma2 = draw(hs.sampled_from([-1.0, 1.0])) * (w / h) ** 2
+    else:
+        sigma = draw(hs.floats(0.1, 2.0))
+        sigma2 = sigma * sigma if branch == "real" else -sigma * sigma
+    c = (sigma2 - d * d) / b
+    return branch, (m + d, b, c, m - d), h
+
+
+@settings(max_examples=400, deadline=None)
+@given(flow_inputs())
+def test_closed_form_exponential_matches_series(inputs):
+    _, A, h = inputs
+    E, S = _exp_flow(A, h)
+    E_ref, S_ref = reference_exp_flow(A, h)
+    for got, want in ((E, E_ref), (S, S_ref)):
+        got = np.array(got).reshape(2, 2)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+ROUND_TRIP_CASES = (
+    HEIS,
+    SubLorentzCase("3", tau=2.0, variant=1),
+    SubLorentzCase("3", tau=2.0, variant=2),
+    SubLorentzCase("12", kappa=-1.0, chi=-1.0),
+    SubLorentzCase("12", kappa=1.0, chi=-1.0),
+    SubLorentzCase("13", kappa=5.6, chi=-0.8),
+)
+_algebra_vector = hs.lists(hs.floats(-1.0, 1.0), min_size=3, max_size=3).map(np.array)
+
+
+@settings(max_examples=60, deadline=None)
+@given(hs.sampled_from(ROUND_TRIP_CASES), _algebra_vector, _algebra_vector)
+def test_semidirect_log_and_inverse_round_trips(case, u, v):
+    model = build_structure(case).model
+    assert np.max(np.abs(model.log(model.exp(u)) - u)) <= 1e-12
+    x = model.multiply(model.exp(u), model.exp(v, 0.5))
+    # cancellation against the size of x, which the expanding action can make large
+    tol = 1e-12 * (1.0 + np.linalg.norm(model.coords(x)))
+    for y in (model.multiply(x, model.inverse(x)), model.multiply(model.inverse(x), x)):
+        assert np.max(np.abs(model.coords(y) - model.coords(model.identity()))) <= tol
 
 
 # -- integration ------------------------------------------------------------------
@@ -154,6 +239,17 @@ def test_anti_norm_homogeneity_and_superadditivity():
             lam = rng.uniform(0.1, 5.0)
             assert abs(nu(lam * v) - lam * nu(v)) <= 1e-10 * max(1.0, nu(v))
             assert nu(v + w) >= nu(v) + nu(w) - 1e-10
+
+
+def test_anti_norm_on_arrays_matches_rows():
+    rng = np.random.default_rng(3)
+    U = np.column_stack([rng.uniform(0.1, 2.0, 50), rng.uniform(-2.0, 2.0, 50),
+                         rng.uniform(-1.0, 1.0, 50)])
+    edge = AntiNorm("custom", fn=lambda u: u[0] - abs(u[1]), name="edge")
+    for nu in (LORENTZIAN, edge):
+        values = nu(U)
+        assert values.shape == (50,)
+        assert values.tolist() == [nu(u) for u in U]
 
 
 # -- calibration bound ----------------------------------------------------------------
