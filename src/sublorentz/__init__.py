@@ -33,7 +33,6 @@ from .liealg3 import (
     CASE_LABELS,
     LieAlgebra3,
     SubLorentzCase,
-    from_bianchi,
     from_case,
 )
 from .longarc import (

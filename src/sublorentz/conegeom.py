@@ -15,7 +15,9 @@ Two cone shapes are supported:
 All membership and duality questions are decided in closed form on the
 extreme rays (segment) or by axis/transverse decomposition (circular).
 Exact-zero comparisons use an absolute tolerance of 1e-12; inputs are
-expected to be of order one.
+expected to be of order one.  The tolerance pair below is the one the whole
+package uses; this module imports nothing from the package, so every other
+module can take it from here.
 """
 
 from __future__ import annotations
@@ -27,7 +29,9 @@ from typing import Optional, Union
 
 import numpy as np
 
+#: Exact-zero comparisons.
 ZERO_TOL = 1e-12
+#: Numerical-rank cutoff on singular values and eigenvalues.
 RANK_TOL = 1e-10
 
 

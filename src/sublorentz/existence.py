@@ -17,6 +17,7 @@ Verdicts depend only on the cone, never on the anti-norm.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import math
 from dataclasses import dataclass
@@ -26,15 +27,14 @@ import numpy as np
 
 from .conegeom import (
     DEFAULT_CONE,
-    Covector,
+    ZERO_TOL,
     SegmentCone,
     SolidCone,
+    _as_covector_array,
     dual_contains,
     find_interior_dual_in_annihilator,
 )
 from .liealg3 import SL2_CASES, SU2_CASE, LieAlgebra3, SubLorentzCase, from_case, su2_loop_period
-
-_SIG_TOL = 1e-10
 
 
 class Outcome(enum.Enum):
@@ -133,13 +133,9 @@ def killing_containment(algebra: LieAlgebra3, cone: SegmentCone = DEFAULT_CONE) 
     exact zero at a cross-section endpoint through cancellation, so values
     within 1e-12 of zero (relative to the Killing scale) count as zero.
     """
-    K = algebra.killing_form()
-    evals = np.linalg.eigvalsh(K)
-    scale = max(1.0, float(np.max(np.abs(evals))))
-    if not (evals[0] < -_SIG_TOL * scale and evals[1] > _SIG_TOL * scale and evals[2] > _SIG_TOL * scale):
-        raise ValueError("Killing form is not nondegenerate with one negative direction")
+    _, _, scale = algebra.killing_eigenbasis()
     h = max(1.0, cone.half_width)
-    return killing_section_max(algebra, cone) < -1e-12 * scale * h * h
+    return killing_section_max(algebra, cone) < -ZERO_TOL * scale * h * h
 
 
 def _loop_description(case: SubLorentzCase) -> dict:
@@ -161,23 +157,15 @@ def check_case(case: SubLorentzCase, cone: SolidCone = DEFAULT_CONE) -> Verdict:
             base = Verdict(Outcome.INCONCLUSIVE, RATIONALE_NONE)
     else:
         base = check_solvable(algebra, cone)
-    return Verdict(
-        outcome=base.outcome,
-        rationale=base.rationale,
-        witness=base.witness,
-        loop=base.loop,
-        certificate=base.certificate,
-        case_id=cid,
-        params=case.params(),
-    )
+    return dataclasses.replace(base, case_id=cid, params=case.params())
 
 
-def witness_is_valid(algebra: LieAlgebra3, cone: SolidCone, witness, tol: float = 1e-12) -> bool:
+def witness_is_valid(algebra: LieAlgebra3, cone: SolidCone, witness) -> bool:
     """Check a covector certificate: strict dual membership plus annihilation."""
-    p = witness.as_array() if isinstance(witness, Covector) else np.asarray(witness, dtype=float)
+    p = _as_covector_array(witness)
     if not dual_contains(cone, p, strict=True):
         return False
     derived = algebra.derived_subalgebra()
-    if derived.shape[0] and float(np.max(np.abs(derived @ p))) > tol:
+    if derived.shape[0] and float(np.max(np.abs(derived @ p))) > ZERO_TOL:
         return False
     return True

@@ -2,34 +2,30 @@
 
 An algebra is stored as its bracket table over a fixed ordered basis
 (X1, X2, X3); only the pairs (1,2), (1,3), (2,3) are kept, everything else
-follows by antisymmetry.  Two families of constructors are provided:
+follows by antisymmetry.  Algebras are built from one family of
+constructors: :func:`from_case` realizes one row of the classification table
+of left-invariant cone structures (rows ``"1"`` .. ``"19"`` plus ``"2*"``)
+through the normalized contact bracket layout
 
-* :func:`from_case` realizes one row of the classification table of
-  left-invariant cone structures (rows ``"1"`` .. ``"19"`` plus ``"2*"``),
-  through the normalized contact bracket layout
+    [X1, X3] = c X1 + a12 X2
+    [X2, X3] = a21 X1 - c X2
+    [X1, X2] = b1 X1 + b2 X2 + X3
 
-      [X1, X3] = c X1 + a12 X2
-      [X2, X3] = a21 X1 - c X2
-      [X1, X2] = b1 X1 + b2 X2 + X3
-
-  whose coefficients are collected in the 3x3 structure matrix returned by
-  :meth:`LieAlgebra3.structure_matrix`.
-
-* :func:`from_bianchi` realizes the standard named three-dimensional
-  algebras (Heisenberg, sl2, su2, the solvable families) over generators
-  (E1, E2, E3).
+whose coefficients form the 3x3 structure matrix of
+:meth:`SubLorentzCase.structure_constants`; :func:`algebra_from_structure_matrix`
+reads such a matrix back into brackets and is the one place that checks the
+layout.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-JACOBI_TOL = 1e-12
-RANK_TOL = 1e-10
+from .conegeom import RANK_TOL, ZERO_TOL, _vec3
 
 #: Row identifiers of the classification table, in display order.
 CASE_IDS = (
@@ -52,15 +48,6 @@ SL2_CASES = frozenset({"2", "6", "8", "10", "19"})
 #: Row whose group is SU2 (compact; carries closed timelike loops).
 SU2_CASE = "9"
 
-_EQ_TOL = 1e-12
-
-
-def _vec3(x) -> np.ndarray:
-    v = np.asarray(x, dtype=float).reshape(3)
-    if not np.all(np.isfinite(v)):
-        raise ValueError("vector has non-finite components")
-    return v
-
 
 @dataclass(frozen=True)
 class LieAlgebra3:
@@ -75,7 +62,7 @@ class LieAlgebra3:
         for name in ("b12", "b13", "b23"):
             object.__setattr__(self, name, tuple(float(t) for t in _vec3(getattr(self, name))))
         defect = self.jacobi_defect()
-        if defect > JACOBI_TOL:
+        if defect > ZERO_TOL:
             raise ValueError(f"structure constants violate the Jacobi identity (defect {defect:.3e})")
 
     def bracket(self, v, w) -> np.ndarray:
@@ -108,51 +95,31 @@ class LieAlgebra3:
         rank = int(np.sum(s > RANK_TOL))
         return vt[:rank]
 
-    def structure_matrix(self) -> np.ndarray:
-        """The 3x3 coefficient matrix of the normalized contact bracket layout.
-
-        Rows hold the coordinates of [X1,X3], [X2,X3], [X1,X2]; its kernel is
-        the annihilator of the derived subalgebra in dual coordinates.
-        Raises if the algebra is not in the normalized layout.
-        """
-        b12, b13, b23 = map(np.asarray, (self.b12, self.b13, self.b23))
-        if abs(b12[2] - 1.0) > _EQ_TOL or abs(b13[2]) > _EQ_TOL or abs(b23[2]) > _EQ_TOL:
-            raise ValueError("algebra is not in the normalized contact form "
-                             "([X1,X2] must have unit X3 part, [Xi,X3] none)")
-        if abs(b23[1] + b13[0]) > _EQ_TOL:
-            raise ValueError("algebra is not in the normalized contact form "
-                             "(the X3-action must be trace free)")
-        return np.array([
-            [b13[0], b13[1], 0.0],
-            [b23[0], b23[1], 0.0],
-            [b12[0], b12[1], 1.0],
-        ])
-
     def killing_form(self) -> np.ndarray:
         """Symmetric matrix K[i,j] = trace(ad_Xi ad_Xj)."""
         ads = [self.adjoint(np.eye(3)[i]) for i in range(3)]
         K = np.array([[np.trace(ads[i] @ ads[j]) for j in range(3)] for i in range(3)])
         return 0.5 * (K + K.T)
 
-    def to_json(self) -> dict:
-        return {
-            "basis": ["X1", "X2", "X3"],
-            "brackets": {"12": list(self.b12), "13": list(self.b13), "23": list(self.b23)},
-            "label": self.label,
-        }
+    def killing_eigenbasis(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """``eigh`` of an index-1 Killing form: ascending eigenvalues, eigenvectors, scale.
 
-    @classmethod
-    def from_json(cls, data: dict) -> "LieAlgebra3":
-        br = data["brackets"]
-        return cls(tuple(br["12"]), tuple(br["13"]), tuple(br["23"]), data.get("label", ""))
+        The scale is max(1, largest |eigenvalue|).  Raises unless one
+        eigenvalue is below -RANK_TOL * scale and the other two above it.
+        """
+        evals, evecs = np.linalg.eigh(self.killing_form())
+        scale = max(1.0, float(np.max(np.abs(evals))))
+        if not (evals[0] < -RANK_TOL * scale and evals[1] > RANK_TOL * scale):
+            raise ValueError("Killing form is not nondegenerate with one negative direction")
+        return evals, evecs, scale
 
 
 def _is_zero(x: Optional[float]) -> bool:
-    return x is None or abs(x) <= _EQ_TOL
+    return x is None or abs(x) <= ZERO_TOL
 
 
 def _close(a: float, b: float) -> bool:
-    return abs(a - b) <= _EQ_TOL * max(1.0, abs(a), abs(b))
+    return abs(a - b) <= ZERO_TOL * max(1.0, abs(a), abs(b))
 
 
 @dataclass(frozen=True)
@@ -176,6 +143,10 @@ class SubLorentzCase:
         cid = self.case_id
         if cid not in CASE_IDS:
             raise ValueError(f"unknown case id {cid!r}; expected one of {', '.join(CASE_IDS)}")
+        for name in ("kappa", "tau", "chi"):
+            val = getattr(self, name)
+            if val is not None and not math.isfinite(val):
+                raise ValueError(f"{name} must be finite, got {val!r}")
         if self.variant not in (1, 2):
             raise ValueError("variant must be 1 or 2")
         if self.variant == 2 and cid not in ("3", "4", "5", "7"):
@@ -189,7 +160,7 @@ class SubLorentzCase:
             self._require(not _is_zero(k), f"case {cid} requires kappa != 0")
             if cid == "2*":
                 t0 = 0.0 if t is None else t
-                self._require(k + t0 * t0 >= -_EQ_TOL,
+                self._require(k + t0 * t0 >= -ZERO_TOL,
                               "case 2* requires kappa + tau^2 >= 0 (real structure constants)")
         elif cid == "3":
             t0 = 2.0 if t is None else t
@@ -218,13 +189,13 @@ class SubLorentzCase:
             need("kappa", k); need("chi", x)
             self._require(_close(x, k) or _close(x, -k), f"case {cid} requires chi = +-kappa")
             if cid == "11":
-                self._require(x > _EQ_TOL, "case 11 requires chi = +-kappa > 0")
+                self._require(x > ZERO_TOL, "case 11 requires chi = +-kappa > 0")
             else:
-                self._require(x < -_EQ_TOL, "case 12 requires chi = +-kappa < 0")
+                self._require(x < -ZERO_TOL, "case 12 requires chi = +-kappa < 0")
         elif cid in ("13", "14", "15"):
             need("kappa", k); need("chi", x)
             self._require(not _is_zero(x), f"case {cid} requires chi != 0")
-            self._require(k - x >= -_EQ_TOL,
+            self._require(k - x >= -ZERO_TOL,
                           f"case {cid} requires kappa >= chi (real structure constants)")
             if cid == "13":
                 self._require(_close(k, -7.0 * x), "case 13 requires kappa = -7 chi")
@@ -235,7 +206,7 @@ class SubLorentzCase:
         elif cid in ("16", "17", "18"):
             need("kappa", k); need("chi", x)
             self._require(not _is_zero(x), f"case {cid} requires chi != 0")
-            self._require(-k - x >= -_EQ_TOL,
+            self._require(-k - x >= -ZERO_TOL,
                           f"case {cid} requires kappa <= -chi (real structure constants)")
             if cid == "16":
                 self._require(_close(k, 7.0 * x), "case 16 requires kappa = 7 chi")
@@ -313,9 +284,9 @@ def algebra_from_structure_matrix(A, label: str = "") -> LieAlgebra3:
     A = np.asarray(A, dtype=float)
     if A.shape != (3, 3):
         raise ValueError("structure matrix must be 3x3")
-    if abs(A[0, 2]) > _EQ_TOL or abs(A[1, 2]) > _EQ_TOL or abs(A[2, 2] - 1.0) > _EQ_TOL:
+    if abs(A[0, 2]) > ZERO_TOL or abs(A[1, 2]) > ZERO_TOL or abs(A[2, 2] - 1.0) > ZERO_TOL:
         raise ValueError("structure matrix is not in the normalized layout")
-    if abs(A[0, 0] + A[1, 1]) > _EQ_TOL:
+    if abs(A[0, 0] + A[1, 1]) > ZERO_TOL:
         raise ValueError("structure matrix must have a trace-free upper block")
     return LieAlgebra3(
         b12=(A[2, 0], A[2, 1], 1.0),
@@ -329,36 +300,3 @@ def from_case(case: SubLorentzCase) -> LieAlgebra3:
     """Lie algebra of a classification-table row at its parameter point."""
     return algebra_from_structure_matrix(case.structure_constants(),
                                          label=f"case-{case.case_id}")
-
-
-_BIANCHI = {
-    "L(3,0)": lambda eta: ((0, 0, 0), (0, 0, 0), (0, 0, 0)),
-    "L(3,1)": lambda eta: ((0, 0, 1), (0, 0, 0), (0, 0, 0)),
-    "L(3,-1)": lambda eta: ((1, 0, 0), (0, 0, 0), (0, 0, 0)),
-    "L(3,2)": lambda eta: ((0, 0, 0), (1, 0, 0), (0, eta, 0)),
-    "L(3,3)": lambda eta: ((0, 0, 0), (1, 0, 0), (1, 1, 0)),
-    "L(3,4)": lambda eta: ((0, 0, 0), (eta, -1, 0), (1, eta, 0)),
-    "L(3,5)": lambda eta: ((1, 0, 0), (0, -2, 0), (0, 0, 1)),
-    "L(3,6)": lambda eta: ((0, 0, 1), (0, -1, 0), (1, 0, 0)),
-}
-
-
-def from_bianchi(label: str, eta: Optional[float] = None) -> LieAlgebra3:
-    """Named 3D Lie algebra over generators (E1, E2, E3).
-
-    ``eta`` is required for the one-parameter families ``L(3,2)``
-    (0 < |eta| <= 1) and ``L(3,4)`` (eta >= 0) and rejected elsewhere.
-    """
-    if label not in _BIANCHI:
-        raise ValueError(f"unknown algebra label {label!r}; expected one of {', '.join(_BIANCHI)}")
-    if label == "L(3,2)":
-        if eta is None or not (0.0 < abs(eta) <= 1.0):
-            raise ValueError("L(3,2) requires eta with 0 < |eta| <= 1")
-    elif label == "L(3,4)":
-        if eta is None or eta < 0.0:
-            raise ValueError("L(3,4) requires eta >= 0")
-    elif eta is not None:
-        raise ValueError(f"{label} does not take an eta parameter")
-    b12, b13, b23 = _BIANCHI[label](eta)
-    full_label = label if eta is None else f"{label[:-1]},{eta})"
-    return LieAlgebra3(b12=b12, b13=b13, b23=b23, label=full_label)

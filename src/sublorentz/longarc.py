@@ -30,7 +30,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import sl2cover
-from .conegeom import DEFAULT_CONE, Covector, SegmentCone, SolidCone, contains, dual_contains
+from .conegeom import DEFAULT_CONE, RANK_TOL, ZERO_TOL, SegmentCone, SolidCone, _as_covector_array, contains
+from .existence import witness_is_valid
 from .liealg3 import SL2_CASES, SU2_CASE, LieAlgebra3, SubLorentzCase, from_case, su2_loop_period
 from .sl2cover import CoverElement, TangentVector
 
@@ -203,7 +204,7 @@ class SemidirectModel:
         y = derived[0]
         ad_y = algebra.adjoint(y)
         _, s, vt = np.linalg.svd(ad_y)
-        null = vt[(s > 1e-10).sum():]
+        null = vt[(s > RANK_TOL).sum():]
         resid = null - (null @ y)[:, None] * y[None, :]
         z = null[int(np.argmax(np.linalg.norm(resid, axis=1)))]
         z = z - (z @ y) * y
@@ -250,7 +251,7 @@ class SemidirectModel:
         a = x[0]
         _, S = self._flow(a, 1.0)
         det = S[0] * S[3] - S[1] * S[2]
-        if abs(det) < 1e-12:
+        if abs(det) < ZERO_TOL:
             raise ValueError("logarithm is singular at this element")
         q0, q1 = x[1]
         return self.unsplit(a, ((S[3] * q0 - S[1] * q1) / det, (S[0] * q1 - S[2] * q0) / det))
@@ -280,6 +281,7 @@ class QuaternionModel:
         self.beta = math.sqrt(k - x) / 2.0
         self.gamma = 2.0 * self.alpha * self.beta
         self.scales = np.array([self.alpha, self.beta, self.gamma])
+        #: Parameter time after which exp(t X1) returns to the identity.
         self.period = su2_loop_period(case)
 
     def identity(self):
@@ -322,10 +324,6 @@ class QuaternionModel:
     def coords(self, x) -> np.ndarray:
         return np.asarray(x, dtype=float)
 
-    def loop_period(self) -> float:
-        """Parameter time after which exp(t X1) returns to the identity."""
-        return self.period
-
 
 def sl2_cover_frame(algebra: LieAlgebra3) -> np.ndarray:
     """Isomorphism matrix sending case coordinates onto cover coordinates.
@@ -337,11 +335,7 @@ def sl2_cover_frame(algebra: LieAlgebra3) -> np.ndarray:
     maps (x1, x2, x3) to (xi, Re zeta, Im zeta); the time coordinate is
     oriented so that X1 has nonnegative angle component.
     """
-    K = algebra.killing_form()
-    evals, evecs = np.linalg.eigh(K)
-    scale = max(1.0, float(np.max(np.abs(evals))))
-    if not (evals[0] < -1e-10 * scale and evals[1] > 1e-10 * scale):
-        raise ValueError("Killing form is not nondegenerate with one negative direction")
+    evals, evecs, _ = algebra.killing_eigenbasis()
     T = evecs[:, 0] * math.sqrt(8.0 / -evals[0])
     S1 = evecs[:, 1] * math.sqrt(8.0 / evals[1])
     S2 = evecs[:, 2] * math.sqrt(8.0 / evals[2])
@@ -579,12 +573,10 @@ def distance_upper_bound(structure: CaseStructure, target, witness) -> float:
     model = structure.model
     if not isinstance(model, SemidirectModel):
         raise TypeError("the calibration bound applies to the solvable (semidirect) models")
-    p = witness.as_array() if isinstance(witness, Covector) else np.asarray(witness, dtype=float)
-    if not dual_contains(structure.cone, p, strict=True):
-        raise ValueError("witness is not strictly positive on the punctured cone")
-    derived = structure.algebra.derived_subalgebra()
-    if derived.shape[0] and float(np.max(np.abs(derived @ p))) > 1e-9:
-        raise ValueError("witness does not annihilate the derived subalgebra")
+    p = _as_covector_array(witness)
+    if not witness_is_valid(structure.algebra, structure.cone, p):
+        raise ValueError("witness is not a certificate: it must be strictly positive on the "
+                         "punctured cone and annihilate the derived subalgebra")
 
     eye = np.eye(3)
     u_full = model.log(target)
@@ -838,12 +830,14 @@ def su2_unbounded_witness(structure: CaseStructure, demanded_length: float,
     adds its fixed length, so any demanded length is reached while the
     endpoint stays that of the base curve.
     """
-    if not demanded_length > 0.0:
-        raise ValueError("demanded length must be positive")
+    if not 0.0 < demanded_length < math.inf:
+        raise ValueError("demanded length must be positive and finite")
+    if steps_per_loop < 1:
+        raise ValueError("steps per loop must be >= 1")
     model = structure.model
     if not isinstance(model, QuaternionModel):
         raise ValueError("the loop construction applies to the su2 structure (case 9)")
-    period = model.loop_period()
+    period = model.period
     dt = base_curve.dt if base_curve is not None else period / steps_per_loop
     m = max(1, int(math.ceil(period / dt)))
     scale = period / (m * dt)

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -14,6 +17,11 @@ from sublorentz.cli import (
     render_table_text,
 )
 from sublorentz.sl2cover import CoverElement, multiply
+
+
+# the CLI runs in a child process, importing the package from this checkout
+_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+    os.path.join(os.path.dirname(__file__), "..", "src"), os.environ.get("PYTHONPATH")]))}
 
 
 def run(capsys, *argv):
@@ -170,6 +178,24 @@ def test_witness_command(capsys):
     assert data["length"] >= 10.0
     assert data["endpoint_error"] <= 1e-8
     assert len(data["curve"]["controls"]) >= 1
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["witness", "--case", "9", "--kappa", "0", "--chi", "-1", "--length", "10",
+      "--steps-per-loop", "0"], "steps per loop must be >= 1"),
+    (["witness", "--case", "9", "--kappa", "0", "--chi", "-1", "--length", "10",
+      "--steps-per-loop=-4"], "steps per loop must be >= 1"),
+    (["witness", "--case", "9", "--kappa", "0", "--chi", "-1", "--length", "inf"],
+     "demanded length must be positive and finite"),
+    (["check", "--case", "10", "--kappa", "nan", "--chi", "-1"], "kappa must be finite"),
+    (["check", "--case", "10", "--kappa", "inf", "--chi", "-1"], "kappa must be finite"),
+])
+def test_bad_inputs_are_named_usage_errors(argv, message):
+    proc = subprocess.run([sys.executable, "-m", "sublorentz.cli", *argv],
+                          capture_output=True, text=True, env=_ENV)
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stdout == ""
+    assert message in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_cone_commands(capsys):

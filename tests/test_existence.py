@@ -12,6 +12,7 @@ from sublorentz.existence import (
     witness_is_valid,
 )
 from sublorentz.liealg3 import CASE_IDS, SubLorentzCase, algebra_from_structure_matrix, from_case
+from sublorentz.longarc import sl2_cover_frame
 
 
 def test_heisenberg_exists_with_axis_witness():
@@ -71,8 +72,10 @@ def test_killing_containment_endpoint_cancellation_is_not_containment():
 
 
 def test_killing_containment_rejects_degenerate():
-    with pytest.raises(ValueError, match="one negative direction"):
-        killing_containment(from_case(SubLorentzCase("1", kappa=0.0)))
+    # both users of the Killing eigenbasis reject a degenerate form the same way
+    for decide in (killing_containment, sl2_cover_frame):
+        with pytest.raises(ValueError, match="one negative direction"):
+            decide(from_case(SubLorentzCase("1", kappa=0.0)))
 
 
 def test_check_case_table_rows():

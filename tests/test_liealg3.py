@@ -9,11 +9,13 @@ from sublorentz.liealg3 import (
     LieAlgebra3,
     SubLorentzCase,
     algebra_from_structure_matrix,
-    from_bianchi,
     from_case,
 )
 
 finite = st.floats(min_value=-5, max_value=5, allow_nan=False)
+
+
+ABELIAN = LieAlgebra3((0, 0, 0), (0, 0, 0), (0, 0, 0))
 
 
 def heisenberg():
@@ -53,60 +55,29 @@ def test_jacobi_defect_across_all_cases():
             assert alg.jacobi_defect() <= 1e-12
 
 
-def test_jacobi_defect_bianchi_entries():
-    specs = [("L(3,0)", None), ("L(3,1)", None), ("L(3,-1)", None), ("L(3,2)", 0.5),
-             ("L(3,4)", 0.3), ("L(3,3)", None), ("L(3,5)", None), ("L(3,6)", None)]
-    for label, eta in specs:
-        assert from_bianchi(label, eta).jacobi_defect() <= 1e-12
-
-
 def test_jacobi_violation_rejected():
     with pytest.raises(ValueError, match="Jacobi"):
         LieAlgebra3(b12=(1, 0, 0), b13=(0, 0, 1), b23=(0, 0, 0))
 
 
-def test_bianchi_table_brackets():
-    h3 = from_bianchi("L(3,1)")
-    assert np.allclose(h3.bracket([1, 0, 0], [0, 1, 0]), [0, 0, 1])
-    assert np.allclose(h3.bracket([1, 0, 0], [0, 0, 1]), 0)
-
-    su2 = from_bianchi("L(3,6)")
-    assert np.allclose(su2.bracket([1, 0, 0], [0, 1, 0]), [0, 0, 1])
-    assert np.allclose(su2.bracket([1, 0, 0], [0, 0, 1]), [0, -1, 0])
-    assert np.allclose(su2.bracket([0, 1, 0], [0, 0, 1]), [1, 0, 0])
-
-    fam = from_bianchi("L(3,2)", 0.5)
-    assert np.allclose(fam.bracket([1, 0, 0], [0, 0, 1]), [1, 0, 0])
-    assert np.allclose(fam.bracket([0, 1, 0], [0, 0, 1]), [0, 0.5, 0])
-    assert np.allclose(fam.bracket([1, 0, 0], [0, 1, 0]), 0)
-
-
-@pytest.mark.parametrize("label,eta", [("L(3,2)", 0.0), ("L(3,2)", 1.5), ("L(3,2)", None),
-                                       ("L(3,4)", -0.1), ("L(3,1)", 0.5)])
-def test_bianchi_eta_validation(label, eta):
-    with pytest.raises(ValueError):
-        from_bianchi(label, eta)
-
-
 def test_derived_subalgebra_dimensions():
     assert heisenberg().derived_subalgebra().shape[0] == 1
     assert np.allclose(np.abs(heisenberg().derived_subalgebra()[0]), [0, 0, 1])
-    assert from_bianchi("L(3,0)").derived_subalgebra().shape[0] == 0
-    assert from_bianchi("L(3,5)").derived_subalgebra().shape[0] == 3
+    assert ABELIAN.derived_subalgebra().shape[0] == 0
+    assert from_case(SubLorentzCase("10", kappa=-2.0, chi=-1.0)).derived_subalgebra().shape[0] == 3
 
 
 def test_structure_matrix_examples():
-    A1 = heisenberg().structure_matrix()
+    A1 = SubLorentzCase("1", kappa=0.0).structure_constants()
     expected = np.zeros((3, 3))
     expected[2, 2] = 1.0
     assert np.array_equal(A1, expected)
 
-    A11 = from_case(SubLorentzCase("11", kappa=1.0, chi=1.0)).structure_matrix()
+    A11 = SubLorentzCase("11", kappa=1.0, chi=1.0).structure_constants()
     assert np.array_equal(A11, [[0, 2, 0], [0, 0, 0], [0, 0, 1]])
 
     for cid, k, x in [("13", 7.0, -1.0), ("14", 2.0, -1.0), ("15", 8.0, -1.0)]:
-        case = SubLorentzCase(cid, kappa=k, chi=x)
-        A = from_case(case).structure_matrix()
+        A = SubLorentzCase(cid, kappa=k, chi=x).structure_constants()
         assert np.allclose(A[0], [0, 2 * x, 0])
         assert np.allclose(A[1], 0)
         assert A[2, 0] == 0 and np.isclose(A[2, 1] ** 2, k - x) and A[2, 2] == 1.0
@@ -115,8 +86,9 @@ def test_structure_matrix_examples():
 def test_kernel_and_derived_are_mutual_annihilators():
     rng = np.random.default_rng(5)
     for cid in CASE_IDS:
-        alg = from_case(sample_case(cid, rng, 0))
-        A = alg.structure_matrix()
+        case = sample_case(cid, rng, 0)
+        alg = from_case(case)
+        A = case.structure_constants()
         _, s, vt = np.linalg.svd(A)
         kernel = vt[(s > 1e-10).sum():]
         derived = alg.derived_subalgebra()
@@ -126,8 +98,18 @@ def test_kernel_and_derived_are_mutual_annihilators():
 
 
 def test_structure_matrix_rejects_non_contact_layout():
-    with pytest.raises(ValueError, match="normalized contact form"):
-        from_bianchi("L(3,5)").structure_matrix()
+    A = SubLorentzCase("6", kappa=1.5).structure_constants()
+    with pytest.raises(ValueError, match="must be 3x3"):
+        algebra_from_structure_matrix(A[:2])
+    for i, j, value in ((0, 2, 0.5), (2, 2, 2.0)):
+        bad = A.copy()
+        bad[i, j] = value
+        with pytest.raises(ValueError, match="not in the normalized layout"):
+            algebra_from_structure_matrix(bad)
+    bad = A.copy()
+    bad[1, 1] = 0.0
+    with pytest.raises(ValueError, match="trace-free upper block"):
+        algebra_from_structure_matrix(bad)
 
 
 def test_killing_form_spot_values():
@@ -135,8 +117,13 @@ def test_killing_form_spot_values():
     K = from_case(SubLorentzCase("10", kappa=k, chi=x)).killing_form()
     assert np.allclose(K, np.diag([2 * (k + x), -2 * (k - x), 2 * (k * k - x * x)]), atol=1e-12)
 
-    assert np.allclose(from_bianchi("L(3,6)").killing_form(), -2 * np.eye(3), atol=1e-12)
-    assert np.allclose(from_bianchi("L(3,0)").killing_form(), 0.0)
+    # the su2 row: negative definite
+    k, x = 0.5, -2.0
+    K = from_case(SubLorentzCase("9", kappa=k, chi=x)).killing_form()
+    assert np.allclose(K, np.diag([2 * (k + x), -2 * (k - x), 2 * (k * k - x * x)]), atol=1e-12)
+    assert np.all(np.linalg.eigvalsh(K) < 0.0)
+
+    assert np.allclose(ABELIAN.killing_form(), 0.0)
 
 
 def test_killing_form_symmetric_and_invariant():
@@ -162,6 +149,10 @@ def test_killing_form_symmetric_and_invariant():
     (dict(case_id="15", kappa=1.0, chi=2.0), "case 15 requires kappa >= chi"),
     (dict(case_id="2*", kappa=-4.0, tau=1.0), "case 2\\* requires kappa \\+ tau"),
     (dict(case_id="42", kappa=1.0), "unknown case id"),
+    (dict(case_id="10", kappa=float("nan"), chi=-1.0), "kappa must be finite"),
+    (dict(case_id="10", kappa=float("inf"), chi=-1.0), "kappa must be finite"),
+    (dict(case_id="4", tau=float("-inf")), "tau must be finite"),
+    (dict(case_id="19", kappa=1.0, chi=float("nan")), "chi must be finite"),
 ])
 def test_case_constraint_violations(kwargs, message):
     with pytest.raises(ValueError, match=message):
@@ -169,15 +160,9 @@ def test_case_constraint_violations(kwargs, message):
 
 
 def test_structure_matrix_round_trip():
-    case = SubLorentzCase("6", kappa=1.5)
-    A = case.structure_constants()
+    # the rows of the matrix read back as the coordinates of [X1,X3], [X2,X3], [X1,X2]
+    A = SubLorentzCase("6", kappa=1.5).structure_constants()
     alg = algebra_from_structure_matrix(A)
-    assert np.allclose(alg.structure_matrix(), A)
-
-
-def test_algebra_json_round_trip():
-    alg = from_case(SubLorentzCase("2*", kappa=1.0, tau=0.5))
-    data = alg.to_json()
-    assert data["basis"] == ["X1", "X2", "X3"]
-    back = LieAlgebra3.from_json(data)
-    assert back == alg
+    e1, e2, e3 = np.eye(3)
+    read_back = [alg.bracket(e1, e3), alg.bracket(e2, e3), alg.bracket(e1, e2)]
+    assert np.array_equal(np.array(read_back), A)

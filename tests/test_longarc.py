@@ -129,7 +129,7 @@ def test_heisenberg_constant_control_is_one_parameter_subgroup():
 
 def test_su2_constant_control_closes_after_one_period():
     st = build_structure(SU2)
-    period = st.model.loop_period()
+    period = st.model.period
     curve = constant_curve(st, (1.0, 0.0, 0.0), n=64, total=period)
     end = integrate(curve).endpoint
     assert np.linalg.norm(st.model.coords(end) - st.model.coords(st.model.identity())) <= 1e-12
