@@ -365,11 +365,16 @@ def cmd_solve(args) -> int:
         return EXIT_USAGE
     structure = build_structure(case)
     target_spec = json.loads(args.target)
-    if isinstance(target_spec, dict):
-        target = CoverElement(float(target_spec["c"]),
-                              complex(target_spec["w"][0], target_spec["w"][1]))
+    if isinstance(target_spec, dict) and structure.model.kind == "cover":
+        w = target_spec.get("w")
+        values = [target_spec.get("c"), *w] if isinstance(w, list) and len(w) == 2 else []
+        if not values or not all(isinstance(t, (int, float)) and math.isfinite(t) for t in values):
+            raise ValueError('a cover target is {"c": c, "w": [re, im]} with finite numbers')
+        target = CoverElement(values[0], complex(values[1], values[2]))
+    elif isinstance(target_spec, list):
+        target = target_from_exp2(structure, target_spec)
     else:
-        target = target_from_exp2(structure, [float(t) for t in target_spec])
+        raise ValueError('the target is [a, b, c], or {"c": c, "w": [re, im]} on an sl2 row')
     result = maximize(structure, target, n_steps=args.steps, budget=args.budget, seed=args.seed)
     bound = None
     verdict = check_case(case)
@@ -440,7 +445,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return cmd_witness(args)
         if args.command == "cone":
             return cmd_cone(args)
-    except (ValueError, TypeError, json.JSONDecodeError) as exc:
+    except (ValueError, TypeError, OverflowError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     return EXIT_USAGE

@@ -12,8 +12,9 @@ subgroup steps, on one of three concrete group realizations:
   eigenvalues, with a series branch where they nearly coincide, and nothing
   is cached;
 * unit quaternions for the su2 row;
-* cover coordinates (c, w) with a classical 4th-order one-step integrator of
-  the left-invariant dynamics for the sl2-type rows.
+* cover coordinates (c, w) for the sl2-type rows, with classical RK4 steps
+  of the left-invariant dynamics on plain floats, whose four stages all use
+  the one left-translation formula of :mod:`sublorentz.sl2cover`.
 
 On top of integration the module provides the generalized length functional,
 a calibration-based upper bound on lengths into a target (solvable rows with
@@ -24,6 +25,7 @@ and the loop construction that exhibits unbounded lengths on the su2 row.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -33,7 +35,7 @@ from . import sl2cover
 from .conegeom import DEFAULT_CONE, RANK_TOL, ZERO_TOL, SegmentCone, SolidCone, _as_covector_array, contains
 from .existence import witness_is_valid
 from .liealg3 import SL2_CASES, SU2_CASE, LieAlgebra3, SubLorentzCase, from_case, su2_loop_period
-from .sl2cover import CoverElement, TangentVector
+from .sl2cover import CoverElement, TangentVector, _push
 
 DEFAULT_SEED = 1729
 
@@ -371,8 +373,11 @@ def sl2_cover_frame(algebra: LieAlgebra3) -> np.ndarray:
 class CoverModel:
     """Cover coordinates (c, w) with RK4 steps of the left-invariant dynamics.
 
-    ``frame`` maps identity-frame control coordinates to cover coordinates;
-    the identity frame is used for controls given directly as (xi, zeta).
+    A step is classical RK4 on plain floats whose stage velocities all come
+    from the left-translation kernel ``sl2cover._push`` (via ``push_forward``
+    first).  ``frame`` maps identity-frame control coordinates to cover
+    coordinates; the identity frame is used for controls given directly as
+    (xi, zeta).
     """
 
     kind = "cover"
@@ -389,23 +394,22 @@ class CoverModel:
     def inverse(self, x):
         return sl2cover.inverse(x)
 
-    @staticmethod
-    def _velocity(state: np.ndarray, u_cov: np.ndarray) -> np.ndarray:
-        v = sl2cover.push_forward(
-            CoverElement(state[0], complex(state[1], state[2])),
-            TangentVector(u_cov[0], complex(u_cov[1], u_cov[2])),
-        )
-        return np.array([v.xi, v.zeta.real, v.zeta.imag])
-
     def step(self, x, u, dt: float):
-        u_cov = self.frame @ np.asarray(u, dtype=float)
-        s = np.array([x.c, x.w.real, x.w.imag])
-        k1 = self._velocity(s, u_cov)
-        k2 = self._velocity(s + 0.5 * dt * k1, u_cov)
-        k3 = self._velocity(s + 0.5 * dt * k2, u_cov)
-        k4 = self._velocity(s + dt * k3, u_cov)
-        s = s + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        return CoverElement(s[0], complex(s[1], s[2]))
+        # each float operation in the order of s + dt/6 (k1 + 2 k2 + 2 k3 + k4) on arrays;
+        # frame @ u stays a numpy product, as a scalar product rounds differently
+        u0, u1, u2 = (self.frame @ np.asarray(u, dtype=float)).tolist()
+        zeta = complex(u1, u2)
+        c, p, q = x.c, x.w.real, x.w.imag
+        v = sl2cover.push_forward(x, TangentVector(u0, zeta))
+        a1, z1 = v.xi, v.zeta
+        h = 0.5 * dt
+        a2, z2 = _push(c + h * a1, complex(p + h * z1.real, q + h * z1.imag), u0, zeta)
+        a3, z3 = _push(c + h * a2, complex(p + h * z2.real, q + h * z2.imag), u0, zeta)
+        a4, z4 = _push(c + dt * a3, complex(p + dt * z3.real, q + dt * z3.imag), u0, zeta)
+        h = dt / 6.0
+        return CoverElement(c + h * (((a1 + 2.0 * a2) + 2.0 * a3) + a4),
+                            complex(p + h * (((z1.real + 2.0 * z2.real) + 2.0 * z3.real) + z4.real),
+                                    q + h * (((z1.imag + 2.0 * z2.imag) + 2.0 * z3.imag) + z4.imag)))
 
     def coords(self, x) -> np.ndarray:
         return np.array([x.c, x.w.real, x.w.imag])
@@ -508,10 +512,12 @@ def length(curve: ControlCurve, nu: Optional[AntiNorm] = None) -> float:
 
 
 def target_from_exp2(structure: CaseStructure, abc: Sequence[float]):
-    """Group element exp(a X1) exp(b X2) exp(c X3) in the structure's model."""
+    """Group element exp(a X1) exp(b X2) exp(c X3) for three finite numbers (a, b, c)."""
     model = structure.model
     if not hasattr(model, "exp"):
         raise TypeError("this model takes targets in its own coordinates, not exponential ones")
+    if len(abc) != 3 or not all(isinstance(t, numbers.Real) and math.isfinite(t) for t in abc):
+        raise ValueError(f"a target in exponential coordinates is three finite numbers, got {list(abc)}")
     eye = np.eye(3)
     x = model.identity()
     for basis_vec, amount in zip(eye, abc):

@@ -86,12 +86,16 @@ def project(g: CoverElement) -> np.ndarray:
     return np.array([[z, g.w], [g.w.conjugate(), z.conjugate()]])
 
 
+def _push(c: float, w: complex, xi: float, zeta: complex) -> tuple[float, complex]:
+    """Left translation by (c, w) of the identity vector (xi, zeta), on plain numbers."""
+    r = math.sqrt(1.0 + abs(w) ** 2)
+    return (xi + (w * zeta.conjugate() * cmath.exp(-1j * c)).imag / r,
+            zeta * r * cmath.exp(1j * c) - 1j * w * xi)
+
+
 def push_forward(base: CoverElement, v: TangentVector) -> TangentVector:
     """Differential of left translation by ``base``, applied to an identity vector."""
-    r = math.sqrt(1.0 + abs(base.w) ** 2)
-    xi = v.xi + (base.w * v.zeta.conjugate() * cmath.exp(-1j * base.c)).imag / r
-    zeta = v.zeta * r * cmath.exp(1j * base.c) - 1j * base.w * v.xi
-    return TangentVector(xi, zeta)
+    return TangentVector(*_push(base.c, base.w, v.xi, v.zeta))
 
 
 def time_form(base: CoverElement, v: TangentVector) -> float:

@@ -189,6 +189,19 @@ def test_witness_command(capsys):
      "demanded length must be positive and finite"),
     (["check", "--case", "10", "--kappa", "nan", "--chi", "-1"], "kappa must be finite"),
     (["check", "--case", "10", "--kappa", "inf", "--chi", "-1"], "kappa must be finite"),
+    *[(["solve", "--case", "10", "--kappa", "-2", "--chi", "-1", "--target", target,
+        "--steps", "2", "--budget", "5"], "a cover target is")
+      for target in ('{"c":1}', '{"c":1,"w":[1]}', '{"c": NaN, "w": [0,0]}')],
+    *[(["solve", "--case", "1", "--kappa", "0", "--target", target, "--steps", "2", "--budget", "5"],
+       "a target in exponential coordinates is three finite numbers")
+      for target in ("[1,0]", "[1,0,0,5]", "[NaN,0,0]", "[Infinity,0,0]", "[1e400,0,0]",
+                     "[null,0,0]", '["1",0,0]')],
+    (["solve", "--case", "1", "--kappa", "0", "--target", '{"c":1,"w":[0,0]}', "--steps", "2",
+      "--budget", "5"], "on an sl2 row"),
+    (["solve", "--case", "1", "--kappa", "0", "--target", "5", "--steps", "2", "--budget", "5"],
+     "the target is [a, b, c]"),
+    (["solve", "--case", "1", "--kappa", "0", "--target", "[1" + "0" * 400 + ",0,0]", "--steps", "2",
+      "--budget", "5"], "too large"),
 ])
 def test_bad_inputs_are_named_usage_errors(argv, message):
     proc = subprocess.run([sys.executable, "-m", "sublorentz.cli", *argv],

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from sublorentz.longarc import (
     LORENTZIAN,
     AntiNorm,
     ControlCurve,
+    CoverModel,
     build_cover_structure,
     build_structure,
     distance_upper_bound,
@@ -23,7 +25,7 @@ from sublorentz.longarc import (
     su2_unbounded_witness,
     target_from_exp2,
 )
-from sublorentz.sl2cover import CoverElement
+from sublorentz.sl2cover import CoverElement, TangentVector, _push, push_forward
 
 HEIS = SubLorentzCase("1", kappa=0.0)
 SU2 = SubLorentzCase("9", kappa=0.0, chi=-1.0)
@@ -223,6 +225,57 @@ def test_cover_integrator_is_fourth_order():
     e1 = np.linalg.norm(endpoint(1) - ref)
     e2 = np.linalg.norm(endpoint(2) - ref)
     assert e1 / e2 >= 12.0
+
+
+def reference_cover_step(frame, x, u, dt):
+    """The cover RK4 step in array form: four push-forwards on (c, Re w, Im w) arrays."""
+    def velocity(s, u_cov):
+        v = push_forward(CoverElement(s[0], complex(s[1], s[2])),
+                         TangentVector(u_cov[0], complex(u_cov[1], u_cov[2])))
+        return np.array([v.xi, v.zeta.real, v.zeta.imag])
+
+    u_cov = frame @ np.asarray(u, dtype=float)
+    s = np.array([x.c, x.w.real, x.w.imag])
+    k1 = velocity(s, u_cov)
+    k2 = velocity(s + 0.5 * dt * k1, u_cov)
+    k3 = velocity(s + 0.5 * dt * k2, u_cov)
+    k4 = velocity(s + dt * k3, u_cov)
+    s = s + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return CoverElement(s[0], complex(s[1], s[2]))
+
+
+COVER_FRAMES = {"identity": np.eye(3), "row 10": build_structure(SL2).model.frame}
+
+
+@hs.composite
+def cover_step_inputs(draw):
+    """An element with |c|, |w| <= 5, a cone control (r, r b, 0) and dt = 1/n."""
+    x = CoverElement(draw(hs.floats(-5.0, 5.0)),
+                     cmath.rect(draw(hs.floats(0.0, 5.0)), draw(hs.floats(-math.pi, math.pi))))
+    r = draw(hs.floats(1e-3, 3.0))
+    b = draw(hs.floats(-1.0, 1.0, exclude_min=True, exclude_max=True))
+    return x, (r, r * b, 0.0), 1.0 / draw(hs.integers(1, 64))
+
+
+def _bits(x):
+    return x.c.hex(), x.w.real.hex(), x.w.imag.hex()
+
+
+@settings(max_examples=400, deadline=None)
+@given(hs.sampled_from(sorted(COVER_FRAMES)), cover_step_inputs())
+def test_cover_step_matches_array_form_bit_for_bit(frame, inputs):
+    x, u, dt = inputs
+    model = CoverModel(COVER_FRAMES[frame])
+    assert _bits(model.step(x, u, dt)) == _bits(reference_cover_step(model.frame, x, u, dt))
+
+
+@settings(max_examples=200, deadline=None)
+@given(cover_step_inputs(), _coef, _coef, _coef)
+def test_push_forward_wraps_the_push_kernel(inputs, xi, re, im):
+    g = inputs[0]
+    v = TangentVector(xi, complex(re, im))
+    pushed = push_forward(g, v)
+    assert (pushed.xi, pushed.zeta) == _push(g.c, g.w, v.xi, v.zeta)
 
 
 # -- anti-norms ---------------------------------------------------------------------
