@@ -41,6 +41,7 @@ from .longarc import (
     AntiNorm,
     CaseStructure,
     ControlCurve,
+    LoopedCurve,
     build_cover_structure,
     build_structure,
     distance_upper_bound,

@@ -399,6 +399,9 @@ def cmd_witness(args) -> int:
     result = integrate(curve)
     endpoint_error = float(np.linalg.norm(
         structure.model.coords(result.endpoint) - structure.model.coords(structure.model.identity())))
+    if not math.isfinite(endpoint_error):
+        raise ValueError(f"demanded length {args.demanded_length:g} is too long: the powered loop "
+                         "endpoint is not finite")
     payload = {
         "case": case.case_id,
         "params": case.params(),

@@ -77,7 +77,8 @@ class SegmentCone:
         object.__setattr__(self, "u2", tuple(u2))
         object.__setattr__(self, "half_width", float(self.half_width))
         n = np.cross(u1, u2)
-        if np.linalg.norm(n) <= ZERO_TOL * max(1.0, np.linalg.norm(u1) * np.linalg.norm(u2)):
+        # relative to the generators' scale, so a cone of small generators stays a cone
+        if np.linalg.norm(n) <= ZERO_TOL * np.linalg.norm(u1) * np.linalg.norm(u2):
             raise ValueError("u1 and u2 must be linearly independent")
         if not (self.half_width >= 0.0):
             raise ValueError("half_width must be >= 0 (math.inf allowed)")

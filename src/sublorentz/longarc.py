@@ -19,7 +19,8 @@ subgroup steps, on one of three concrete group realizations:
 On top of integration the module provides the generalized length functional,
 a calibration-based upper bound on lengths into a target (solvable rows with
 an existence witness), a multi-start penalty search for near-longest curves,
-and the loop construction that exhibits unbounded lengths on the su2 row.
+and the loop construction that exhibits unbounded lengths on the su2 row as a
+loop block, a repeat count and a base curve.
 """
 
 from __future__ import annotations
@@ -479,24 +480,108 @@ class ControlCurve:
 
 
 @dataclass(frozen=True, eq=False)
+class LoopedCurve:
+    """``repeat`` traversals of the curve ``loop``, then the optional ``base`` curve.
+
+    The rows are never expanded: the encoded rows are the loop block followed
+    by the base rows, and both curves share one time step and one structure.
+    """
+
+    loop: ControlCurve
+    repeat: int
+    base: Optional[ControlCurve] = None
+
+    def __post_init__(self):
+        if not isinstance(self.repeat, numbers.Integral) or self.repeat < 0:
+            raise ValueError("repeat must be a nonnegative integer")
+        object.__setattr__(self, "repeat", int(self.repeat))
+        if self.base is not None and (self.base.dt != self.loop.dt
+                                      or self.base.structure is not self.loop.structure):
+            raise ValueError("the base curve must share the loop's time step and structure")
+
+    @property
+    def dt(self) -> float:
+        return self.loop.dt
+
+    @property
+    def structure(self) -> CaseStructure:
+        return self.loop.structure
+
+    def to_json(self) -> dict:
+        out = self.loop.to_json()
+        if self.base is not None:
+            out["controls"] += self.base.to_json()["controls"]
+        out["loop_rows"] = len(self.loop.controls)
+        out["repeat"] = self.repeat
+        return out
+
+
+@dataclass(frozen=True, eq=False)
 class IntegrationResult:
     endpoint: object
     trajectory: np.ndarray  # (N+1) x d coordinate samples
 
 
-def integrate(curve: ControlCurve) -> IntegrationResult:
-    """Integrate a curve from the identity; rejects controls outside the cone."""
-    st = curve.structure
-    for idx, u in enumerate(curve.controls):
+def _check_rows(cone: SolidCone, controls: np.ndarray, first: int = 0) -> None:
+    # equal rows get equal answers, so each run of equal consecutive rows is checked once
+    prev = None
+    for idx, u in enumerate(controls.tolist(), first):
+        if u == prev:
+            continue
+        prev = u
         if float(np.linalg.norm(u)) <= 0.0:
             raise ValueError(f"control {idx} is zero")
-        if not contains(st.cone, u):
+        if not contains(cone, u):
             raise ValueError(f"control {idx} lies outside the admissible cone")
-    x = st.model.identity()
-    samples = [st.model.coords(x)]
+
+
+def _steps(model, x, curve: ControlCurve, samples: list):
     for u in curve.controls:
-        x = st.model.step(x, u, curve.dt)
-        samples.append(st.model.coords(x))
+        x = model.step(x, u, curve.dt)
+        samples.append(model.coords(x))
+    return x
+
+
+def _power(model, x, k: int):
+    """x^k by binary powering: O(log k) products through ``model.multiply``."""
+    out = model.identity()
+    while k:
+        if k & 1:
+            out = model.multiply(out, x)
+        k >>= 1
+        if k:
+            x = model.multiply(x, x)
+    return out
+
+
+def integrate(curve) -> IntegrationResult:
+    """Integrate a curve from the identity; rejects controls outside the cone.
+
+    A :class:`LoopedCurve` is stepped through its block once, the block's
+    endpoint is raised to the repeat count by binary powering, and the base
+    is stepped from there.  Its trajectory samples one block traversal, then
+    the powered endpoint when the repeat count exceeds one, then the base.
+    """
+    st = curve.structure
+    model = st.model
+    x = model.identity()
+    samples = [model.coords(x)]
+    if not isinstance(curve, LoopedCurve):
+        _check_rows(st.cone, curve.controls)
+        x = _steps(model, x, curve, samples)
+        return IntegrationResult(endpoint=x, trajectory=np.array(samples))
+    _check_rows(st.cone, curve.loop.controls)
+    if curve.base is not None:
+        _check_rows(st.cone, curve.base.controls, len(curve.loop.controls))
+    if curve.repeat:
+        x = _steps(model, x, curve.loop, samples)
+        if curve.repeat > 1:
+            # a power that overflows comes out non-finite, which callers detect
+            with np.errstate(over="ignore", invalid="ignore"):
+                x = _power(model, x, curve.repeat)
+            samples.append(model.coords(x))
+    if curve.base is not None:
+        x = _steps(model, x, curve.base, samples)
     return IntegrationResult(endpoint=x, trajectory=np.array(samples))
 
 
@@ -505,10 +590,16 @@ def _length(nu: AntiNorm, controls: np.ndarray, dt: float) -> float:
     return float(sum(nu(controls).tolist()) * dt)
 
 
-def length(curve: ControlCurve, nu: Optional[AntiNorm] = None) -> float:
-    """Generalized length: sum of anti-norm values of the controls times dt."""
+def length(curve, nu: Optional[AntiNorm] = None) -> float:
+    """Generalized length: sum of anti-norm values of the controls times dt.
+
+    A :class:`LoopedCurve` has length repeat * length(loop) + length(base).
+    """
     nu = curve.structure.anti_norm if nu is None else nu
-    return _length(nu, curve.controls, curve.dt)
+    if not isinstance(curve, LoopedCurve):
+        return _length(nu, curve.controls, curve.dt)
+    base_len = _length(nu, curve.base.controls, curve.dt) if curve.base is not None else 0.0
+    return curve.repeat * _length(nu, curve.loop.controls, curve.dt) + base_len
 
 
 def target_from_exp2(structure: CaseStructure, abc: Sequence[float]):
@@ -828,13 +919,14 @@ def maximize(structure: CaseStructure, target, n_steps: int = 24, budget: int = 
 
 def su2_unbounded_witness(structure: CaseStructure, demanded_length: float,
                           base_curve: Optional[ControlCurve] = None,
-                          steps_per_loop: int = 64) -> ControlCurve:
+                          steps_per_loop: int = 64) -> LoopedCurve:
     """Admissible curve to the base endpoint of length at least ``demanded_length``.
 
     Prepends whole traversals of the closed timelike loop exp(t X1) (which
     returns to the identity after one period) to the base curve; each loop
     adds its fixed length, so any demanded length is reached while the
-    endpoint stays that of the base curve.
+    endpoint stays that of the base curve.  The traversals are a repeat
+    count, not copied rows, so the curve's size does not grow with the demand.
     """
     if not 0.0 < demanded_length < math.inf:
         raise ValueError("demanded length must be positive and finite")
@@ -847,15 +939,22 @@ def su2_unbounded_witness(structure: CaseStructure, demanded_length: float,
     dt = base_curve.dt if base_curve is not None else period / steps_per_loop
     m = max(1, int(math.ceil(period / dt)))
     scale = period / (m * dt)
-    loop_controls = np.tile([scale, 0.0, 0.0], (m, 1))
-    loop_curve = ControlCurve(dt, loop_controls, structure)
-    loop_len = length(loop_curve)
-    base_len = length(base_curve) if base_curve is not None else 0.0
-    k = max(0, int(math.ceil((demanded_length - base_len) / loop_len)))
-    blocks = [loop_controls] * k
+    loop = ControlCurve(dt, np.tile([scale, 0.0, 0.0], (m, 1)), structure)
+    nu = structure.anti_norm
+    loop_len = _length(nu, loop.controls, dt)
+    base = None
+    base_len = 0.0
     if base_curve is not None:
-        blocks.append(np.asarray(base_curve.controls))
-    if not blocks:
-        blocks = [loop_controls]
-    controls = np.vstack(blocks)
-    return ControlCurve(dt, controls, structure)
+        base = ControlCurve(dt, base_curve.controls, structure)
+        base_len = _length(nu, base.controls, dt)
+    loops = (demanded_length - base_len) / loop_len
+    if not math.isfinite(loops):
+        raise ValueError(f"demanded length {demanded_length:g} needs too many loops of "
+                         f"length {loop_len:g} to count")
+    k = max(0, int(math.ceil(loops)))
+    # the quotient may round down; grow k by at least one unit in the last place of float(k)
+    while k * loop_len + base_len < demanded_length:
+        k += max(1, k >> 52)
+    if not math.isfinite(k * loop_len + base_len):
+        raise ValueError(f"demanded length {demanded_length:g} gives a witness of infinite length")
+    return LoopedCurve(loop, k, base)

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -177,7 +178,39 @@ def test_witness_command(capsys):
     data = json.loads(out)
     assert data["length"] >= 10.0
     assert data["endpoint_error"] <= 1e-8
-    assert len(data["curve"]["controls"]) >= 1
+    assert list(data["curve"]) == ["dt", "controls", "loop_rows", "repeat"]
+    assert data["curve"]["loop_rows"] == len(data["curve"]["controls"]) == 64
+    assert data["curve"]["repeat"] == 1
+
+
+# reads the child's own peak memory, so that no other process can mask it
+_RUSAGE_CHILD = """
+import contextlib, io, json, resource, sys
+from sublorentz.cli import main
+buf = io.StringIO()
+with contextlib.redirect_stdout(buf):
+    code = main(sys.argv[1:])
+print(json.dumps({"code": code, "maxrss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+                  "out": buf.getvalue()}))
+"""
+
+
+def test_witness_for_a_huge_length_is_fast_and_small():
+    pytest.importorskip("resource")
+    if sys.platform != "linux":
+        pytest.skip("ru_maxrss is in kilobytes on Linux only")
+    t0 = time.monotonic()
+    proc = subprocess.run([sys.executable, "-c", _RUSAGE_CHILD, "witness", "--case", "9", "--kappa", "0",
+                           "--chi", "-1", "--length", "1e12"], capture_output=True, text=True, env=_ENV)
+    elapsed = time.monotonic() - t0
+    assert proc.returncode == 0, proc.stderr
+    child = json.loads(proc.stdout)
+    assert child["code"] == EXIT_OK
+    assert elapsed < 2.0
+    assert child["maxrss_kb"] < 150 * 1024
+    data = json.loads(child["out"])
+    assert data["length"] >= 1e12
+    assert math.isfinite(data["endpoint_error"]) and data["endpoint_error"] < 1e-2
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -202,6 +235,12 @@ def test_witness_command(capsys):
      "the target is [a, b, c]"),
     (["solve", "--case", "1", "--kappa", "0", "--target", "[1" + "0" * 400 + ",0,0]", "--steps", "2",
       "--budget", "5"], "too large"),
+    (["witness", "--case", "9", "--kappa", "0", "--chi", "-1", "--length", "1e308"],
+     "the powered loop endpoint is not finite"),
+    (["witness", "--case", "9", "--kappa", "0", "--chi=-1e300", "--length", "1e308"],
+     "needs too many loops"),
+    (["witness", "--case", "9", "--kappa", "0", "--chi=-2", "--length", "1.7976931348623157e308"],
+     "gives a witness of infinite length"),
 ])
 def test_bad_inputs_are_named_usage_errors(argv, message):
     proc = subprocess.run([sys.executable, "-m", "sublorentz.cli", *argv],

@@ -77,6 +77,24 @@ def test_degenerate_cone_rejected_by_dual_operations():
         find_interior_dual_in_annihilator(half_plane, [(0, 0, 1)])
 
 
+@pytest.mark.parametrize("scale", [1e-9, 1e-6, 1e6])
+def test_segment_cone_constructs_at_every_scale(scale):
+    cone = SegmentCone((scale, 0, 0), (0, scale, 0))
+    assert cone.u1 == (scale, 0.0, 0.0) and cone.u2 == (0.0, scale, 0.0)
+
+
+@pytest.mark.parametrize("u1,u2", [
+    ((1, 0, 0), (2, 0, 0)),
+    ((1e-6, 0, 0), (-3e-6, 0, 0)),
+    ((1e6, 1e6, 0), (1e6, 1e6, 0)),
+    ((0, 0, 0), (0, 1, 0)),
+    ((1e-9, 0, 0), (0, 0, 0)),
+])
+def test_segment_cone_rejects_parallel_or_zero_generators(u1, u2):
+    with pytest.raises(ValueError, match="linearly independent"):
+        SegmentCone(u1, u2)
+
+
 def test_dependent_basis_rejected():
     with pytest.raises(ValueError, match="dependent"):
         cone_subspace_trivial(DEFAULT_CONE, [(1, 0, 0), (2, 0, 0)])

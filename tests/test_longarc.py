@@ -14,6 +14,7 @@ from sublorentz.longarc import (
     AntiNorm,
     ControlCurve,
     CoverModel,
+    LoopedCurve,
     build_cover_structure,
     build_structure,
     distance_upper_bound,
@@ -411,6 +412,71 @@ def test_su2_witness_preserves_base_endpoint():
     assert np.linalg.norm(end - base_end) <= 1e-8
 
 
+def test_su2_witness_length_reaches_demand_with_a_base():
+    st = build_structure(SU2)
+    # demand = 2 loops + base: the row-by-row sum came out one unit in the last place short
+    base = ControlCurve(0.2, [[1.0, 0.0, 0.0]] * 2, st)
+    loop_len = length(su2_unbounded_witness(st, 1.0, base_curve=base).loop)
+    demand = 2 * loop_len + length(base)
+    assert demand == 25.532741228718308
+    assert length(su2_unbounded_witness(st, demand, base_curve=base)) >= demand
+    rng = np.random.default_rng(6)
+    for dt in np.linspace(0.05, 0.9, 12):
+        for n_base in (1, 2, 3, 5, 8):
+            rows = np.column_stack([rng.uniform(0.5, 2.0, n_base), rng.uniform(-0.4, 0.4, n_base),
+                                    np.zeros(n_base)])
+            base = ControlCurve(float(dt), rows, st)
+            loop_len = length(su2_unbounded_witness(st, 1.0, base_curve=base).loop)
+            for j in range(1, 8):
+                demand = j * loop_len + length(base)
+                # and one or two units in the last place above, where the quotient rounds down
+                for d in (demand, np.nextafter(demand, math.inf), demand + 2 * math.ulp(demand)):
+                    curve = su2_unbounded_witness(st, float(d), base_curve=base)
+                    assert length(curve) >= d
+                    assert curve.repeat <= j + 1
+
+
+def _expanded(curve: LoopedCurve) -> ControlCurve:
+    blocks = [curve.loop.controls] * curve.repeat
+    if curve.base is not None:
+        blocks.append(curve.base.controls)
+    return ControlCurve(curve.dt, np.vstack(blocks), curve.structure)
+
+
+def _cone_rows(n: int):
+    return hs.lists(hs.tuples(hs.floats(0.2, 2.0), hs.floats(-0.9, 0.9)), min_size=n, max_size=8).map(
+        lambda rb: np.array([[r, r * b, 0.0] for r, b in rb]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(hs.sampled_from([SU2, HEIS, SubLorentzCase("9", kappa=0.3, chi=-2.0)]), hs.floats(0.01, 0.5),
+       _cone_rows(1), hs.integers(1, 5), hs.one_of(hs.none(), _cone_rows(1)))
+def test_looped_curve_matches_its_expanded_rows(case, dt, loop_rows, repeat, base_rows):
+    st = build_structure(case)
+    base = None if base_rows is None else ControlCurve(dt, base_rows, st)
+    looped = LoopedCurve(ControlCurve(dt, loop_rows, st), repeat, base)
+    flat = _expanded(looped)
+    got, want = integrate(looped), integrate(flat)
+    assert np.allclose(st.model.coords(got.endpoint), st.model.coords(want.endpoint), rtol=0.0, atol=1e-12)
+    assert np.array_equal(got.trajectory[-1], st.model.coords(got.endpoint))
+    if repeat == 1:
+        assert np.array_equal(got.trajectory, want.trajectory)
+    assert abs(length(looped) - length(flat)) <= 1e-12 * max(1.0, length(flat))
+
+
+def test_looped_curve_checks_every_encoded_row():
+    st = build_structure(HEIS)
+    loop = ControlCurve(0.1, [[1.0, 0.0, 0.0]] * 3, st)
+    with pytest.raises(ValueError, match="control 4 lies outside"):
+        integrate(LoopedCurve(loop, 2, ControlCurve(0.1, [[1.0, 0.5, 0.0], [1.0, 2.0, 0.0]], st)))
+    with pytest.raises(ValueError, match="control 1 is zero"):
+        integrate(LoopedCurve(ControlCurve(0.1, [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]], st), 3))
+    with pytest.raises(ValueError, match="time step"):
+        LoopedCurve(loop, 1, ControlCurve(0.2, [[1.0, 0.0, 0.0]], st))
+    with pytest.raises(ValueError, match="nonnegative"):
+        LoopedCurve(loop, -1)
+
+
 def test_su2_witness_rejections():
     st = build_structure(SU2)
     with pytest.raises(ValueError, match="positive"):
@@ -427,6 +493,11 @@ def test_curve_json_shape():
     data = curve.to_json()
     assert set(data) == {"dt", "controls"}
     assert len(data["controls"]) == 3 and len(data["controls"][0]) == 3
+    looped = LoopedCurve(curve, 7, constant_curve(st, (1.0, 0.0, 0.0), n=2, total=2 / 3))
+    data = looped.to_json()
+    assert list(data) == ["dt", "controls", "loop_rows", "repeat"]
+    assert data["loop_rows"] == 3 and data["repeat"] == 7
+    assert data["controls"] == [[1.0, 0.5, 0.0]] * 3 + [[1.0, 0.0, 0.0]] * 2
 
 
 def test_sl2_cover_frame_maps_killing_form_to_normal_form():
