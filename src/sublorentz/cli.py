@@ -202,6 +202,8 @@ def _triple(text: str) -> tuple[float, float, float]:
     parts = [float(t) for t in text.split(",")]
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("expected three comma-separated numbers")
+    if not all(math.isfinite(t) for t in parts):
+        raise argparse.ArgumentTypeError("expected three finite numbers")
     return tuple(parts)  # type: ignore[return-value]
 
 

@@ -13,18 +13,21 @@ Two cone shapes are supported:
   around a spatial axis; ``eta = 0`` is the widest member of the family.
 
 All membership and duality questions are decided in closed form on the
-extreme rays (segment) or by axis/transverse decomposition (circular).
-Exact-zero comparisons use an absolute tolerance of 1e-12; inputs are
-expected to be of order one.  The tolerance pair below is the one the whole
-package uses; this module imports nothing from the package, so every other
-module can take it from here.
+extreme rays (segment) or by axis/transverse decomposition (circular); a
+segment cone computes its plane normal and the inverse of its frame
+(u1, u2, normal) once, at construction.  Exact-zero comparisons use
+``ZERO_TOL``: the independence test of a segment cone's generators is
+relative to their lengths; the membership and duality tests are absolute
+(the distance off a segment cone's plane is scaled by max(1, largest
+|v_i|)), so their inputs are expected to be of order one.  The tolerance
+pair below is the one the whole package uses; this module imports nothing
+from the package, so every other module can take it from here.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
@@ -69,6 +72,9 @@ class SegmentCone:
     u1: tuple[float, float, float]
     u2: tuple[float, float, float]
     half_width: float = 1.0
+    #: Unit normal of the carrier plane and the inverse of the frame (u1, u2, normal).
+    _normal: np.ndarray = field(init=False, repr=False, compare=False)
+    _frame_inv: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         u1 = _vec3(self.u1)
@@ -82,6 +88,9 @@ class SegmentCone:
             raise ValueError("u1 and u2 must be linearly independent")
         if not (self.half_width >= 0.0):
             raise ValueError("half_width must be >= 0 (math.inf allowed)")
+        n = n / np.linalg.norm(n)
+        object.__setattr__(self, "_normal", n)
+        object.__setattr__(self, "_frame_inv", np.linalg.inv(np.column_stack([u1, u2, n])))
 
     def rays(self) -> tuple[np.ndarray, np.ndarray]:
         """Extreme rays u1 +- h u2 of the closed cone (finite half-width only)."""
@@ -120,26 +129,11 @@ SolidCone = Union[SegmentCone, CircularCone]
 DEFAULT_CONE = SegmentCone((1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
 
 
-@lru_cache(maxsize=256)
-def _segment_frame(cone: SegmentCone) -> tuple[np.ndarray, np.ndarray]:
-    u1, u2 = np.asarray(cone.u1), np.asarray(cone.u2)
-    n = np.cross(u1, u2)
-    n = n / np.linalg.norm(n)
-    M = np.column_stack([u1, u2, n])
-    return np.linalg.inv(M), n
-
-
-def _segment_coords(cone: SegmentCone, v: np.ndarray) -> tuple[float, float, float]:
-    Minv, _ = _segment_frame(cone)
-    a, b, c = Minv @ v
-    return float(a), float(b), float(c)
-
-
 def contains(cone: SolidCone, v, strict: bool = False) -> bool:
     """Membership in the closed cone; with ``strict``, in its relative interior."""
     v = _vec3(v)
     if isinstance(cone, SegmentCone):
-        a, b, c = _segment_coords(cone, v)
+        a, b, c = (cone._frame_inv @ v).tolist()
         scale = max(1.0, float(np.max(np.abs(v))))
         if abs(c) > ZERO_TOL * scale:
             return False
@@ -235,8 +229,7 @@ def cone_subspace_trivial(cone: SolidCone, subspace) -> bool:
     if k == 3:
         return False
     if isinstance(cone, SegmentCone):
-        _, n = _segment_frame(cone)
-        dots = U @ n
+        dots = U @ cone._normal
         scale = np.maximum(1.0, np.linalg.norm(U, axis=1))
         in_plane = np.abs(dots) <= RANK_TOL * scale
         if np.all(in_plane):
@@ -338,9 +331,17 @@ def cone_to_json(cone: SolidCone) -> dict:
 
 
 def cone_from_json(data: dict) -> SolidCone:
+    if not isinstance(data, dict):
+        raise ValueError("a cone must be a JSON object")
     kind = data.get("kind")
+
+    def required(key: str) -> tuple:
+        if key not in data:
+            raise ValueError(f"a {kind} cone needs the key {key!r}")
+        return tuple(data[key])
+
     if kind == "segment":
-        return SegmentCone(tuple(data["u1"]), tuple(data["u2"]), data.get("half_width", 1.0))
+        return SegmentCone(required("u1"), required("u2"), data.get("half_width", 1.0))
     if kind == "circular":
-        return CircularCone(tuple(data["axis"]), data.get("eta", 0.0))
+        return CircularCone(required("axis"), data.get("eta", 0.0))
     raise ValueError(f"unknown cone kind {kind!r}")

@@ -10,40 +10,38 @@ is implemented directly in (c, w) coordinates; the arctangent correction in
 the angle component stays on the principal branch because its denominator is
 provably positive (see :func:`multiply`).
 
-Tangent vectors carry coordinates (xi, zeta) in R x C.  The differential of
-left translation (:func:`push_forward`), the angle 1-form dc
+Tangent vectors carry coordinates (xi, zeta) in R x C.  Both kinds of value
+are named tuples, so any plain (c, w) or (xi, zeta) pair is accepted where
+one is expected.  The module keeps the formulas of this group only: the
+differential of left translation (:func:`push_forward`), the angle 1-form dc
 (:func:`time_form`) and the norm-to-angle growth ratio with its uniform
-linear bound (:func:`growth_ratio`, :func:`growth_bound_constants`) support
-the existence certificate on this group.
+linear bound (:func:`growth_ratio`, :func:`growth_bound_constants`), which
+support the existence certificate on this group.  Its Lie algebra is
+:data:`ALGEBRA`, a :class:`~sublorentz.liealg3.LieAlgebra3` on the basis
+(xi, Re zeta, Im zeta), and cone membership is decided by
+:mod:`sublorentz.conegeom`.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
+from .conegeom import CircularCone, contains
+from .liealg3 import LieAlgebra3
 
-@dataclass(frozen=True)
-class CoverElement:
+
+class CoverElement(NamedTuple):
     c: float
     w: complex
 
-    def __post_init__(self):
-        object.__setattr__(self, "c", float(self.c))
-        object.__setattr__(self, "w", complex(self.w))
 
-
-@dataclass(frozen=True)
-class TangentVector:
+class TangentVector(NamedTuple):
     xi: float
     zeta: complex
-
-    def __post_init__(self):
-        object.__setattr__(self, "xi", float(self.xi))
-        object.__setattr__(self, "zeta", complex(self.zeta))
 
     def norm(self) -> float:
         """Euclidean norm of (xi, zeta) in R x C ~ R^3."""
@@ -51,6 +49,10 @@ class TangentVector:
 
 
 IDENTITY = CoverElement(0.0, 0j)
+
+#: The Lie algebra on the basis (xi, Re zeta, Im zeta), read off the
+#: commutator under the projection differential.
+ALGEBRA = LieAlgebra3((0.0, 0.0, 2.0), (0.0, -2.0, 0.0), (-2.0, 0.0, 0.0))
 
 
 def multiply(g1: CoverElement, g2: CoverElement) -> CoverElement:
@@ -86,34 +88,18 @@ def project(g: CoverElement) -> np.ndarray:
     return np.array([[z, g.w], [g.w.conjugate(), z.conjugate()]])
 
 
-def _push(c: float, w: complex, xi: float, zeta: complex) -> tuple[float, complex]:
-    """Left translation by (c, w) of the identity vector (xi, zeta), on plain numbers."""
-    r = math.sqrt(1.0 + abs(w) ** 2)
-    return (xi + (w * zeta.conjugate() * cmath.exp(-1j * c)).imag / r,
-            zeta * r * cmath.exp(1j * c) - 1j * w * xi)
-
-
 def push_forward(base: CoverElement, v: TangentVector) -> TangentVector:
     """Differential of left translation by ``base``, applied to an identity vector."""
-    return TangentVector(*_push(base.c, base.w, v.xi, v.zeta))
+    (c, w), (xi, zeta) = base, v
+    r = math.sqrt(1.0 + abs(w) ** 2)
+    return TangentVector(xi + (w * zeta.conjugate() * cmath.exp(-1j * c)).imag / r,
+                         zeta * r * cmath.exp(1j * c) - 1j * w * xi)
 
 
 def time_form(base: CoverElement, v: TangentVector) -> float:
     """The angle 1-form dc on a tangent vector at ``base`` (its first component)."""
     del base  # the form has constant coefficients in these coordinates
     return v.xi
-
-
-def algebra_bracket(v1: TangentVector, v2: TangentVector) -> TangentVector:
-    """Lie bracket on R x C, read off the commutator under the projection differential."""
-    xi = 2.0 * (v1.zeta * v2.zeta.conjugate()).imag
-    zeta = 2j * (v1.xi * v2.zeta - v2.xi * v1.zeta)
-    return TangentVector(xi, zeta)
-
-
-def in_circular_cone(v: TangentVector, eta: float, tol: float = 1e-12) -> bool:
-    """Membership in {(xi, zeta) : xi >= sqrt(eta+1) |zeta|}."""
-    return v.xi >= math.sqrt(eta + 1.0) * abs(v.zeta) - tol
 
 
 def growth_bound_constants(eta: float) -> tuple[float, float]:
@@ -135,14 +121,15 @@ def growth_bound_constants(eta: float) -> tuple[float, float]:
 def growth_ratio(base: CoverElement, u: TangentVector, eta: float) -> float:
     """|v| / dc(v) for v the push-forward of an identity cone vector u.
 
-    ``u`` must lie in the closed cone of parameter ``eta > 0`` and be nonzero;
+    ``u`` must lie in the closed cone {xi >= sqrt(eta+1) |zeta|} of parameter
+    ``eta > 0`` (decided by :func:`sublorentz.conegeom.contains`) and be nonzero;
     the angle component of the push-forward is then strictly positive, so the
     ratio is finite.  It satisfies ratio <= A + B |w(base)| with (A, B) from
     :func:`growth_bound_constants`.
     """
     if not eta > 0.0:
         raise ValueError("the growth ratio needs eta > 0")
-    if not in_circular_cone(u, eta):
+    if not contains(CircularCone((1.0, 0.0, 0.0), eta), (u.xi, u.zeta.real, u.zeta.imag)):
         raise ValueError("u is outside the admissible cone for this eta")
     if u.norm() == 0.0:
         raise ValueError("u must be nonzero")

@@ -241,6 +241,15 @@ def test_witness_for_a_huge_length_is_fast_and_small():
      "needs too many loops"),
     (["witness", "--case", "9", "--kappa", "0", "--chi=-2", "--length", "1.7976931348623157e308"],
      "gives a witness of infinite length"),
+    (["cone", "dual", "--cone", '{"kind":"segment","u1":[1,0,0]}', "--p", "1,0,0"],
+     "a segment cone needs the key 'u2'"),
+    (["cone", "dual", "--cone", '{"kind":"circular"}', "--p", "1,0,0"],
+     "a circular cone needs the key 'axis'"),
+    (["cone", "dual", "--cone", "[1,2]", "--p", "1,0,0"], "a cone must be a JSON object"),
+    (["sl2", "mul", "--g1", "nan,0,0", "--g2", "0,0,0"], "expected three finite numbers"),
+    (["sl2", "inv", "--g", "nan,0,0"], "expected three finite numbers"),
+    (["sl2", "push", "--v", "nan,0,0"], "expected three finite numbers"),
+    (["sl2", "project", "--g", "inf,0,0"], "expected three finite numbers"),
 ])
 def test_bad_inputs_are_named_usage_errors(argv, message):
     proc = subprocess.run([sys.executable, "-m", "sublorentz.cli", *argv],
@@ -248,6 +257,19 @@ def test_bad_inputs_are_named_usage_errors(argv, message):
     assert proc.returncode == EXIT_USAGE
     assert proc.stdout == ""
     assert message in proc.stderr and "Traceback" not in proc.stderr
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+def test_solve_never_reports_a_non_finite_length_as_found():
+    proc = subprocess.run([sys.executable, "-m", "sublorentz.cli", "solve", "--case", "1", "--kappa", "0",
+                           "--target", "[1e300,0,0]", "--steps", "2", "--budget", "5"],
+                          capture_output=True, text=True, env=_ENV)
+    assert proc.returncode == EXIT_NOT_FOUND, proc.stderr
+    data = json.loads(proc.stdout, parse_constant=_reject_constant)
+    assert data["found"] is False and data["upper_bound"] == 1e300
 
 
 def test_cone_commands(capsys):

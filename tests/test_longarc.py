@@ -26,7 +26,7 @@ from sublorentz.longarc import (
     su2_unbounded_witness,
     target_from_exp2,
 )
-from sublorentz.sl2cover import CoverElement, TangentVector, _push, push_forward
+from sublorentz.sl2cover import CoverElement, TangentVector, push_forward
 
 HEIS = SubLorentzCase("1", kappa=0.0)
 SU2 = SubLorentzCase("9", kappa=0.0, chi=-1.0)
@@ -268,15 +268,6 @@ def test_cover_step_matches_array_form_bit_for_bit(frame, inputs):
     x, u, dt = inputs
     model = CoverModel(COVER_FRAMES[frame])
     assert _bits(model.step(x, u, dt)) == _bits(reference_cover_step(model.frame, x, u, dt))
-
-
-@settings(max_examples=200, deadline=None)
-@given(cover_step_inputs(), _coef, _coef, _coef)
-def test_push_forward_wraps_the_push_kernel(inputs, xi, re, im):
-    g = inputs[0]
-    v = TangentVector(xi, complex(re, im))
-    pushed = push_forward(g, v)
-    assert (pushed.xi, pushed.zeta) == _push(g.c, g.w, v.xi, v.zeta)
 
 
 # -- anti-norms ---------------------------------------------------------------------

@@ -4,14 +4,14 @@ import math
 import numpy as np
 import pytest
 
+from sublorentz.conegeom import CircularCone, contains
 from sublorentz.sl2cover import (
+    ALGEBRA,
     IDENTITY,
     CoverElement,
     TangentVector,
-    algebra_bracket,
     growth_bound_constants,
     growth_ratio,
-    in_circular_cone,
     inverse,
     multiply,
     project,
@@ -184,7 +184,7 @@ def test_growth_ratio_linear_along_boundary_ray():
     eta = 1.0
     A, B = growth_bound_constants(eta)
     u = TangentVector(1.0, 1.0 / math.sqrt(eta + 1.0))
-    assert in_circular_cone(u, eta)
+    assert contains(CircularCone((1.0, 0.0, 0.0), eta), (u.xi, u.zeta.real, u.zeta.imag))
     for wmag in (10.0, 100.0, 1000.0):
         base = CoverElement(0.4, complex(wmag, 0.0))
         assert growth_ratio(base, u, eta) <= A + B * wmag
@@ -201,13 +201,26 @@ def test_growth_ratio_rejections():
 
 def test_algebra_bracket_is_antisymmetric_and_jacobi():
     rng = np.random.default_rng(2)
-    vs = [TangentVector(rng.normal(), complex(rng.normal(), rng.normal())) for _ in range(3)]
-    a, b, c = vs
-    ab = algebra_bracket(a, b)
-    ba = algebra_bracket(b, a)
-    assert abs(ab.xi + ba.xi) <= 1e-12 and abs(ab.zeta + ba.zeta) <= 1e-12
-    j1 = algebra_bracket(algebra_bracket(a, b), c)
-    j2 = algebra_bracket(algebra_bracket(b, c), a)
-    j3 = algebra_bracket(algebra_bracket(c, a), b)
-    assert abs(j1.xi + j2.xi + j3.xi) <= 1e-10
-    assert abs(j1.zeta + j2.zeta + j3.zeta) <= 1e-10
+    a, b, c = rng.normal(size=(3, 3))
+    assert np.max(np.abs(ALGEBRA.bracket(a, b) + ALGEBRA.bracket(b, a))) <= 1e-12
+    j1 = ALGEBRA.bracket(ALGEBRA.bracket(a, b), c)
+    j2 = ALGEBRA.bracket(ALGEBRA.bracket(b, c), a)
+    j3 = ALGEBRA.bracket(ALGEBRA.bracket(c, a), b)
+    assert np.max(np.abs(j1 + j2 + j3)) <= 1e-10
+
+
+def _exp(v):
+    """exp(v) up to O(|v|^2): cover coordinates are exponential coordinates to first order."""
+    return CoverElement(v[0], complex(v[1], v[2]))
+
+
+def test_algebra_matches_the_group_commutator():
+    # g h g^-1 h^-1 = exp(t^2 [X, Y] + O(t^3)) for g = exp(tX), h = exp(tY)
+    rng = np.random.default_rng(31)
+    t = 1e-5
+    for _ in range(20):
+        x, y = rng.normal(size=(2, 3))
+        g, h = _exp(t * x), _exp(t * y)
+        comm = multiply(multiply(g, h), multiply(inverse(g), inverse(h)))
+        got = np.array([comm.c, comm.w.real, comm.w.imag]) / t**2
+        assert np.allclose(got, ALGEBRA.bracket(x, y), rtol=0.0, atol=1e-3)
