@@ -33,7 +33,9 @@ from .existence import Outcome, Verdict, check_case
 from .liealg3 import CASE_IDS, CASE_LABELS, SubLorentzCase
 from .longarc import (
     DEFAULT_SEED,
+    ENDPOINT_TOL,
     LORENTZIAN,
+    MAX_STEPS,
     AntiNorm,
     ControlCurve,
     build_structure,
@@ -356,6 +358,9 @@ def cmd_solve(args) -> int:
     if args.steps < 1:
         sys.stderr.write("steps must be >= 1\n")
         return EXIT_USAGE
+    if args.steps > MAX_STEPS:
+        sys.stderr.write(f"steps must be <= {MAX_STEPS}\n")
+        return EXIT_USAGE
     if args.budget < 0:
         sys.stderr.write("budget must be >= 0\n")
         return EXIT_USAGE
@@ -404,6 +409,9 @@ def cmd_witness(args) -> int:
     if not math.isfinite(endpoint_error):
         raise ValueError(f"demanded length {args.demanded_length:g} is too long: the powered loop "
                          "endpoint is not finite")
+    if endpoint_error > ENDPOINT_TOL:
+        raise ValueError(f"demanded length {args.demanded_length:g} is too long: the powered loop "
+                         f"endpoint is {endpoint_error:.3g} from the identity, above {ENDPOINT_TOL:g}")
     payload = {
         "case": case.case_id,
         "params": case.params(),

@@ -15,6 +15,11 @@ whose coefficients form the 3x3 structure matrix of
 :meth:`SubLorentzCase.structure_constants`; :func:`algebra_from_structure_matrix`
 reads such a matrix back into brackets and is the one place that checks the
 layout.
+
+The bracket is evaluated on plain Python floats from the three table rows,
+in the fixed order of operations given in :meth:`LieAlgebra3.bracket`; the
+adjoint matrix, the Jacobi check at construction and the Killing form
+trace(ad_Xi ad_Xj) are built from it.
 """
 
 from __future__ import annotations
@@ -66,13 +71,20 @@ class LieAlgebra3:
             raise ValueError(f"structure constants violate the Jacobi identity (defect {defect:.3e})")
 
     def bracket(self, v, w) -> np.ndarray:
-        """Bilinear antisymmetric extension of the basis bracket table."""
-        v = _vec3(v)
-        w = _vec3(w)
-        out = np.zeros(3)
-        for (i, j), b in (((0, 1), self.b12), ((0, 2), self.b13), ((1, 2), self.b23)):
-            out += (v[i] * w[j] - v[j] * w[i]) * np.asarray(b)
-        return out
+        """Bilinear antisymmetric extension of the basis bracket table.
+
+        Evaluated on Python floats: the coefficient t_ij = v_i w_j - v_j w_i
+        of each basis pair times its table row, summed per component as
+        ((0 + t12 b12) + t13 b13) + t23 b23.  The leading 0.0 turns a sum of
+        zeros into +0.0.
+        """
+        v1, v2, v3 = _vec3(v).tolist()
+        w1, w2, w3 = _vec3(w).tolist()
+        t12 = v1 * w2 - v2 * w1
+        t13 = v1 * w3 - v3 * w1
+        t23 = v2 * w3 - v3 * w2
+        return np.array([0.0 + t12 * p + t13 * q + t23 * r
+                         for p, q, r in zip(self.b12, self.b13, self.b23)])
 
     def adjoint(self, v) -> np.ndarray:
         """Matrix of ad_v, i.e. w -> [v, w], in the fixed basis."""

@@ -42,6 +42,12 @@ DEFAULT_SEED = 1729
 
 ENDPOINT_TOL = 1e-4
 
+#: Most control rows a solve (``--steps``) or one su2 loop block
+#: (``--steps-per-loop``) may have.  Work and memory grow linearly in the row
+#: count: a solve holds (rows, 3) control arrays and rolls all rows out per
+#: evaluation, and a loop block is stepped row by row and printed.
+MAX_STEPS = 10_000
+
 
 # ---------------------------------------------------------------------------
 # anti-norms
@@ -552,8 +558,9 @@ def integrate(curve) -> IntegrationResult:
     """Integrate a curve from the identity; rejects controls outside the cone.
 
     A :class:`LoopedCurve` is stepped through its block once, the block's
-    endpoint is raised to the repeat count by binary powering, and the base
-    is stepped from there.  Its trajectory samples one block traversal, then
+    endpoint (renormalized to unit length on the quaternion model) is raised
+    to the repeat count by binary powering, and the base is stepped from
+    there.  Its trajectory samples one block traversal, then
     the powered endpoint when the repeat count exceeds one, then the base.
     """
     st = curve.structure
@@ -570,6 +577,10 @@ def integrate(curve) -> IntegrationResult:
     if curve.repeat:
         x = _steps(model, x, curve.loop, samples)
         if curve.repeat > 1:
+            if isinstance(model, QuaternionModel):
+                # rounding moves the block endpoint off the unit sphere, and
+                # powering would raise its norm to the repeat count
+                x = x / np.linalg.norm(x)
             # a power that overflows comes out non-finite, which callers detect
             with np.errstate(over="ignore", invalid="ignore"):
                 x = _power(model, x, curve.repeat)
@@ -926,6 +937,8 @@ def su2_unbounded_witness(structure: CaseStructure, demanded_length: float,
         raise ValueError("demanded length must be positive and finite")
     if steps_per_loop < 1:
         raise ValueError("steps per loop must be >= 1")
+    if steps_per_loop > MAX_STEPS:
+        raise ValueError(f"steps per loop must be <= {MAX_STEPS}")
     model = structure.model
     if not isinstance(model, QuaternionModel):
         raise ValueError("the loop construction applies to the su2 structure (case 9)")

@@ -250,6 +250,13 @@ def test_witness_for_a_huge_length_is_fast_and_small():
     (["sl2", "inv", "--g", "nan,0,0"], "expected three finite numbers"),
     (["sl2", "push", "--v", "nan,0,0"], "expected three finite numbers"),
     (["sl2", "project", "--g", "inf,0,0"], "expected three finite numbers"),
+    *[(["witness", "--case", "9", "--kappa", "0", "--chi", "-1", "--length", demand],
+       "from the identity, above 0.0001")
+      for demand in ("1e14", "1e16")],
+    (["solve", "--case", "1", "--kappa", "0", "--target", "[1,0,0]", "--steps", "10001",
+      "--budget", "5"], "steps must be <= 10000"),
+    (["witness", "--case", "9", "--kappa", "0", "--chi", "-1", "--length", "10",
+      "--steps-per-loop", "10001"], "steps per loop must be <= 10000"),
 ])
 def test_bad_inputs_are_named_usage_errors(argv, message):
     proc = subprocess.run([sys.executable, "-m", "sublorentz.cli", *argv],

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sublorentz.cli import expected_outcome, sample_case
+from sublorentz.cli import build_table, expected_outcome, sample_case
 from sublorentz.conegeom import DEFAULT_CONE, SegmentCone
 from sublorentz.existence import (
     Outcome,
@@ -102,6 +102,12 @@ def test_verdicts_match_reference_over_samples():
         for i in range(3):
             case = sample_case(cid, rng, i)
             assert check_case(case).outcome == expected_outcome(case), case
+    # the table command's draws at the two benchmark seeds and eight more
+    for seed in (1729, 9241, *range(1, 9)):
+        table = build_table(samples=20, seed=seed)
+        misses = [(row["case"], d["params"]) for row in table["rows"] for d in row["draws"]
+                  if not d["match"]]
+        assert table["all_match"] and not misses, (seed, misses)
 
 
 def test_every_exists_witness_is_valid():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -58,6 +60,85 @@ def test_jacobi_defect_across_all_cases():
 def test_jacobi_violation_rejected():
     with pytest.raises(ValueError, match="Jacobi"):
         LieAlgebra3(b12=(1, 0, 0), b13=(0, 0, 1), b23=(0, 0, 0))
+    # a table row moved off a valid algebra by far more than the tolerance
+    alg = from_case(SubLorentzCase("10", kappa=-2.0, chi=-1.0))
+    with pytest.raises(ValueError, match="Jacobi"):
+        LieAlgebra3(alg.b12, (alg.b13[0] + 1e-6, *alg.b13[1:]), alg.b23)
+
+
+# -- the float bracket against the array formula, bit for bit ---------------
+
+def _reference_bracket(alg, v, w) -> np.ndarray:
+    v, w = np.asarray(v, dtype=float), np.asarray(w, dtype=float)
+    out = np.zeros(3)
+    for (i, j), b in (((0, 1), alg.b12), ((0, 2), alg.b13), ((1, 2), alg.b23)):
+        out += (v[i] * w[j] - v[j] * w[i]) * np.asarray(b)
+    return out
+
+
+def _reference_adjoint(alg, v) -> np.ndarray:
+    eye = np.eye(3)
+    return np.column_stack([_reference_bracket(alg, v, eye[j]) for j in range(3)])
+
+
+def _unchecked(b12, b13, b23) -> LieAlgebra3:
+    # the bracket formula holds for any table, so this one skips the Jacobi check
+    alg = object.__new__(LieAlgebra3)
+    for name, row in (("b12", b12), ("b13", b13), ("b23", b23), ("label", "")):
+        object.__setattr__(alg, name, row)
+    return alg
+
+
+# signed zeros often, so that the sign of every zero sum is pinned
+_entry = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-1e3, 1e3))
+_triple = st.tuples(_entry, _entry, _entry)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(table=st.tuples(_triple, _triple, _triple), v=_triple, w=_triple)
+def test_bracket_and_adjoint_match_the_array_formula_bit_for_bit(table, v, w):
+    alg = _unchecked(*table)
+    got, want = alg.bracket(v, w), _reference_bracket(alg, v, w)
+    assert got.dtype == want.dtype and got.shape == want.shape == (3,)
+    assert got.tobytes() == want.tobytes()
+    got, want = alg.adjoint(v), _reference_adjoint(alg, v)
+    assert got.shape == want.shape == (3, 3)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_bracket_rejects_non_finite_vectors(bad):
+    alg = heisenberg()
+    for v, w in (([bad, 0, 0], [0, 1, 0]), ([1, 0, 0], [0, bad, 0])):
+        with pytest.raises(ValueError, match="non-finite"):
+            alg.bracket(v, w)
+    with pytest.raises(ValueError, match="non-finite"):
+        alg.adjoint([0, 0, bad])
+
+
+def _closed_form_killing(alg) -> tuple[np.ndarray, np.ndarray]:
+    """K[i,j] = sum over k, l of C^k_il C^l_jk off the table, with the sum of |terms| per entry."""
+    rows = {(0, 1): alg.b12, (0, 2): alg.b13, (1, 2): alg.b23}
+
+    def C(k, i, l):  # component k of [Xi, Xl]
+        if i == l:
+            return 0.0
+        return rows[i, l][k] if i < l else -rows[l, i][k]
+
+    terms = np.array([[[C(k, i, l) * C(l, j, k) for k in range(3) for l in range(3)]
+                       for j in range(3)] for i in range(3)])
+    return np.array([[math.fsum(t) for t in row] for row in terms]), np.abs(terms).sum(axis=2)
+
+
+def test_killing_form_is_symmetric_and_matches_the_closed_form():
+    rng = np.random.default_rng(8)
+    for cid in CASE_IDS:
+        for i in range(20):
+            alg = from_case(sample_case(cid, rng, i))
+            K = alg.killing_form()
+            assert np.array_equal(K, K.T)
+            want, size = _closed_form_killing(alg)
+            assert np.all(np.abs(K - want) <= 1e-15 * size.max())
 
 
 def test_derived_subalgebra_dimensions():

@@ -10,7 +10,9 @@ from sublorentz.conegeom import SegmentCone
 from sublorentz.existence import check_case
 from sublorentz.liealg3 import SubLorentzCase
 from sublorentz.longarc import (
+    ENDPOINT_TOL,
     LORENTZIAN,
+    MAX_STEPS,
     AntiNorm,
     ControlCurve,
     CoverModel,
@@ -468,10 +470,23 @@ def test_looped_curve_checks_every_encoded_row():
         LoopedCurve(loop, -1)
 
 
+def test_su2_witness_powered_endpoint_stays_on_the_unit_sphere():
+    st = build_structure(SU2)
+    identity = st.model.coords(st.model.identity())
+    for demand in (1e6, 1e9, 1e12):
+        curve = su2_unbounded_witness(st, demand)
+        end = st.model.coords(integrate(curve).endpoint)
+        assert abs(np.linalg.norm(end) - 1.0) <= 1e-12
+        assert np.linalg.norm(end - identity) <= ENDPOINT_TOL
+
+
 def test_su2_witness_rejections():
     st = build_structure(SU2)
     with pytest.raises(ValueError, match="positive"):
         su2_unbounded_witness(st, 0.0)
+    with pytest.raises(ValueError, match=f"steps per loop must be <= {MAX_STEPS}"):
+        su2_unbounded_witness(st, 10.0, steps_per_loop=MAX_STEPS + 1)
+    assert len(su2_unbounded_witness(st, 10.0, steps_per_loop=MAX_STEPS).loop.controls) >= MAX_STEPS
     with pytest.raises(ValueError, match="case 9"):
         su2_unbounded_witness(build_structure(HEIS), 5.0)
 
