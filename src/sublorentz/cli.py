@@ -23,6 +23,7 @@ import argparse
 import dataclasses
 import json
 import math
+import re
 import sys
 from typing import Optional, Sequence
 
@@ -196,6 +197,13 @@ def render_table_text(table: dict) -> str:
 # argument plumbing
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # no option looks like a number, so a token such as "-2e-8" or
+        # "-0.5,1,0" is a value; argparse's own pattern only takes plain
+        # negatives such as "-2" and "-0.5" as values
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     def error(self, message):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
@@ -210,8 +218,8 @@ def _triple(text: str) -> tuple[float, float, float]:
 
 
 def _cover_element(text: str) -> CoverElement:
-    c, re, im = _triple(text)
-    return CoverElement(c, complex(re, im))
+    c, real, imag = _triple(text)
+    return CoverElement(c, complex(real, imag))
 
 
 def _emit(text: str, out_path: Optional[str]) -> None:

@@ -34,7 +34,8 @@ from .conegeom import (
     dual_contains,
     find_interior_dual_in_annihilator,
 )
-from .liealg3 import SL2_CASES, SU2_CASE, LieAlgebra3, SubLorentzCase, from_case, su2_loop_period
+from .liealg3 import (SL2_CASES, SU2_CASE, LieAlgebra3, SubLorentzCase, from_case,
+                      killing_eigenbasis, su2_loop_period)
 
 
 class Outcome(enum.Enum):
@@ -102,15 +103,24 @@ def check_solvable(algebra: LieAlgebra3, cone: SolidCone = DEFAULT_CONE) -> Verd
     return Verdict(Outcome.EXISTS, RATIONALE_ANNIHILATOR, witness=witness.p)
 
 
-def killing_section_max(algebra: LieAlgebra3, cone: SegmentCone) -> float:
-    """Maximum of the Killing quadratic over the cone cross-section u1 + s u2, |s| <= h.
+def killing_containment(algebra: LieAlgebra3, cone: SegmentCone = DEFAULT_CONE) -> Optional[float]:
+    """Certificate that the punctured cone lies in the open negativity cone of the Killing form.
 
-    The restriction is a quadratic in s; the maximum is attained at an endpoint
-    or at the interior vertex of a downward parabola, so it is evaluated exactly.
+    Requires a nondegenerate Killing form with exactly one negative direction
+    and a planar segment cone of finite width; anything else is rejected.
+    Returns the maximum of the Killing quadratic over the cone cross-section
+    u1 + s u2, |s| <= h, when containment holds (then strictly negative) and
+    ``None`` otherwise.  The restriction is a quadratic in s; the maximum is
+    attained at an endpoint or at the interior vertex of a downward parabola,
+    so it is evaluated exactly.  Containment is strict: a zero of the Killing
+    quadratic on the cross-section is not containment.  Several rows produce
+    an exact zero at a cross-section endpoint through cancellation, so values
+    within 1e-12 of zero (relative to the Killing scale) count as zero.
     """
+    K = algebra.killing_form()
+    _, _, scale = killing_eigenbasis(K)
     if not isinstance(cone, SegmentCone) or math.isinf(cone.half_width):
         raise ValueError("the containment test needs a planar segment cone of finite width")
-    K = algebra.killing_form()
     u1, u2 = np.asarray(cone.u1), np.asarray(cone.u2)
     k11 = float(u1 @ K @ u1)
     k12 = float(u1 @ K @ u2)
@@ -121,21 +131,8 @@ def killing_section_max(algebra: LieAlgebra3, cone: SegmentCone) -> float:
         s_star = -k12 / k22
         if -h < s_star < h:
             best = max(best, k11 + 2.0 * s_star * k12 + s_star * s_star * k22)
-    return best
-
-
-def killing_containment(algebra: LieAlgebra3, cone: SegmentCone = DEFAULT_CONE) -> bool:
-    """True iff the punctured cone lies in the open negativity cone of the Killing form.
-
-    Requires a nondegenerate Killing form with exactly one negative direction;
-    anything else is rejected.  Containment is strict: a zero of the Killing
-    quadratic on the cross-section yields ``False``.  Several rows produce an
-    exact zero at a cross-section endpoint through cancellation, so values
-    within 1e-12 of zero (relative to the Killing scale) count as zero.
-    """
-    _, _, scale = algebra.killing_eigenbasis()
-    h = max(1.0, cone.half_width)
-    return killing_section_max(algebra, cone) < -ZERO_TOL * scale * h * h
+    w = max(1.0, h)
+    return best if best < -ZERO_TOL * scale * w * w else None
 
 
 def _loop_description(case: SubLorentzCase) -> dict:
@@ -150,11 +147,11 @@ def check_case(case: SubLorentzCase, cone: SolidCone = DEFAULT_CONE) -> Verdict:
     if cid == SU2_CASE:
         base = Verdict(Outcome.INFINITE_DISTANCE, RATIONALE_LOOP, loop=_loop_description(case))
     elif cid in SL2_CASES:
-        if killing_containment(algebra, cone):
-            cert = {"section_max": killing_section_max(algebra, cone)}
-            base = Verdict(Outcome.EXISTS, RATIONALE_KILLING, certificate=cert)
-        else:
+        section_max = killing_containment(algebra, cone)
+        if section_max is None:
             base = Verdict(Outcome.INCONCLUSIVE, RATIONALE_NONE)
+        else:
+            base = Verdict(Outcome.EXISTS, RATIONALE_KILLING, certificate={"section_max": section_max})
     else:
         base = check_solvable(algebra, cone)
     return dataclasses.replace(base, case_id=cid, params=case.params())

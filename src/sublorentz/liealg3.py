@@ -19,7 +19,8 @@ layout.
 The bracket is evaluated on plain Python floats from the three table rows,
 in the fixed order of operations given in :meth:`LieAlgebra3.bracket`; the
 adjoint matrix, the Jacobi check at construction and the Killing form
-trace(ad_Xi ad_Xj) are built from it.
+trace(ad_Xi ad_Xj) are built from it.  :func:`killing_eigenbasis` checks the
+signature of a Killing matrix relative to its own scale.
 """
 
 from __future__ import annotations
@@ -113,17 +114,19 @@ class LieAlgebra3:
         K = np.array([[np.trace(ads[i] @ ads[j]) for j in range(3)] for i in range(3)])
         return 0.5 * (K + K.T)
 
-    def killing_eigenbasis(self) -> tuple[np.ndarray, np.ndarray, float]:
-        """``eigh`` of an index-1 Killing form: ascending eigenvalues, eigenvectors, scale.
 
-        The scale is max(1, largest |eigenvalue|).  Raises unless one
-        eigenvalue is below -RANK_TOL * scale and the other two above it.
-        """
-        evals, evecs = np.linalg.eigh(self.killing_form())
-        scale = max(1.0, float(np.max(np.abs(evals))))
-        if not (evals[0] < -RANK_TOL * scale and evals[1] > RANK_TOL * scale):
-            raise ValueError("Killing form is not nondegenerate with one negative direction")
-        return evals, evecs, scale
+def killing_eigenbasis(K) -> tuple[np.ndarray, np.ndarray, float]:
+    """``eigh`` of an index-1 Killing form ``K``: ascending eigenvalues, eigenvectors, scale.
+
+    The scale is the largest |eigenvalue|, so the signature test is relative
+    and does not change when the form is rescaled.  Raises unless one
+    eigenvalue is below -RANK_TOL * scale and the other two above it.
+    """
+    evals, evecs = np.linalg.eigh(K)
+    scale = float(np.max(np.abs(evals)))
+    if not (evals[0] < -RANK_TOL * scale and evals[1] > RANK_TOL * scale):
+        raise ValueError("Killing form is not nondegenerate with one negative direction")
+    return evals, evecs, scale
 
 
 def _is_zero(x: Optional[float]) -> bool:

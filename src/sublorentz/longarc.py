@@ -35,7 +35,8 @@ import numpy as np
 from . import sl2cover
 from .conegeom import DEFAULT_CONE, RANK_TOL, ZERO_TOL, SegmentCone, SolidCone, _as_covector_array, contains
 from .existence import witness_is_valid
-from .liealg3 import SL2_CASES, SU2_CASE, LieAlgebra3, SubLorentzCase, from_case, su2_loop_period
+from .liealg3 import (SL2_CASES, SU2_CASE, LieAlgebra3, SubLorentzCase, from_case,
+                      killing_eigenbasis, su2_loop_period)
 from .sl2cover import CoverElement
 
 DEFAULT_SEED = 1729
@@ -344,7 +345,7 @@ def sl2_cover_frame(algebra: LieAlgebra3) -> np.ndarray:
     maps (x1, x2, x3) to (xi, Re zeta, Im zeta); the time coordinate is
     oriented so that X1 has nonnegative angle component.
     """
-    evals, evecs, _ = algebra.killing_eigenbasis()
+    evals, evecs, _ = killing_eigenbasis(algebra.killing_form())
     T = evecs[:, 0] * math.sqrt(8.0 / -evals[0])
     S1 = evecs[:, 1] * math.sqrt(8.0 / evals[1])
     S2 = evecs[:, 2] * math.sqrt(8.0 / evals[2])
@@ -795,54 +796,39 @@ class _Search:
                 self.best = (ell, theta.copy(), err)
         return ell - mu * err * err
 
-    def coordinate_descent(self, theta: np.ndarray, mu: float, box: int) -> np.ndarray:
+    def _descend(self, x: np.ndarray, evaluate, step: float, margin: float, floor: float,
+                 box: int) -> np.ndarray:
+        # Pattern search within ``box`` evaluations: move each entry of x, in
+        # np.ndindex order, by +step then -step and keep the first move that
+        # beats the current value by more than ``margin``; halve the step
+        # after a sweep with no improvement and stop once it is below ``floor``.
         used = 1
-        current = self.score(theta, mu)
-        step_r, step_b = 0.25, 0.25
+        current = evaluate(x)
         while used < box:
             improved = False
-            for i in range(self.n):
-                for col, step in ((0, step_r), (1, step_b)):
-                    for delta in (step, -step):
-                        if used >= box:
-                            return theta
-                        cand = theta.copy()
-                        cand[i, col] += delta
-                        val = self.score(cand, mu)
-                        used += 1
-                        if val > current + 1e-14:
-                            theta, current, improved = cand, val, True
-                            break
-            if not improved:
-                step_r *= 0.5
-                step_b *= 0.5
-                if step_r < 1e-8:
-                    break
-        return theta
-
-    def constant_descent(self, rb: np.ndarray, mu: float, box: int) -> np.ndarray:
-        tile = lambda v: np.tile(v, (self.n, 1))
-        used = 1
-        current = self.score(tile(rb), mu)
-        steps = np.array([0.2, 0.2])
-        while used < box:
-            improved = False
-            for col in (0, 1):
-                for delta in (steps[col], -steps[col]):
+            for idx in np.ndindex(x.shape):
+                for delta in (step, -step):
                     if used >= box:
-                        return rb
-                    cand = rb.copy()
-                    cand[col] += delta
-                    val = self.score(tile(cand), mu)
+                        return x
+                    cand = x.copy()
+                    cand[idx] += delta
+                    val = evaluate(cand)
                     used += 1
-                    if val > current + 1e-16:
-                        rb, current, improved = cand, val, True
+                    if val > current + margin:
+                        x, current, improved = cand, val, True
                         break
             if not improved:
-                steps = steps * 0.5
-                if steps[0] < 1e-10:
+                step *= 0.5
+                if step < floor:
                     break
-        return rb
+        return x
+
+    def coordinate_descent(self, theta: np.ndarray, mu: float, box: int) -> np.ndarray:
+        return self._descend(theta, lambda t: self.score(t, mu), 0.25, 1e-14, 1e-8, box)
+
+    def constant_descent(self, rb: np.ndarray, mu: float, box: int) -> np.ndarray:
+        return self._descend(rb, lambda v: self.score(np.tile(v, (self.n, 1)), mu),
+                             0.2, 1e-16, 1e-10, box)
 
 
 def maximize(structure: CaseStructure, target, n_steps: int = 24, budget: int = 10000,

@@ -73,6 +73,27 @@ def test_check_command(capsys):
     assert payload["outcome"] == "exists" and payload["witness"] is not None
 
 
+@pytest.mark.parametrize("argv", [
+    # the Killing signature test is relative, so this small-scale row is decided
+    ["check", "--case", "10", "--kappa", "-2e-8", "--chi", "-1e-8"],
+    ["sl2", "mul", "--g1", "0.5,1,0", "--g2", "-1.1,0.3,2"],
+    ["sl2", "inv", "--g", "-.5,2,-1"],
+])
+def test_negative_values_are_read_in_every_notation(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    # the same values bound with "=" are read the same way
+    bound = []
+    for tok in argv:
+        if tok.startswith("-") and not tok.startswith("--"):
+            bound[-1] += "=" + tok
+        else:
+            bound.append(tok)
+    assert run(capsys, *bound) == (EXIT_OK, out, "")
+    if argv[0] == "check":
+        assert json.loads(out)["outcome"] == "exists"
+
+
 def test_check_constraint_violation_names_condition(capsys):
     code, _, err = run(capsys, "check", "--case", "9", "--kappa", "5", "--chi", "-1")
     assert code == EXIT_USAGE

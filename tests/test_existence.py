@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from sublorentz.cli import build_table, expected_outcome, sample_case
-from sublorentz.conegeom import DEFAULT_CONE, SegmentCone
+from sublorentz.conegeom import DEFAULT_CONE, CircularCone, SegmentCone
 from sublorentz.existence import (
     Outcome,
     Verdict,
@@ -11,8 +13,9 @@ from sublorentz.existence import (
     killing_containment,
     witness_is_valid,
 )
-from sublorentz.liealg3 import CASE_IDS, SubLorentzCase, algebra_from_structure_matrix, from_case
-from sublorentz.longarc import sl2_cover_frame
+from sublorentz.liealg3 import (CASE_IDS, LieAlgebra3, SubLorentzCase, algebra_from_structure_matrix,
+                                from_case)
+from sublorentz.longarc import build_structure, sl2_cover_frame
 
 
 def test_heisenberg_exists_with_axis_witness():
@@ -60,6 +63,44 @@ def test_killing_containment_section_values():
     verdict = check_case(SubLorentzCase("10", kappa=-2.0, chi=-1.0))
     assert verdict.certificate == {"section_max": -4.0}
     assert killing_containment(alg, SegmentCone((1, 0, 0), (0, 1, 0), 0.5))
+    # the certificate is what killing_containment returns; no containment is None
+    assert killing_containment(alg) == -4.0
+    assert killing_containment(from_case(SubLorentzCase("10", kappa=2.0, chi=-1.0))) is None
+
+
+def test_one_killing_form_per_verdict(monkeypatch):
+    calls = []
+    killing_form = LieAlgebra3.killing_form
+
+    def counted(self):
+        calls.append(self)
+        return killing_form(self)
+
+    monkeypatch.setattr(LieAlgebra3, "killing_form", counted)
+    for k in (-2.0, 2.0):  # exists and inconclusive
+        calls.clear()
+        check_case(SubLorentzCase("10", kappa=k, chi=-1.0))
+        assert len(calls) == 1, k
+    calls.clear()
+    build_structure(SubLorentzCase("10", kappa=-2.0, chi=-1.0))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("cid", ["2", "10", "19"])
+def test_sl2_verdicts_do_not_change_when_parameters_are_rescaled(cid):
+    # (kappa, chi) -> s (kappa, chi) stays inside these rows' admissible sets;
+    # the Killing signature test and the containment threshold are relative
+    # to the form's own scale, so neither the outcome nor the absence of an
+    # error may depend on s
+    for seed in (1729, 9241, 1):
+        rng = np.random.default_rng(seed)
+        for i in range(4):
+            case = sample_case(cid, rng, i)
+            want = check_case(case).outcome
+            for s in np.logspace(-6, 6, 13):
+                scaled = SubLorentzCase(cid, kappa=case.kappa * s,
+                                        chi=None if case.chi is None else case.chi * s)
+                assert check_case(scaled).outcome == want, (case, s)
 
 
 def test_killing_containment_endpoint_cancellation_is_not_containment():
@@ -76,6 +117,13 @@ def test_killing_containment_rejects_degenerate():
     for decide in (killing_containment, sl2_cover_frame):
         with pytest.raises(ValueError, match="one negative direction"):
             decide(from_case(SubLorentzCase("1", kappa=0.0)))
+
+
+def test_killing_containment_needs_a_finite_segment_cone():
+    alg = from_case(SubLorentzCase("10", kappa=-2.0, chi=-1.0))
+    for cone in (CircularCone((1.0, 0.0, 0.0), 0.5), SegmentCone((1, 0, 0), (0, 1, 0), math.inf)):
+        with pytest.raises(ValueError, match="planar segment cone of finite width"):
+            killing_containment(alg, cone)
 
 
 def test_check_case_table_rows():
