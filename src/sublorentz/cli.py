@@ -31,7 +31,7 @@ import numpy as np
 
 from .conegeom import cone_from_json, cone_subspace_trivial, dual_contains, find_interior_dual_in_annihilator
 from .existence import Outcome, Verdict, check_case
-from .liealg3 import CASE_IDS, CASE_LABELS, SubLorentzCase
+from .liealg3 import CASE_IDS, CASE_LABELS, SL2_CASES, SubLorentzCase
 from .longarc import (
     DEFAULT_SEED,
     ENDPOINT_TOL,
@@ -252,7 +252,6 @@ def make_parser() -> _Parser:
     parser = _Parser(prog="sublorentz",
                      description="Longest-arc existence verdicts and desk-scale solver.")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "text"), default="json")
     common.add_argument("--out", default=None, help="write output to a file instead of stdout")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -263,6 +262,9 @@ def make_parser() -> _Parser:
 
     p_check = sub.add_parser("check", parents=[common], help="verdict for a single case")
     _add_case_arguments(p_check)
+    # the two commands with a text rendering
+    for p in (p_table, p_check):
+        p.add_argument("--format", choices=("json", "text"), default="json")
 
     p_sl2 = sub.add_parser("sl2", help="cover group calculator")
     sl2_sub = p_sl2.add_subparsers(dest="sl2_command", required=True)
@@ -380,7 +382,7 @@ def cmd_solve(args) -> int:
         return EXIT_USAGE
     structure = build_structure(case)
     target_spec = json.loads(args.target)
-    if isinstance(target_spec, dict) and structure.model.kind == "cover":
+    if isinstance(target_spec, dict) and case.case_id in SL2_CASES:
         w = target_spec.get("w")
         values = [target_spec.get("c"), *w] if isinstance(w, list) and len(w) == 2 else []
         if not values or not all(isinstance(t, (int, float)) and math.isfinite(t) for t in values):

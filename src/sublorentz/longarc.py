@@ -179,10 +179,7 @@ class SemidirectModel:
     are exact.
     """
 
-    kind = "semidirect"
-
     def __init__(self, algebra: LieAlgebra3):
-        self.algebra = algebra
         ideal = self._abelian_ideal(algebra)
         w_dir = np.cross(ideal[0], ideal[1])
         w_dir = w_dir / np.linalg.norm(w_dir)
@@ -281,24 +278,28 @@ class QuaternionModel:
     bracket table exactly.
     """
 
-    kind = "quaternion"
-
     def __init__(self, case: SubLorentzCase):
         if case.case_id != SU2_CASE:
             raise ValueError("quaternion model applies to case 9 only")
         k, x = case.kappa, case.chi
-        self.alpha = math.sqrt(-(k + x)) / 2.0
-        self.beta = math.sqrt(k - x) / 2.0
-        self.gamma = 2.0 * self.alpha * self.beta
-        self.scales = np.array([self.alpha, self.beta, self.gamma])
+        alpha = math.sqrt(-(k + x)) / 2.0
+        beta = math.sqrt(k - x) / 2.0
+        self.scales = np.array([alpha, beta, 2.0 * alpha * beta])
         #: Parameter time after which exp(t X1) returns to the identity.
         self.period = su2_loop_period(case)
 
     def identity(self):
         return np.array([1.0, 0.0, 0.0, 0.0])
 
+    def exp(self, u, time: float = 1.0):
+        v = time * (self.scales * np.asarray(u, dtype=float))
+        theta = float(np.linalg.norm(v))
+        if theta == 0.0:
+            return np.array([1.0, 0.0, 0.0, 0.0])
+        return np.concatenate([[math.cos(theta)], math.sin(theta) / theta * v])
+
     @staticmethod
-    def _qmul(q, r):
+    def multiply(q, r):
         w1, x1, y1, z1 = q
         w2, x2, y2, z2 = r
         return np.array([
@@ -308,28 +309,8 @@ class QuaternionModel:
             w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
         ])
 
-    def _pure(self, u) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        return self.scales * u
-
-    @staticmethod
-    def _qexp(v: np.ndarray) -> np.ndarray:
-        theta = float(np.linalg.norm(v))
-        if theta == 0.0:
-            return np.array([1.0, 0.0, 0.0, 0.0])
-        return np.concatenate([[math.cos(theta)], math.sin(theta) / theta * v])
-
-    def exp(self, u, time: float = 1.0):
-        return self._qexp(time * self._pure(u))
-
-    def multiply(self, x, y):
-        return self._qmul(x, y)
-
-    def inverse(self, x):
-        return np.array([x[0], -x[1], -x[2], -x[3]])
-
     def step(self, x, u, dt: float):
-        return self._qmul(x, self.exp(u, dt))
+        return self.multiply(x, self.exp(u, dt))
 
     def coords(self, x) -> np.ndarray:
         return np.asarray(x, dtype=float)
@@ -382,8 +363,6 @@ class CoverModel:
     (xi, zeta).
     """
 
-    kind = "cover"
-
     def __init__(self, frame: Optional[np.ndarray] = None):
         self.frame = np.eye(3) if frame is None else np.asarray(frame, dtype=float)
 
@@ -392,9 +371,6 @@ class CoverModel:
 
     def multiply(self, x, y):
         return sl2cover.multiply(x, y)
-
-    def inverse(self, x):
-        return sl2cover.inverse(x)
 
     def step(self, x, u, dt: float):
         # each float operation in the order of s + dt/6 (k1 + 2 k2 + 2 k3 + k4) on arrays;
@@ -422,9 +398,8 @@ class CoverModel:
 
 @dataclass(frozen=True, eq=False)
 class CaseStructure:
-    """A case bundled with its cone, anti-norm and concrete group model."""
+    """An algebra bundled with its cone, anti-norm and concrete group model."""
 
-    case: Optional[SubLorentzCase]
     algebra: Optional[LieAlgebra3]
     cone: SolidCone
     anti_norm: AntiNorm
@@ -442,7 +417,7 @@ def build_structure(case: SubLorentzCase, anti_norm: AntiNorm = LORENTZIAN,
         model = CoverModel(sl2_cover_frame(algebra))
     else:
         model = SemidirectModel(algebra)
-    return CaseStructure(case, algebra, cone, anti_norm, model)
+    return CaseStructure(algebra, cone, anti_norm, model)
 
 
 def build_cover_structure(eta: float = 1.0, anti_norm: Optional[AntiNorm] = None) -> CaseStructure:
@@ -455,7 +430,7 @@ def build_cover_structure(eta: float = 1.0, anti_norm: Optional[AntiNorm] = None
             fn=lambda u: math.sqrt(max(u[0] ** 2 - u[1] ** 2 - u[2] ** 2, 0.0)),
             name="lorentzian-3d",
         )
-    return CaseStructure(None, None, CircularCone((1.0, 0.0, 0.0), eta), anti_norm, CoverModel())
+    return CaseStructure(None, CircularCone((1.0, 0.0, 0.0), eta), anti_norm, CoverModel())
 
 
 @dataclass(frozen=True, eq=False)
@@ -536,10 +511,21 @@ def _check_rows(cone: SolidCone, controls: np.ndarray, first: int = 0) -> None:
             raise ValueError(f"control {idx} lies outside the admissible cone")
 
 
-def _steps(model, x, curve: ControlCurve, samples: list):
-    for u in curve.controls:
-        x = model.step(x, u, curve.dt)
-        samples.append(model.coords(x))
+def _steps(model, x, controls: np.ndarray, dt: float) -> list:
+    """The states after each control row, stepped from ``x`` through ``model.step``."""
+    states = []
+    for u in controls:
+        x = model.step(x, u, dt)
+        states.append(x)
+    return states
+
+
+def _exp_product(model, segments):
+    """exp(t1 u1) exp(t2 u2) ... for the (t, u) ``segments``, skipping zero durations."""
+    x = model.identity()
+    for duration, u in segments:
+        if duration != 0.0:
+            x = model.multiply(x, model.exp(u, duration))
     return x
 
 
@@ -558,37 +544,35 @@ def _power(model, x, k: int):
 def integrate(curve) -> IntegrationResult:
     """Integrate a curve from the identity; rejects controls outside the cone.
 
-    A :class:`LoopedCurve` is stepped through its block once, the block's
+    A :class:`ControlCurve` runs as a :class:`LoopedCurve` with repeat 1 and
+    no base.  A looped curve is stepped through its block once, the block's
     endpoint (renormalized to unit length on the quaternion model) is raised
     to the repeat count by binary powering, and the base is stepped from
     there.  Its trajectory samples one block traversal, then
     the powered endpoint when the repeat count exceeds one, then the base.
     """
+    if isinstance(curve, ControlCurve):
+        curve = LoopedCurve(curve, 1)
     st = curve.structure
     model = st.model
-    x = model.identity()
-    samples = [model.coords(x)]
-    if not isinstance(curve, LoopedCurve):
-        _check_rows(st.cone, curve.controls)
-        x = _steps(model, x, curve, samples)
-        return IntegrationResult(endpoint=x, trajectory=np.array(samples))
     _check_rows(st.cone, curve.loop.controls)
     if curve.base is not None:
         _check_rows(st.cone, curve.base.controls, len(curve.loop.controls))
+    states = [model.identity()]
     if curve.repeat:
-        x = _steps(model, x, curve.loop, samples)
+        states += _steps(model, states[-1], curve.loop.controls, curve.dt)
         if curve.repeat > 1:
+            x = states[-1]
             if isinstance(model, QuaternionModel):
                 # rounding moves the block endpoint off the unit sphere, and
                 # powering would raise its norm to the repeat count
                 x = x / np.linalg.norm(x)
             # a power that overflows comes out non-finite, which callers detect
             with np.errstate(over="ignore", invalid="ignore"):
-                x = _power(model, x, curve.repeat)
-            samples.append(model.coords(x))
+                states.append(_power(model, x, curve.repeat))
     if curve.base is not None:
-        x = _steps(model, x, curve.base, samples)
-    return IntegrationResult(endpoint=x, trajectory=np.array(samples))
+        states += _steps(model, states[-1], curve.base.controls, curve.dt)
+    return IntegrationResult(states[-1], np.array([model.coords(state) for state in states]))
 
 
 def _length(nu: AntiNorm, controls: np.ndarray, dt: float) -> float:
@@ -596,14 +580,15 @@ def _length(nu: AntiNorm, controls: np.ndarray, dt: float) -> float:
     return float(sum(nu(controls).tolist()) * dt)
 
 
-def length(curve, nu: Optional[AntiNorm] = None) -> float:
+def length(curve) -> float:
     """Generalized length: sum of anti-norm values of the controls times dt.
 
-    A :class:`LoopedCurve` has length repeat * length(loop) + length(base).
+    A :class:`LoopedCurve` has length repeat * length(loop) + length(base);
+    a :class:`ControlCurve` runs as one with repeat 1 and no base.
     """
-    nu = curve.structure.anti_norm if nu is None else nu
-    if not isinstance(curve, LoopedCurve):
-        return _length(nu, curve.controls, curve.dt)
+    if isinstance(curve, ControlCurve):
+        curve = LoopedCurve(curve, 1)
+    nu = curve.structure.anti_norm
     base_len = _length(nu, curve.base.controls, curve.dt) if curve.base is not None else 0.0
     return curve.repeat * _length(nu, curve.loop.controls, curve.dt) + base_len
 
@@ -611,16 +596,11 @@ def length(curve, nu: Optional[AntiNorm] = None) -> float:
 def target_from_exp2(structure: CaseStructure, abc: Sequence[float]):
     """Group element exp(a X1) exp(b X2) exp(c X3) for three finite numbers (a, b, c)."""
     model = structure.model
-    if not hasattr(model, "exp"):
+    if isinstance(model, CoverModel):
         raise TypeError("this model takes targets in its own coordinates, not exponential ones")
     if len(abc) != 3 or not all(isinstance(t, numbers.Real) and math.isfinite(t) for t in abc):
         raise ValueError(f"a target in exponential coordinates is three finite numbers, got {list(abc)}")
-    eye = np.eye(3)
-    x = model.identity()
-    for basis_vec, amount in zip(eye, abc):
-        if amount != 0.0:
-            x = model.multiply(x, model.exp(basis_vec, float(amount)))
-    return x
+    return _exp_product(model, [(float(amount), basis_vec) for amount, basis_vec in zip(abc, np.eye(3))])
 
 
 # ---------------------------------------------------------------------------
@@ -685,18 +665,13 @@ def distance_upper_bound(structure: CaseStructure, target, witness) -> float:
     u_full = model.log(target)
     paths = [[(1.0, u_full)]]
     for prefix in ([(0.7, eye[0])], [(0.4, eye[1]), (0.3, eye[2])]):
-        x = model.identity()
-        for duration, u in prefix:
-            x = model.multiply(x, model.exp(u, duration))
-        rest = model.multiply(model.inverse(x), target)
-        paths.append(list(prefix) + [(1.0, model.log(rest))])
+        rest = model.multiply(model.inverse(_exp_product(model, prefix)), target)
+        paths.append(prefix + [(1.0, model.log(rest))])
 
     values = []
     tc = model.coords(target)
     for segs in paths:
-        x = model.identity()
-        for duration, u in segs:
-            x = model.multiply(x, model.exp(u, duration))
+        x = _exp_product(model, segs)
         endpoint_err = float(np.linalg.norm(model.coords(x) - tc))
         if endpoint_err > 1e-9 * max(1.0, float(np.linalg.norm(tc))):
             raise AssertionError("path construction missed the target")
@@ -774,13 +749,10 @@ class _Search:
             same = np.all(controls == self._last_controls, axis=1)
             start = int(np.argmin(same)) if not same.all() else self.n
         states = self._last_states[:start + 1] if start else [self.model.identity()]
-        x = states[-1]
-        for u in controls[start:]:
-            x = self.model.step(x, u, self.dt)
-            states.append(x)
+        states += _steps(self.model, states[-1], controls[start:], self.dt)
         self._last_controls = controls
         self._last_states = states
-        err = float(np.linalg.norm(self.model.coords(x) - self.tcoords))
+        err = float(np.linalg.norm(self.model.coords(states[-1]) - self.tcoords))
         ell = _length(self.nu, controls, self.dt)
         return ell, err
 
@@ -849,7 +821,7 @@ def maximize(structure: CaseStructure, target, n_steps: int = 24, budget: int = 
 
     log_theta = None
     log_u = None
-    if hasattr(model, "log"):
+    if isinstance(model, SemidirectModel):
         try:
             log_u = np.asarray(model.log(target), dtype=float)
         except (ValueError, TypeError):

@@ -49,6 +49,12 @@ def test_table_text_layout(capsys):
     assert lines[-1] == "agreement: ok"
 
 
+def test_check_text(capsys):
+    code, out, _ = run(capsys, "check", "--case", "10", "--kappa", "-2", "--chi", "-1", "--format", "text")
+    assert code == EXIT_OK
+    assert out == "case 10 (chi=-1.0,kappa=-2.0): exists via killing-containment\n"
+
+
 def test_byte_determinism(capsys):
     outputs = []
     for _ in range(2):
@@ -278,6 +284,11 @@ def test_witness_for_a_huge_length_is_fast_and_small():
       "--budget", "5"], "steps must be <= 10000"),
     (["witness", "--case", "9", "--kappa", "0", "--chi", "-1", "--length", "10",
       "--steps-per-loop", "10001"], "steps per loop must be <= 10000"),
+    (["solve", "--case", "1", "--kappa", "0", "--target", "[1,0,0]", "--steps", "2", "--budget", "5",
+      "--format", "text"], "unrecognized arguments"),
+    (["sl2", "mul", "--g1", "0,0,0", "--g2", "0,0,0", "--format", "text"], "unrecognized arguments"),
+    (["solve", "--case", "10", "--kappa", "-2", "--chi", "-1", "--target", "[1,0,0]"],
+     "this model takes targets in its own coordinates"),
 ])
 def test_bad_inputs_are_named_usage_errors(argv, message):
     proc = subprocess.run([sys.executable, "-m", "sublorentz.cli", *argv],

@@ -258,6 +258,24 @@ def test_primal_dual_equivalence_randomized():
             assert float(np.max(np.abs(U @ witness.as_array()))) <= 1e-10
 
 
+def test_circular_cone_annihilator_witness_matches_primal_test():
+    # 1- and 2-dimensional annihilators of a circular cone: the closed-form
+    # witness exists exactly when the cone meets the subspace only at 0
+    rng = np.random.default_rng(31)
+    seen = set()
+    for _ in range(400):
+        cone = CircularCone(tuple(rng.normal(size=3)), float(rng.uniform(0.0, 3.0)))
+        U = rng.normal(size=(int(rng.integers(1, 3)), 3))
+        trivial = cone_subspace_trivial(cone, U)
+        witness = find_interior_dual_in_annihilator(cone, U)
+        assert trivial == (witness is not None)
+        if witness is not None:
+            assert dual_contains(cone, witness, strict=True)
+            assert float(np.max(np.abs(U @ witness.as_array()))) <= 1e-9
+        seen.add((3 - U.shape[0], trivial))
+    assert seen == {(1, False), (1, True), (2, False), (2, True)}
+
+
 def test_projection_of_generators_stays_acute():
     rng = np.random.default_rng(7)
     for _ in range(50):

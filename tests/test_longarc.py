@@ -457,6 +457,21 @@ def test_looped_curve_matches_its_expanded_rows(case, dt, loop_rows, repeat, bas
     assert abs(length(looped) - length(flat)) <= 1e-12 * max(1.0, length(flat))
 
 
+@pytest.mark.parametrize("case,u", [(HEIS, (1.0, 0.4, 0.0)), (SU2, (1.0, -0.3, 0.0)), (SL2, (0.9, 0.18, 0.0))])
+def test_plain_curve_runs_as_a_loop_repeated_once(case, u):
+    st = build_structure(case)
+    rows = np.array(u) * np.linspace(0.5, 1.5, 9)[:, None]
+    curve = ControlCurve(0.1, rows, st)
+    got, want = integrate(curve), integrate(LoopedCurve(curve, 1))
+    assert np.array_equal(st.model.coords(got.endpoint), st.model.coords(want.endpoint))
+    assert np.array_equal(got.trajectory, want.trajectory)
+    x = st.model.identity()
+    for row, sample in zip(rows, got.trajectory[1:]):
+        x = st.model.step(x, row, 0.1)
+        assert np.array_equal(sample, st.model.coords(x))
+    assert length(curve) == length(LoopedCurve(curve, 1))
+
+
 def test_looped_curve_checks_every_encoded_row():
     st = build_structure(HEIS)
     loop = ControlCurve(0.1, [[1.0, 0.0, 0.0]] * 3, st)
