@@ -35,10 +35,7 @@ from .liealg3 import CASE_IDS, CASE_LABELS, SL2_CASES, SubLorentzCase
 from .longarc import (
     DEFAULT_SEED,
     ENDPOINT_TOL,
-    LORENTZIAN,
     MAX_STEPS,
-    AntiNorm,
-    ControlCurve,
     build_structure,
     distance_upper_bound,
     integrate,
@@ -148,13 +145,8 @@ def expected_outcome(case: SubLorentzCase) -> Outcome:
     return Outcome.INCONCLUSIVE
 
 
-def build_table(samples: int, seed: int, anti_norm: AntiNorm = LORENTZIAN) -> dict:
-    """Evaluate every table row over sampled parameters and compare to reference.
-
-    The anti-norm travels with the row structures but never influences a
-    verdict; it is accepted here so that reruns under different anti-norms can
-    demonstrate that invariance.
-    """
+def build_table(samples: int, seed: int) -> dict:
+    """Evaluate every table row over sampled parameters and compare to reference."""
     rng = np.random.default_rng(seed)
     rows = []
     all_match = True
@@ -172,8 +164,7 @@ def build_table(samples: int, seed: int, anti_norm: AntiNorm = LORENTZIAN) -> di
                 "expected": want.value,
                 "match": match,
             })
-        rows.append({"case": cid, "label": CASE_LABELS[cid], "draws": draws,
-                     "anti_norm": anti_norm.name or anti_norm.kind})
+        rows.append({"case": cid, "label": CASE_LABELS[cid], "draws": draws})
     return {"seed": seed, "samples": samples, "rows": rows, "all_match": all_match}
 
 

@@ -9,12 +9,17 @@ subgroup steps, on one of three concrete group realizations:
   with exact exponential steps (the angle-like factor coordinate is tracked
   separately so that rotation-type actions do not wrap); the 2x2
   exponential and its integral are evaluated in closed form on the
-  eigenvalues, with a series branch where they nearly coincide, and nothing
-  is cached;
+  eigenvalues, with a series branch where they nearly coincide, and each
+  element carries the exponential of its own action, so a product is 2x2
+  arithmetic;
 * unit quaternions for the su2 row;
 * cover coordinates (c, w) for the sl2-type rows, with classical RK4 steps
   of the left-invariant dynamics on plain floats, whose four stages all use
   the one left-translation formula of :mod:`sublorentz.sl2cover`.
+
+Every model steps a curve in two parts: ``increment(u, dt)`` does the work
+that depends on the control row alone, once per run of equal rows, and
+``step(x, inc)`` advances the state ``x`` by one row with it.
 
 On top of integration the module provides the generalized length functional,
 a calibration-based upper bound on lengths into a target (solvable rows with
@@ -173,10 +178,13 @@ class SemidirectModel:
 
     The algebra is split as span{W} + I with I a two-dimensional abelian ideal
     containing the derived subalgebra; ad_W acts on I through the 2x2 matrix
-    ``action``.  Elements are pairs (t, q), q a pair of floats, with product
-    (t1, q1)(t2, q2) = (t1 + t2, q1 + expm(t1 action) q2); exponentials of
-    algebra vectors are available in closed form, so constant-control steps
-    are exact.
+    ``action``.  Elements are triples (t, q, E): q a pair of floats and
+    E = expm(t action) a row-major 4-tuple, carried with the element so that
+    the product (t1, q1, E1)(t2, q2, E2) = (t1 + t2, q1 + E1 q2, E1 E2) makes
+    no transcendental call.  ``coords`` and ``log`` read only (t, q).
+    Exponentials of algebra vectors are available in closed form, so
+    constant-control steps are exact; the increment of a row is its
+    exponential and a step is one product.
     """
 
     def __init__(self, algebra: LieAlgebra3):
@@ -219,7 +227,7 @@ class SemidirectModel:
         return np.array([y, z])
 
     def identity(self):
-        return (0.0, (0.0, 0.0))
+        return (0.0, (0.0, 0.0), (1.0, 0.0, 0.0, 1.0))
 
     def split(self, u) -> tuple[float, tuple[float, float]]:
         u0, u1, u2 = np.asarray(u, dtype=float).tolist()
@@ -236,23 +244,19 @@ class SemidirectModel:
 
     def exp(self, u, time: float = 1.0):
         a, (v0, v1) = self.split(u)
-        _, S = self._flow(a, time)
-        return (time * a, (S[0] * v0 + S[1] * v1, S[2] * v0 + S[3] * v1))
-
-    def _translate(self, t: float, q) -> tuple[float, float]:
-        """expm(t action) q."""
-        E, _ = _exp_flow(self._act, t)
-        q0, q1 = q
-        return (E[0] * q0 + E[1] * q1, E[2] * q0 + E[3] * q1)
+        E, S = self._flow(a, time)
+        return (time * a, (S[0] * v0 + S[1] * v1, S[2] * v0 + S[3] * v1), E)
 
     def multiply(self, x, y):
-        p0, p1 = x[1]
-        q0, q1 = self._translate(x[0], y[1])
-        return (x[0] + y[0], (p0 + q0, p1 + q1))
+        t, (p0, p1), (e0, e1, e2, e3) = x
+        s, (q0, q1), (f0, f1, f2, f3) = y
+        return (t + s, (p0 + (e0 * q0 + e1 * q1), p1 + (e2 * q0 + e3 * q1)),
+                (e0 * f0 + e1 * f2, e0 * f1 + e1 * f3, e2 * f0 + e3 * f2, e2 * f1 + e3 * f3))
 
     def inverse(self, x):
-        q0, q1 = self._translate(-x[0], x[1])
-        return (-x[0], (-q0, -q1))
+        E, _ = _exp_flow(self._act, -x[0])
+        q0, q1 = x[1]
+        return (-x[0], (-(E[0] * q0 + E[1] * q1), -(E[2] * q0 + E[3] * q1)), E)
 
     def log(self, x) -> np.ndarray:
         a = x[0]
@@ -263,8 +267,11 @@ class SemidirectModel:
         q0, q1 = x[1]
         return self.unsplit(a, ((S[3] * q0 - S[1] * q1) / det, (S[0] * q1 - S[2] * q0) / det))
 
-    def step(self, x, u, dt: float):
-        return self.multiply(x, self.exp(u, dt))
+    def increment(self, u, dt: float):
+        return self.exp(u, dt)
+
+    # a row's increment is its exponential, so a step is one product
+    step = multiply
 
     def coords(self, x) -> np.ndarray:
         return np.array([x[0], x[1][0], x[1][1]])
@@ -298,8 +305,7 @@ class QuaternionModel:
             return np.array([1.0, 0.0, 0.0, 0.0])
         return np.concatenate([[math.cos(theta)], math.sin(theta) / theta * v])
 
-    @staticmethod
-    def multiply(q, r):
+    def multiply(self, q, r):
         w1, x1, y1, z1 = q
         w2, x2, y2, z2 = r
         return np.array([
@@ -309,8 +315,11 @@ class QuaternionModel:
             w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
         ])
 
-    def step(self, x, u, dt: float):
-        return self.multiply(x, self.exp(u, dt))
+    def increment(self, u, dt: float):
+        return self.exp(u, dt)
+
+    # a row's increment is its exponential, so a step is one product
+    step = multiply
 
     def coords(self, x) -> np.ndarray:
         return np.asarray(x, dtype=float)
@@ -356,11 +365,12 @@ def sl2_cover_frame(algebra: LieAlgebra3) -> np.ndarray:
 class CoverModel:
     """Cover coordinates (c, w) with RK4 steps of the left-invariant dynamics.
 
-    A step is classical RK4 on plain floats whose four stage velocities all
-    come from ``sl2cover.push_forward``, each stage base passed as a plain
-    (c, w) pair.  ``frame`` maps identity-frame control coordinates to cover
-    coordinates; the identity frame is used for controls given directly as
-    (xi, zeta).
+    The increment of a row is its cover coordinates ``frame @ u`` as a plain
+    (xi, zeta) pair, together with the time step.  A step is classical RK4 on
+    plain floats whose four stage velocities all come from
+    ``sl2cover.push_forward``, each stage base passed as a plain (c, w) pair.
+    ``frame`` maps identity-frame control coordinates to cover coordinates;
+    the identity frame is used for controls given directly as (xi, zeta).
     """
 
     def __init__(self, frame: Optional[np.ndarray] = None):
@@ -372,11 +382,14 @@ class CoverModel:
     def multiply(self, x, y):
         return sl2cover.multiply(x, y)
 
-    def step(self, x, u, dt: float):
-        # each float operation in the order of s + dt/6 (k1 + 2 k2 + 2 k3 + k4) on arrays;
+    def increment(self, u, dt: float):
         # frame @ u stays a numpy product, as a scalar product rounds differently
         u0, u1, u2 = (self.frame @ np.asarray(u, dtype=float)).tolist()
-        v = (u0, complex(u1, u2))
+        return (u0, complex(u1, u2)), dt
+
+    def step(self, x, inc):
+        # each float operation in the order of s + dt/6 (k1 + 2 k2 + 2 k3 + k4) on arrays
+        v, dt = inc
         c, w = x
         p, q = w.real, w.imag
         a1, z1 = sl2cover.push_forward(x, v)
@@ -498,25 +511,35 @@ class IntegrationResult:
     trajectory: np.ndarray  # (N+1) x d coordinate samples
 
 
+def _runs(controls: np.ndarray):
+    """(index of its first row, the row as a list, its length) for each run of equal rows."""
+    rows = controls.tolist()
+    start = 0
+    for i in range(1, len(rows) + 1):
+        if i == len(rows) or rows[i] != rows[start]:
+            yield start, rows[start], i - start
+            start = i
+
+
 def _check_rows(cone: SolidCone, controls: np.ndarray, first: int = 0) -> None:
-    # equal rows get equal answers, so each run of equal consecutive rows is checked once
-    prev = None
-    for idx, u in enumerate(controls.tolist(), first):
-        if u == prev:
-            continue
-        prev = u
+    # equal rows get equal answers, so each run of equal rows is checked once
+    for idx, u, _ in _runs(controls):
         if float(np.linalg.norm(u)) <= 0.0:
-            raise ValueError(f"control {idx} is zero")
+            raise ValueError(f"control {first + idx} is zero")
         if not contains(cone, u):
-            raise ValueError(f"control {idx} lies outside the admissible cone")
+            raise ValueError(f"control {first + idx} lies outside the admissible cone")
 
 
 def _steps(model, x, controls: np.ndarray, dt: float) -> list:
-    """The states after each control row, stepped from ``x`` through ``model.step``."""
+    """The states after each control row, stepped from ``x``: one ``model.increment``
+    per run of equal rows, then one ``model.step`` per row."""
     states = []
-    for u in controls:
-        x = model.step(x, u, dt)
-        states.append(x)
+    step = model.step
+    for _, u, count in _runs(controls):
+        inc = model.increment(u, dt)
+        for _ in range(count):
+            x = step(x, inc)
+            states.append(x)
     return states
 
 

@@ -1,5 +1,6 @@
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,7 +25,9 @@ from sublorentz.longarc import (
     length,
     maximize,
     sl2_cover_frame,
+    _CONFLUENT_W2,
     _exp_flow,
+    _steps,
     su2_unbounded_witness,
     target_from_exp2,
 )
@@ -121,7 +124,87 @@ def test_semidirect_log_and_inverse_round_trips(case, u, v):
         assert np.max(np.abs(model.coords(y) - model.coords(model.identity()))) <= tol
 
 
+# (case, dt) whose increment of the row (1, 0.3, 0) takes each branch of _exp_flow
+CARRIED_E_BRANCHES = {
+    "nilpotent": (HEIS, 1e-3),
+    "confluent series": (SubLorentzCase("12", kappa=-1.0, chi=-1.0), 1e-4),
+    "w2 > 0": (SubLorentzCase("3", tau=2.0, variant=1), 0.02),
+    "w2 < 0": (SubLorentzCase("12", kappa=-1.0, chi=-1.0), 0.02),
+}
+
+
+@pytest.mark.parametrize("branch", sorted(CARRIED_E_BRANCHES))
+def test_carried_exponential_tracks_the_closed_form(branch):
+    case, dt = CARRIED_E_BRANCHES[branch]
+    model = build_structure(case).model
+    u = [1.0, 0.3, 0.0]
+    a, _ = model.split(u)
+    p, q, r, s = (a * entry for entry in model._act)
+    y11, y12, y21 = 0.5 * (p - s) * dt, q * dt, r * dt
+    w2 = y11 * y11 + y12 * y21
+    assert {"nilpotent": w2 == 0.0, "confluent series": 0.0 < abs(w2) < _CONFLUENT_W2,
+            "w2 > 0": w2 >= _CONFLUENT_W2, "w2 < 0": w2 <= -_CONFLUENT_W2}[branch]
+    states = _steps(model, model.identity(), np.tile(u, (10_000, 1)), dt)
+    # the reference is taken at the exact multiple k tau of the row's own t increment, so
+    # that the rounding of the running sum t (the same as before E was carried) stays out
+    tau = Fraction(states[0][0])
+    worst = 0.0
+    for k, (_, _, E) in enumerate(states, 1):
+        want, _ = _exp_flow(model._act, float(k * tau))
+        worst = max(worst, max(abs(x - y) for x, y in zip(E, want)) / max(map(abs, want)))
+    assert worst <= 1e-12
+
+
+def stepwise_endpoint(model, controls, dt) -> np.ndarray:
+    """(t, q) by q <- q + expm(t action) q_row and t <- t + t_row, evaluating expm(t action) every row."""
+    t, q0, q1 = 0.0, 0.0, 0.0
+    for u in controls:
+        s, (r0, r1), _ = model.exp(u, dt)
+        E, _ = _exp_flow(model._act, t)
+        t, q0, q1 = t + s, q0 + (E[0] * r0 + E[1] * r1), q1 + (E[2] * r0 + E[3] * r1)
+    return np.array([t, q0, q1])
+
+
+@hs.composite
+def curve_rows(draw):
+    """Up to 8 runs of up to 5 equal cone rows (r, r b, 0)."""
+    runs = draw(hs.lists(hs.tuples(hs.floats(0.2, 2.0), hs.floats(-0.9, 0.9), hs.integers(1, 5)),
+                         min_size=1, max_size=8))
+    return np.array([[r, r * b, 0.0] for r, b, count in runs for _ in range(count)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(hs.sampled_from(ROUND_TRIP_CASES), hs.floats(0.01, 0.5), curve_rows())
+def test_semidirect_endpoint_matches_the_stepwise_formula(case, dt, rows):
+    st = build_structure(case)
+    got = st.model.coords(integrate(ControlCurve(dt, rows, st)).endpoint)
+    want = stepwise_endpoint(st.model, rows, dt)
+    assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, float(np.max(np.abs(want))))
+
+
 # -- integration ------------------------------------------------------------------
+
+def _flat(x) -> list:
+    if isinstance(x, complex):
+        return [x.real, x.imag]
+    if isinstance(x, (tuple, list, np.ndarray)):
+        return [v for y in x for v in _flat(y)]
+    return [float(x)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(hs.sampled_from([HEIS, SubLorentzCase("12", kappa=-1.0, chi=-1.0), SU2, SL2]),
+       hs.floats(0.01, 0.5), curve_rows())
+def test_steps_fold_one_increment_per_row(case, dt, rows):
+    model = build_structure(case).model
+    x = model.identity()
+    want = []
+    for u in rows:
+        x = model.step(x, model.increment(u, dt))
+        want.append(x)
+    got = _steps(model, model.identity(), rows, dt)
+    assert [_flat(state) for state in got] == [_flat(state) for state in want]
+
 
 def test_heisenberg_constant_control_is_one_parameter_subgroup():
     st = build_structure(HEIS)
@@ -269,7 +352,7 @@ def _bits(x):
 def test_cover_step_matches_array_form_bit_for_bit(frame, inputs):
     x, u, dt = inputs
     model = CoverModel(COVER_FRAMES[frame])
-    assert _bits(model.step(x, u, dt)) == _bits(reference_cover_step(model.frame, x, u, dt))
+    assert _bits(model.step(x, model.increment(u, dt))) == _bits(reference_cover_step(model.frame, x, u, dt))
 
 
 # -- anti-norms ---------------------------------------------------------------------
@@ -467,7 +550,7 @@ def test_plain_curve_runs_as_a_loop_repeated_once(case, u):
     assert np.array_equal(got.trajectory, want.trajectory)
     x = st.model.identity()
     for row, sample in zip(rows, got.trajectory[1:]):
-        x = st.model.step(x, row, 0.1)
+        x = st.model.step(x, st.model.increment(row, 0.1))
         assert np.array_equal(sample, st.model.coords(x))
     assert length(curve) == length(LoopedCurve(curve, 1))
 
