@@ -10,7 +10,6 @@ realizations of the groups (including the universal cover of SL2(R)).
 from .conegeom import (
     DEFAULT_CONE,
     CircularCone,
-    Covector,
     SegmentCone,
     acute,
     cone_from_json,

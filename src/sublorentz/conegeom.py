@@ -15,13 +15,20 @@ Two cone shapes are supported:
 All membership and duality questions are decided in closed form on the
 extreme rays (segment) or by axis/transverse decomposition (circular); a
 segment cone computes its plane normal and the inverse of its frame
-(u1, u2, normal) once, at construction.  Exact-zero comparisons use
-``ZERO_TOL``: the independence test of a segment cone's generators is
-relative to their lengths; the membership and duality tests are absolute
-(the distance off a segment cone's plane is scaled by max(1, largest
-|v_i|)), so their inputs are expected to be of order one.  The tolerance
-pair below is the one the whole package uses; this module imports nothing
-from the package, so every other module can take it from here.
+(u1, u2, normal) once, at construction.  A cone is acute unless it is a
+half-plane, so :func:`acute` reads that off the shape.  A subspace is given
+by basis rows; one full SVD of them checks their independence and gives an
+orthonormal basis of the span and one of its annihilator.  Covectors, such
+as the annihilator witnesses, are plain float triples paired with vectors by
+the dot product.
+
+Exact-zero comparisons use ``ZERO_TOL``: the independence test of a segment
+cone's generators is relative to their lengths; the membership and duality
+tests are absolute (the distance off a segment cone's plane is scaled by
+max(1, largest |v_i|)), so their inputs are expected to be of order one.
+The tolerance pair below is the one the whole package uses; this module
+imports nothing from the package, so every other module can take it from
+here.
 """
 
 from __future__ import annotations
@@ -43,28 +50,6 @@ def _vec3(x) -> np.ndarray:
     if not np.all(np.isfinite(v)):
         raise ValueError("vector has non-finite components")
     return v
-
-
-@dataclass(frozen=True)
-class Covector:
-    """An element of the dual space, paired with vectors by the dot product."""
-
-    p: tuple[float, float, float]
-
-    def __post_init__(self):
-        object.__setattr__(self, "p", tuple(float(t) for t in _vec3(self.p)))
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.p)
-
-    def pair(self, v) -> float:
-        return float(np.dot(self.p, _vec3(v)))
-
-
-def _as_covector_array(p) -> np.ndarray:
-    if isinstance(p, Covector):
-        return p.as_array()
-    return _vec3(p)
 
 
 @dataclass(frozen=True)
@@ -155,12 +140,8 @@ def contains(cone: SolidCone, v, strict: bool = False) -> bool:
 
 
 def acute(cone: SolidCone) -> bool:
-    """True iff the cone contains no line, decided by opposite-pair membership."""
-    if isinstance(cone, SegmentCone):
-        u2 = np.asarray(cone.u2)
-        return not (contains(cone, u2) and contains(cone, -u2))
-    ahat = cone.unit_axis()
-    return not (contains(cone, ahat) and contains(cone, -ahat))
+    """True iff the cone contains no line: every circular cone, and a segment cone of finite half-width."""
+    return isinstance(cone, CircularCone) or not math.isinf(cone.half_width)
 
 
 def _require_acute(cone: SolidCone) -> None:
@@ -175,7 +156,7 @@ def dual_contains(cone: SolidCone, p, strict: bool = False) -> bool:
     axis/transverse comparison for a circular cone.
     """
     _require_acute(cone)
-    p = _as_covector_array(p)
+    p = _vec3(p)
     if isinstance(cone, SegmentCone):
         r1, r2 = cone.rays()
         d1, d2 = float(np.dot(p, r1)), float(np.dot(p, r2))
@@ -191,73 +172,53 @@ def dual_contains(cone: SolidCone, p, strict: bool = False) -> bool:
     return pi >= bound - ZERO_TOL
 
 
-def _basis_matrix(subspace) -> np.ndarray:
+def _subspace(subspace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Basis rows U, an orthonormal basis of their span and one of its annihilator, from one SVD."""
     U = np.asarray(subspace, dtype=float)
     if U.size == 0:
-        return np.zeros((0, 3))
+        return np.zeros((0, 3)), np.zeros((0, 3)), np.eye(3)
     U = U.reshape(-1, 3)
-    if U.shape[0] > 3:
+    k = U.shape[0]
+    if k > 3:
         raise ValueError("at most three basis vectors in 3-space")
-    s = np.linalg.svd(U, compute_uv=False)
-    if int(np.sum(s > RANK_TOL * max(1.0, s[0]))) != U.shape[0]:
-        raise ValueError("subspace basis vectors are linearly dependent")
-    return U
-
-
-def _orthonormal_rows(U: np.ndarray) -> np.ndarray:
-    if U.shape[0] == 0:
-        return U
     _, s, vt = np.linalg.svd(U)
-    rank = int(np.sum(s > RANK_TOL * max(1.0, s[0])))
-    return vt[:rank]
-
-
-def _orthocomplement(U: np.ndarray) -> np.ndarray:
-    if U.shape[0] == 0:
-        return np.eye(3)
-    _, _, vt = np.linalg.svd(U, full_matrices=True)
-    return vt[U.shape[0]:]
+    if int(np.sum(s > RANK_TOL * max(1.0, s[0]))) != k:
+        raise ValueError("subspace basis vectors are linearly dependent")
+    return U, vt[:k], vt[k:]
 
 
 def cone_subspace_trivial(cone: SolidCone, subspace) -> bool:
     """True iff the cone meets the given subspace only at the origin."""
     _require_acute(cone)
-    U = _basis_matrix(subspace)
+    U, B, A = _subspace(subspace)
     k = U.shape[0]
     if k == 0:
         return True
     if k == 3:
         return False
-    if isinstance(cone, SegmentCone):
-        dots = U @ cone._normal
-        scale = np.maximum(1.0, np.linalg.norm(U, axis=1))
-        in_plane = np.abs(dots) <= RANK_TOL * scale
-        if np.all(in_plane):
-            W = _orthonormal_rows(U)
-        else:
-            # intersect span(U) with the carrier plane: null combinations of dots
-            _, s, vt = np.linalg.svd(dots.reshape(1, -1))
-            combos = vt[1:]
-            W = _orthonormal_rows(combos @ U)
-        if W.shape[0] == 0:
-            return True
-        if W.shape[0] >= 2:
-            return False
-        d = W[0]
-        return not (contains(cone, d) or contains(cone, -d))
-    if k == 1:
+    if isinstance(cone, CircularCone):
+        if k == 2:
+            # plane vs solid circular cone: sign of the restricted quadratic form
+            ahat = cone.unit_axis()
+            alpha2 = cone.aperture() ** 2
+            Q = alpha2 * (np.eye(3) - np.outer(ahat, ahat)) - np.outer(ahat, ahat)
+            return float(np.min(np.linalg.eigvalsh(B @ Q @ B.T))) > ZERO_TOL
         d = U[0]
-        return not (contains(cone, d) or contains(cone, -d))
-    # plane vs solid circular cone: sign of the restricted quadratic form
-    ahat = cone.unit_axis()
-    alpha2 = cone.aperture() ** 2
-    Q = alpha2 * (np.eye(3) - np.outer(ahat, ahat)) - np.outer(ahat, ahat)
-    B = _orthonormal_rows(U)
-    lam_min = float(np.min(np.linalg.eigvalsh(B @ Q @ B.T)))
-    return lam_min > ZERO_TOL
+    elif np.all(np.abs(U @ cone._normal) <= RANK_TOL * np.maximum(1.0, np.linalg.norm(U, axis=1))):
+        # the subspace lies in the carrier plane; a plane of it holds the cone
+        if k == 2:
+            return False
+        d = B[0]
+    elif k == 1:
+        return True
+    else:
+        # the line where the subspace's plane meets the carrier plane
+        d = np.cross(A[0], cone._normal)
+        d = d / np.linalg.norm(d)
+    return not (contains(cone, d) or contains(cone, -d))
 
 
-def find_interior_dual_in_annihilator(cone: SolidCone, subspace) -> Optional[Covector]:
+def find_interior_dual_in_annihilator(cone: SolidCone, subspace) -> Optional[tuple[float, float, float]]:
     """A covector strictly positive on the punctured cone and vanishing on the subspace.
 
     Returns ``None`` when no such covector exists.  The construction is direct
@@ -266,8 +227,7 @@ def find_interior_dual_in_annihilator(cone: SolidCone, subspace) -> Optional[Cov
     solved on it in closed form.
     """
     _require_acute(cone)
-    U = _basis_matrix(subspace)
-    B = _orthocomplement(_orthonormal_rows(U))
+    B = _subspace(subspace)[2]
     m = B.shape[0]
     if m == 0:
         return None
@@ -276,13 +236,13 @@ def find_interior_dual_in_annihilator(cone: SolidCone, subspace) -> Optional[Cov
         r1, r2 = cone.rays()
         if m == 3:
             p = r1 / np.linalg.norm(r1) + r2 / np.linalg.norm(r2)
-            return Covector(tuple(p / np.linalg.norm(p)))
+            return tuple((p / np.linalg.norm(p)).tolist())
         if m == 1:
             b = B[0]
             t1, t2 = float(np.dot(b, r1)), float(np.dot(b, r2))
             for sign in (1.0, -1.0):
                 if sign * t1 > ZERO_TOL and sign * t2 > ZERO_TOL:
-                    return Covector(tuple(sign * b))
+                    return tuple((sign * b).tolist())
             return None
         a1 = np.array([np.dot(B[0], r1), np.dot(B[1], r1)])
         a2 = np.array([np.dot(B[0], r2), np.dot(B[1], r2)])
@@ -296,19 +256,19 @@ def find_interior_dual_in_annihilator(cone: SolidCone, subspace) -> Optional[Cov
         p = y[0] * B[0] + y[1] * B[1]
         p = p / np.linalg.norm(p)
         if np.dot(p, r1) > ZERO_TOL and np.dot(p, r2) > ZERO_TOL:
-            return Covector(tuple(p))
+            return tuple(p.tolist())
         return None
 
     ahat = cone.unit_axis()
     inv_alpha = 1.0 / cone.aperture()
     if m == 3:
-        return Covector(tuple(ahat))
+        return tuple(ahat.tolist())
     if m == 1:
         b = B[0]
         pi = float(np.dot(b, ahat))
         rho = math.sqrt(max(0.0, 1.0 - pi * pi))
         if abs(pi) > inv_alpha * rho + ZERO_TOL:
-            return Covector(tuple(math.copysign(1.0, pi) * b))
+            return tuple((math.copysign(1.0, pi) * b).tolist())
         return None
     proj = B.T @ (B @ ahat)
     np_ = float(np.linalg.norm(proj))
@@ -317,7 +277,7 @@ def find_interior_dual_in_annihilator(cone: SolidCone, subspace) -> Optional[Cov
     p = proj / np_
     rho = math.sqrt(max(0.0, 1.0 - np_ * np_))
     if np_ > inv_alpha * rho + ZERO_TOL:
-        return Covector(tuple(p))
+        return tuple(p.tolist())
     return None
 
 

@@ -30,7 +30,7 @@ from .conegeom import (
     ZERO_TOL,
     SegmentCone,
     SolidCone,
-    _as_covector_array,
+    _vec3,
     dual_contains,
     find_interior_dual_in_annihilator,
 )
@@ -100,7 +100,7 @@ def check_solvable(algebra: LieAlgebra3, cone: SolidCone = DEFAULT_CONE) -> Verd
     witness = find_interior_dual_in_annihilator(cone, derived)
     if witness is None:
         return Verdict(Outcome.INCONCLUSIVE, RATIONALE_NONE)
-    return Verdict(Outcome.EXISTS, RATIONALE_ANNIHILATOR, witness=witness.p)
+    return Verdict(Outcome.EXISTS, RATIONALE_ANNIHILATOR, witness=witness)
 
 
 def killing_containment(algebra: LieAlgebra3, cone: SegmentCone = DEFAULT_CONE) -> Optional[float]:
@@ -159,7 +159,7 @@ def check_case(case: SubLorentzCase, cone: SolidCone = DEFAULT_CONE) -> Verdict:
 
 def witness_is_valid(algebra: LieAlgebra3, cone: SolidCone, witness) -> bool:
     """Check a covector certificate: strict dual membership plus annihilation."""
-    p = _as_covector_array(witness)
+    p = _vec3(witness)
     if not dual_contains(cone, p, strict=True):
         return False
     derived = algebra.derived_subalgebra()

@@ -11,10 +11,9 @@ through the normalized contact bracket layout
     [X2, X3] = a21 X1 - c X2
     [X1, X2] = b1 X1 + b2 X2 + X3
 
-whose coefficients form the 3x3 structure matrix of
-:meth:`SubLorentzCase.structure_constants`; :func:`algebra_from_structure_matrix`
-reads such a matrix back into brackets and is the one place that checks the
-layout.
+Each row gives its five coefficients (c, a12, a21, b1, b2) in terms of its
+parameters, and the bracket table is built from them directly, so every row
+algebra is in this layout by construction.
 
 The bracket is evaluated on plain Python floats from the three table rows,
 in the fixed order of operations given in :meth:`LieAlgebra3.bracket`; the
@@ -254,64 +253,47 @@ class SubLorentzCase:
             out["variant"] = self.variant
         return out
 
-    def structure_constants(self) -> np.ndarray:
-        """The row's canonical 3x3 structure matrix."""
-        cid, k, t, x = self.case_id, self.kappa, self.tau, self.chi
-        if cid == "1":
-            return np.array([[0., 0., 0.], [0., 0., 0.], [0., 0., 1.]])
-        if cid == "2":
-            return np.array([[0., k, 0.], [k, 0., 0.], [0., 0., 1.]])
-        if cid == "2*":
-            t0 = 0.0 if t is None else t
-            s = math.sqrt(max(k + t0 * t0, 0.0))
-            return np.array([[0., 0., 0.], [0., 0., 0.], [t0, s, 1.]])
-        if cid in ("3", "4", "5", "7"):
-            t0 = 2.0 if (cid == "3" and t is None) else t
-            if self.variant == 1:
-                return np.array([[1., 1., 0.], [-1., -1., 0.], [t0, t0, 1.]])
-            return np.array([[1., -1., 0.], [1., -1., 0.], [t0, -t0, 1.]])
-        if cid in ("6", "8"):
-            s = 1.0 if cid == "6" else -1.0
-            return np.array([[1., k - s, 0.], [k + s, -1., 0.], [0., 0., 1.]])
-        if cid in ("9", "10"):
-            return np.array([[0., k + x, 0.], [k - x, 0., 0.], [0., 0., 1.]])
-        if cid in ("11", "12"):
-            if _close(x, k):
-                return np.array([[0., 2. * x, 0.], [0., 0., 0.], [0., 0., 1.]])
-            return np.array([[0., 0., 0.], [-2. * x, 0., 0.], [0., 0., 1.]])
-        if cid in ("13", "14", "15"):
-            s = math.sqrt(max(k - x, 0.0))
-            return np.array([[0., 2. * x, 0.], [0., 0., 0.], [0., s, 1.]])
-        if cid in ("16", "17", "18"):
-            s = math.sqrt(max(-k - x, 0.0))
-            return np.array([[0., 0., 0.], [-2. * x, 0., 0.], [s, 0., 1.]])
-        # case 19
-        return np.array([[x, k, 0.], [k, -x, 0.], [0., 0., 1.]])
-
 
 def su2_loop_period(case: SubLorentzCase) -> float:
     """Parameter time after which exp(t X1) returns to the identity on the su2 row."""
     return 4.0 * math.pi / math.sqrt(-(case.kappa + case.chi))
 
 
-def algebra_from_structure_matrix(A, label: str = "") -> LieAlgebra3:
-    """Invert the normalized-layout structure matrix back into bracket values."""
-    A = np.asarray(A, dtype=float)
-    if A.shape != (3, 3):
-        raise ValueError("structure matrix must be 3x3")
-    if abs(A[0, 2]) > ZERO_TOL or abs(A[1, 2]) > ZERO_TOL or abs(A[2, 2] - 1.0) > ZERO_TOL:
-        raise ValueError("structure matrix is not in the normalized layout")
-    if abs(A[0, 0] + A[1, 1]) > ZERO_TOL:
-        raise ValueError("structure matrix must have a trace-free upper block")
-    return LieAlgebra3(
-        b12=(A[2, 0], A[2, 1], 1.0),
-        b13=(A[0, 0], A[0, 1], 0.0),
-        b23=(A[1, 0], A[1, 1], 0.0),
-        label=label,
-    )
-
-
 def from_case(case: SubLorentzCase) -> LieAlgebra3:
-    """Lie algebra of a classification-table row at its parameter point."""
-    return algebra_from_structure_matrix(case.structure_constants(),
-                                         label=f"case-{case.case_id}")
+    """Lie algebra of a classification-table row at its parameter point.
+
+    The row gives the five coefficients (c, a12, a21, b1, b2) of the contact
+    layout, and the bracket table is built from them directly.
+    """
+    cid, k, t, x = case.case_id, case.kappa, case.tau, case.chi
+    if cid == "1":
+        c, a12, a21, b1, b2 = 0.0, 0.0, 0.0, 0.0, 0.0
+    elif cid == "2":
+        c, a12, a21, b1, b2 = 0.0, k, k, 0.0, 0.0
+    elif cid == "2*":
+        t0 = 0.0 if t is None else t
+        c, a12, a21, b1, b2 = 0.0, 0.0, 0.0, t0, math.sqrt(max(k + t0 * t0, 0.0))
+    elif cid in ("3", "4", "5", "7"):
+        t0 = 2.0 if (cid == "3" and t is None) else t
+        if case.variant == 1:
+            c, a12, a21, b1, b2 = 1.0, 1.0, -1.0, t0, t0
+        else:
+            c, a12, a21, b1, b2 = 1.0, -1.0, 1.0, t0, -t0
+    elif cid in ("6", "8"):
+        s = 1.0 if cid == "6" else -1.0
+        c, a12, a21, b1, b2 = 1.0, k - s, k + s, 0.0, 0.0
+    elif cid in ("9", "10"):
+        c, a12, a21, b1, b2 = 0.0, k + x, k - x, 0.0, 0.0
+    elif cid in ("11", "12"):
+        if _close(x, k):
+            c, a12, a21, b1, b2 = 0.0, 2.0 * x, 0.0, 0.0, 0.0
+        else:
+            c, a12, a21, b1, b2 = 0.0, 0.0, -2.0 * x, 0.0, 0.0
+    elif cid in ("13", "14", "15"):
+        c, a12, a21, b1, b2 = 0.0, 2.0 * x, 0.0, 0.0, math.sqrt(max(k - x, 0.0))
+    elif cid in ("16", "17", "18"):
+        c, a12, a21, b1, b2 = 0.0, 0.0, -2.0 * x, math.sqrt(max(-k - x, 0.0)), 0.0
+    else:  # case 19
+        c, a12, a21, b1, b2 = x, k, k, 0.0, 0.0
+    # -c would make a zero c into -0.0; 0.0 - c keeps it +0.0
+    return LieAlgebra3((b1, b2, 1.0), (c, a12, 0.0), (a21, 0.0 - c, 0.0), label=f"case-{cid}")

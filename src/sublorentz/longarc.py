@@ -38,7 +38,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import sl2cover
-from .conegeom import DEFAULT_CONE, RANK_TOL, ZERO_TOL, SegmentCone, SolidCone, _as_covector_array, contains
+from .conegeom import DEFAULT_CONE, RANK_TOL, ZERO_TOL, SegmentCone, SolidCone, _vec3, contains
 from .existence import witness_is_valid
 from .liealg3 import (SL2_CASES, SU2_CASE, LieAlgebra3, SubLorentzCase, from_case,
                       killing_eigenbasis, su2_loop_period)
@@ -679,7 +679,7 @@ def distance_upper_bound(structure: CaseStructure, target, witness) -> float:
     model = structure.model
     if not isinstance(model, SemidirectModel):
         raise TypeError("the calibration bound applies to the solvable (semidirect) models")
-    p = _as_covector_array(witness)
+    p = _vec3(witness)
     if not witness_is_valid(structure.algebra, structure.cone, p):
         raise ValueError("witness is not a certificate: it must be strictly positive on the "
                          "punctured cone and annihilate the derived subalgebra")

@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from sublorentz.cli import build_table, sample_case
+from sublorentz.cli import build_table
 from sublorentz.conegeom import (
     SegmentCone,
     cone_subspace_trivial,
@@ -26,9 +26,11 @@ from sublorentz.longarc import (
     integrate,
     length,
     maximize,
+    _section_ratio_max,
     su2_unbounded_witness,
     target_from_exp2,
 )
+from sublorentz.oracle import sample_case
 from sublorentz.sl2cover import (
     IDENTITY,
     CoverElement,
@@ -319,20 +321,33 @@ def test_criterion_8_su2_divergence():
 def test_criterion_9_anti_norm_independence():
     # the annihilator certificate does not depend on the anti-norm, so on every
     # exists row with a witness the calibration bound computed with an anti-norm
-    # must hold for the lengths the search finds under that same anti-norm
+    # must hold for the lengths the search finds under that same anti-norm.  The
+    # bound is c_max F(target), and only c_max, the anti-norm's largest ratio to
+    # the witness on the cone section, depends on the anti-norm; row 2*'s tilted
+    # witness gives different c_max under the two anti-norms, so a bound computed
+    # under the wrong one would show in the ratio of the two bounds
     edge = AntiNorm("custom", fn=lambda u: u[0] - abs(u[1]), name="edge")
     ok = True
+    bites = False
     details = []
     for case in (SubLorentzCase("1", kappa=0.0), SubLorentzCase("12", kappa=-0.8, chi=-0.8),
-                 SubLorentzCase("13", kappa=7.0, chi=-1.0)):
+                 SubLorentzCase("13", kappa=7.0, chi=-1.0), SubLorentzCase("2*", kappa=-1.0, tau=1.5)):
         verdict = check_case(case)
         ok = ok and verdict.outcome is Outcome.EXISTS and verdict.witness is not None
+        p = np.array(verdict.witness)
+        bounds, c_max = [], []
         for nu in (LORENTZIAN, edge):
             st = build_structure(case, anti_norm=nu)
             probe = ControlCurve(1 / 16, np.tile([0.9, -0.2, 0.0], (16, 1)), st)
             tgt = integrate(probe).endpoint
             r = maximize(st, tgt, n_steps=16, budget=2500, seed=SEED)
-            b = distance_upper_bound(st, tgt, np.array(verdict.witness))
+            b = distance_upper_bound(st, tgt, p)
             ok = ok and r.found and length(probe) - 1e-6 <= r.length <= b + 1e-6
+            bounds.append(b)
+            c_max.append(_section_ratio_max(st.cone, nu, p))
             details.append(f"row {case.case_id} {nu.name}: {r.length:.6f} <= {b:.6f}")
+        ratio = c_max[0] / c_max[1]
+        ok = ok and abs(bounds[0] / bounds[1] - ratio) <= 1e-9 * ratio
+        bites = bites or abs(ratio - 1.0) > 1e-3
+    ok = ok and bites
     report(9, ok, "; ".join(details))

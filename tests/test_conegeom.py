@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sublorentz.conegeom import (
     DEFAULT_CONE,
     CircularCone,
-    Covector,
     SegmentCone,
     acute,
     cone_from_json,
@@ -63,6 +64,11 @@ def test_acute():
     half_plane = SegmentCone((1, 0, 0), (0, 1, 0), half_width=math.inf)
     assert contains(half_plane, (0, 1, 0)) and contains(half_plane, (0, -1, 0))
     assert not acute(half_plane)
+    # a zero-width segment cone is the ray through u1, which holds no line
+    ray = SegmentCone((1, 0.5, 0), (0, 1, 0.3), half_width=0.0)
+    assert contains(ray, (2, 1, 0)) and not contains(ray, (-2, -1, 0))
+    assert not contains(ray, (0, 1, 0.3)) and not contains(ray, (0, -1, -0.3))
+    assert acute(ray)
     for eta in (0.0, 1.0, 5.0):
         assert acute(CircularCone((0.3, -1.0, 0.2), eta))
 
@@ -178,8 +184,9 @@ def test_cone_subspace_trivial_circular():
 def test_witness_for_central_derived_line():
     w = find_interior_dual_in_annihilator(DEFAULT_CONE, [(0, 0, 1)])
     assert w is not None
+    assert isinstance(w, tuple) and len(w) == 3 and all(type(t) is float for t in w)
     assert dual_contains(DEFAULT_CONE, w, strict=True)
-    assert abs(w.pair((0, 0, 1))) <= 1e-12
+    assert abs(np.dot(w, (0, 0, 1))) <= 1e-12
     # the axis covector is one admissible witness
     assert dual_contains(DEFAULT_CONE, (1, 0, 0), strict=True)
 
@@ -255,7 +262,7 @@ def test_primal_dual_equivalence_randomized():
         assert primal == (witness is not None)
         if witness is not None:
             assert dual_contains(cone, witness, strict=True)
-            assert float(np.max(np.abs(U @ witness.as_array()))) <= 1e-10
+            assert float(np.max(np.abs(U @ np.asarray(witness)))) <= 1e-10
 
 
 def test_circular_cone_annihilator_witness_matches_primal_test():
@@ -271,9 +278,37 @@ def test_circular_cone_annihilator_witness_matches_primal_test():
         assert trivial == (witness is not None)
         if witness is not None:
             assert dual_contains(cone, witness, strict=True)
-            assert float(np.max(np.abs(U @ witness.as_array()))) <= 1e-9
+            assert float(np.max(np.abs(U @ np.asarray(witness)))) <= 1e-9
         seen.add((3 - U.shape[0], trivial))
     assert seen == {(1, False), (1, True), (2, False), (2, True)}
+
+
+_coord = st.floats(-1.0, 1.0, allow_nan=False)
+_row = st.tuples(_coord, _coord, _coord)
+_WITNESS_CONES = (
+    DEFAULT_CONE,
+    SegmentCone((1.0, 0.2, -0.3), (0.1, 1.0, 0.4), 0.6),
+    CircularCone((0.2, 0.3, 1.0), 0.5),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(cone=st.sampled_from(_WITNESS_CONES), rows=st.lists(_row, min_size=1, max_size=2),
+       mix=st.tuples(_row, _row))
+def test_witness_depends_on_the_subspace_not_its_basis(cone, rows, mix):
+    # U and M U span the same subspace for an invertible M, so the witness is
+    # the same covector (or absent for both)
+    U = np.array(rows)
+    k = U.shape[0]
+    M = np.array(mix)[:k, :k]
+    for A in (U, M):
+        s = np.linalg.svd(A, compute_uv=False)
+        assume(s[-1] > 0.05 * s[0] and s[0] > 0.1)
+    w1 = find_interior_dual_in_annihilator(cone, U)
+    w2 = find_interior_dual_in_annihilator(cone, M @ U)
+    assert (w1 is None) == (w2 is None)
+    if w1 is not None:
+        assert np.max(np.abs(np.subtract(w1, w2))) <= 1e-12
 
 
 def test_projection_of_generators_stays_acute():
@@ -303,9 +338,3 @@ def test_cone_json_round_trip():
         data = cone_to_json(cone)
         assert cone_from_json(data) == cone
     assert cone_to_json(DEFAULT_CONE) == {"kind": "segment", "u1": [1.0, 0.0, 0.0], "u2": [0.0, 1.0, 0.0]}
-
-
-def test_covector_pairing():
-    cv = Covector((1.0, 2.0, 3.0))
-    assert cv.pair((1, 1, 1)) == 6.0
-    assert np.allclose(cv.as_array(), [1, 2, 3])

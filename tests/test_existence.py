@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sublorentz.cli import build_table, expected_outcome, sample_case
+from sublorentz.cli import build_table
 from sublorentz.conegeom import DEFAULT_CONE, CircularCone, SegmentCone
 from sublorentz.existence import (
     Outcome,
@@ -13,9 +13,9 @@ from sublorentz.existence import (
     killing_containment,
     witness_is_valid,
 )
-from sublorentz.liealg3 import (CASE_IDS, LieAlgebra3, SubLorentzCase, algebra_from_structure_matrix,
-                                from_case)
+from sublorentz.liealg3 import CASE_IDS, LieAlgebra3, SubLorentzCase, from_case
 from sublorentz.longarc import build_structure, sl2_cover_frame
+from sublorentz.oracle import expected_outcome, sample_case
 
 
 def test_heisenberg_exists_with_axis_witness():
@@ -158,6 +158,16 @@ def test_verdicts_match_reference_over_samples():
         assert table["all_match"] and not misses, (seed, misses)
 
 
+@pytest.mark.parametrize("cid,x", [("11", 1.7), ("11", 300.0), ("12", -0.4), ("12", -1.7)])
+def test_oracle_agrees_with_the_verdict_where_chi_is_within_tolerance_of_kappa(cid, x):
+    # chi = +-kappa is decided by the predicate from_case uses to pick the row's branch
+    for sign in (1.0, -1.0):
+        for d in (0.0, 0.9e-12, -0.9e-12):
+            case = SubLorentzCase(cid, kappa=sign * x * (1.0 + d), chi=x)
+            want = Outcome.EXISTS if sign > 0 else Outcome.INCONCLUSIVE
+            assert check_case(case).outcome == expected_outcome(case) == want, case
+
+
 def test_every_exists_witness_is_valid():
     rng = np.random.default_rng(123)
     for cid in CASE_IDS:
@@ -171,13 +181,11 @@ def test_every_exists_witness_is_valid():
 @pytest.mark.parametrize("cid,k,x", [("13", 7.0, -1.0), ("14", 2.0, -1.0), ("15", 9.0, -1.0),
                                      ("16", -7.0, -1.0), ("17", -2.0, -1.0), ("18", -9.0, -1.0)])
 def test_square_root_sign_does_not_change_verdict(cid, k, x):
-    case = SubLorentzCase(cid, kappa=k, chi=x)
-    A = case.structure_constants()
-    flipped = A.copy()
-    flipped[2, :2] = -flipped[2, :2]
-    v1 = check_solvable(algebra_from_structure_matrix(A))
-    v2 = check_solvable(algebra_from_structure_matrix(flipped))
-    assert v1.outcome == v2.outcome
+    # the square root sits in [X1, X2] = b1 X1 + b2 X2 + X3; flip its sign there
+    alg = from_case(SubLorentzCase(cid, kappa=k, chi=x))
+    b1, b2, _ = alg.b12
+    flipped = LieAlgebra3((-b1, -b2, 1.0), alg.b13, alg.b23)
+    assert check_solvable(alg).outcome == check_solvable(flipped).outcome
 
 
 @pytest.mark.parametrize("case", [

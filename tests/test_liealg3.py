@@ -5,14 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sublorentz.cli import sample_case
-from sublorentz.liealg3 import (
-    CASE_IDS,
-    LieAlgebra3,
-    SubLorentzCase,
-    algebra_from_structure_matrix,
-    from_case,
-)
+from sublorentz.liealg3 import CASE_IDS, LieAlgebra3, SubLorentzCase, from_case
+from sublorentz.oracle import sample_case
 
 finite = st.floats(min_value=-5, max_value=5, allow_nan=False)
 
@@ -148,49 +142,55 @@ def test_derived_subalgebra_dimensions():
     assert from_case(SubLorentzCase("10", kappa=-2.0, chi=-1.0)).derived_subalgebra().shape[0] == 3
 
 
-def test_structure_matrix_examples():
-    A1 = SubLorentzCase("1", kappa=0.0).structure_constants()
-    expected = np.zeros((3, 3))
-    expected[2, 2] = 1.0
-    assert np.array_equal(A1, expected)
+def _layout_rows(alg) -> np.ndarray:
+    """[X1, X3], [X2, X3], [X1, X2] read back through the bracket."""
+    e1, e2, e3 = np.eye(3)
+    return np.array([alg.bracket(e1, e3), alg.bracket(e2, e3), alg.bracket(e1, e2)])
 
-    A11 = SubLorentzCase("11", kappa=1.0, chi=1.0).structure_constants()
-    assert np.array_equal(A11, [[0, 2, 0], [0, 0, 0], [0, 0, 1]])
+
+def test_row_bracket_table_examples():
+    # (b12, b13, b23) = ((b1, b2, 1), (c, a12, 0), (a21, -c, 0))
+    alg = heisenberg()
+    assert (alg.b12, alg.b13, alg.b23) == ((0.0, 0.0, 1.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
+
+    alg = from_case(SubLorentzCase("11", kappa=1.0, chi=1.0))
+    assert (alg.b12, alg.b13, alg.b23) == ((0.0, 0.0, 1.0), (0.0, 2.0, 0.0), (0.0, 0.0, 0.0))
 
     for cid, k, x in [("13", 7.0, -1.0), ("14", 2.0, -1.0), ("15", 8.0, -1.0)]:
-        A = SubLorentzCase(cid, kappa=k, chi=x).structure_constants()
-        assert np.allclose(A[0], [0, 2 * x, 0])
-        assert np.allclose(A[1], 0)
-        assert A[2, 0] == 0 and np.isclose(A[2, 1] ** 2, k - x) and A[2, 2] == 1.0
+        alg = from_case(SubLorentzCase(cid, kappa=k, chi=x))
+        assert alg.b13 == (0.0, 2 * x, 0.0) and alg.b23 == (0.0, 0.0, 0.0)
+        assert alg.b12[0] == 0 and np.isclose(alg.b12[1] ** 2, k - x) and alg.b12[2] == 1.0
+
+    alg = from_case(SubLorentzCase("19", kappa=0.5, chi=-1.5))
+    assert (alg.b12, alg.b13, alg.b23) == ((0.0, 0.0, 1.0), (-1.5, 0.5, 0.0), (0.5, 1.5, 0.0))
+
+
+def test_every_row_is_in_the_contact_layout():
+    # the row's table is the bracket of the basis pairs, in the layout
+    # [X1,X3] = c X1 + a12 X2, [X2,X3] = a21 X1 - c X2, [X1,X2] = b1 X1 + b2 X2 + X3,
+    # and a zero c gives a +0.0 entry -c
+    rng = np.random.default_rng(5)
+    for cid in CASE_IDS:
+        for i in range(10):
+            alg = from_case(sample_case(cid, rng, i))
+            rows = _layout_rows(alg)
+            assert rows.tobytes() == np.array([alg.b13, alg.b23, alg.b12]).tobytes()
+            assert alg.b12[2] == 1.0 and alg.b13[2] == 0.0 and alg.b23[2] == 0.0
+            assert alg.b23[1] == -alg.b13[0]
+            if alg.b13[0] == 0.0:
+                assert math.copysign(1.0, alg.b23[1]) == 1.0
 
 
 def test_kernel_and_derived_are_mutual_annihilators():
     rng = np.random.default_rng(5)
     for cid in CASE_IDS:
-        case = sample_case(cid, rng, 0)
-        alg = from_case(case)
-        A = case.structure_constants()
-        _, s, vt = np.linalg.svd(A)
+        alg = from_case(sample_case(cid, rng, 0))
+        _, s, vt = np.linalg.svd(_layout_rows(alg))
         kernel = vt[(s > 1e-10).sum():]
         derived = alg.derived_subalgebra()
         assert kernel.shape[0] + derived.shape[0] == 3
         if kernel.shape[0] and derived.shape[0]:
             assert np.max(np.abs(kernel @ derived.T)) <= 1e-10
-
-
-def test_structure_matrix_rejects_non_contact_layout():
-    A = SubLorentzCase("6", kappa=1.5).structure_constants()
-    with pytest.raises(ValueError, match="must be 3x3"):
-        algebra_from_structure_matrix(A[:2])
-    for i, j, value in ((0, 2, 0.5), (2, 2, 2.0)):
-        bad = A.copy()
-        bad[i, j] = value
-        with pytest.raises(ValueError, match="not in the normalized layout"):
-            algebra_from_structure_matrix(bad)
-    bad = A.copy()
-    bad[1, 1] = 0.0
-    with pytest.raises(ValueError, match="trace-free upper block"):
-        algebra_from_structure_matrix(bad)
 
 
 def test_killing_form_spot_values():
@@ -238,12 +238,3 @@ def test_killing_form_symmetric_and_invariant():
 def test_case_constraint_violations(kwargs, message):
     with pytest.raises(ValueError, match=message):
         SubLorentzCase(**kwargs)
-
-
-def test_structure_matrix_round_trip():
-    # the rows of the matrix read back as the coordinates of [X1,X3], [X2,X3], [X1,X2]
-    A = SubLorentzCase("6", kappa=1.5).structure_constants()
-    alg = algebra_from_structure_matrix(A)
-    e1, e2, e3 = np.eye(3)
-    read_back = [alg.bracket(e1, e3), alg.bracket(e2, e3), alg.bracket(e1, e2)]
-    assert np.array_equal(np.array(read_back), A)
