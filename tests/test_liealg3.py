@@ -238,3 +238,12 @@ def test_killing_form_symmetric_and_invariant():
 def test_case_constraint_violations(kwargs, message):
     with pytest.raises(ValueError, match=message):
         SubLorentzCase(**kwargs)
+
+
+def test_structure_matrix_round_trip():
+    # the structure matrix has the coordinates of [X1,X3], [X2,X3], [X1,X2] as its
+    # rows; an algebra built from those rows reads the same matrix back
+    A = _layout_rows(from_case(SubLorentzCase("6", kappa=1.5)))
+    alg = LieAlgebra3(b12=tuple(A[2]), b13=tuple(A[0]), b23=tuple(A[1]))
+    assert np.array_equal(_layout_rows(alg), A)
+    assert A.tobytes() == np.array([alg.b13, alg.b23, alg.b12]).tobytes()
