@@ -219,6 +219,9 @@ def cmd_table(args) -> int:
     if args.samples < 1:
         sys.stderr.write("samples must be >= 1\n")
         return EXIT_USAGE
+    if args.seed < 0:
+        sys.stderr.write("--seed must be >= 0\n")
+        return EXIT_USAGE
     table = build_table(args.samples, args.seed)
     if args.format == "text":
         _emit(render_table_text(table), args.out)
@@ -279,6 +282,9 @@ def cmd_solve(args) -> int:
         return EXIT_USAGE
     if args.budget < 0:
         sys.stderr.write("budget must be >= 0\n")
+        return EXIT_USAGE
+    if args.seed < 0:
+        sys.stderr.write("--seed must be >= 0\n")
         return EXIT_USAGE
     case = _case_from_args(args)
     if case.case_id == "9":

@@ -511,9 +511,8 @@ class IntegrationResult:
     trajectory: np.ndarray  # (N+1) x d coordinate samples
 
 
-def _runs(controls: np.ndarray):
-    """(index of its first row, the row as a list, its length) for each run of equal rows."""
-    rows = controls.tolist()
+def _runs(rows: list):
+    """(index of its first row, the row, its length) for each run of equal rows in a row list."""
     start = 0
     for i in range(1, len(rows) + 1):
         if i == len(rows) or rows[i] != rows[start]:
@@ -523,19 +522,19 @@ def _runs(controls: np.ndarray):
 
 def _check_rows(cone: SolidCone, controls: np.ndarray, first: int = 0) -> None:
     # equal rows get equal answers, so each run of equal rows is checked once
-    for idx, u, _ in _runs(controls):
+    for idx, u, _ in _runs(controls.tolist()):
         if float(np.linalg.norm(u)) <= 0.0:
             raise ValueError(f"control {first + idx} is zero")
         if not contains(cone, u):
             raise ValueError(f"control {first + idx} lies outside the admissible cone")
 
 
-def _steps(model, x, controls: np.ndarray, dt: float) -> list:
-    """The states after each control row, stepped from ``x``: one ``model.increment``
-    per run of equal rows, then one ``model.step`` per row."""
+def _steps(model, x, rows: list, dt: float) -> list:
+    """The states after each control row of the row list ``rows``, stepped from ``x``:
+    one ``model.increment`` per run of equal rows, then one ``model.step`` per row."""
     states = []
     step = model.step
-    for _, u, count in _runs(controls):
+    for _, u, count in _runs(rows):
         inc = model.increment(u, dt)
         for _ in range(count):
             x = step(x, inc)
@@ -583,7 +582,7 @@ def integrate(curve) -> IntegrationResult:
         _check_rows(st.cone, curve.base.controls, len(curve.loop.controls))
     states = [model.identity()]
     if curve.repeat:
-        states += _steps(model, states[-1], curve.loop.controls, curve.dt)
+        states += _steps(model, states[-1], curve.loop.controls.tolist(), curve.dt)
         if curve.repeat > 1:
             x = states[-1]
             if isinstance(model, QuaternionModel):
@@ -594,7 +593,7 @@ def integrate(curve) -> IntegrationResult:
             with np.errstate(over="ignore", invalid="ignore"):
                 states.append(_power(model, x, curve.repeat))
     if curve.base is not None:
-        states += _steps(model, states[-1], curve.base.controls, curve.dt)
+        states += _steps(model, states[-1], curve.base.controls.tolist(), curve.dt)
     return IntegrationResult(states[-1], np.array([model.coords(state) for state in states]))
 
 
@@ -623,7 +622,10 @@ def target_from_exp2(structure: CaseStructure, abc: Sequence[float]):
         raise TypeError("this model takes targets in its own coordinates, not exponential ones")
     if len(abc) != 3 or not all(isinstance(t, numbers.Real) and math.isfinite(t) for t in abc):
         raise ValueError(f"a target in exponential coordinates is three finite numbers, got {list(abc)}")
-    return _exp_product(model, [(float(amount), basis_vec) for amount, basis_vec in zip(abc, np.eye(3))])
+    try:
+        return _exp_product(model, [(float(amount), basis_vec) for amount, basis_vec in zip(abc, np.eye(3))])
+    except OverflowError:
+        raise ValueError(f"the target {list(abc)} is out of float range: its exponential overflows") from None
 
 
 # ---------------------------------------------------------------------------
@@ -741,6 +743,21 @@ _R_MIN = 1e-7
 
 
 class _Search:
+    """Scores candidate parameter arrays theta, one (r, b) row per control row.
+
+    A candidate is evaluated on plain Python rows.  Each run of equal theta
+    rows becomes one control row [r, r b, 0] (r clamped below at ``_R_MIN``,
+    b to +-``_B_MAX``) that the run's rows share.  The rollout walks these
+    rows against the last candidate's and reuses the states and anti-norm
+    values of the unchanged prefix.  From the first changed row on it steps
+    with one increment per run, and takes one anti-norm value per run (the
+    last candidate's where the run's first row is unchanged).  The length is
+    the left-to-right sum of the row values times dt, as :func:`length` takes
+    it, so a rollout gives the same floats as integrating the curve afresh.
+    A rollout whose exponential overflows or whose endpoint is not finite
+    scores as infeasible (endpoint error inf).
+    """
+
     # Feasible candidates are ranked by length minus a multiple of the endpoint
     # error so that an exact hit always beats a ball-edge curve whose extra
     # length is only an artifact of ending elsewhere (the achievable trade-off
@@ -757,27 +774,53 @@ class _Search:
         self.evals = 0
         self.tcoords = self.model.coords(target)
         self.best: Optional[tuple[float, np.ndarray, float]] = None
-        self._last_controls: Optional[np.ndarray] = None
-        self._last_states: Optional[list] = None
+        # the last rollout's control rows, states (identity first) and row values
+        self._last_rows: list = []
+        self._last_states: list = []
+        self._last_values: list = []
+
+    @staticmethod
+    def _rows(theta: np.ndarray) -> list:
+        # for finite entries max/min give the same floats as np.clip; r b keeps
+        # the sign of a zero b, which == ignores, so that sign is compared too
+        rows = []
+        prev = row = None
+        for rb in theta.tolist():
+            if rb != prev or (not rb[1] and math.copysign(1.0, rb[1]) != math.copysign(1.0, prev[1])):
+                prev = rb
+                r = max(rb[0], _R_MIN)
+                row = [r, r * min(max(rb[1], -_B_MAX), _B_MAX), 0.0]
+            rows.append(row)
+        return rows
 
     def controls_of(self, theta: np.ndarray) -> np.ndarray:
-        r = np.clip(theta[:, 0], _R_MIN, None)
-        b = np.clip(theta[:, 1], -_B_MAX, _B_MAX)
-        return np.column_stack([r, r * b, np.zeros(self.n)])
+        return np.array(self._rows(theta))
 
     def rollout(self, theta: np.ndarray) -> tuple[float, float]:
-        controls = self.controls_of(theta)
+        rows = self._rows(theta)
+        last = self._last_rows
         start = 0
-        if self._last_controls is not None:
-            same = np.all(controls == self._last_controls, axis=1)
-            start = int(np.argmin(same)) if not same.all() else self.n
+        while start < len(last) and rows[start] == last[start]:
+            start += 1
+        values = self._last_values[:start]
+        run = None
+        for k in range(start, self.n):
+            u = rows[k]
+            if u is not run:
+                run = u
+                value = self._last_values[k] if last and u == last[k] else self.nu(u)
+            values.append(value)
+        ell = float(sum(values) * self.dt)
         states = self._last_states[:start + 1] if start else [self.model.identity()]
-        states += _steps(self.model, states[-1], controls[start:], self.dt)
-        self._last_controls = controls
-        self._last_states = states
+        try:
+            states += _steps(self.model, states[-1], rows[start:], self.dt)
+        except OverflowError:
+            # no complete rollout to reuse a prefix of
+            self._last_rows = []
+            return ell, math.inf
+        self._last_rows, self._last_states, self._last_values = rows, states, values
         err = float(np.linalg.norm(self.model.coords(states[-1]) - self.tcoords))
-        ell = _length(self.nu, controls, self.dt)
-        return ell, err
+        return ell, err if math.isfinite(err) else math.inf
 
     def score(self, theta: np.ndarray, mu: float) -> float:
         if self.evals >= self.budget:
@@ -822,10 +865,13 @@ class _Search:
         return self._descend(theta, lambda t: self.score(t, mu), 0.25, 1e-14, 1e-8, box)
 
     def constant_descent(self, rb: np.ndarray, mu: float, box: int) -> np.ndarray:
-        return self._descend(rb, lambda v: self.score(np.tile(v, (self.n, 1)), mu),
+        return self._descend(rb, lambda v: self.score(np.full((self.n, 2), v), mu),
                              0.2, 1e-16, 1e-10, box)
 
 
+# a candidate far enough out overflows in floats and scores as infeasible, so
+# the search runs without numpy's overflow warnings
+@np.errstate(over="ignore", invalid="ignore")
 def maximize(structure: CaseStructure, target, n_steps: int = 24, budget: int = 10000,
              seed: int = DEFAULT_SEED) -> SolveResult:
     """Penalty-augmented multi-start search for a near-longest admissible curve.
@@ -847,12 +893,12 @@ def maximize(structure: CaseStructure, target, n_steps: int = 24, budget: int = 
     if isinstance(model, SemidirectModel):
         try:
             log_u = np.asarray(model.log(target), dtype=float)
-        except (ValueError, TypeError):
+        except (ValueError, TypeError, OverflowError):
             log_u = None
     if log_u is not None and log_u[0] > 0.0 and abs(log_u[2]) < 1e-9:
         r0 = float(np.clip(log_u[0], _R_MIN, None))
         b0 = float(np.clip(log_u[1] / max(log_u[0], _R_MIN), -_B_MAX, _B_MAX))
-        log_theta = np.tile([r0, b0], (n_steps, 1))
+        log_theta = np.full((n_steps, 2), [r0, b0])
 
     try:
         if log_theta is not None:
@@ -863,7 +909,7 @@ def maximize(structure: CaseStructure, target, n_steps: int = 24, budget: int = 
         grid: list[tuple[float, np.ndarray]] = []
         for r in np.linspace(0.15, r_hi, 12):
             for b in np.linspace(-0.95, 0.95, 13):
-                search.score(np.tile([r, b], (n_steps, 1)), 1e4)
+                search.score(np.full((n_steps, 2), [r, b]), 1e4)
                 grid.append((search.last[1], np.array([r, b])))
         grid.sort(key=lambda t: t[0])
 
@@ -878,7 +924,7 @@ def maximize(structure: CaseStructure, target, n_steps: int = 24, budget: int = 
             full_starts.append(search.best[1])
         if log_theta is not None:
             full_starts.append(log_theta)
-        full_starts.extend(np.tile(rb, (n_steps, 1)) for rb in refined[:1])
+        full_starts.extend(np.full((n_steps, 2), rb) for rb in refined[:1])
         for theta in full_starts:
             for mu, box in ((1e5, 1200), (1e7, 1200)):
                 theta = search.coordinate_descent(theta, mu, box)

@@ -289,6 +289,11 @@ def test_witness_for_a_huge_length_is_fast_and_small():
     (["sl2", "mul", "--g1", "0,0,0", "--g2", "0,0,0", "--format", "text"], "unrecognized arguments"),
     (["solve", "--case", "10", "--kappa", "-2", "--chi", "-1", "--target", "[1,0,0]"],
      "this model takes targets in its own coordinates"),
+    (["solve", "--case", "3", "--kappa", "0.5", "--target", "[1e6,1,0]", "--steps", "8",
+      "--budget", "5"], "its exponential overflows"),
+    (["solve", "--case", "1", "--kappa", "0", "--target", "[1,0,0]", "--steps", "2", "--budget", "5",
+      "--seed", "-1"], "--seed must be >= 0"),
+    (["table", "--seed", "-1"], "--seed must be >= 0"),
 ])
 def test_bad_inputs_are_named_usage_errors(argv, message):
     proc = subprocess.run([sys.executable, "-m", "sublorentz.cli", *argv],
@@ -296,6 +301,18 @@ def test_bad_inputs_are_named_usage_errors(argv, message):
     assert proc.returncode == EXIT_USAGE
     assert proc.stdout == ""
     assert message in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("target", ["[5,1,0]", "[30,1,0]", "[200,1,0]"])
+def test_far_targets_end_the_solve_without_an_error_or_a_warning(target):
+    # the grid sweep reaches controls whose exponentials overflow; such a
+    # candidate scores as infeasible and the search goes on
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "sublorentz.cli", "solve", "--case", "3",
+                           "--kappa", "0.5", "--steps", "8", "--budget", "2000", "--target", target],
+                          capture_output=True, text=True, env=_ENV)
+    assert proc.returncode in (EXIT_OK, EXIT_NOT_FOUND), proc.stderr
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout, parse_constant=_reject_constant)["target"] == json.loads(target)
 
 
 def _reject_constant(name):

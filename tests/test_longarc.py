@@ -27,6 +27,9 @@ from sublorentz.longarc import (
     sl2_cover_frame,
     _CONFLUENT_W2,
     _exp_flow,
+    _B_MAX,
+    _R_MIN,
+    _Search,
     _steps,
     su2_unbounded_witness,
     target_from_exp2,
@@ -144,7 +147,7 @@ def test_carried_exponential_tracks_the_closed_form(branch):
     w2 = y11 * y11 + y12 * y21
     assert {"nilpotent": w2 == 0.0, "confluent series": 0.0 < abs(w2) < _CONFLUENT_W2,
             "w2 > 0": w2 >= _CONFLUENT_W2, "w2 < 0": w2 <= -_CONFLUENT_W2}[branch]
-    states = _steps(model, model.identity(), np.tile(u, (10_000, 1)), dt)
+    states = _steps(model, model.identity(), [u] * 10_000, dt)
     # the reference is taken at the exact multiple k tau of the row's own t increment, so
     # that the rounding of the running sum t (the same as before E was carried) stays out
     tau = Fraction(states[0][0])
@@ -202,7 +205,7 @@ def test_steps_fold_one_increment_per_row(case, dt, rows):
     for u in rows:
         x = model.step(x, model.increment(u, dt))
         want.append(x)
-    got = _steps(model, model.identity(), rows, dt)
+    got = _steps(model, model.identity(), rows.tolist(), dt)
     assert [_flat(state) for state in got] == [_flat(state) for state in want]
 
 
@@ -412,6 +415,56 @@ def test_distance_upper_bound_rejects_bad_witnesses():
 
 
 # -- solver -----------------------------------------------------------------------------
+
+EDGE = AntiNorm("custom", fn=lambda u: u[0] - abs(u[1]), name="edge")
+
+# r below _R_MIN and b beyond +-_B_MAX are clamped; a zero b keeps its sign in r b
+_theta_r = hs.one_of(hs.floats(0.05, 2.0), hs.sampled_from([_R_MIN, 1e-9, 0.0, -0.0, -0.5]))
+_theta_rows = hs.tuples(
+    _theta_r, hs.one_of(hs.floats(-0.95, 0.95), hs.sampled_from([_B_MAX, -_B_MAX, 1.0, -1.5, 3.0, 0.0, -0.0])))
+
+
+@hs.composite
+def candidate_sequences(draw):
+    """A first theta, then candidates that are constant, constant but for the sign of a
+    zero b in one row, change one row, or are drawn afresh."""
+    n = draw(hs.integers(1, 6))
+    rows = hs.lists(_theta_rows, min_size=n, max_size=n)
+    theta = np.array(draw(rows))
+    out = [theta]
+    kinds = ["constant", "zero signs", "one row", "fresh"]
+    for kind in draw(hs.lists(hs.sampled_from(kinds), min_size=1, max_size=8)):
+        if kind == "constant":
+            theta = np.tile(draw(_theta_rows), (n, 1))
+        elif kind == "zero signs":
+            theta = np.tile([draw(_theta_r), 0.0], (n, 1))
+            theta[draw(hs.integers(0, n - 1)), 1] = -0.0
+        elif kind == "one row":
+            theta = theta.copy()
+            theta[draw(hs.integers(0, n - 1))] = draw(_theta_rows)
+        else:
+            theta = np.array(draw(rows))
+        out.append(theta)
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(hs.sampled_from([(SubLorentzCase("12", kappa=-1.0, chi=-1.0), LORENTZIAN), (SL2, LORENTZIAN),
+                        (HEIS, EDGE)]),
+       candidate_sequences())
+def test_rollout_matches_a_fresh_length_and_integration(structure_args, thetas):
+    st = build_structure(*structure_args)
+    target = integrate(constant_curve(st, (1.0, 0.2, 0.0), n=4)).endpoint
+    search = _Search(st, target, len(thetas[0]), budget=len(thetas))
+    for theta in thetas:
+        ell, err = search.rollout(theta)
+        controls = search.controls_of(theta)
+        r, b = np.clip(theta[:, 0], _R_MIN, None), np.clip(theta[:, 1], -_B_MAX, _B_MAX)
+        assert controls.tobytes() == np.column_stack([r, r * b, np.zeros(len(theta))]).tobytes()
+        curve = ControlCurve(search.dt, controls, st)
+        want_err = float(np.linalg.norm(st.model.coords(integrate(curve).endpoint) - search.tcoords))
+        assert (ell.hex(), err.hex()) == (length(curve).hex(), want_err.hex())
+
 
 def test_maximize_heisenberg_recovers_straight_arc():
     st = build_structure(HEIS)
