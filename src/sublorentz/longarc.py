@@ -17,9 +17,13 @@ subgroup steps, on one of three concrete group realizations:
   of the left-invariant dynamics on plain floats, whose four stages all use
   the one left-translation formula of :mod:`sublorentz.sl2cover`.
 
-Every model steps a curve in two parts: ``increment(u, dt)`` does the work
-that depends on the control row alone, once per run of equal rows, and
-``step(x, inc)`` advances the state ``x`` by one row with it.
+Every model steps a curve in two parts: ``increment(u, h)`` does the work
+that depends on the control row and the duration alone, and ``step(x, inc)``
+advances the state ``x`` with it.  On the semidirect model the increment is
+the exact exponential exp(h u), so a run of k equal rows from ``x`` ends at
+``step(x, increment(u, k dt))``, one exponential and one product whatever k
+is, and its j-th row is ``step(x, increment(u, j dt))``.  The quaternion and
+cover models take one increment per run and fold ``step`` over its rows.
 
 On top of integration the module provides the generalized length functional,
 a calibration-based upper bound on lengths into a target (solvable rows with
@@ -30,6 +34,7 @@ loop block, a repeat count and a base curve.
 
 from __future__ import annotations
 
+import bisect
 import math
 import numbers
 from dataclasses import dataclass
@@ -66,7 +71,8 @@ class AntiNorm:
     meaningful on the planar cone |x2| <= x1); any other concave homogeneous
     choice is supplied as ``kind="custom"`` with an evaluator.  Called on an
     (N, 3) array it returns the N row values, each equal to the value of the
-    row on its own.
+    row on its own.  The Lorentzian value of a plain list of floats is taken
+    on the floats themselves, with the same operations.
     """
 
     kind: str = "lorentzian"
@@ -74,11 +80,13 @@ class AntiNorm:
     name: str = ""
 
     def __call__(self, u):
-        u = np.asarray(u, dtype=float)
         if self.kind == "lorentzian":
-            if u.ndim == 2:
-                return np.sqrt(np.maximum(u[:, 0] * u[:, 0] - u[:, 1] * u[:, 1], 0.0))
+            if not isinstance(u, list):
+                u = np.asarray(u, dtype=float)
+                if u.ndim == 2:
+                    return np.sqrt(np.maximum(u[:, 0] * u[:, 0] - u[:, 1] * u[:, 1], 0.0))
             return math.sqrt(max(u[0] * u[0] - u[1] * u[1], 0.0))
+        u = np.asarray(u, dtype=float)
         if self.fn is None:
             raise ValueError("custom anti-norm needs an evaluator")
         if u.ndim == 2:
@@ -183,8 +191,9 @@ class SemidirectModel:
     the product (t1, q1, E1)(t2, q2, E2) = (t1 + t2, q1 + E1 q2, E1 E2) makes
     no transcendental call.  ``coords`` and ``log`` read only (t, q).
     Exponentials of algebra vectors are available in closed form, so
-    constant-control steps are exact; the increment of a row is its
-    exponential and a step is one product.
+    constant-control steps are exact: the increment of a row over a
+    duration h is exp(h u), and a step is one product.  A run of k equal
+    rows is therefore one increment over k dt and one step.
     """
 
     def __init__(self, algebra: LieAlgebra3):
@@ -230,7 +239,7 @@ class SemidirectModel:
         return (0.0, (0.0, 0.0), (1.0, 0.0, 0.0, 1.0))
 
     def split(self, u) -> tuple[float, tuple[float, float]]:
-        u0, u1, u2 = np.asarray(u, dtype=float).tolist()
+        u0, u1, u2 = u if isinstance(u, list) else np.asarray(u, dtype=float).tolist()
         r0, r1, r2 = self._frame_rows
         return (r0[0] * u0 + r0[1] * u1 + r0[2] * u2,
                 (r1[0] * u0 + r1[1] * u1 + r1[2] * u2, r2[0] * u0 + r2[1] * u1 + r2[2] * u2))
@@ -530,15 +539,25 @@ def _check_rows(cone: SolidCone, controls: np.ndarray, first: int = 0) -> None:
 
 
 def _steps(model, x, rows: list, dt: float) -> list:
-    """The states after each control row of the row list ``rows``, stepped from ``x``:
-    one ``model.increment`` per run of equal rows, then one ``model.step`` per row."""
+    """The states after each control row of the row list ``rows``, stepped from ``x``.
+
+    On the semidirect model the j-th row of a run of equal rows that starts
+    at the state ``x_s`` is ``step(x_s, increment(u, j dt))``, so the run's
+    last row is the one exact step a rollout takes for it.  The other models
+    take one increment per run and fold one ``step`` per row.
+    """
     states = []
     step = model.step
+    exact = isinstance(model, SemidirectModel)
     for _, u, count in _runs(rows):
-        inc = model.increment(u, dt)
-        for _ in range(count):
-            x = step(x, inc)
-            states.append(x)
+        if exact:
+            states += [step(x, model.increment(u, j * dt)) for j in range(1, count + 1)]
+            x = states[-1]
+        else:
+            inc = model.increment(u, dt)
+            for _ in range(count):
+                x = step(x, inc)
+                states.append(x)
     return states
 
 
@@ -572,6 +591,8 @@ def integrate(curve) -> IntegrationResult:
     to the repeat count by binary powering, and the base is stepped from
     there.  Its trajectory samples one block traversal, then
     the powered endpoint when the repeat count exceeds one, then the base.
+    With repeat 1 the block and the base are stepped as one row list, so a
+    run of equal rows across them is one run, as in the expanded curve.
     """
     if isinstance(curve, ControlCurve):
         curve = LoopedCurve(curve, 1)
@@ -581,19 +602,21 @@ def integrate(curve) -> IntegrationResult:
     if curve.base is not None:
         _check_rows(st.cone, curve.base.controls, len(curve.loop.controls))
     states = [model.identity()]
-    if curve.repeat:
-        states += _steps(model, states[-1], curve.loop.controls.tolist(), curve.dt)
-        if curve.repeat > 1:
-            x = states[-1]
-            if isinstance(model, QuaternionModel):
-                # rounding moves the block endpoint off the unit sphere, and
-                # powering would raise its norm to the repeat count
-                x = x / np.linalg.norm(x)
-            # a power that overflows comes out non-finite, which callers detect
-            with np.errstate(over="ignore", invalid="ignore"):
-                states.append(_power(model, x, curve.repeat))
+    rows = curve.loop.controls.tolist() if curve.repeat else []
+    if curve.repeat > 1:
+        states += _steps(model, states[-1], rows, curve.dt)
+        x = states[-1]
+        if isinstance(model, QuaternionModel):
+            # rounding moves the block endpoint off the unit sphere, and
+            # powering would raise its norm to the repeat count
+            x = x / np.linalg.norm(x)
+        # a power that overflows comes out non-finite, which callers detect
+        with np.errstate(over="ignore", invalid="ignore"):
+            states.append(_power(model, x, curve.repeat))
+        rows = []
     if curve.base is not None:
-        states += _steps(model, states[-1], curve.base.controls.tolist(), curve.dt)
+        rows += curve.base.controls.tolist()
+    states += _steps(model, states[-1], rows, curve.dt)
     return IntegrationResult(states[-1], np.array([model.coords(state) for state in states]))
 
 
@@ -694,11 +717,12 @@ def distance_upper_bound(structure: CaseStructure, target, witness) -> float:
         paths.append(prefix + [(1.0, model.log(rest))])
 
     values = []
-    tc = model.coords(target)
+    # hypot scales its arguments, so a far target's norm does not overflow
+    tc = model.coords(target).tolist()
     for segs in paths:
         x = _exp_product(model, segs)
-        endpoint_err = float(np.linalg.norm(model.coords(x) - tc))
-        if endpoint_err > 1e-9 * max(1.0, float(np.linalg.norm(tc))):
+        endpoint_err = math.hypot(*(a - b for a, b in zip(model.coords(x).tolist(), tc)))
+        if endpoint_err > 1e-9 * max(1.0, math.hypot(*tc)):
             raise AssertionError("path construction missed the target")
         values.append(_form_integral(p, segs))
     spread = max(values) - min(values)
@@ -747,14 +771,25 @@ class _Search:
 
     A candidate is evaluated on plain Python rows.  Each run of equal theta
     rows becomes one control row [r, r b, 0] (r clamped below at ``_R_MIN``,
-    b to +-``_B_MAX``) that the run's rows share.  The rollout walks these
-    rows against the last candidate's and reuses the states and anti-norm
-    values of the unchanged prefix.  From the first changed row on it steps
-    with one increment per run, and takes one anti-norm value per run (the
-    last candidate's where the run's first row is unchanged).  The length is
-    the left-to-right sum of the row values times dt, as :func:`length` takes
-    it, so a rollout gives the same floats as integrating the curve afresh.
-    A rollout whose exponential overflows or whose endpoint is not finite
+    b to +-``_B_MAX``) that the run's rows share.  The rollout works per run
+    of equal control rows and keeps, for each run of the last candidate, its
+    start index, row, count, start state, increment and anti-norm value; the
+    fold models also keep the state after every row.
+
+    It walks the rows against the last candidate's to the first changed row
+    and restarts at the start of the new candidate's run that holds it.  That
+    start is a run start of the last candidate, unless the changed row opens
+    a new run inside an old one; then one exponential gives its state on the
+    semidirect model, and the fold models have it among their states.  The
+    fold models step on from the changed row itself, so no row is stepped
+    twice.  A run that starts where an old one did with the same row takes
+    its anti-norm value, and its increment too where the count is also
+    unchanged (on the fold models the increment does not depend on the
+    count).  A semidirect run is one exact step, as :func:`integrate` takes
+    it, and the length is the left-to-right sum of the row values (the value
+    of a run's first row, repeated) times dt, as :func:`length` takes it; so
+    a rollout gives the same floats as integrating the curve afresh.  A
+    rollout whose exponential overflows or whose endpoint is not finite
     scores as infeasible (endpoint error inf).
     """
 
@@ -767,6 +802,7 @@ class _Search:
     def __init__(self, structure: CaseStructure, target, n_steps: int, budget: int):
         self.st = structure
         self.model = structure.model
+        self.exact = isinstance(self.model, SemidirectModel)
         self.nu = structure.anti_norm
         self.n = n_steps
         self.dt = 1.0 / n_steps
@@ -774,53 +810,99 @@ class _Search:
         self.evals = 0
         self.tcoords = self.model.coords(target)
         self.best: Optional[tuple[float, np.ndarray, float]] = None
-        # the last rollout's control rows, states (identity first) and row values
+        # the last rollout: its control rows, run starts, runs (start, row, count,
+        # start state, increment, value), row values, states after each row (the
+        # identity first; fold models only) and (length, endpoint error)
         self._last_rows: list = []
-        self._last_states: list = []
+        self._last_starts: list = []
+        self._last_runs: list = []
         self._last_values: list = []
+        self._last_states: list = []
+        self._last_score = (math.nan, math.inf)
 
     @staticmethod
-    def _rows(theta: np.ndarray) -> list:
+    def _rows(theta: np.ndarray) -> tuple[list, list]:
+        """The control rows of theta, and the index of the first row of each run of equal
+        rows followed by the row count."""
         # for finite entries max/min give the same floats as np.clip; r b keeps
         # the sign of a zero b, which == ignores, so that sign is compared too
-        rows = []
+        rows, starts = [], []
         prev = row = None
         for rb in theta.tolist():
             if rb != prev or (not rb[1] and math.copysign(1.0, rb[1]) != math.copysign(1.0, prev[1])):
                 prev = rb
                 r = max(rb[0], _R_MIN)
-                row = [r, r * min(max(rb[1], -_B_MAX), _B_MAX), 0.0]
+                u = [r, r * min(max(rb[1], -_B_MAX), _B_MAX), 0.0]
+                if u != row:
+                    starts.append(len(rows))
+                row = u
             rows.append(row)
-        return rows
+        starts.append(len(rows))
+        return rows, starts
 
     def controls_of(self, theta: np.ndarray) -> np.ndarray:
-        return np.array(self._rows(theta))
+        return np.array(self._rows(theta)[0])
 
     def rollout(self, theta: np.ndarray) -> tuple[float, float]:
-        rows = self._rows(theta)
-        last = self._last_rows
-        start = 0
-        while start < len(last) and rows[start] == last[start]:
-            start += 1
-        values = self._last_values[:start]
-        run = None
-        for k in range(start, self.n):
-            u = rows[k]
-            if u is not run:
-                run = u
-                value = self._last_values[k] if last and u == last[k] else self.nu(u)
-            values.append(value)
-        ell = float(sum(values) * self.dt)
-        states = self._last_states[:start + 1] if start else [self.model.identity()]
+        rows, starts = self._rows(theta)
+        last, runs = self._last_rows, self._last_runs
+        i = 0
+        while i < len(last) and rows[i] == last[i]:
+            i += 1
+        if i == self.n:
+            return self._last_score
+        model, step, dt, exact = self.model, self.model.step, self.dt, self.exact
+        m = bisect.bisect_right(starts, i) - 1  # the new run that holds row i
+        s = starts[m]
+        j, kept, values = 0, [], self._last_values[:s]
         try:
-            states += _steps(self.model, states[-1], rows[start:], self.dt)
+            if runs:
+                j = bisect.bisect_right(self._last_starts, s) - 1  # the old run that holds row s
+                s0, u0, _, x, inc, value = runs[j]
+                kept = runs[:j]
+                if s0 < s:
+                    # row s opens a new run inside an old one, which now ends before it
+                    if exact:
+                        inc = model.increment(u0, (s - s0) * dt)
+                    kept.append((s0, u0, s - s0, x, inc, value))
+                    if exact:
+                        x = step(x, inc)
+            else:
+                x = model.identity()
+            if not exact:
+                states = self._last_states[:i + 1] if runs else [x]
+                x = states[-1]
+            for s, end in zip(starts[m:], starts[m + 1:]):
+                u, k = rows[s], end - s
+                while j < len(runs) and runs[j][0] < s:
+                    j += 1
+                if j < len(runs) and runs[j][0] == s and runs[j][1] == u:
+                    _, _, k0, _, inc, value = runs[j]
+                    if exact and k0 != k:
+                        inc = model.increment(u, k * dt)
+                else:
+                    inc = model.increment(u, k * dt if exact else dt)
+                    value = self.nu(u)
+                values += [value] * k
+                if exact:
+                    kept.append((s, u, k, x, inc, value))
+                    x = step(x, inc)
+                else:
+                    kept.append((s, u, k, states[s], inc, value))
+                    for _ in range(end - max(s, i)):
+                        x = step(x, inc)
+                        states.append(x)
         except OverflowError:
-            # no complete rollout to reuse a prefix of
-            self._last_rows = []
-            return ell, math.inf
-        self._last_rows, self._last_states, self._last_values = rows, states, values
-        err = float(np.linalg.norm(self.model.coords(states[-1]) - self.tcoords))
-        return ell, err if math.isfinite(err) else math.inf
+            # no complete rollout to reuse a part of; the length still counts every row
+            self._last_rows, self._last_runs = [], []
+            return _length(self.nu, np.array(rows), dt), math.inf
+        ell = float(sum(values) * dt)
+        err = float(np.linalg.norm(model.coords(x) - self.tcoords))
+        self._last_score = ell, err if math.isfinite(err) else math.inf
+        self._last_rows, self._last_starts, self._last_runs, self._last_values = rows, starts, kept, values
+        if not exact:
+            self._last_states = states
+        return self._last_score
 
     def score(self, theta: np.ndarray, mu: float) -> float:
         if self.evals >= self.budget:

@@ -315,6 +315,17 @@ def test_far_targets_end_the_solve_without_an_error_or_a_warning(target):
     assert json.loads(proc.stdout, parse_constant=_reject_constant)["target"] == json.loads(target)
 
 
+@pytest.mark.parametrize("row", [["1", "--kappa", "0"], ["12", "--kappa", "-1", "--chi", "-1"]])
+def test_far_targets_leave_the_calibration_bound_without_a_warning(row):
+    # the bound's path check measures the target, whose squared norm overflows
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "sublorentz.cli", "solve", "--case", *row,
+                           "--steps", "8", "--budget", "300", "--target", "[1,0,1e300]"],
+                          capture_output=True, text=True, env=_ENV)
+    assert proc.returncode in (EXIT_OK, EXIT_NOT_FOUND), proc.stderr
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout, parse_constant=_reject_constant)["upper_bound"] == 1.0
+
+
 def _reject_constant(name):
     raise ValueError(f"{name} is not valid JSON")
 

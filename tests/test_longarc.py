@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from sublorentz.longarc import (
     ControlCurve,
     CoverModel,
     LoopedCurve,
+    SemidirectModel,
     build_cover_structure,
     build_structure,
     distance_upper_bound,
@@ -147,7 +149,9 @@ def test_carried_exponential_tracks_the_closed_form(branch):
     w2 = y11 * y11 + y12 * y21
     assert {"nilpotent": w2 == 0.0, "confluent series": 0.0 < abs(w2) < _CONFLUENT_W2,
             "w2 > 0": w2 >= _CONFLUENT_W2, "w2 < 0": w2 <= -_CONFLUENT_W2}[branch]
-    states = _steps(model, model.identity(), [u] * 10_000, dt)
+    # 10 000 products carry E; _steps would take each row's exponential afresh
+    inc = model.increment(u, dt)
+    states = list(itertools.accumulate([inc] * 10_000, model.step, initial=model.identity()))[1:]
     # the reference is taken at the exact multiple k tau of the row's own t increment, so
     # that the rounding of the running sum t (the same as before E was carried) stays out
     tau = Fraction(states[0][0])
@@ -199,12 +203,19 @@ def _flat(x) -> list:
 @given(hs.sampled_from([HEIS, SubLorentzCase("12", kappa=-1.0, chi=-1.0), SU2, SL2]),
        hs.floats(0.01, 0.5), curve_rows())
 def test_steps_fold_one_increment_per_row(case, dt, rows):
+    # a semidirect run from x_s reaches x_s exp(j dt u) at its j-th row; the
+    # quaternion and cover models fold one step per row
     model = build_structure(case).model
     x = model.identity()
     want = []
-    for u in rows:
-        x = model.step(x, model.increment(u, dt))
-        want.append(x)
+    for u, run in itertools.groupby(rows.tolist()):
+        start = x
+        for j in range(1, len(list(run)) + 1):
+            if isinstance(model, SemidirectModel):
+                x = model.multiply(start, model.exp(u, j * dt))
+            else:
+                x = model.step(x, model.increment(u, dt))
+            want.append(x)
     got = _steps(model, model.identity(), rows.tolist(), dt)
     assert [_flat(state) for state in got] == [_flat(state) for state in want]
 
@@ -427,12 +438,13 @@ _theta_rows = hs.tuples(
 @hs.composite
 def candidate_sequences(draw):
     """A first theta, then candidates that are constant, constant but for the sign of a
-    zero b in one row, change one row, or are drawn afresh."""
-    n = draw(hs.integers(1, 6))
+    zero b in one row, change one row, copy a neighbour's row (merging runs), change a
+    row inside a run of equal rows (splitting it), or are drawn afresh."""
+    n = draw(hs.integers(1, 8))
     rows = hs.lists(_theta_rows, min_size=n, max_size=n)
     theta = np.array(draw(rows))
     out = [theta]
-    kinds = ["constant", "zero signs", "one row", "fresh"]
+    kinds = ["constant", "zero signs", "one row", "copy a neighbour", "inside a run", "fresh"]
     for kind in draw(hs.lists(hs.sampled_from(kinds), min_size=1, max_size=8)):
         if kind == "constant":
             theta = np.tile(draw(_theta_rows), (n, 1))
@@ -442,6 +454,15 @@ def candidate_sequences(draw):
         elif kind == "one row":
             theta = theta.copy()
             theta[draw(hs.integers(0, n - 1))] = draw(_theta_rows)
+        elif kind == "copy a neighbour":
+            theta = theta.copy()
+            k = draw(hs.integers(0, n - 1))
+            theta[k] = theta[draw(hs.sampled_from(sorted({max(k - 1, 0), min(k + 1, n - 1)})))]
+        elif kind == "inside a run":
+            inside = [k for k in range(1, n) if theta[k].tobytes() == theta[k - 1].tobytes()]
+            theta = theta.copy()
+            if inside:
+                theta[draw(hs.sampled_from(inside))] = draw(_theta_rows)
         else:
             theta = np.array(draw(rows))
         out.append(theta)
@@ -464,6 +485,72 @@ def test_rollout_matches_a_fresh_length_and_integration(structure_args, thetas):
         curve = ControlCurve(search.dt, controls, st)
         want_err = float(np.linalg.norm(st.model.coords(integrate(curve).endpoint) - search.tcoords))
         assert (ell.hex(), err.hex()) == (length(curve).hex(), want_err.hex())
+
+
+def _counted(monkeypatch, cls, name) -> list:
+    """The list that collects the arguments of every call of ``cls.name`` from now on."""
+    calls = []
+    original = getattr(cls, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+def _distinct_theta(n: int) -> np.ndarray:
+    rng = np.random.default_rng(7)
+    return np.column_stack([rng.uniform(0.5, 1.5, n), rng.uniform(-0.5, 0.5, n)])
+
+
+def test_a_semidirect_run_is_one_exponential_and_one_step(monkeypatch):
+    st = build_structure(HEIS)
+    target = target_from_exp2(st, (1.0, 0.0, 0.0))
+    exps = _counted(monkeypatch, SemidirectModel, "exp")
+    steps = _counted(monkeypatch, SemidirectModel, "step")
+    search = _Search(st, target, 32, budget=1)
+    search.rollout(np.full((32, 2), [0.9, 0.1]))
+    assert (len(exps), len(steps)) == (1, 1)
+
+    # a one-row change takes one exponential for the changed row; every later run
+    # keeps its increment
+    base = _distinct_theta(32)
+    for i in range(32):
+        search.rollout(base)
+        changed = base.copy()
+        changed[i] = [2.0, 0.7]
+        exps.clear()
+        search.rollout(changed)
+        assert len(exps) == 1, i
+
+    # inside a run of four equal rows: the run's kept head, the changed row and the
+    # run's tail, whose count changed
+    runs = np.repeat(base[:8], 4, axis=0)
+    for i in range(32):
+        search.rollout(runs)
+        changed = runs.copy()
+        changed[i] = [2.0, 0.7]
+        exps.clear()
+        search.rollout(changed)
+        assert len(exps) <= 3, i
+
+
+def test_a_cover_change_steps_from_the_changed_row_on(monkeypatch):
+    st = build_structure(SL2)
+    target = integrate(constant_curve(st, (1.0, 0.2, 0.0), n=4)).endpoint
+    n = 16
+    steps = _counted(monkeypatch, CoverModel, "step")
+    search = _Search(st, target, n, budget=1)
+    for base in (_distinct_theta(n), np.repeat(_distinct_theta(4), 4, axis=0)):
+        for i in range(n):
+            search.rollout(base)
+            changed = base.copy()
+            changed[i] = [2.0, 0.7]
+            steps.clear()
+            search.rollout(changed)
+            assert len(steps) == n - i, i
 
 
 def test_maximize_heisenberg_recovers_straight_arc():
