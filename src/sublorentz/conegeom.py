@@ -96,6 +96,8 @@ class CircularCone:
             raise ValueError("axis must be nonzero")
         object.__setattr__(self, "axis", tuple(a))
         object.__setattr__(self, "eta", float(self.eta))
+        if not math.isfinite(self.eta):
+            raise ValueError(f"eta must be finite, got {self.eta!r}")
         if self.eta < 0.0:
             raise ValueError("eta must be >= 0")
 

@@ -34,7 +34,6 @@ loop block, a repeat count and a base curve.
 
 from __future__ import annotations
 
-import bisect
 import math
 import numbers
 from dataclasses import dataclass
@@ -772,25 +771,25 @@ class _Search:
     A candidate is evaluated on plain Python rows.  Each run of equal theta
     rows becomes one control row [r, r b, 0] (r clamped below at ``_R_MIN``,
     b to +-``_B_MAX``) that the run's rows share.  The rollout works per run
-    of equal control rows and keeps, for each run of the last candidate, its
-    start index, row, count, start state, increment and anti-norm value; the
-    fold models also keep the state after every row.
+    of equal control rows and keeps one record per run of the last
+    candidate, keyed by the run's start index: its row, count, start state,
+    increment and anti-norm value.  The fold models also keep the state after
+    every row.
 
-    It walks the rows against the last candidate's to the first changed row
-    and restarts at the start of the new candidate's run that holds it.  That
-    start is a run start of the last candidate, unless the changed row opens
-    a new run inside an old one; then one exponential gives its state on the
-    semidirect model, and the fold models have it among their states.  The
-    fold models step on from the changed row itself, so no row is stepped
-    twice.  A run that starts where an old one did with the same row takes
-    its anti-norm value, and its increment too where the count is also
-    unchanged (on the fold models the increment does not depend on the
-    count).  A semidirect run is one exact step, as :func:`integrate` takes
-    it, and the length is the left-to-right sum of the row values (the value
-    of a run's first row, repeated) times dt, as :func:`length` takes it; so
-    a rollout gives the same floats as integrating the curve afresh.  A
-    rollout whose exponential overflows or whose endpoint is not finite
-    scores as infeasible (endpoint error inf).
+    It walks the new candidate's runs in one pass.  A run equal to the last
+    candidate's in start, row and count is taken as it is, up to the first
+    run that differs; that run starts from the record at its own start (the
+    identity on the first rollout), and a fold model steps on from its first
+    changed row, so no row is stepped twice.  From there a run that starts
+    where an old one did with the same row takes its anti-norm value, and its
+    increment too where the count is also unchanged (on the fold models the
+    increment does not depend on the count).  When no run differs the last
+    score is returned.  A semidirect run is one exact step, as
+    :func:`integrate` takes it, and the length is the left-to-right sum of
+    the row values (the value of a run's first row, repeated) times dt, as
+    :func:`length` takes it; so a rollout gives the same floats as
+    integrating the curve afresh.  A rollout whose exponential overflows or
+    whose endpoint is not finite scores as infeasible (endpoint error inf).
     """
 
     # Feasible candidates are ranked by length minus a multiple of the endpoint
@@ -800,7 +799,6 @@ class _Search:
     ERR_WEIGHT = 10.0
 
     def __init__(self, structure: CaseStructure, target, n_steps: int, budget: int):
-        self.st = structure
         self.model = structure.model
         self.exact = isinstance(self.model, SemidirectModel)
         self.nu = structure.anti_norm
@@ -810,14 +808,11 @@ class _Search:
         self.evals = 0
         self.tcoords = self.model.coords(target)
         self.best: Optional[tuple[float, np.ndarray, float]] = None
-        # the last rollout: its control rows, run starts, runs (start, row, count,
-        # start state, increment, value), row values, states after each row (the
-        # identity first; fold models only) and (length, endpoint error)
-        self._last_rows: list = []
-        self._last_starts: list = []
-        self._last_runs: list = []
-        self._last_values: list = []
-        self._last_states: list = []
+        # the last rollout: its runs (start -> row, count, start state, increment,
+        # value), the states after each row (the identity first; fold models only)
+        # and (length, endpoint error)
+        self._last_runs: dict = {}
+        self._last_states: list = [self.model.identity()]
         self._last_score = (math.nan, math.inf)
 
     @staticmethod
@@ -845,39 +840,29 @@ class _Search:
 
     def rollout(self, theta: np.ndarray) -> tuple[float, float]:
         rows, starts = self._rows(theta)
-        last, runs = self._last_rows, self._last_runs
-        i = 0
-        while i < len(last) and rows[i] == last[i]:
-            i += 1
-        if i == self.n:
-            return self._last_score
+        last, runs, values = self._last_runs, {}, []
         model, step, dt, exact = self.model, self.model.step, self.dt, self.exact
-        m = bisect.bisect_right(starts, i) - 1  # the new run that holds row i
-        s = starts[m]
-        j, kept, values = 0, [], self._last_values[:s]
+        x = None  # the state at the current run's start, once a run differs
         try:
-            if runs:
-                j = bisect.bisect_right(self._last_starts, s) - 1  # the old run that holds row s
-                s0, u0, _, x, inc, value = runs[j]
-                kept = runs[:j]
-                if s0 < s:
-                    # row s opens a new run inside an old one, which now ends before it
-                    if exact:
-                        inc = model.increment(u0, (s - s0) * dt)
-                    kept.append((s0, u0, s - s0, x, inc, value))
-                    if exact:
-                        x = step(x, inc)
-            else:
-                x = model.identity()
-            if not exact:
-                states = self._last_states[:i + 1] if runs else [x]
-                x = states[-1]
-            for s, end in zip(starts[m:], starts[m + 1:]):
+            for s, end in zip(starts, starts[1:]):
                 u, k = rows[s], end - s
-                while j < len(runs) and runs[j][0] < s:
-                    j += 1
-                if j < len(runs) and runs[j][0] == s and runs[j][1] == u:
-                    _, _, k0, _, inc, value = runs[j]
+                old = last.get(s)
+                same = old is not None and old[0] == u
+                if x is None:
+                    if same and old[1] == k:
+                        runs[s] = old
+                        values += [old[4]] * k
+                        continue
+                    # the first run that differs: every run before it matched, so an old
+                    # run starts here too, unless this is the first rollout
+                    if exact:
+                        x = model.identity() if old is None else old[2]
+                    else:
+                        i = s + min(k, old[1]) if same else s  # the first changed row
+                        states = self._last_states[:i + 1]
+                        x = states[-1]
+                if same:
+                    _, k0, _, inc, value = old
                     if exact and k0 != k:
                         inc = model.increment(u, k * dt)
                 else:
@@ -885,21 +870,23 @@ class _Search:
                     value = self.nu(u)
                 values += [value] * k
                 if exact:
-                    kept.append((s, u, k, x, inc, value))
+                    runs[s] = (u, k, x, inc, value)
                     x = step(x, inc)
                 else:
-                    kept.append((s, u, k, states[s], inc, value))
-                    for _ in range(end - max(s, i)):
+                    runs[s] = (u, k, states[s], inc, value)
+                    for _ in range(end + 1 - len(states)):
                         x = step(x, inc)
                         states.append(x)
         except OverflowError:
             # no complete rollout to reuse a part of; the length still counts every row
-            self._last_rows, self._last_runs = [], []
+            self._last_runs = {}
             return _length(self.nu, np.array(rows), dt), math.inf
+        if x is None:  # no run differs
+            return self._last_score
         ell = float(sum(values) * dt)
         err = float(np.linalg.norm(model.coords(x) - self.tcoords))
         self._last_score = ell, err if math.isfinite(err) else math.inf
-        self._last_rows, self._last_starts, self._last_runs, self._last_values = rows, starts, kept, values
+        self._last_runs = runs
         if not exact:
             self._last_states = states
         return self._last_score

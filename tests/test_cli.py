@@ -294,6 +294,10 @@ def test_witness_for_a_huge_length_is_fast_and_small():
     (["solve", "--case", "1", "--kappa", "0", "--target", "[1,0,0]", "--steps", "2", "--budget", "5",
       "--seed", "-1"], "--seed must be >= 0"),
     (["table", "--seed", "-1"], "--seed must be >= 0"),
+    *[(["cone", "dual", "--cone", '{"kind":"circular","axis":[1,0,0],"eta":"%s"}' % eta, "--p",
+        "1,0,0"], "eta must be finite") for eta in ("nan", "inf")],
+    (["cone", "intersect", "--cone", '{"kind":"circular","axis":[1,0,0],"eta":"nan"}',
+      "--subspace", "[[0,1,0]]"], "eta must be finite"),
 ])
 def test_bad_inputs_are_named_usage_errors(argv, message):
     proc = subprocess.run([sys.executable, "-m", "sublorentz.cli", *argv],

@@ -50,6 +50,14 @@ def test_default_cone_matches_inequality_description():
         assert contains(DEFAULT_CONE, v) == described
 
 
+@pytest.mark.parametrize("eta", [math.nan, math.inf, "nan", "inf"])
+def test_circular_cone_rejects_a_non_finite_eta(eta):
+    # a nan eta made the axis covector fall outside the dual cone, and an
+    # infinite one the axis outside the cone (inf * 0 is nan)
+    with pytest.raises(ValueError, match="eta must be finite"):
+        CircularCone((1, 0, 0), eta=eta)
+
+
 def test_contains_circular():
     cone = CircularCone((1, 0, 0), eta=1.0)
     root2 = math.sqrt(2.0)

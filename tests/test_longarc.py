@@ -525,8 +525,9 @@ def test_a_semidirect_run_is_one_exponential_and_one_step(monkeypatch):
         search.rollout(changed)
         assert len(exps) == 1, i
 
-    # inside a run of four equal rows: the run's kept head, the changed row and the
-    # run's tail, whose count changed
+    # inside a run of four equal rows: the run's kept head (if the changed row is not
+    # its first), the changed row and the run's tail (if the changed row is not its
+    # last), whose counts changed
     runs = np.repeat(base[:8], 4, axis=0)
     for i in range(32):
         search.rollout(runs)
@@ -534,7 +535,8 @@ def test_a_semidirect_run_is_one_exponential_and_one_step(monkeypatch):
         changed[i] = [2.0, 0.7]
         exps.clear()
         search.rollout(changed)
-        assert len(exps) <= 3, i
+        o = i % 4
+        assert len(exps) == 1 + (o > 0) + (o < 3), i
 
 
 def test_a_cover_change_steps_from_the_changed_row_on(monkeypatch):
@@ -551,6 +553,38 @@ def test_a_cover_change_steps_from_the_changed_row_on(monkeypatch):
             steps.clear()
             search.rollout(changed)
             assert len(steps) == n - i, i
+
+
+@pytest.mark.parametrize("case", [HEIS, SL2])
+def test_an_identical_candidate_takes_no_step_and_keeps_the_last_score(monkeypatch, case):
+    st = build_structure(case)
+    target = integrate(constant_curve(st, (1.0, 0.2, 0.0), n=4)).endpoint
+    incs = _counted(monkeypatch, type(st.model), "increment")
+    steps = _counted(monkeypatch, type(st.model), "step")
+    search = _Search(st, target, 16, budget=1)
+    for theta in (np.full((16, 2), [0.9, 0.1]), _distinct_theta(16),
+                  np.repeat(_distinct_theta(4), 4, axis=0)):
+        score = search.rollout(theta)
+        incs.clear()
+        steps.clear()
+        assert search.rollout(theta.copy()) == score
+        assert (len(incs), len(steps)) == (0, 0)
+
+
+def test_after_an_overflowing_candidate_the_last_one_still_scores_as_afresh():
+    st = build_structure(SubLorentzCase("3", kappa=0.5))
+    target = target_from_exp2(st, (1.0, 0.3, 0.0))
+    search = _Search(st, target, 8, budget=1)
+    good = _distinct_theta(8)
+    far = good.copy()
+    far[3, 0] = 5000.0  # the exponential of this row overflows
+    curve = ControlCurve(search.dt, search.controls_of(good), st)
+    err = float(np.linalg.norm(st.model.coords(integrate(curve).endpoint) - search.tcoords))
+    fresh = (length(curve).hex(), err.hex())
+    assert tuple(v.hex() for v in search.rollout(good)) == fresh
+    ell, err = search.rollout(far)
+    assert math.isfinite(ell) and err == math.inf
+    assert tuple(v.hex() for v in search.rollout(good)) == fresh
 
 
 def test_maximize_heisenberg_recovers_straight_arc():
