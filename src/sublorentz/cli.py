@@ -31,7 +31,7 @@ import numpy as np
 
 from .conegeom import cone_from_json, cone_subspace_trivial, dual_contains, find_interior_dual_in_annihilator
 from .existence import check_case
-from .liealg3 import CASE_IDS, CASE_LABELS, SL2_CASES, SubLorentzCase
+from .liealg3 import CASE_IDS, CASE_LABELS, SL2_CASES, SU2_CASE, SubLorentzCase
 from .longarc import (
     DEFAULT_SEED,
     ENDPOINT_TOL,
@@ -322,6 +322,10 @@ def cmd_solve(args) -> int:
 
 def cmd_witness(args) -> int:
     case = _case_from_args(args)
+    if case.case_id != SU2_CASE:
+        # named before the structure is built, whose Killing form may overflow on this row
+        raise ValueError(f"the loop construction applies to the su2 structure (case {SU2_CASE}), "
+                         f"not to case {case.case_id}")
     structure = build_structure(case)
     curve = su2_unbounded_witness(structure, args.demanded_length,
                                   steps_per_loop=args.steps_per_loop)

@@ -26,6 +26,9 @@ Exact-zero comparisons use ``ZERO_TOL``: the independence test of a segment
 cone's generators is relative to their lengths; the membership and duality
 tests are absolute (the distance off a segment cone's plane is scaled by
 max(1, largest |v_i|)), so their inputs are expected to be of order one.
+The lengths of a circular cone's axis and of subspace rows are taken after
+scaling by a power of two (:func:`_scaled`), so huge or tiny ones neither
+overflow nor underflow.
 The tolerance pair below is the one the whole package uses; this module
 imports nothing from the package, so every other module can take it from
 here.
@@ -43,6 +46,16 @@ import numpy as np
 ZERO_TOL = 1e-12
 #: Numerical-rank cutoff on singular values and eigenvalues.
 RANK_TOL = 1e-10
+
+
+def _scaled(v: np.ndarray) -> np.ndarray:
+    """Each row of v (the last axis) divided by the power of two of its largest |component|.
+
+    A power of two rounds no bit, so a unit vector, a sign or a ratio of
+    lengths taken on the result is that of v, and no square overflows or
+    underflows on the way.  A zero row stays zero.
+    """
+    return np.ldexp(v, -np.frexp(np.max(np.abs(v), axis=-1, keepdims=True))[1])
 
 
 def _vec3(x) -> np.ndarray:
@@ -92,7 +105,7 @@ class CircularCone:
 
     def __post_init__(self):
         a = _vec3(self.axis)
-        if np.linalg.norm(a) <= ZERO_TOL:
+        if not np.any(a):
             raise ValueError("axis must be nonzero")
         object.__setattr__(self, "axis", tuple(a))
         object.__setattr__(self, "eta", float(self.eta))
@@ -102,7 +115,7 @@ class CircularCone:
             raise ValueError("eta must be >= 0")
 
     def unit_axis(self) -> np.ndarray:
-        a = np.asarray(self.axis)
+        a = _scaled(np.asarray(self.axis))
         return a / np.linalg.norm(a)
 
     def aperture(self) -> float:
@@ -198,6 +211,8 @@ def cone_subspace_trivial(cone: SolidCone, subspace) -> bool:
         return True
     if k == 3:
         return False
+    # rows scaled by powers of two, so that no square of a long row overflows
+    Us = _scaled(U)
     if isinstance(cone, CircularCone):
         if k == 2:
             # plane vs solid circular cone: sign of the restricted quadratic form
@@ -205,8 +220,8 @@ def cone_subspace_trivial(cone: SolidCone, subspace) -> bool:
             alpha2 = cone.aperture() ** 2
             Q = alpha2 * (np.eye(3) - np.outer(ahat, ahat)) - np.outer(ahat, ahat)
             return float(np.min(np.linalg.eigvalsh(B @ Q @ B.T))) > ZERO_TOL
-        d = U[0]
-    elif np.all(np.abs(U @ cone._normal) <= RANK_TOL * np.maximum(1.0, np.linalg.norm(U, axis=1))):
+        d = B[0]
+    elif np.all(np.abs(Us @ cone._normal) <= RANK_TOL * np.linalg.norm(Us, axis=1)):
         # the subspace lies in the carrier plane; a plane of it holds the cone
         if k == 2:
             return False

@@ -29,7 +29,8 @@ On top of integration the module provides the generalized length functional,
 a calibration-based upper bound on lengths into a target (solvable rows with
 an existence witness), a multi-start penalty search for near-longest curves,
 and the loop construction that exhibits unbounded lengths on the su2 row as a
-loop block, a repeat count and a base curve.
+loop block, a repeat count and a base curve.  The search scores candidates
+per run of equal rows, and a constant one straight from its (r, b) pair.
 """
 
 from __future__ import annotations
@@ -201,16 +202,15 @@ class SemidirectModel:
         w_dir = w_dir / np.linalg.norm(w_dir)
         self._frame = np.linalg.inv(np.column_stack([w_dir, ideal[0], ideal[1]]))
         self._frame_inv = np.column_stack([w_dir, ideal[0], ideal[1]])
-        cols = []
-        for j in range(2):
-            img = self._frame @ algebra.bracket(w_dir, ideal[j])
-            if abs(img[0]) > 1e-9:
-                raise AssertionError("chosen ideal is not ad-invariant")
-            cols.append(img[1:])
-        self.action = np.column_stack(cols)
+        imgs = [self._frame @ algebra.bracket(w_dir, ideal[j]) for j in range(2)]
         mix = self._frame @ algebra.bracket(ideal[0], ideal[1])
-        if float(np.max(np.abs(mix))) > 1e-9:
-            raise AssertionError("chosen ideal is not abelian")
+        # the ideal's rounding error grows with the brackets, so it must be ad-invariant
+        # and abelian relative to the largest bracket image
+        scale = max(1.0, *(float(np.max(np.abs(v))) for v in imgs + [mix]))
+        if not max(abs(imgs[0][0]), abs(imgs[1][0]), float(np.max(np.abs(mix)))) <= 1e-9 * scale:
+            raise ValueError(f"the semidirect model of {algebra.label} does not apply: its ideal is "
+                             "not ad-invariant and abelian to working precision")
+        self.action = np.column_stack([img[1:] for img in imgs])
         self._act = tuple(self.action.ravel().tolist())
         self._frame_rows = tuple(map(tuple, self._frame.tolist()))
 
@@ -765,16 +765,33 @@ _B_MAX = 1.0 - 1e-9
 _R_MIN = 1e-7
 
 
-class _Search:
-    """Scores candidate parameter arrays theta, one (r, b) row per control row.
+def _control(r: float, b: float) -> list:
+    """The control row [r, r b, 0] of a pair (r, b): r clamped below at ``_R_MIN``, b to +-``_B_MAX``."""
+    # for finite entries max/min give the floats of np.clip; r b keeps the sign of a zero b
+    r = max(r, _R_MIN)
+    return [r, r * min(max(b, -_B_MAX), _B_MAX), 0.0]
 
-    A candidate is evaluated on plain Python rows.  Each run of equal theta
-    rows becomes one control row [r, r b, 0] (r clamped below at ``_R_MIN``,
-    b to +-``_B_MAX``) that the run's rows share.  The rollout works per run
-    of equal control rows and keeps one record per run of the last
-    candidate, keyed by the run's start index: its row, count, start state,
-    increment and anti-norm value.  The fold models also keep the state after
-    every row.
+
+def _walk(theta: list) -> list:
+    """The runs of equal control rows, as :func:`_runs` gives them, of a flat list of pairs."""
+    rows, prev = [], None
+    for rb in zip(theta[::2], theta[1::2]):
+        if rb != prev:
+            prev, u = rb, _control(*rb)
+        rows.append(u)
+    return list(_runs(rows))
+
+
+class _Search:
+    """Scores candidates theta: flat lists [r0, b0, r1, b1, ...] of one (r, b) pair
+    per row, each made a control row by :func:`_control`, or one pair [r, b]
+    that all rows share.
+
+    A single pair is one run of n equal rows, built from its two floats; any
+    other candidate is walked for its runs of equal control rows.  The
+    rollout works per run and keeps one record per run of the last candidate,
+    keyed by the run's start index: its row, count, start state, increment and
+    anti-norm value.  The fold models also keep the state after every row.
 
     It walks the new candidate's runs in one pass.  A run equal to the last
     candidate's in start, row and count is taken as it is, up to the first
@@ -807,7 +824,7 @@ class _Search:
         self.budget = budget
         self.evals = 0
         self.tcoords = self.model.coords(target)
-        self.best: Optional[tuple[float, np.ndarray, float]] = None
+        self.best: Optional[tuple[float, list, float]] = None
         # the last rollout: its runs (start -> row, count, start state, increment,
         # value), the states after each row (the identity first; fold models only)
         # and (length, endpoint error)
@@ -815,42 +832,28 @@ class _Search:
         self._last_states: list = [self.model.identity()]
         self._last_score = (math.nan, math.inf)
 
-    @staticmethod
-    def _rows(theta: np.ndarray) -> tuple[list, list]:
-        """The control rows of theta, and the index of the first row of each run of equal
-        rows followed by the row count."""
-        # for finite entries max/min give the same floats as np.clip; r b keeps
-        # the sign of a zero b, which == ignores, so that sign is compared too
-        rows, starts = [], []
-        prev = row = None
-        for rb in theta.tolist():
-            if rb != prev or (not rb[1] and math.copysign(1.0, rb[1]) != math.copysign(1.0, prev[1])):
-                prev = rb
-                r = max(rb[0], _R_MIN)
-                u = [r, r * min(max(rb[1], -_B_MAX), _B_MAX), 0.0]
-                if u != row:
-                    starts.append(len(rows))
-                row = u
-            rows.append(row)
-        starts.append(len(rows))
-        return rows, starts
+    def expand(self, theta: list) -> list:
+        """A copy of theta with one pair per row: a single pair is repeated n times."""
+        return theta * self.n if len(theta) == 2 else theta[:]
 
-    def controls_of(self, theta: np.ndarray) -> np.ndarray:
-        return np.array(self._rows(theta)[0])
+    def controls_of(self, theta) -> np.ndarray:
+        """The (n, 3) control rows of theta (flat or (n, 2)), each row from its own pair."""
+        r, b = np.reshape(np.asarray(theta, dtype=float), (self.n, 2)).T
+        r = np.maximum(r, _R_MIN)
+        return np.column_stack([r, r * np.clip(b, -_B_MAX, _B_MAX), np.zeros(self.n)])
 
-    def rollout(self, theta: np.ndarray) -> tuple[float, float]:
-        rows, starts = self._rows(theta)
-        last, runs, values = self._last_runs, {}, []
+    def rollout(self, theta: list) -> tuple[float, float]:
+        runs = [(0, _control(*theta), self.n)] if len(theta) == 2 else _walk(theta)
+        last, records, values = self._last_runs, {}, []
         model, step, dt, exact = self.model, self.model.step, self.dt, self.exact
         x = None  # the state at the current run's start, once a run differs
         try:
-            for s, end in zip(starts, starts[1:]):
-                u, k = rows[s], end - s
+            for s, u, k in runs:
                 old = last.get(s)
                 same = old is not None and old[0] == u
                 if x is None:
                     if same and old[1] == k:
-                        runs[s] = old
+                        records[s] = old
                         values += [old[4]] * k
                         continue
                     # the first run that differs: every run before it matched, so an old
@@ -870,28 +873,29 @@ class _Search:
                     value = self.nu(u)
                 values += [value] * k
                 if exact:
-                    runs[s] = (u, k, x, inc, value)
+                    records[s] = (u, k, x, inc, value)
                     x = step(x, inc)
                 else:
-                    runs[s] = (u, k, states[s], inc, value)
-                    for _ in range(end + 1 - len(states)):
+                    records[s] = (u, k, states[s], inc, value)
+                    for _ in range(s + k + 1 - len(states)):
                         x = step(x, inc)
                         states.append(x)
         except OverflowError:
             # no complete rollout to reuse a part of; the length still counts every row
             self._last_runs = {}
-            return _length(self.nu, np.array(rows), dt), math.inf
+            return _length(self.nu, np.array([u for _, u, k in runs for _ in range(k)]), dt), math.inf
         if x is None:  # no run differs
             return self._last_score
         ell = float(sum(values) * dt)
-        err = float(np.linalg.norm(model.coords(x) - self.tcoords))
+        d = model.coords(x) - self.tcoords
+        err = math.sqrt(d.dot(d))  # the floats of np.linalg.norm(d)
         self._last_score = ell, err if math.isfinite(err) else math.inf
-        self._last_runs = runs
+        self._last_runs = records
         if not exact:
             self._last_states = states
         return self._last_score
 
-    def score(self, theta: np.ndarray, mu: float) -> float:
+    def score(self, theta: list, mu: float) -> float:
         if self.evals >= self.budget:
             raise _BudgetExhausted
         self.evals += 1
@@ -900,42 +904,43 @@ class _Search:
         if err <= ENDPOINT_TOL and math.isfinite(ell):
             rank = ell - self.ERR_WEIGHT * err
             if self.best is None or rank > self.best[0] - self.ERR_WEIGHT * self.best[2]:
-                self.best = (ell, theta.copy(), err)
+                self.best = (ell, self.expand(theta), err)
         return ell - mu * err * err
 
-    def _descend(self, x: np.ndarray, evaluate, step: float, margin: float, floor: float,
-                 box: int) -> np.ndarray:
-        # Pattern search within ``box`` evaluations: move each entry of x, in
-        # np.ndindex order, by +step then -step and keep the first move that
-        # beats the current value by more than ``margin``; halve the step
-        # after a sweep with no improvement and stop once it is below ``floor``.
+    def _descend(self, x: list, mu: float, step: float, margin: float, floor: float,
+                 box: int) -> list:
+        # Pattern search within ``box`` evaluations: move each entry of the list x
+        # in turn by +step then -step and keep the first move that beats the
+        # current value by more than ``margin``; halve the step after a sweep with
+        # no improvement and stop once it is below ``floor``.  A move is made on x
+        # in place and undone when it is not kept.
         used = 1
-        current = evaluate(x)
+        current = self.score(x, mu)
         while used < box:
             improved = False
-            for idx in np.ndindex(x.shape):
+            for i in range(len(x)):
+                xi = x[i]
                 for delta in (step, -step):
                     if used >= box:
                         return x
-                    cand = x.copy()
-                    cand[idx] += delta
-                    val = evaluate(cand)
+                    x[i] = xi + delta
+                    val = self.score(x, mu)
                     used += 1
                     if val > current + margin:
-                        x, current, improved = cand, val, True
+                        current, improved = val, True
                         break
+                    x[i] = xi
             if not improved:
                 step *= 0.5
                 if step < floor:
                     break
         return x
 
-    def coordinate_descent(self, theta: np.ndarray, mu: float, box: int) -> np.ndarray:
-        return self._descend(theta, lambda t: self.score(t, mu), 0.25, 1e-14, 1e-8, box)
+    def coordinate_descent(self, theta: list, mu: float, box: int) -> list:
+        return self._descend(self.expand(theta), mu, 0.25, 1e-14, 1e-8, box)
 
-    def constant_descent(self, rb: np.ndarray, mu: float, box: int) -> np.ndarray:
-        return self._descend(rb, lambda v: self.score(np.full((self.n, 2), v), mu),
-                             0.2, 1e-16, 1e-10, box)
+    def constant_descent(self, rb: list, mu: float, box: int) -> list:
+        return self._descend(list(rb), mu, 0.2, 1e-16, 1e-10, box)
 
 
 # a candidate far enough out overflows in floats and scores as infeasible, so
@@ -967,7 +972,7 @@ def maximize(structure: CaseStructure, target, n_steps: int = 24, budget: int = 
     if log_u is not None and log_u[0] > 0.0 and abs(log_u[2]) < 1e-9:
         r0 = float(np.clip(log_u[0], _R_MIN, None))
         b0 = float(np.clip(log_u[1] / max(log_u[0], _R_MIN), -_B_MAX, _B_MAX))
-        log_theta = np.full((n_steps, 2), [r0, b0])
+        log_theta = [r0, b0]
 
     try:
         if log_theta is not None:
@@ -975,25 +980,25 @@ def maximize(structure: CaseStructure, target, n_steps: int = 24, budget: int = 
 
         # constant-control sweep over the compact slab, ranked by endpoint error
         r_hi = 3.0 if log_u is None else max(2.5, 2.5 * float(np.linalg.norm(log_u)))
-        grid: list[tuple[float, np.ndarray]] = []
-        for r in np.linspace(0.15, r_hi, 12):
-            for b in np.linspace(-0.95, 0.95, 13):
-                search.score(np.full((n_steps, 2), [r, b]), 1e4)
-                grid.append((search.last[1], np.array([r, b])))
+        grid: list[tuple[float, list]] = []
+        for r in np.linspace(0.15, r_hi, 12).tolist():
+            for b in np.linspace(-0.95, 0.95, 13).tolist():
+                search.score([r, b], 1e4)
+                grid.append((search.last[1], [r, b]))
         grid.sort(key=lambda t: t[0])
 
-        refined: list[np.ndarray] = []
+        refined: list[list] = []
         for _, rb in grid[:3]:
             rb = search.constant_descent(rb, 1e5, box=250)
             rb = search.constant_descent(rb, 1e9, box=250)
             refined.append(rb)
 
-        full_starts: list[np.ndarray] = []
+        full_starts: list[list] = []
         if search.best is not None:
             full_starts.append(search.best[1])
         if log_theta is not None:
             full_starts.append(log_theta)
-        full_starts.extend(np.full((n_steps, 2), rb) for rb in refined[:1])
+        full_starts.extend(refined[:1])
         for theta in full_starts:
             for mu, box in ((1e5, 1200), (1e7, 1200)):
                 theta = search.coordinate_descent(theta, mu, box)
@@ -1002,7 +1007,7 @@ def maximize(structure: CaseStructure, target, n_steps: int = 24, budget: int = 
             theta = np.column_stack([
                 rng.uniform(0.2, min(r_hi, 2.0), n_steps),
                 rng.uniform(-0.8, 0.8, n_steps),
-            ])
+            ]).ravel().tolist()
             for mu, box in ((1e4, 250), (1e6, 250), (1e8, 300)):
                 theta = search.coordinate_descent(theta, mu, box)
     except _BudgetExhausted:

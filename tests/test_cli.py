@@ -298,6 +298,12 @@ def test_witness_for_a_huge_length_is_fast_and_small():
         "1,0,0"], "eta must be finite") for eta in ("nan", "inf")],
     (["cone", "intersect", "--cone", '{"kind":"circular","axis":[1,0,0],"eta":"nan"}',
       "--subspace", "[[0,1,0]]"], "eta must be finite"),
+    *[(["solve", "--case", row, "--tau", "-1e4", "--target", "[1,0,0]", "--steps", "2", "--budget", "5"],
+       "its exponential overflows") for row in ("4", "7")],
+    (["solve", "--case", "7", "--tau", "1e8", "--target", "[0,0,1]", "--steps", "2", "--budget", "5"],
+     "the semidirect model of case-7 does not apply"),
+    (["witness", "--case", "2", "--kappa", "-1e300", "--length", "5"],
+     "the loop construction applies to the su2 structure (case 9), not to case 2"),
 ])
 def test_bad_inputs_are_named_usage_errors(argv, message):
     proc = subprocess.run([sys.executable, "-m", "sublorentz.cli", *argv],
@@ -305,6 +311,26 @@ def test_bad_inputs_are_named_usage_errors(argv, message):
     assert proc.returncode == EXIT_USAGE
     assert proc.stdout == ""
     assert message in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("row,target,code", [
+    (["4", "--tau", "-1e4"], "[0.001,0,0]", EXIT_OK), (["7", "--tau", "-1e4"], "[0,0,1]", EXIT_NOT_FOUND),
+    (["4", "--tau", "-1e30"], "[0,0,1]", EXIT_NOT_FOUND), (["7", "--tau", "1e300"], "[0,1,0]", EXIT_NOT_FOUND),
+])
+def test_semidirect_rows_with_a_large_tau_solve_without_a_warning(row, target, code):
+    # the bracket images scale with tau, and the model's invariant tests with them
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "sublorentz.cli", "solve", "--case", *row,
+                           "--target", target, "--steps", "2", "--budget", "5"],
+                          capture_output=True, text=True, env=_ENV)
+    assert (proc.returncode, proc.stderr) == (code, "")
+    assert json.loads(proc.stdout, parse_constant=_reject_constant)["found"] == (code == EXIT_OK)
+
+
+def test_witness_on_another_row_is_named_before_its_killing_form_overflows():
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "sublorentz.cli", "witness", "--case", "2",
+                           "--kappa", "-1e300", "--length", "5"], capture_output=True, text=True, env=_ENV)
+    assert (proc.returncode, proc.stdout) == (EXIT_USAGE, "")
+    assert proc.stderr == "error: the loop construction applies to the su2 structure (case 9), not to case 2\n"
 
 
 @pytest.mark.parametrize("target", ["[5,1,0]", "[30,1,0]", "[200,1,0]"])

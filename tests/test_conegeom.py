@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -335,6 +336,49 @@ def test_projection_of_generators_stays_acute():
         unit = dirs / norms[:, None]
         gram = unit @ unit.T
         assert float(np.min(gram)) > -1.0 + 1e-9
+
+
+# -- huge and tiny inputs -------------------------------------------------------
+
+def _cone_answers(cone, p, rows) -> tuple:
+    """Every cone question on one covector and one subspace, with numpy warnings as errors."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return (dual_contains(cone, p), dual_contains(cone, p, strict=True),
+                cone_subspace_trivial(cone, rows), find_interior_dual_in_annihilator(cone, rows))
+
+
+_unit_coord = st.floats(-1.0, 1.0, allow_subnormal=False)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(axis=st.tuples(_unit_coord, _unit_coord, _unit_coord).filter(lambda a: max(map(abs, a)) > 1e-3),
+       k=st.integers(-1000, 1000), eta=st.floats(0.0, 5.0),
+       p=st.tuples(_unit_coord, _unit_coord, _unit_coord),
+       rows=st.lists(st.tuples(_unit_coord, _unit_coord, _unit_coord), min_size=1, max_size=2))
+def test_a_circular_cone_answers_the_same_for_an_axis_scaled_by_a_power_of_two(axis, k, eta, p, rows):
+    # scaling by 2^k rounds no bit, so only an overflowing or underflowing norm could
+    # tell the two axes apart
+    rows = np.array(rows)
+    assume(np.linalg.svd(rows, compute_uv=False)[-1] > 1e-3)
+    want = _cone_answers(CircularCone(axis, eta), p, rows)
+    assert _cone_answers(CircularCone(tuple(math.ldexp(a, k) for a in axis), eta), p, rows) == want
+
+
+@pytest.mark.parametrize("eta", [0.0, 1.0])
+@pytest.mark.parametrize("p,rows", [((1, 0, 0), [[0, 1, 0]]), ((0, 1, 0), [[0, 0, 1]]),
+                                    ((1, 0.5, 0), [[0, 1, 0], [0, 0, 1]]), ((1, 0, 0), [[1, 1, 0]])])
+def test_a_circular_cone_of_axis_1e300_answers_as_the_unit_axis(eta, p, rows):
+    want = _cone_answers(CircularCone((1.0, 0.0, 0.0), eta), p, rows)
+    assert _cone_answers(CircularCone((1e300, 0.0, 0.0), eta), p, rows) == want
+    assert _cone_answers(CircularCone((1e-300, 0.0, 0.0), eta), p, rows) == want
+
+
+@pytest.mark.parametrize("cone", [DEFAULT_CONE, CircularCone((1.0, 0.0, 0.0), 1.0)])
+@pytest.mark.parametrize("long,short", [([1e300, 1, 0], [1, 0, 0]), ([0, 1e300, 0], [0, 1, 0]),
+                                        ([1e300, 0, 1e300], [1, 0, 1])])
+def test_a_long_subspace_row_answers_as_its_direction(cone, long, short):
+    assert _cone_answers(cone, (1, 0, 0), [long]) == _cone_answers(cone, (1, 0, 0), [short])
 
 
 # -- serialization -------------------------------------------------------------

@@ -10,7 +10,8 @@ from hypothesis import strategies as hs
 
 from sublorentz.conegeom import SegmentCone
 from sublorentz.existence import check_case
-from sublorentz.liealg3 import SubLorentzCase
+from sublorentz.liealg3 import SubLorentzCase, from_case
+from sublorentz import longarc
 from sublorentz.longarc import (
     ENDPOINT_TOL,
     LORENTZIAN,
@@ -115,6 +116,21 @@ ROUND_TRIP_CASES = (
     SubLorentzCase("13", kappa=5.6, chi=-0.8),
 )
 _algebra_vector = hs.lists(hs.floats(-1.0, 1.0), min_size=3, max_size=3).map(np.array)
+
+
+@pytest.mark.parametrize("cid", ["4", "7"])
+@pytest.mark.parametrize("tau", [-1e30, -1e4, 1e4, 1e300])
+def test_the_semidirect_invariants_are_relative_to_the_brackets(cid, tau):
+    # the bracket images scale with tau; the model still splits off the abelian ideal
+    alg = from_case(SubLorentzCase(cid, tau=tau))
+    model = SemidirectModel(alg)
+    assert np.all(np.isfinite(model.action))
+
+
+def test_a_semidirect_invariant_that_fails_is_a_named_error():
+    # at tau = 1e8 the ideal's rounding error exceeds the relative tolerance
+    with pytest.raises(ValueError, match="the semidirect model of case-7 does not apply"):
+        SemidirectModel(from_case(SubLorentzCase("7", tau=1e8)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -478,13 +494,51 @@ def test_rollout_matches_a_fresh_length_and_integration(structure_args, thetas):
     target = integrate(constant_curve(st, (1.0, 0.2, 0.0), n=4)).endpoint
     search = _Search(st, target, len(thetas[0]), budget=len(thetas))
     for theta in thetas:
-        ell, err = search.rollout(theta)
+        ell, err = search.rollout(theta.ravel().tolist())
         controls = search.controls_of(theta)
         r, b = np.clip(theta[:, 0], _R_MIN, None), np.clip(theta[:, 1], -_B_MAX, _B_MAX)
         assert controls.tobytes() == np.column_stack([r, r * b, np.zeros(len(theta))]).tobytes()
         curve = ControlCurve(search.dt, controls, st)
         want_err = float(np.linalg.norm(st.model.coords(integrate(curve).endpoint) - search.tcoords))
         assert (ell.hex(), err.hex()) == (length(curve).hex(), want_err.hex())
+
+
+@hs.composite
+def runs_of_pairs(draw, n: int):
+    """n rows (r, b) from two drawn pairs and one r with b = +-0.0, so that equal rows
+    form runs and some rows differ only in the sign of a zero b."""
+    r = draw(_theta_r)
+    pool = [draw(_theta_rows), draw(_theta_rows), (r, 0.0), (r, -0.0)]
+    return np.array(draw(hs.lists(hs.sampled_from(pool), min_size=n, max_size=n)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(hs.sampled_from([(SubLorentzCase("12", kappa=-1.0, chi=-1.0), LORENTZIAN), (SL2, LORENTZIAN),
+                        (HEIS, EDGE)]),
+       hs.integers(1, 8), hs.data())
+def test_a_constant_candidate_scores_as_its_full_theta(structure_args, n, data):
+    # a pair [r, b] is one run built from its two floats; the same candidate as
+    # n equal rows goes through the row walk; multi-run candidates in between
+    # move the run records of both searches
+    st = build_structure(*structure_args)
+    target = integrate(constant_curve(st, (1.0, 0.2, 0.0), n=4)).endpoint
+    pairs, walked = _Search(st, target, n, budget=1), _Search(st, target, n, budget=1)
+    for constant in data.draw(hs.lists(hs.booleans(), min_size=1, max_size=8)):
+        if constant:
+            rb = list(data.draw(_theta_rows))
+            theta = np.full((n, 2), rb)
+            got = pairs.rollout(rb)
+            controls = pairs.controls_of(pairs.expand(rb))
+        else:
+            theta = data.draw(runs_of_pairs(n))
+            got = pairs.rollout(theta.ravel().tolist())
+            controls = pairs.controls_of(theta)
+        want = walked.rollout(theta.ravel().tolist())
+        assert controls.tobytes() == walked.controls_of(theta).tobytes()
+        curve = ControlCurve(pairs.dt, controls, st)
+        fresh_err = float(np.linalg.norm(st.model.coords(integrate(curve).endpoint) - pairs.tcoords))
+        assert tuple(v.hex() for v in got) == tuple(v.hex() for v in want) == (
+            length(curve).hex(), fresh_err.hex())
 
 
 def _counted(monkeypatch, cls, name) -> list:
@@ -511,18 +565,18 @@ def test_a_semidirect_run_is_one_exponential_and_one_step(monkeypatch):
     exps = _counted(monkeypatch, SemidirectModel, "exp")
     steps = _counted(monkeypatch, SemidirectModel, "step")
     search = _Search(st, target, 32, budget=1)
-    search.rollout(np.full((32, 2), [0.9, 0.1]))
+    search.rollout(np.full((32, 2), [0.9, 0.1]).ravel().tolist())
     assert (len(exps), len(steps)) == (1, 1)
 
     # a one-row change takes one exponential for the changed row; every later run
     # keeps its increment
     base = _distinct_theta(32)
     for i in range(32):
-        search.rollout(base)
+        search.rollout(base.ravel().tolist())
         changed = base.copy()
         changed[i] = [2.0, 0.7]
         exps.clear()
-        search.rollout(changed)
+        search.rollout(changed.ravel().tolist())
         assert len(exps) == 1, i
 
     # inside a run of four equal rows: the run's kept head (if the changed row is not
@@ -530,13 +584,29 @@ def test_a_semidirect_run_is_one_exponential_and_one_step(monkeypatch):
     # last), whose counts changed
     runs = np.repeat(base[:8], 4, axis=0)
     for i in range(32):
-        search.rollout(runs)
+        search.rollout(runs.ravel().tolist())
         changed = runs.copy()
         changed[i] = [2.0, 0.7]
         exps.clear()
-        search.rollout(changed)
+        search.rollout(changed.ravel().tolist())
         o = i % 4
         assert len(exps) == 1 + (o > 0) + (o < 3), i
+
+
+def test_a_constant_candidate_is_one_run_without_the_row_walk(monkeypatch):
+    st = build_structure(HEIS)
+    target = target_from_exp2(st, (1.0, 0.0, 0.0))
+    exps = _counted(monkeypatch, SemidirectModel, "exp")
+    steps = _counted(monkeypatch, SemidirectModel, "step")
+    values = _counted(monkeypatch, AntiNorm, "__call__")
+    walks = _counted(monkeypatch, longarc, "_walk")
+    search = _Search(st, target, 32, budget=1)
+    for rb in ([0.9, 0.1], [1.1, -0.2]):
+        exps.clear()
+        steps.clear()
+        values.clear()
+        search.rollout(rb)
+        assert (len(exps), len(steps), len(values), len(walks)) == (1, 1, 1, 0)
 
 
 def test_a_cover_change_steps_from_the_changed_row_on(monkeypatch):
@@ -547,11 +617,11 @@ def test_a_cover_change_steps_from_the_changed_row_on(monkeypatch):
     search = _Search(st, target, n, budget=1)
     for base in (_distinct_theta(n), np.repeat(_distinct_theta(4), 4, axis=0)):
         for i in range(n):
-            search.rollout(base)
+            search.rollout(base.ravel().tolist())
             changed = base.copy()
             changed[i] = [2.0, 0.7]
             steps.clear()
-            search.rollout(changed)
+            search.rollout(changed.ravel().tolist())
             assert len(steps) == n - i, i
 
 
@@ -564,10 +634,10 @@ def test_an_identical_candidate_takes_no_step_and_keeps_the_last_score(monkeypat
     search = _Search(st, target, 16, budget=1)
     for theta in (np.full((16, 2), [0.9, 0.1]), _distinct_theta(16),
                   np.repeat(_distinct_theta(4), 4, axis=0)):
-        score = search.rollout(theta)
+        score = search.rollout(theta.ravel().tolist())
         incs.clear()
         steps.clear()
-        assert search.rollout(theta.copy()) == score
+        assert search.rollout(theta.ravel().tolist()) == score
         assert (len(incs), len(steps)) == (0, 0)
 
 
@@ -581,10 +651,22 @@ def test_after_an_overflowing_candidate_the_last_one_still_scores_as_afresh():
     curve = ControlCurve(search.dt, search.controls_of(good), st)
     err = float(np.linalg.norm(st.model.coords(integrate(curve).endpoint) - search.tcoords))
     fresh = (length(curve).hex(), err.hex())
-    assert tuple(v.hex() for v in search.rollout(good)) == fresh
-    ell, err = search.rollout(far)
+    assert tuple(v.hex() for v in search.rollout(good.ravel().tolist())) == fresh
+    ell, err = search.rollout(far.ravel().tolist())
     assert math.isfinite(ell) and err == math.inf
-    assert tuple(v.hex() for v in search.rollout(good)) == fresh
+    assert tuple(v.hex() for v in search.rollout(good.ravel().tolist())) == fresh
+
+
+@pytest.mark.parametrize("case", [HEIS, SubLorentzCase("12", kappa=-1.0, chi=-1.0), SL2])
+def test_the_result_curve_has_the_reported_length_and_endpoint_error(case):
+    # the best candidate is kept as its full theta, whichever kind it was
+    st = build_structure(case)
+    rows = [[1.0, 0.2, 0.0], [0.8, -0.3, 0.0], [1.1, 0.5, 0.0], [0.9, 0.0, 0.0]]
+    target = integrate(ControlCurve(0.25, rows, st)).endpoint
+    res = maximize(st, target, n_steps=8, budget=2000, seed=3)
+    assert res.found and len(np.unique(res.curve.controls, axis=0)) > 1
+    err = float(np.linalg.norm(st.model.coords(integrate(res.curve).endpoint) - st.model.coords(target)))
+    assert (length(res.curve).hex(), err.hex()) == (res.length.hex(), res.endpoint_error.hex())
 
 
 def test_maximize_heisenberg_recovers_straight_arc():
