@@ -45,7 +45,7 @@ from .longarc import (
     target_from_exp2,
 )
 from .oracle import expected_outcome, sample_case
-from .sl2cover import CoverElement, TangentVector, inverse, multiply, project, push_forward
+from .sl2cover import CoverElement, inverse, multiply, project, push_forward
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -242,34 +242,35 @@ def cmd_check(args) -> int:
     return EXIT_OK
 
 
-def _sl2_element_json(g: CoverElement) -> str:
-    return '{"c": %s, "w": [%s, %s]}' % (_f17(g.c), _f17(g.w.real), _f17(g.w.imag))
+#: Each ``sl2`` command's JSON output, filled with its values at 17 digits.
+_SL2_FORMATS = {
+    "mul": '{"c": %s, "w": [%s, %s]}',
+    "inv": '{"c": %s, "w": [%s, %s]}',
+    "project": '{"matrix": [[%s, %s], [%s, %s], [%s, %s], [%s, %s]]}',
+    "push": '{"xi": %s, "zeta": [%s, %s]}',
+    "tau": '{"tau": %s}',
+}
 
 
-def _sl2_tangent_json(v: TangentVector) -> str:
-    return '{"xi": %s, "zeta": [%s, %s]}' % (_f17(v.xi), _f17(v.zeta.real), _f17(v.zeta.imag))
+def _sl2_values(args) -> tuple:
+    if args.sl2_command in ("mul", "inv"):
+        c, w = multiply(args.g1, args.g2) if args.sl2_command == "mul" else inverse(args.g)
+        return c, w.real, w.imag
+    if args.sl2_command == "project":
+        return tuple(x for z in project(args.g).ravel().tolist() for x in (z.real, z.imag))
+    xi, zeta = push_forward(args.g, (args.v[0], complex(args.v[1], args.v[2])))
+    return (xi, zeta.real, zeta.imag) if args.sl2_command == "push" else (xi,)
 
 
 def cmd_sl2(args) -> int:
-    if args.sl2_command == "mul":
-        text = _sl2_element_json(multiply(args.g1, args.g2))
-    elif args.sl2_command == "inv":
-        text = _sl2_element_json(inverse(args.g))
-    elif args.sl2_command == "project":
-        m = project(args.g)
-        entries = ", ".join(
-            "[%s, %s]" % (_f17(m[i, j].real), _f17(m[i, j].imag))
-            for i in range(2) for j in range(2)
-        )
-        text = '{"matrix": [%s]}' % entries
-    else:
-        v = TangentVector(args.v[0], complex(args.v[1], args.v[2]))
-        pushed = push_forward(args.g, v)
-        if args.sl2_command == "push":
-            text = _sl2_tangent_json(pushed)
-        else:
-            text = '{"tau": %s}' % _f17(pushed.xi)
-    _emit(text + "\n", args.out)
+    try:
+        values = _sl2_values(args)
+    except ArithmeticError:
+        # |w|^2 overflows, or an angle sum does and leaves the product's denominator nan
+        values = (math.inf,)
+    if not all(math.isfinite(x) for x in values):
+        raise ValueError(f"sl2 {args.sl2_command}: the values are out of float range")
+    _emit(_SL2_FORMATS[args.sl2_command] % tuple(map(_f17, values)) + "\n", args.out)
     return EXIT_OK
 
 

@@ -26,9 +26,11 @@ Exact-zero comparisons use ``ZERO_TOL``: the independence test of a segment
 cone's generators is relative to their lengths; the membership and duality
 tests are absolute (the distance off a segment cone's plane is scaled by
 max(1, largest |v_i|)), so their inputs are expected to be of order one.
-The lengths of a circular cone's axis and of subspace rows are taken after
-scaling by a power of two (:func:`_scaled`), so huge or tiny ones neither
-overflow nor underflow.
+The lengths of a circular cone's axis, of subspace rows, of the transverse
+parts in circular membership, of a segment cone's generators and normal and
+of the rays and ray coordinates in a segment cone's annihilator witness are
+taken after scaling by a power of two (:func:`_scaled`, :func:`_length`), so
+huge or tiny ones neither overflow nor underflow.
 The tolerance pair below is the one the whole package uses; this module
 imports nothing from the package, so every other module can take it from
 here.
@@ -58,6 +60,22 @@ def _scaled(v: np.ndarray) -> np.ndarray:
     return np.ldexp(v, -np.frexp(np.max(np.abs(v), axis=-1, keepdims=True))[1])
 
 
+def _split(v: np.ndarray) -> tuple[np.ndarray, int]:
+    """A finite vector v as (s, e) with v = s 2^e, s :func:`_scaled` (a zero v gives e = 0)."""
+    e = math.frexp(max(map(abs, v.tolist())))[1]
+    return np.ldexp(v, -e), e
+
+
+def _length(v: np.ndarray) -> float:
+    """The Euclidean length of a finite vector, taken on its :func:`_split` part and scaled back.
+
+    It is the float of ``np.linalg.norm(v)``, the square root of ``v.dot(v)``,
+    wherever that neither overflows nor underflows.
+    """
+    s, e = _split(v)
+    return math.ldexp(math.sqrt(s.dot(s)), e)
+
+
 def _vec3(x) -> np.ndarray:
     v = np.asarray(x, dtype=float).reshape(3)
     if not np.all(np.isfinite(v)):
@@ -80,13 +98,17 @@ class SegmentCone:
         object.__setattr__(self, "u1", tuple(u1))
         object.__setattr__(self, "u2", tuple(u2))
         object.__setattr__(self, "half_width", float(self.half_width))
-        n = np.cross(u1, u2)
-        # relative to the generators' scale, so a cone of small generators stays a cone
-        if np.linalg.norm(n) <= ZERO_TOL * np.linalg.norm(u1) * np.linalg.norm(u2):
+        # on the generators scaled by powers of two, which change neither the test
+        # nor the unit normal; the test is relative to the generators' scale, so a
+        # cone of small generators stays a cone
+        s1, s2 = _split(u1)[0], _split(u2)[0]
+        n = np.cross(s1, s2)
+        length = math.sqrt(n.dot(n))
+        if length <= ZERO_TOL * math.sqrt(s1.dot(s1)) * math.sqrt(s2.dot(s2)):
             raise ValueError("u1 and u2 must be linearly independent")
         if not (self.half_width >= 0.0):
             raise ValueError("half_width must be >= 0 (math.inf allowed)")
-        n = n / np.linalg.norm(n)
+        n = n / length
         object.__setattr__(self, "_normal", n)
         object.__setattr__(self, "_frame_inv", np.linalg.inv(np.column_stack([u1, u2, n])))
 
@@ -148,7 +170,7 @@ def contains(cone: SolidCone, v, strict: bool = False) -> bool:
     ahat = cone.unit_axis()
     xi = float(np.dot(v, ahat))
     zeta = v - xi * ahat
-    bound = cone.aperture() * float(np.linalg.norm(zeta))
+    bound = cone.aperture() * _length(zeta)
     if strict:
         return xi > bound + ZERO_TOL
     return xi >= bound - ZERO_TOL
@@ -180,7 +202,7 @@ def dual_contains(cone: SolidCone, p, strict: bool = False) -> bool:
         return d1 >= -ZERO_TOL and d2 >= -ZERO_TOL
     ahat = cone.unit_axis()
     pi = float(np.dot(p, ahat))
-    rho = float(np.linalg.norm(p - pi * ahat))
+    rho = _length(p - pi * ahat)
     bound = rho / cone.aperture()
     if strict:
         return pi > bound + ZERO_TOL
@@ -252,7 +274,7 @@ def find_interior_dual_in_annihilator(cone: SolidCone, subspace) -> Optional[tup
     if isinstance(cone, SegmentCone):
         r1, r2 = cone.rays()
         if m == 3:
-            p = r1 / np.linalg.norm(r1) + r2 / np.linalg.norm(r2)
+            p = r1 / _length(r1) + r2 / _length(r2)
             return tuple((p / np.linalg.norm(p)).tolist())
         if m == 1:
             b = B[0]
@@ -263,11 +285,13 @@ def find_interior_dual_in_annihilator(cone: SolidCone, subspace) -> Optional[tup
             return None
         a1 = np.array([np.dot(B[0], r1), np.dot(B[1], r1)])
         a2 = np.array([np.dot(B[0], r2), np.dot(B[1], r2)])
-        n1, n2 = np.linalg.norm(a1), np.linalg.norm(a2)
-        ray_scale = max(1.0, np.linalg.norm(r1), np.linalg.norm(r2))
+        (s1, e1), (s2, e2) = _split(a1), _split(a2)
+        l1, l2 = math.sqrt(s1.dot(s1)), math.sqrt(s2.dot(s2))
+        n1, n2 = math.ldexp(l1, e1), math.ldexp(l2, e2)
+        ray_scale = max(1.0, _length(r1), _length(r2))
         if n1 <= ZERO_TOL * ray_scale or n2 <= ZERO_TOL * ray_scale:
             return None
-        if float(np.dot(a1, a2)) / (n1 * n2) <= -1.0 + ZERO_TOL:
+        if float(s1.dot(s2)) / (l1 * l2) <= -1.0 + ZERO_TOL:  # the cosine of a1 and a2
             return None
         y = a1 / n1 + a2 / n2
         p = y[0] * B[0] + y[1] * B[1]

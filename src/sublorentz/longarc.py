@@ -376,7 +376,8 @@ class CoverModel:
     The increment of a row is its cover coordinates ``frame @ u`` as a plain
     (xi, zeta) pair, together with the time step.  A step is classical RK4 on
     plain floats whose four stage velocities all come from
-    ``sl2cover.push_forward``, each stage base passed as a plain (c, w) pair.
+    ``sl2cover.push_forward``, each stage base passed as a plain (c, w) pair
+    and each velocity returned as a plain (xi, zeta) pair.
     ``frame`` maps identity-frame control coordinates to cover coordinates;
     the identity frame is used for controls given directly as (xi, zeta).
     """

@@ -11,10 +11,11 @@ the angle component stays on the principal branch because its denominator is
 provably positive (see :func:`multiply`).
 
 Tangent vectors carry coordinates (xi, zeta) in R x C.  Both kinds of value
-are named tuples, so any plain (c, w) or (xi, zeta) pair is accepted where
-one is expected.  The module keeps the formulas of this group only: the
-differential of left translation (:func:`push_forward`), the angle 1-form dc
-(:func:`time_form`) and the norm-to-angle growth ratio with its uniform
+have a named tuple, and any plain (c, w) or (xi, zeta) pair is accepted where
+one is expected; :func:`push_forward`, the inner call of the cover model's RK4
+step, returns a plain pair.  The module keeps the formulas of this group
+only: the differential of left translation (:func:`push_forward`), the angle
+1-form dc (:func:`time_form`) and the norm-to-angle growth ratio with its uniform
 linear bound (:func:`growth_ratio`, :func:`growth_bound_constants`), which
 support the existence certificate on this group.  Its Lie algebra is
 :data:`ALGEBRA`, a :class:`~sublorentz.liealg3.LieAlgebra3` on the basis
@@ -88,18 +89,23 @@ def project(g: CoverElement) -> np.ndarray:
     return np.array([[z, g.w], [g.w.conjugate(), z.conjugate()]])
 
 
-def push_forward(base: CoverElement, v: TangentVector) -> TangentVector:
-    """Differential of left translation by ``base``, applied to an identity vector."""
+def push_forward(base: CoverElement, v: TangentVector) -> tuple[float, complex]:
+    """Differential of left translation by ``base``, applied to an identity vector, as a plain pair.
+
+    exp(-ic) is the conjugate of exp(ic) to the bit, except at c = -0.0, where
+    both carry a +0.0 sine: at a zero angle it is taken afresh.
+    """
     (c, w), (xi, zeta) = base, v
     r = math.sqrt(1.0 + abs(w) ** 2)
-    return TangentVector(xi + (w * zeta.conjugate() * cmath.exp(-1j * c)).imag / r,
-                         zeta * r * cmath.exp(1j * c) - 1j * w * xi)
+    e = cmath.exp(1j * c)
+    f = e.conjugate() if c else cmath.exp(-1j * c)
+    return xi + (w * zeta.conjugate() * f).imag / r, zeta * r * e - 1j * w * xi
 
 
 def time_form(base: CoverElement, v: TangentVector) -> float:
-    """The angle 1-form dc on a tangent vector at ``base`` (its first component)."""
+    """The angle 1-form dc on a tangent (xi, zeta) pair at ``base``: its first component."""
     del base  # the form has constant coefficients in these coordinates
-    return v.xi
+    return v[0]
 
 
 def growth_bound_constants(eta: float) -> tuple[float, float]:
@@ -133,7 +139,7 @@ def growth_ratio(base: CoverElement, u: TangentVector, eta: float) -> float:
         raise ValueError("u is outside the admissible cone for this eta")
     if u.norm() == 0.0:
         raise ValueError("u must be nonzero")
-    v = push_forward(base, u)
+    v = TangentVector(*push_forward(base, u))
     tau = v.xi
     if not tau > 0.0:
         raise ArithmeticError("internal error: angle form not positive on the pushed cone")

@@ -226,7 +226,7 @@ def test_criterion_5_pushforward_finite_differences():
         zeta = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
         plus = multiply(base, CoverElement(h * xi, h * zeta))
         minus = multiply(base, CoverElement(-h * xi, -h * zeta))
-        out = push_forward(base, TangentVector(xi, zeta))
+        out = TangentVector(*push_forward(base, TangentVector(xi, zeta)))
         scale = max(1.0, abs(out.xi), abs(out.zeta))
         err = max(abs((plus.c - minus.c) / (2 * h) - out.xi),
                   abs((plus.w - minus.w) / (2 * h) - out.zeta)) / scale

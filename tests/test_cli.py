@@ -1,12 +1,17 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from sublorentz.cli import (
     EXIT_MISMATCH,
@@ -304,6 +309,13 @@ def test_witness_for_a_huge_length_is_fast_and_small():
      "the semidirect model of case-7 does not apply"),
     (["witness", "--case", "2", "--kappa", "-1e300", "--length", "5"],
      "the loop construction applies to the su2 structure (case 9), not to case 2"),
+    (["sl2", "mul", "--g1", "1.7e308,0,0", "--g2", "1.7e308,0,0"], "sl2 mul: the values are out of float range"),
+    *[(["sl2", command, "--g", "1e300,1e300,0", "--v", "1,0,0"], f"sl2 {command}: the values are out of float range")
+      for command in ("push", "tau")],
+    (["sl2", "mul", "--g1", "0,1.4e154,0", "--g2", "0,0,0"], "sl2 mul: the values are out of float range"),
+    (["sl2", "project", "--g", "0,1e200,0"], "sl2 project: the values are out of float range"),
+    (["sl2", "tau", "--g", "-0,1e154,0", "--v", "1e300,1e300,1e-300"], "sl2 tau: the values are out of float range"),
+    (["sl2", "push", "--g", "0,1e150,0", "--v", "1e300,0,0"], "sl2 push: the values are out of float range"),
 ])
 def test_bad_inputs_are_named_usage_errors(argv, message):
     proc = subprocess.run([sys.executable, "-m", "sublorentz.cli", *argv],
@@ -358,6 +370,37 @@ def test_far_targets_leave_the_calibration_bound_without_a_warning(row):
 
 def _reject_constant(name):
     raise ValueError(f"{name} is not valid JSON")
+
+
+_SL2_NUMERALS = ["0", "-0", "5e-324", "-5e-324", "1e-300", "-1e-300", "1", "-1", "1e154", "1e200", "1e300",
+                 "-1e300", "1.7976931348623157e308", "nan", "inf", "-inf"]
+_SL2_OPTIONS = {"mul": ("--g1", "--g2"), "inv": ("--g",), "project": ("--g",), "push": ("--g", "--v"),
+                "tau": ("--g", "--v")}
+
+
+@hs.composite
+def sl2_argv(draw):
+    command = draw(hs.sampled_from(sorted(_SL2_OPTIONS)))
+    argv = ["sl2", command]
+    for option in _SL2_OPTIONS[command]:
+        argv += [option, ",".join(draw(hs.lists(hs.sampled_from(_SL2_NUMERALS), min_size=3, max_size=3)))]
+    return argv
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(sl2_argv())
+def test_every_sl2_input_ends_in_json_or_a_named_usage_error(argv):
+    # in-process, with warnings as errors: an escaping exception fails the test
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(argv)
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_MISMATCH, EXIT_NOT_FOUND)
+    if code == EXIT_OK:
+        json.loads(out.getvalue(), parse_constant=_reject_constant)
+    if code == EXIT_USAGE:
+        assert "error:" in err.getvalue()
+        assert "Traceback" not in err.getvalue() and "(34," not in err.getvalue()
 
 
 def test_solve_never_reports_a_non_finite_length_as_found():

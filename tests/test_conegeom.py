@@ -381,6 +381,56 @@ def test_a_long_subspace_row_answers_as_its_direction(cone, long, short):
     assert _cone_answers(cone, (1, 0, 0), [long]) == _cone_answers(cone, (1, 0, 0), [short])
 
 
+@pytest.mark.parametrize("eta", [0.0, 1.0])
+@pytest.mark.parametrize("long,short", [((1e300, 1e300, 0), (1, 1, 0)), ((2e300, 1e300, 0), (2, 1, 0)),
+                                        ((1e300, 0, -1e300), (1, 0, -1)), ((0, 1e300, 0), (0, 1, 0))])
+def test_a_long_vector_or_covector_answers_as_its_direction(eta, long, short):
+    # the transverse length is taken on the vector scaled by a power of two
+    cone = CircularCone((1.0, 0.0, 0.0), eta)
+
+    def answers(v):
+        return [f(cone, v, strict) for f in (contains, dual_contains) for strict in (False, True)]
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert answers(long) == answers(short)
+
+
+@pytest.mark.parametrize("scale", [1e300, 1.5e308, 1e-300])
+def test_a_segment_cone_of_huge_or_tiny_generators_builds_with_the_unit_normal(scale):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cone = SegmentCone((scale, 0, 0), (0, scale, 0))
+        tilted = SegmentCone((scale, 0, 0), (0, scale, scale))
+    assert cone._normal.tolist() == [0.0, 0.0, 1.0]
+    assert np.max(np.abs(tilted._normal - SegmentCone((1, 0, 0), (0, 1, 1))._normal)) <= 2e-16
+
+
+@pytest.mark.parametrize("rows", [[], [[0, 0, 1]], [[1, -1, 0]], [[0, 0, 1], [1, 2, 0]]])
+def test_a_segment_cone_of_generators_1e300_answers_as_the_unit_one(rows):
+    cone = SegmentCone((1e300, 0, 0), (0, 1e300, 0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for p in ((1, 0, 0), (0, 1, 0), (1, -0.5, 0.3), (1, 2, 0)):
+            assert [dual_contains(cone, p, strict) for strict in (False, True)] == \
+                [dual_contains(DEFAULT_CONE, p, strict) for strict in (False, True)]
+        assert find_interior_dual_in_annihilator(cone, rows) == find_interior_dual_in_annihilator(DEFAULT_CONE, rows)
+
+
+_ordinary = st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(u1=st.tuples(_ordinary, _ordinary, _ordinary), u2=st.tuples(_ordinary, _ordinary, _ordinary))
+def test_a_segment_cone_normal_is_the_unscaled_formula_bit_for_bit(u1, u2):
+    n = np.cross(u1, u2)
+    if np.linalg.norm(n) <= 1e-12 * np.linalg.norm(u1) * np.linalg.norm(u2):
+        with pytest.raises(ValueError, match="linearly independent"):
+            SegmentCone(u1, u2)
+    else:
+        assert SegmentCone(u1, u2)._normal.tobytes() == (n / np.linalg.norm(n)).tobytes()
+
+
 # -- serialization -------------------------------------------------------------
 
 def test_cone_json_round_trip():

@@ -11,7 +11,7 @@ from hypothesis import strategies as hs
 from sublorentz.conegeom import SegmentCone
 from sublorentz.existence import check_case
 from sublorentz.liealg3 import SubLorentzCase, from_case
-from sublorentz import longarc
+from sublorentz import longarc, sl2cover
 from sublorentz.longarc import (
     ENDPOINT_TOL,
     LORENTZIAN,
@@ -346,8 +346,8 @@ def test_cover_integrator_is_fourth_order():
 def reference_cover_step(frame, x, u, dt):
     """The cover RK4 step in array form: four push-forwards on (c, Re w, Im w) arrays."""
     def velocity(s, u_cov):
-        v = push_forward(CoverElement(s[0], complex(s[1], s[2])),
-                         TangentVector(u_cov[0], complex(u_cov[1], u_cov[2])))
+        v = TangentVector(*push_forward(CoverElement(s[0], complex(s[1], s[2])),
+                                        TangentVector(u_cov[0], complex(u_cov[1], u_cov[2]))))
         return np.array([v.xi, v.zeta.real, v.zeta.imag])
 
     u_cov = frame @ np.asarray(u, dtype=float)
@@ -623,6 +623,22 @@ def test_a_cover_change_steps_from_the_changed_row_on(monkeypatch):
             steps.clear()
             search.rollout(changed.ravel().tolist())
             assert len(steps) == n - i, i
+
+
+def test_a_cover_step_takes_four_push_forwards(monkeypatch):
+    st = build_structure(SL2)
+    target = integrate(constant_curve(st, (1.0, 0.2, 0.0), n=4)).endpoint
+    pushes = _counted(monkeypatch, sl2cover, "push_forward")
+    steps = _counted(monkeypatch, CoverModel, "step")
+    model = st.model
+    model.step(model.identity(), model.increment((0.9, 0.18, 0.0), 1.0 / 16))
+    assert (len(steps), len(pushes)) == (1, 4)
+    search = _Search(st, target, 16, budget=1)
+    for rb in ([0.9, 0.1], [1.1, -0.2]):
+        steps.clear()
+        pushes.clear()
+        search.rollout(rb)
+        assert (len(steps), len(pushes)) == (16, 64)
 
 
 @pytest.mark.parametrize("case", [HEIS, SL2])

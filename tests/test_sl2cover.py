@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hs
 
 from sublorentz.conegeom import CircularCone, contains
 from sublorentz.sl2cover import (
@@ -101,16 +103,16 @@ def test_associativity_and_homomorphism_samples():
 
 def test_push_forward_examples():
     v = TangentVector(1.2, complex(0.3, -0.4))
-    out = push_forward(IDENTITY, v)
+    out = TangentVector(*push_forward(IDENTITY, v))
     assert out.xi == v.xi and out.zeta == v.zeta
 
     c = 0.9
-    rotated = push_forward(CoverElement(c, 0), TangentVector(1.0, 1.0))
+    rotated = TangentVector(*push_forward(CoverElement(c, 0), TangentVector(1.0, 1.0)))
     assert np.isclose(rotated.xi, 1.0)
     assert abs(rotated.zeta - cmath.exp(1j * c)) <= 1e-15
 
     w = complex(2.0, 1.0)
-    out2 = push_forward(CoverElement(0.0, w), TangentVector(1.0, 0.0))
+    out2 = TangentVector(*push_forward(CoverElement(0.0, w), TangentVector(1.0, 0.0)))
     assert np.isclose(out2.xi, 1.0)
     assert abs(out2.zeta - (-1j * w)) <= 1e-15
 
@@ -126,7 +128,7 @@ def test_push_forward_matches_central_differences():
         minus = multiply(base, CoverElement(-h * xi, -h * zeta))
         fd_xi = (plus.c - minus.c) / (2 * h)
         fd_zeta = (plus.w - minus.w) / (2 * h)
-        out = push_forward(base, TangentVector(xi, zeta))
+        out = TangentVector(*push_forward(base, TangentVector(xi, zeta)))
         scale = max(1.0, abs(out.xi), abs(out.zeta))
         assert abs(fd_xi - out.xi) / scale <= 1e-6
         assert abs(fd_zeta - out.zeta) / scale <= 1e-6
@@ -136,11 +138,41 @@ def test_push_forward_linear_in_vector():
     base = CoverElement(0.7, complex(1.0, -0.5))
     v1 = TangentVector(0.4, complex(0.2, 0.9))
     v2 = TangentVector(-1.1, complex(0.5, 0.1))
-    lhs = push_forward(base, TangentVector(v1.xi + 2 * v2.xi, v1.zeta + 2 * v2.zeta))
-    a = push_forward(base, v1)
-    b = push_forward(base, v2)
+    lhs = TangentVector(*push_forward(base, TangentVector(v1.xi + 2 * v2.xi, v1.zeta + 2 * v2.zeta)))
+    a = TangentVector(*push_forward(base, v1))
+    b = TangentVector(*push_forward(base, v2))
     assert abs(lhs.xi - (a.xi + 2 * b.xi)) <= 1e-12
     assert abs(lhs.zeta - (a.zeta + 2 * b.zeta)) <= 1e-12
+
+
+def _two_exponential_push_forward(base, v):
+    """The push-forward with exp(-ic) and exp(ic) each taken by its own ``cmath.exp``."""
+    (c, w), (xi, zeta) = base, v
+    r = math.sqrt(1.0 + abs(w) ** 2)
+    return (xi + (w * zeta.conjugate() * cmath.exp(-1j * c)).imag / r,
+            zeta * r * cmath.exp(1j * c) - 1j * w * xi)
+
+
+def _reals(bound):
+    return hs.one_of(hs.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0]), hs.floats(-bound, bound))
+
+
+def _complexes(bound):
+    return hs.builds(complex, _reals(bound), _reals(bound))
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(hs.one_of(hs.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e15, -1e15, 1e300]), _reals(1e300)),
+       _complexes(1e50), _reals(1e50), _complexes(1e50))
+@example(-0.0, complex(1.0, -1.0), -0.0, 0j)  # the conjugate of exp(ic) alone gives xi = -0.0 here
+def test_push_forward_matches_the_two_exponential_formula_bit_for_bit(c, w, xi, zeta):
+    def bits(pair):
+        a, z = pair
+        return a.hex(), z.real.hex(), z.imag.hex()
+
+    got = push_forward(CoverElement(c, w), TangentVector(xi, zeta))
+    assert type(got) is tuple
+    assert bits(got) == bits(_two_exponential_push_forward((c, w), (xi, zeta)))
 
 
 # -- the angle form and its growth bound --------------------------------------------
