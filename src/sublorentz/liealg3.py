@@ -110,8 +110,13 @@ class LieAlgebra3:
     def killing_form(self) -> np.ndarray:
         """Symmetric matrix K[i,j] = trace(ad_Xi ad_Xj)."""
         ads = [self.adjoint(np.eye(3)[i]) for i in range(3)]
-        K = np.array([[np.trace(ads[i] @ ads[j]) for j in range(3)] for i in range(3)])
-        return 0.5 * (K + K.T)
+        # the products overflow once a row's parameters come near the square root of the largest float
+        with np.errstate(over="ignore", invalid="ignore"):
+            K = np.array([[np.trace(ads[i] @ ads[j]) for j in range(3)] for i in range(3)])
+            K = 0.5 * (K + K.T)
+        if not np.isfinite(K).all():
+            raise ValueError(f"the Killing form of {self.label} is out of float range: its entries overflow")
+        return K
 
 
 def killing_eigenbasis(K) -> tuple[np.ndarray, np.ndarray, float]:

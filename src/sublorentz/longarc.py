@@ -185,8 +185,9 @@ class SemidirectModel:
     """Simply connected group R x| R^2 realizing a solvable case algebra.
 
     The algebra is split as span{W} + I with I a two-dimensional abelian ideal
-    containing the derived subalgebra; ad_W acts on I through the 2x2 matrix
-    ``action``.  Elements are triples (t, q, E): q a pair of floats and
+    whose leading directions span the derived subalgebra; ad_W maps I into
+    them and acts on I through the 2x2 matrix ``action``, whose other rows are
+    exact zeros.  Elements are triples (t, q, E): q a pair of floats and
     E = expm(t action) a row-major 4-tuple, carried with the element so that
     the product (t1, q1, E1)(t2, q2, E2) = (t1 + t2, q1 + E1 q2, E1 E2) makes
     no transcendental call.  ``coords`` and ``log`` read only (t, q).
@@ -197,13 +198,17 @@ class SemidirectModel:
     """
 
     def __init__(self, algebra: LieAlgebra3):
-        ideal = self._abelian_ideal(algebra)
+        ideal, k = self._abelian_ideal(algebra)
         w_dir = np.cross(ideal[0], ideal[1])
         w_dir = w_dir / np.linalg.norm(w_dir)
         self._frame = np.linalg.inv(np.column_stack([w_dir, ideal[0], ideal[1]]))
         self._frame_inv = np.column_stack([w_dir, ideal[0], ideal[1]])
-        imgs = [self._frame @ algebra.bracket(w_dir, ideal[j]) for j in range(2)]
-        mix = self._frame @ algebra.bracket(ideal[0], ideal[1])
+        with np.errstate(over="ignore", invalid="ignore"):
+            imgs = [self._frame @ algebra.bracket(w_dir, ideal[j]) for j in range(2)]
+            mix = self._frame @ algebra.bracket(ideal[0], ideal[1])
+        if not all(np.isfinite(v).all() for v in imgs + [mix]):
+            raise ValueError(f"the semidirect model of {algebra.label} does not apply: its bracket "
+                             "images are out of float range")
         # the ideal's rounding error grows with the brackets, so it must be ad-invariant
         # and abelian relative to the largest bracket image
         scale = max(1.0, *(float(np.max(np.abs(v))) for v in imgs + [mix]))
@@ -211,19 +216,21 @@ class SemidirectModel:
             raise ValueError(f"the semidirect model of {algebra.label} does not apply: its ideal is "
                              "not ad-invariant and abelian to working precision")
         self.action = np.column_stack([img[1:] for img in imgs])
+        self.action[k:] = 0.0  # its rows past the k derived directions, zero up to rounding
+        self._derived = k
         self._act = tuple(self.action.ravel().tolist())
         self._frame_rows = tuple(map(tuple, self._frame.tolist()))
 
     @staticmethod
-    def _abelian_ideal(algebra: LieAlgebra3) -> np.ndarray:
+    def _abelian_ideal(algebra: LieAlgebra3) -> tuple[np.ndarray, int]:
         derived = algebra.derived_subalgebra()
         k = derived.shape[0]
         if k > 2:
             raise ValueError("algebra is not solvable (derived subalgebra is everything)")
         if k == 2:
-            return derived
+            return derived, k
         if k == 0:
-            return np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+            return np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), k
         y = derived[0]
         ad_y = algebra.adjoint(y)
         _, s, vt = np.linalg.svd(ad_y)
@@ -232,7 +239,7 @@ class SemidirectModel:
         z = null[int(np.argmax(np.linalg.norm(resid, axis=1)))]
         z = z - (z @ y) * y
         z = z / np.linalg.norm(z)
-        return np.array([y, z])
+        return np.array([y, z]), k
 
     def identity(self):
         return (0.0, (0.0, 0.0), (1.0, 0.0, 0.0, 1.0))
@@ -248,7 +255,11 @@ class SemidirectModel:
 
     def _flow(self, a: float, h: float) -> tuple[tuple, tuple]:
         p, q, r, s = self._act
-        return _exp_flow((a * p, a * q, a * r, a * s), h)
+        E, S = _exp_flow((a * p, a * q, a * r, a * s), h)
+        if r == s == 0.0 and p:
+            # the second rows are exact, not e^mu (cosh w - sinh w), which cancels (row 2*)
+            return (E[0], E[1], 0.0, 1.0), (S[0], S[1], 0.0, h)
+        return E, S
 
     def exp(self, u, time: float = 1.0):
         a, (v0, v1) = self.split(u)
@@ -261,10 +272,13 @@ class SemidirectModel:
         return (t + s, (p0 + (e0 * q0 + e1 * q1), p1 + (e2 * q0 + e3 * q1)),
                 (e0 * f0 + e1 * f2, e0 * f1 + e1 * f3, e2 * f0 + e3 * f2, e2 * f1 + e3 * f3))
 
-    def inverse(self, x):
-        E, _ = _exp_flow(self._act, -x[0])
-        q0, q1 = x[1]
-        return (-x[0], (-(E[0] * q0 + E[1] * q1), -(E[2] * q0 + E[3] * q1)), E)
+    def homomorphism(self, p, x) -> float:
+        """F(x), F: G -> R the homomorphism whose differential is the covector ``p``
+        annihilating the derived subalgebra: as (t, q) = (0, q)(t, 0), F(t, q) is
+        p(W) t + p(I) q, where the k derived directions of I weigh nothing."""
+        pw, *pi = (np.asarray(p, dtype=float) @ self._frame_inv).tolist()
+        k = self._derived
+        return pw * x[0] + sum(c * q for c, q in zip(pi[k:], x[1][k:]))
 
     def log(self, x) -> np.ndarray:
         a = x[0]
@@ -646,9 +660,12 @@ def target_from_exp2(structure: CaseStructure, abc: Sequence[float]):
     if len(abc) != 3 or not all(isinstance(t, numbers.Real) and math.isfinite(t) for t in abc):
         raise ValueError(f"a target in exponential coordinates is three finite numbers, got {list(abc)}")
     try:
-        return _exp_product(model, [(float(amount), basis_vec) for amount, basis_vec in zip(abc, np.eye(3))])
-    except OverflowError:
+        x = _exp_product(model, [(float(amount), basis_vec) for amount, basis_vec in zip(abc, np.eye(3))])
+        if not np.isfinite(model.coords(x)).all():  # it overflowed without raising
+            raise OverflowError
+    except (OverflowError, ValueError):  # ValueError: the cosine of an angle that overflowed
         raise ValueError(f"the target {list(abc)} is out of float range: its exponential overflows") from None
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -686,20 +703,15 @@ def _section_ratio_max(cone: SegmentCone, nu: AntiNorm, p: np.ndarray) -> float:
     return max(float(vals[i]), f1, f2)
 
 
-def _form_integral(p: np.ndarray, segments: Sequence[tuple[float, np.ndarray]]) -> float:
-    return float(sum(duration * float(np.dot(p, u)) for duration, u in segments))
-
-
 def distance_upper_bound(structure: CaseStructure, target, witness) -> float:
     """Upper bound on the length of any admissible curve from the identity to ``target``.
 
-    ``witness`` must be a strict dual covector annihilating the derived
-    subalgebra (an existence certificate of a solvable row).  The bound is
-    c_max * F(target), where c_max bounds anti-norm against the witness on the
-    cone cross-section and F is the primitive of the associated
-    translation-invariant closed 1-form.  F is evaluated along three distinct
-    piecewise-exponential paths to the target and the values are required to
-    agree to 1e-8 (path independence of a closed form).
+    ``witness`` must be a strict dual covector p annihilating the derived
+    subalgebra (an existence certificate of a solvable row).  Such a p is the
+    differential of a homomorphism F: G -> R, so an admissible curve u(t) to
+    the target has F(target) = integral of p . u dt.  The bound is
+    c_max * F(target), where c_max bounds the anti-norm against p on the cone
+    cross-section, and F is evaluated in closed form on the model.
     """
     model = structure.model
     if not isinstance(model, SemidirectModel):
@@ -708,29 +720,7 @@ def distance_upper_bound(structure: CaseStructure, target, witness) -> float:
     if not witness_is_valid(structure.algebra, structure.cone, p):
         raise ValueError("witness is not a certificate: it must be strictly positive on the "
                          "punctured cone and annihilate the derived subalgebra")
-
-    eye = np.eye(3)
-    u_full = model.log(target)
-    paths = [[(1.0, u_full)]]
-    for prefix in ([(0.7, eye[0])], [(0.4, eye[1]), (0.3, eye[2])]):
-        rest = model.multiply(model.inverse(_exp_product(model, prefix)), target)
-        paths.append(prefix + [(1.0, model.log(rest))])
-
-    values = []
-    # hypot scales its arguments, so a far target's norm does not overflow
-    tc = model.coords(target).tolist()
-    for segs in paths:
-        x = _exp_product(model, segs)
-        endpoint_err = math.hypot(*(a - b for a, b in zip(model.coords(x).tolist(), tc)))
-        if endpoint_err > 1e-9 * max(1.0, math.hypot(*tc)):
-            raise AssertionError("path construction missed the target")
-        values.append(_form_integral(p, segs))
-    spread = max(values) - min(values)
-    if spread > 1e-8 * max(1.0, abs(values[0])):
-        raise AssertionError("closed-form primitive is path dependent beyond tolerance")
-
-    c_max = _section_ratio_max(structure.cone, structure.anti_norm, p)
-    return c_max * values[0]
+    return _section_ratio_max(structure.cone, structure.anti_norm, p) * model.homomorphism(p, target)
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from sublorentz.cli import (
     main,
     render_table_text,
 )
+from sublorentz.liealg3 import CASE_IDS, SL2_CASES
 from sublorentz.sl2cover import CoverElement, multiply
 
 
@@ -316,6 +317,12 @@ def test_witness_for_a_huge_length_is_fast_and_small():
     (["sl2", "project", "--g", "0,1e200,0"], "sl2 project: the values are out of float range"),
     (["sl2", "tau", "--g", "-0,1e154,0", "--v", "1e300,1e300,1e-300"], "sl2 tau: the values are out of float range"),
     (["sl2", "push", "--g", "0,1e150,0", "--v", "1e300,0,0"], "sl2 push: the values are out of float range"),
+    # the product overflows without raising, to coordinates nan
+    (["solve", "--case", "7", "--tau", "1e300", "--target", "[0,1,0]", "--steps", "2", "--budget", "5"],
+     "its exponential overflows"),
+    # the rotation angle overflows, and its cosine raises "math domain error"
+    (["solve", "--case", "12", "--kappa", "1", "--chi", "-1", "--target", "[0,1e154,0]", "--steps", "2",
+      "--budget", "5"], "its exponential overflows"),
 ])
 def test_bad_inputs_are_named_usage_errors(argv, message):
     proc = subprocess.run([sys.executable, "-m", "sublorentz.cli", *argv],
@@ -327,7 +334,7 @@ def test_bad_inputs_are_named_usage_errors(argv, message):
 
 @pytest.mark.parametrize("row,target,code", [
     (["4", "--tau", "-1e4"], "[0.001,0,0]", EXIT_OK), (["7", "--tau", "-1e4"], "[0,0,1]", EXIT_NOT_FOUND),
-    (["4", "--tau", "-1e30"], "[0,0,1]", EXIT_NOT_FOUND), (["7", "--tau", "1e300"], "[0,1,0]", EXIT_NOT_FOUND),
+    (["4", "--tau", "-1e30"], "[0,0,1]", EXIT_NOT_FOUND),
 ])
 def test_semidirect_rows_with_a_large_tau_solve_without_a_warning(row, target, code):
     # the bracket images scale with tau, and the model's invariant tests with them
@@ -336,6 +343,34 @@ def test_semidirect_rows_with_a_large_tau_solve_without_a_warning(row, target, c
                           capture_output=True, text=True, env=_ENV)
     assert (proc.returncode, proc.stderr) == (code, "")
     assert json.loads(proc.stdout, parse_constant=_reject_constant)["found"] == (code == EXIT_OK)
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["check", "--case", "10", "--kappa", "-1e300", "--chi", "-1"],
+     "the Killing form of case-10 is out of float range: its entries overflow"),
+    (["check", "--case", "2", "--kappa", "1e300"], "the Killing form of case-2 is out of float range: its entries overflow"),
+    (["solve", "--case", "19", "--kappa", "1e300", "--chi", "-1", "--target", '{"c":0,"w":[0,0]}', "--steps", "1",
+      "--budget", "5"], "the Killing form of case-19 is out of float range: its entries overflow"),
+    (["solve", "--case", "7", "--tau", "1.7976931348623157e308", "--target", "[1,0,0]", "--steps", "1",
+      "--budget", "5"], "the semidirect model of case-7 does not apply: its bracket images are out of float range"),
+    (["solve", "--case", "1", "--kappa", "0", "--target", "[1e200,1e200,0]", "--steps", "2", "--budget", "5"],
+     "the target [1e+200, 1e+200, 0] is out of float range: its exponential overflows"),
+])
+def test_values_out_of_float_range_are_named_without_a_warning(argv, message):
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "sublorentz.cli", *argv],
+                          capture_output=True, text=True, env=_ENV)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_USAGE, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("row,target", [(["2*", "--kappa", "-1", "--tau", "1.5"], "[30,0,0]"),
+                                        (["11", "--kappa", "1", "--chi", "1"], "[30,30,30]")])
+def test_far_targets_on_exists_rows_get_a_finite_bound(row, target):
+    # the bound is the witness's homomorphism at the target, with no path to it and no logarithm
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "sublorentz.cli", "solve", "--case", *row,
+                           "--target", target, "--steps", "2", "--budget", "5"],
+                          capture_output=True, text=True, env=_ENV)
+    assert (proc.returncode, proc.stderr) == (EXIT_NOT_FOUND, "")
+    assert math.isfinite(json.loads(proc.stdout, parse_constant=_reject_constant)["upper_bound"])
 
 
 def test_witness_on_another_row_is_named_before_its_killing_form_overflows():
@@ -359,7 +394,7 @@ def test_far_targets_end_the_solve_without_an_error_or_a_warning(target):
 
 @pytest.mark.parametrize("row", [["1", "--kappa", "0"], ["12", "--kappa", "-1", "--chi", "-1"]])
 def test_far_targets_leave_the_calibration_bound_without_a_warning(row):
-    # the bound's path check measures the target, whose squared norm overflows
+    # the target lies 1e300 out along the ideal; the bound reads F off its coordinates
     proc = subprocess.run([sys.executable, "-W", "error", "-m", "sublorentz.cli", "solve", "--case", *row,
                            "--steps", "8", "--budget", "300", "--target", "[1,0,1e300]"],
                           capture_output=True, text=True, env=_ENV)
@@ -370,6 +405,18 @@ def test_far_targets_leave_the_calibration_bound_without_a_warning(row):
 
 def _reject_constant(name):
     raise ValueError(f"{name} is not valid JSON")
+
+
+def _run_with_warnings_as_errors(argv) -> tuple[int, str]:
+    """main(argv) in-process: an escaping exception or warning fails the test; (exit code, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(argv)
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_MISMATCH, EXIT_NOT_FOUND)
+    if code in (EXIT_OK, EXIT_NOT_FOUND):
+        json.loads(out.getvalue(), parse_constant=_reject_constant)
+    return code, err.getvalue()
 
 
 _SL2_NUMERALS = ["0", "-0", "5e-324", "-5e-324", "1e-300", "-1e-300", "1", "-1", "1e154", "1e200", "1e300",
@@ -390,17 +437,45 @@ def sl2_argv(draw):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(sl2_argv())
 def test_every_sl2_input_ends_in_json_or_a_named_usage_error(argv):
-    # in-process, with warnings as errors: an escaping exception fails the test
-    out, err = io.StringIO(), io.StringIO()
-    with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        warnings.simplefilter("error")
-        code = main(argv)
-    assert code in (EXIT_OK, EXIT_USAGE, EXIT_MISMATCH, EXIT_NOT_FOUND)
-    if code == EXIT_OK:
-        json.loads(out.getvalue(), parse_constant=_reject_constant)
+    code, err = _run_with_warnings_as_errors(argv)
     if code == EXIT_USAGE:
-        assert "error:" in err.getvalue()
-        assert "Traceback" not in err.getvalue() and "(34," not in err.getvalue()
+        assert "error:" in err
+        assert "Traceback" not in err and "(34," not in err
+
+
+_NUMERALS = ["0", "-0", "5e-324", "1e-300", "-1e-300", "0.5", "-0.5", "1", "-1", "1.5", "2", "-2", "-2.5", "3",
+             "7", "10", "-10", "20", "30", "-30", "1e8", "-1e8", "1e154", "1e200", "1e300", "-1e300",
+             "1.7976931348623157e308", "nan", "inf", "-inf"]
+#: The numerals as JSON texts: Python's json reads NaN and Infinity.
+_JSON_NUMERALS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+@hs.composite
+def check_or_solve_argv(draw):
+    numeral = hs.sampled_from(_NUMERALS)
+    command = draw(hs.sampled_from(["check", "solve"]))
+    case = draw(hs.sampled_from(CASE_IDS))
+    argv = [command, "--case", case]
+    for option in ("--kappa", "--tau", "--chi"):
+        # each option is given in seven draws of eight, as one token, so "-inf" is its value
+        if draw(hs.integers(0, 7)):
+            argv.append(f"{option}={draw(numeral)}")
+    if command == "check":
+        return argv
+    values = [_JSON_NUMERALS.get(t, t) for t in draw(hs.lists(numeral, min_size=3, max_size=3))]
+    # the row's own form of target in three draws of four
+    as_dict = (case in SL2_CASES) == bool(draw(hs.integers(0, 3)))
+    target = ('{"c": %s, "w": [%s, %s]}' if as_dict else "[%s,%s,%s]") % tuple(values)
+    return argv + ["--target", target, "--steps", str(draw(hs.integers(1, 4))),
+                   "--budget", str(draw(hs.integers(0, 30)))]
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(check_or_solve_argv())
+def test_every_check_or_solve_input_ends_in_json_or_a_named_usage_error(argv):
+    code, err = _run_with_warnings_as_errors(argv)
+    if code == EXIT_USAGE:
+        assert err.strip() and "Traceback" not in err
 
 
 def test_solve_never_reports_a_non_finite_length_as_found():

@@ -134,15 +134,23 @@ def test_a_semidirect_invariant_that_fails_is_a_named_error():
 
 
 @settings(max_examples=60, deadline=None)
-@given(hs.sampled_from(ROUND_TRIP_CASES), _algebra_vector, _algebra_vector)
-def test_semidirect_log_and_inverse_round_trips(case, u, v):
+@given(hs.sampled_from(ROUND_TRIP_CASES), _algebra_vector)
+def test_semidirect_log_round_trips(case, u):
     model = build_structure(case).model
     assert np.max(np.abs(model.log(model.exp(u)) - u)) <= 1e-12
-    x = model.multiply(model.exp(u), model.exp(v, 0.5))
-    # cancellation against the size of x, which the expanding action can make large
-    tol = 1e-12 * (1.0 + np.linalg.norm(model.coords(x)))
-    for y in (model.multiply(x, model.inverse(x)), model.multiply(model.inverse(x), x)):
-        assert np.max(np.abs(model.coords(y) - model.coords(model.identity()))) <= tol
+
+
+@pytest.mark.parametrize("case", [HEIS, SubLorentzCase("2*", kappa=-1.0, tau=1.5)], ids=lambda c: c.case_id)
+def test_the_fixed_ideal_direction_has_exact_rows(case):
+    # ad_W maps the ideal into its first, derived direction, so the second is fixed
+    model = build_structure(case).model
+    assert model._act[2:] == (0.0, 0.0)
+    rng = np.random.default_rng(5)
+    for u, h in zip(rng.uniform(-2.0, 2.0, (200, 3)).tolist(), rng.uniform(-40.0, 40.0, 200).tolist()):
+        a, (_, v1) = model.split(u)
+        E, S = model._flow(a, h)
+        x = model.exp(u, h)
+        assert (E[2:], S[2:], x[2][2:], x[1][1]) == ((0.0, 1.0), (0.0, h), (0.0, 1.0), h * v1)
 
 
 # (case, dt) whose increment of the row (1, 0.3, 0) takes each branch of _exp_flow
@@ -439,6 +447,54 @@ def test_distance_upper_bound_rejects_bad_witnesses():
     st10 = build_structure(SL2)
     with pytest.raises(TypeError, match="solvable"):
         distance_upper_bound(st10, CoverElement(1.0, 0), np.array([1.0, 0.0, 0.0]))
+
+
+EXISTS_SOLVABLE = (
+    HEIS,
+    SubLorentzCase("2*", kappa=-1.0, tau=1.5),
+    SubLorentzCase("11", kappa=1.0, chi=1.0),
+    SubLorentzCase("12", kappa=-1.0, chi=-1.0),
+    SubLorentzCase("13", kappa=7.0, chi=-1.0),
+    SubLorentzCase("14", kappa=2.0, chi=-1.0),
+    SubLorentzCase("15", kappa=2.0, chi=1.0),
+)
+
+
+@pytest.mark.parametrize("case", EXISTS_SOLVABLE, ids=lambda c: c.case_id)
+def test_the_bound_is_the_witness_homomorphism_at_an_exponential_target(case):
+    # F(exp(a X1) exp(b X2) exp(c X3)) = a p1 + b p2 + c p3 for the homomorphism F of differential p
+    st = build_structure(case)
+    p = np.array(check_case(case).witness)
+    c_max = longarc._section_ratio_max(st.cone, st.anti_norm, p)
+    rng = np.random.default_rng(19)
+    answered = 0
+    for scale in (0.1, 1.0, 10.0, 30.0, 100.0):
+        for abc in (scale * rng.uniform(-1.0, 1.0, (40, 3))).tolist():
+            try:
+                target = target_from_exp2(st, abc)
+            except ValueError:  # its exponential overflows
+                continue
+            got = distance_upper_bound(st, target, p)
+            # relative to the Cauchy-Schwarz size of the dot product
+            size = c_max * float(np.linalg.norm(p)) * math.hypot(*abc)
+            assert abs(got - c_max * float(np.dot(abc, p))) <= 1e-12 * size, (abc, got)
+            answered += 1
+    assert answered >= 100
+
+
+@pytest.mark.parametrize("case", EXISTS_SOLVABLE, ids=lambda c: c.case_id)
+def test_the_bound_is_the_witness_integral_along_an_admissible_curve(case):
+    # F(endpoint) = integral of p . u dt along the curve that reaches it
+    st = build_structure(case)
+    p = np.array(check_case(case).witness)
+    c_max = longarc._section_ratio_max(st.cone, st.anti_norm, p)
+    rng = np.random.default_rng(23)
+    for _ in range(40):
+        r, b = rng.uniform(0.0, 40.0, 8), rng.uniform(-1.0, 1.0, 8)
+        rows = np.column_stack([r, r * b, np.zeros(8)])
+        target = integrate(ControlCurve(0.125, rows, st)).endpoint
+        want = c_max * sum(0.125 * float(p @ u) for u in rows)
+        assert abs(distance_upper_bound(st, target, p) - want) <= 1e-12 * want
 
 
 # -- solver -----------------------------------------------------------------------------
