@@ -217,11 +217,9 @@ def make_parser() -> _Parser:
 
 def cmd_table(args) -> int:
     if args.samples < 1:
-        sys.stderr.write("samples must be >= 1\n")
-        return EXIT_USAGE
+        raise ValueError("samples must be >= 1")
     if args.seed < 0:
-        sys.stderr.write("--seed must be >= 0\n")
-        return EXIT_USAGE
+        raise ValueError("--seed must be >= 0")
     table = build_table(args.samples, args.seed)
     if args.format == "text":
         _emit(render_table_text(table), args.out)
@@ -276,23 +274,17 @@ def cmd_sl2(args) -> int:
 
 def cmd_solve(args) -> int:
     if args.steps < 1:
-        sys.stderr.write("steps must be >= 1\n")
-        return EXIT_USAGE
+        raise ValueError("steps must be >= 1")
     if args.steps > MAX_STEPS:
-        sys.stderr.write(f"steps must be <= {MAX_STEPS}\n")
-        return EXIT_USAGE
+        raise ValueError(f"steps must be <= {MAX_STEPS}")
     if args.budget < 0:
-        sys.stderr.write("budget must be >= 0\n")
-        return EXIT_USAGE
+        raise ValueError("budget must be >= 0")
     if args.seed < 0:
-        sys.stderr.write("--seed must be >= 0\n")
-        return EXIT_USAGE
+        raise ValueError("--seed must be >= 0")
     case = _case_from_args(args)
     if case.case_id == "9":
-        sys.stderr.write(
-            "case 9 has infinite distance to every attainable point; "
-            "use `sublorentz witness --case 9 ...` for arbitrarily long admissible curves\n")
-        return EXIT_USAGE
+        raise ValueError("case 9 has infinite distance to every attainable point; "
+                         "use `sublorentz witness --case 9 ...` for arbitrarily long admissible curves")
     structure = build_structure(case)
     target_spec = json.loads(args.target)
     if isinstance(target_spec, dict) and case.case_id in SL2_CASES:

@@ -64,8 +64,11 @@ class LieAlgebra3:
     label: str = ""
 
     def __post_init__(self):
-        for name in ("b12", "b13", "b23"):
-            object.__setattr__(self, name, tuple(float(t) for t in _vec3(getattr(self, name))))
+        try:
+            for name in ("b12", "b13", "b23"):
+                object.__setattr__(self, name, tuple(float(t) for t in _vec3(getattr(self, name))))
+        except ValueError:  # a row's constants overflow, such as sqrt(kappa + tau^2) on row 2*
+            raise ValueError(f"the structure constants of {self.label} are out of float range") from None
         defect = self.jacobi_defect()
         if defect > ZERO_TOL:
             raise ValueError(f"structure constants violate the Jacobi identity (defect {defect:.3e})")

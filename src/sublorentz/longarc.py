@@ -38,12 +38,13 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from . import sl2cover
-from .conegeom import DEFAULT_CONE, RANK_TOL, ZERO_TOL, SegmentCone, SolidCone, _vec3, contains
+from .conegeom import DEFAULT_CONE, ZERO_TOL, SegmentCone, SolidCone, _vec3, contains
 from .existence import witness_is_valid
 from .liealg3 import (SL2_CASES, SU2_CASE, LieAlgebra3, SubLorentzCase, from_case,
                       killing_eigenbasis, su2_loop_period)
@@ -184,13 +185,28 @@ def _exp_flow(A: tuple, h: float) -> tuple[tuple, tuple]:
 class SemidirectModel:
     """Simply connected group R x| R^2 realizing a solvable case algebra.
 
-    The algebra is split as span{W} + I with I a two-dimensional abelian ideal
-    whose leading directions span the derived subalgebra; ad_W maps I into
-    them and acts on I through the 2x2 matrix ``action``, whose other rows are
-    exact zeros.  Elements are triples (t, q, E): q a pair of floats and
-    E = expm(t action) a row-major 4-tuple, carried with the element so that
-    the product (t1, q1, E1)(t2, q2, E2) = (t1 + t2, q1 + E1 q2, E1 E2) makes
-    no transcendental call.  ``coords`` and ``log`` read only (t, q).
+    The algebra must be a solvable row of the contact layout, read off its
+    table: [X1, X2] = (b1, b2, 1), [X1, X3] = (c, a12, 0),
+    [X2, X3] = (a21, -c, 0) with M = [[c, a12], [a21, -c]] nilpotent, that is
+    c^2 + a12 a21 = 0 exactly, a structural zero on every solvable row (which
+    model a row gets is decided by its id).  The algebra is split as
+    span{W} + I with I a two-dimensional abelian ideal whose leading k
+    directions span the derived subalgebra:
+
+    * M = 0 (rows 1 and 2*): X3 is central, the derived subalgebra is
+      span{y}, y = (b1, b2, 1), and I = span{y, z} with z proportional to
+      (b1, b2, -|b|^2), which commutes with y and is orthogonal to it (X1
+      where b = 0); k = 1;
+    * otherwise I is the derived plane span{v, X3}, v the first nonzero row
+      of M, abelian because M^2 = 0; k = 2.
+
+    W = I0 x I1, so the frame (W, I0, I1) is orthonormal and its inverse is
+    its transpose.  ad_W maps I into its derived directions and acts on I
+    through the 2x2 matrix ``action``, whose other rows are exact zeros.
+    Elements are triples (t, q, E): q a pair of floats and E = expm(t action)
+    a row-major 4-tuple, carried with the element so that the product
+    (t1, q1, E1)(t2, q2, E2) = (t1 + t2, q1 + E1 q2, E1 E2) makes no
+    transcendental call.  ``coords`` and ``log`` read only (t, q).
     Exponentials of algebra vectors are available in closed form, so
     constant-control steps are exact: the increment of a row over a
     duration h is exp(h u), and a step is one product.  A run of k equal
@@ -198,48 +214,33 @@ class SemidirectModel:
     """
 
     def __init__(self, algebra: LieAlgebra3):
-        ideal, k = self._abelian_ideal(algebra)
-        w_dir = np.cross(ideal[0], ideal[1])
-        w_dir = w_dir / np.linalg.norm(w_dir)
-        self._frame = np.linalg.inv(np.column_stack([w_dir, ideal[0], ideal[1]]))
-        self._frame_inv = np.column_stack([w_dir, ideal[0], ideal[1]])
+        (b1, b2, one), (c, a12, zero13), (a21, minus_c, zero23) = algebra.b12, algebra.b13, algebra.b23
+        # exact, as float products round (row 6 at kappa = 1e-9 would pass as 1 + (kappa - 1)(kappa + 1))
+        nilpotent = Fraction(c) ** 2 + Fraction(a12) * Fraction(a21) == 0
+        if not (one == 1.0 and zero13 == zero23 == 0.0 and minus_c == -c and nilpotent):
+            raise ValueError(f"the semidirect model of {algebra.label} does not apply: its bracket table "
+                             "is not a solvable row of the contact layout")
+        if c == a12 == a21 == 0.0:
+            nb = math.hypot(b1, b2)
+            n = math.hypot(nb, 1.0)
+            h0, h1 = (b1 / nb, b2 / nb) if nb else (1.0, 0.0)
+            frame, k = ((-h1, h0, 0.0), (b1 / n, b2 / n, 1.0 / n), (h0 / n, h1 / n, -nb / n)), 1
+        else:
+            v0, v1 = (c, a12) if c or a12 else (a21, minus_c)
+            nv = math.hypot(v0, v1)
+            v0, v1 = v0 / nv, v1 / nv
+            frame, k = ((v1, 0.0 - v0, 0.0), (v0, v1, 0.0), (0.0, 0.0, 1.0)), 2
+        rows = np.array(frame)
+        self._frame_rows, self._frame_inv = frame, rows.T
         with np.errstate(over="ignore", invalid="ignore"):
-            imgs = [self._frame @ algebra.bracket(w_dir, ideal[j]) for j in range(2)]
-            mix = self._frame @ algebra.bracket(ideal[0], ideal[1])
-        if not all(np.isfinite(v).all() for v in imgs + [mix]):
+            imgs = [rows @ algebra.bracket(frame[0], ideal) for ideal in frame[1:]]
+        if not all(np.isfinite(v).all() for v in imgs):
             raise ValueError(f"the semidirect model of {algebra.label} does not apply: its bracket "
                              "images are out of float range")
-        # the ideal's rounding error grows with the brackets, so it must be ad-invariant
-        # and abelian relative to the largest bracket image
-        scale = max(1.0, *(float(np.max(np.abs(v))) for v in imgs + [mix]))
-        if not max(abs(imgs[0][0]), abs(imgs[1][0]), float(np.max(np.abs(mix)))) <= 1e-9 * scale:
-            raise ValueError(f"the semidirect model of {algebra.label} does not apply: its ideal is "
-                             "not ad-invariant and abelian to working precision")
         self.action = np.column_stack([img[1:] for img in imgs])
         self.action[k:] = 0.0  # its rows past the k derived directions, zero up to rounding
         self._derived = k
         self._act = tuple(self.action.ravel().tolist())
-        self._frame_rows = tuple(map(tuple, self._frame.tolist()))
-
-    @staticmethod
-    def _abelian_ideal(algebra: LieAlgebra3) -> tuple[np.ndarray, int]:
-        derived = algebra.derived_subalgebra()
-        k = derived.shape[0]
-        if k > 2:
-            raise ValueError("algebra is not solvable (derived subalgebra is everything)")
-        if k == 2:
-            return derived, k
-        if k == 0:
-            return np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), k
-        y = derived[0]
-        ad_y = algebra.adjoint(y)
-        _, s, vt = np.linalg.svd(ad_y)
-        null = vt[(s > RANK_TOL).sum():]
-        resid = null - (null @ y)[:, None] * y[None, :]
-        z = null[int(np.argmax(np.linalg.norm(resid, axis=1)))]
-        z = z - (z @ y) * y
-        z = z / np.linalg.norm(z)
-        return np.array([y, z]), k
 
     def identity(self):
         return (0.0, (0.0, 0.0), (1.0, 0.0, 0.0, 1.0))

@@ -177,14 +177,14 @@ def test_solve_rejects_steps_below_one(capsys, steps):
     code, out, err = run(capsys, "solve", "--case", "1", "--kappa", "0",
                          "--target", "[1,0,0]", f"--steps={steps}", "--budget", "50")
     assert code == EXIT_USAGE
-    assert out == "" and err == "steps must be >= 1\n"
+    assert out == "" and err == "error: steps must be >= 1\n"
 
 
 def test_solve_rejects_negative_budget(capsys):
     code, out, err = run(capsys, "solve", "--case", "1", "--kappa", "0",
                          "--target", "[1,0,0]", "--steps", "4", "--budget=-1")
     assert code == EXIT_USAGE
-    assert out == "" and err == "budget must be >= 0\n"
+    assert out == "" and err == "error: budget must be >= 0\n"
 
 
 def test_solve_zero_budget_is_not_found(capsys):
@@ -306,8 +306,8 @@ def test_witness_for_a_huge_length_is_fast_and_small():
       "--subspace", "[[0,1,0]]"], "eta must be finite"),
     *[(["solve", "--case", row, "--tau", "-1e4", "--target", "[1,0,0]", "--steps", "2", "--budget", "5"],
        "its exponential overflows") for row in ("4", "7")],
-    (["solve", "--case", "7", "--tau", "1e8", "--target", "[0,0,1]", "--steps", "2", "--budget", "5"],
-     "the semidirect model of case-7 does not apply"),
+    (["solve", "--case", "7", "--variant", "2", "--tau=-1.7976931348623157e308", "--target", "[0,0,1]", "--steps",
+      "2", "--budget", "5"], "the semidirect model of case-7 does not apply"),
     (["witness", "--case", "2", "--kappa", "-1e300", "--length", "5"],
      "the loop construction applies to the su2 structure (case 9), not to case 2"),
     (["sl2", "mul", "--g1", "1.7e308,0,0", "--g2", "1.7e308,0,0"], "sl2 mul: the values are out of float range"),
@@ -323,6 +323,11 @@ def test_witness_for_a_huge_length_is_fast_and_small():
     # the rotation angle overflows, and its cosine raises "math domain error"
     (["solve", "--case", "12", "--kappa", "1", "--chi", "-1", "--target", "[0,1e154,0]", "--steps", "2",
       "--budget", "5"], "its exponential overflows"),
+    # b2 = sqrt(kappa + tau^2) overflows in the row's structure constants
+    (["check", "--case", "2*", "--kappa", "1e300", "--tau", "1e300"],
+     "the structure constants of case-2* are out of float range"),
+    (["solve", "--case", "2*", "--kappa", "1e300", "--tau", "1e300", "--target", "[0,0,1]", "--steps", "2",
+      "--budget", "5"], "the structure constants of case-2* are out of float range"),
 ])
 def test_bad_inputs_are_named_usage_errors(argv, message):
     proc = subprocess.run([sys.executable, "-m", "sublorentz.cli", *argv],
@@ -334,10 +339,10 @@ def test_bad_inputs_are_named_usage_errors(argv, message):
 
 @pytest.mark.parametrize("row,target,code", [
     (["4", "--tau", "-1e4"], "[0.001,0,0]", EXIT_OK), (["7", "--tau", "-1e4"], "[0,0,1]", EXIT_NOT_FOUND),
-    (["4", "--tau", "-1e30"], "[0,0,1]", EXIT_NOT_FOUND),
+    (["4", "--tau", "-1e30"], "[0,0,1]", EXIT_NOT_FOUND), (["7", "--tau", "1e8"], "[0,0,1]", EXIT_NOT_FOUND),
 ])
 def test_semidirect_rows_with_a_large_tau_solve_without_a_warning(row, target, code):
-    # the bracket images scale with tau, and the model's invariant tests with them
+    # the bracket images scale with tau; the model reads its ideal off the layout table
     proc = subprocess.run([sys.executable, "-W", "error", "-m", "sublorentz.cli", "solve", "--case", *row,
                            "--target", target, "--steps", "2", "--budget", "5"],
                           capture_output=True, text=True, env=_ENV)
@@ -453,7 +458,7 @@ _JSON_NUMERALS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 @hs.composite
 def check_or_solve_argv(draw):
     numeral = hs.sampled_from(_NUMERALS)
-    command = draw(hs.sampled_from(["check", "solve"]))
+    command = draw(hs.sampled_from(["check", "solve", "witness"]))
     case = draw(hs.sampled_from(CASE_IDS))
     argv = [command, "--case", case]
     for option in ("--kappa", "--tau", "--chi"):
@@ -462,6 +467,8 @@ def check_or_solve_argv(draw):
             argv.append(f"{option}={draw(numeral)}")
     if command == "check":
         return argv
+    if command == "witness":
+        return argv + [f"--length={draw(numeral)}", f"--steps-per-loop={draw(hs.integers(-1, 100))}"]
     values = [_JSON_NUMERALS.get(t, t) for t in draw(hs.lists(numeral, min_size=3, max_size=3))]
     # the row's own form of target in three draws of four
     as_dict = (case in SL2_CASES) == bool(draw(hs.integers(0, 3)))
@@ -475,7 +482,8 @@ def check_or_solve_argv(draw):
 def test_every_check_or_solve_input_ends_in_json_or_a_named_usage_error(argv):
     code, err = _run_with_warnings_as_errors(argv)
     if code == EXIT_USAGE:
-        assert err.strip() and "Traceback" not in err
+        assert "error:" in err
+        assert "Traceback" not in err
 
 
 def test_solve_never_reports_a_non_finite_length_as_found():

@@ -10,7 +10,7 @@ from hypothesis import strategies as hs
 
 from sublorentz.conegeom import SegmentCone
 from sublorentz.existence import check_case
-from sublorentz.liealg3 import SubLorentzCase, from_case
+from sublorentz.liealg3 import LieAlgebra3, SubLorentzCase, from_case
 from sublorentz import longarc, sl2cover
 from sublorentz.longarc import (
     ENDPOINT_TOL,
@@ -127,10 +127,30 @@ def test_the_semidirect_invariants_are_relative_to_the_brackets(cid, tau):
     assert np.all(np.isfinite(model.action))
 
 
-def test_a_semidirect_invariant_that_fails_is_a_named_error():
-    # at tau = 1e8 the ideal's rounding error exceeds the relative tolerance
-    with pytest.raises(ValueError, match="the semidirect model of case-7 does not apply"):
-        SemidirectModel(from_case(SubLorentzCase("7", tau=1e8)))
+@pytest.mark.parametrize("cid,variant", [("4", 1), ("4", 2), ("7", 1), ("7", 2)])
+def test_rows_4_and_7_split_off_an_exact_abelian_ideal_at_every_tau(cid, variant):
+    # the ideal is read off the layout table, so its bracket residual stays at rounding
+    # relative to the largest bracket image at every decade of tau
+    for tau in (sign * 10.0 ** e for e in range(301) for sign in (1.0, -1.0)):
+        if cid == "4" and abs(tau) <= 2.0:
+            continue
+        alg = from_case(SubLorentzCase(cid, tau=tau, variant=variant))
+        model = SemidirectModel(alg)
+        assert np.all(np.isfinite(model.action))
+        w, i0, i1 = (model.unsplit(a, (b, c)) for a, b, c in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+        images = [alg.bracket(w, i0), alg.bracket(w, i1)]
+        scale = max(float(np.max(np.abs(v))) for v in images)
+        residual = max(float(np.max(np.abs(alg.bracket(i0, i1)))), *(abs(float(w @ v)) for v in images))
+        assert residual <= 4 * np.finfo(float).eps * scale, (tau, residual, scale)
+
+
+@pytest.mark.parametrize("alg", [LieAlgebra3((0, 0, 0), (0, 0, 0), (0, 0, 0), label="abelian"),
+                                 from_case(SubLorentzCase("10", kappa=-2.0, chi=-1.0)),
+                                 from_case(SubLorentzCase("6", kappa=1e-9))],
+                         ids=["abelian", "row-10", "row-6-small-kappa"])
+def test_a_table_that_is_not_a_solvable_layout_row_is_a_named_error(alg):
+    with pytest.raises(ValueError, match=f"the semidirect model of {alg.label} does not apply"):
+        SemidirectModel(alg)
 
 
 @settings(max_examples=60, deadline=None)
