@@ -35,7 +35,7 @@ from .conegeom import (
     find_interior_dual_in_annihilator,
 )
 from .liealg3 import (SL2_CASES, SU2_CASE, LieAlgebra3, SubLorentzCase, from_case,
-                      killing_eigenbasis, su2_loop_period)
+                      killing_axes, su2_loop_period)
 
 
 class Outcome(enum.Enum):
@@ -118,7 +118,7 @@ def killing_containment(algebra: LieAlgebra3, cone: SegmentCone = DEFAULT_CONE) 
     within 1e-12 of zero (relative to the Killing scale) count as zero.
     """
     K = algebra.killing_form()
-    _, _, scale = killing_eigenbasis(K)
+    _, _, scale = killing_axes(K)
     if not isinstance(cone, SegmentCone) or math.isinf(cone.half_width):
         raise ValueError("the containment test needs a planar segment cone of finite width")
     u1, u2 = np.asarray(cone.u1), np.asarray(cone.u2)

@@ -18,8 +18,8 @@ algebra is in this layout by construction.
 The bracket is evaluated on plain Python floats from the three table rows,
 in the fixed order of operations given in :meth:`LieAlgebra3.bracket`; the
 adjoint matrix, the Jacobi check at construction and the Killing form
-trace(ad_Xi ad_Xj) are built from it.  :func:`killing_eigenbasis` checks the
-signature of a Killing matrix relative to its own scale.
+trace(ad_Xi ad_Xj) are built from it.  :func:`killing_axes` reads the Killing
+eigenvalues and axes off the layout's K13 = K23 = 0 in closed form.
 """
 
 from __future__ import annotations
@@ -122,18 +122,35 @@ class LieAlgebra3:
         return K
 
 
-def killing_eigenbasis(K) -> tuple[np.ndarray, np.ndarray, float]:
-    """``eigh`` of an index-1 Killing form ``K``: ascending eigenvalues, eigenvectors, scale.
+def killing_axes(K) -> tuple[tuple[float, float, float], np.ndarray, float]:
+    """Ascending eigenvalues, axes and scale of an index-1 Killing form of the contact layout.
 
-    The scale is the largest |eigenvalue|, so the signature test is relative
-    and does not change when the form is rescaled.  Raises unless one
-    eigenvalue is below -RANK_TOL * scale and the other two above it.
+    With K13 = K23 = 0 the eigenvalues are K33 and m +- r, m = (K11 + K22)/2,
+    r = hypot((K11 - K22)/2, K12) (K11 and K22 when K12 = 0).  It raises unless
+    one is below -RANK_TOL * scale and the other two above it, the scale being
+    the largest |eigenvalue|.  The axes (rows, timelike first, of Killing norms
+    -8, 8, 8) follow the row, not the eigenvalue order: X3, X1, X2 - (K12/K11) X1
+    when K33 < 0, else the block's negative and positive eigenvectors, then X3.
     """
-    evals, evecs = np.linalg.eigh(K)
-    scale = float(np.max(np.abs(evals)))
+    (k11, k12, k13), (_, k22, k23), (_, _, k33) = np.asarray(K, dtype=float).tolist()
+    if not (k13 == 0.0 and k23 == 0.0):
+        raise ValueError("the Killing form is not in the contact layout: K13 and K23 must be 0")
+    if k12 == 0.0:  # a diagonal block: its eigenvalues and eigenvectors exactly
+        (lo, hi), (cos, sin) = sorted((k11, k22)), ((1.0, 0.0) if k11 > k22 else (0.0, 1.0))
+    else:
+        m, d = 0.5 * k11 + 0.5 * k22, 0.5 * k11 - 0.5 * k22
+        r, half = math.hypot(d, k12), 0.5 * math.atan2(k12, d)
+        lo, hi, cos, sin = m - r, m + r, math.cos(half), math.sin(half)
+    evals = tuple(sorted((lo, hi, k33)))
+    scale = max(-evals[0], evals[2])
     if not (evals[0] < -RANK_TOL * scale and evals[1] > RANK_TOL * scale):
         raise ValueError("Killing form is not nondegenerate with one negative direction")
-    return evals, evecs, scale
+    if k33 < 0.0:
+        q, t, s1 = k12 / k11, math.sqrt(8.0 / -k33), math.sqrt(8.0 / k11)
+        s2 = math.sqrt(8.0 / (k22 - q * k12))
+        return evals, np.array([[0.0, 0.0, t], [s1, 0.0, 0.0], [-q * s2, s2, 0.0]]), scale
+    t, s1, s2 = math.sqrt(8.0 / -lo), math.sqrt(8.0 / hi), math.sqrt(8.0 / k33)
+    return evals, np.array([[-sin * t, cos * t, 0.0], [cos * s1, sin * s1, 0.0], [0.0, 0.0, s2]]), scale
 
 
 def _is_zero(x: Optional[float]) -> bool:

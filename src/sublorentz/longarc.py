@@ -13,9 +13,9 @@ subgroup steps, on one of three concrete group realizations:
   element carries the exponential of its own action, so a product is 2x2
   arithmetic;
 * unit quaternions for the su2 row;
-* cover coordinates (c, w) for the sl2-type rows, with classical RK4 steps
-  of the left-invariant dynamics on plain floats, whose four stages all use
-  the one left-translation formula of :mod:`sublorentz.sl2cover`.
+* cover coordinates (c, w) for the sl2-type rows, in a frame read off the
+  closed-form Killing axes, with classical RK4 steps on plain floats whose
+  four stages all use the left translation of :mod:`sublorentz.sl2cover`.
 
 Every model steps a curve in two parts: ``increment(u, h)`` does the work
 that depends on the control row and the duration alone, and ``step(x, inc)``
@@ -47,7 +47,7 @@ from . import sl2cover
 from .conegeom import DEFAULT_CONE, ZERO_TOL, SegmentCone, SolidCone, _vec3, contains
 from .existence import witness_is_valid
 from .liealg3 import (SL2_CASES, SU2_CASE, LieAlgebra3, SubLorentzCase, from_case,
-                      killing_eigenbasis, su2_loop_period)
+                      killing_axes, su2_loop_period)
 from .sl2cover import CoverElement
 
 DEFAULT_SEED = 1729
@@ -351,38 +351,19 @@ class QuaternionModel:
 def sl2_cover_frame(algebra: LieAlgebra3) -> np.ndarray:
     """Isomorphism matrix sending case coordinates onto cover coordinates.
 
-    The Killing form of an sl2-type case algebra has one negative and two
-    positive directions; rescaling its eigenbasis to Killing norms (-8, 8, 8)
-    matches the bracket normalization of the cover algebra up to a discrete
-    reflection, which is resolved by checking the bracket table.  The result
-    maps (x1, x2, x3) to (xi, Re zeta, Im zeta); the time coordinate is
-    oriented so that X1 has nonnegative angle component.
+    With P the rows T, S1, S2 of :func:`~sublorentz.liealg3.killing_axes`,
+    F = diag(-1, 1, 1) P K / 8 inverts their column matrix and maps (x1, x2, x3)
+    to (xi, Re zeta, Im zeta), continuously in the row's parameters.  T is
+    negated when X1's angle -K(T, X1)/8 would be negative, then S2 when
+    S2 K [T, S1] = +-16 is, as su(1,1) has [T, S1] = 2 S2.
     """
-    evals, evecs, _ = killing_eigenbasis(algebra.killing_form())
-    T = evecs[:, 0] * math.sqrt(8.0 / -evals[0])
-    S1 = evecs[:, 1] * math.sqrt(8.0 / evals[1])
-    S2 = evecs[:, 2] * math.sqrt(8.0 / evals[2])
-    eye = np.eye(3)
-
-    def _matches(F: np.ndarray) -> bool:
-        for i in range(3):
-            for j in range(i + 1, 3):
-                got = sl2cover.ALGEBRA.bracket(F @ eye[i], F @ eye[j])
-                want = F @ algebra.bracket(eye[i], eye[j])
-                if float(np.max(np.abs(got - want))) > 1e-8 * max(1.0, float(np.max(np.abs(want)))):
-                    return False
-        return True
-
-    for flip in (1.0, -1.0):
-        F = np.linalg.inv(np.column_stack([T, S1, flip * S2]))
-        if _matches(F):
-            if (F @ np.array([1.0, 0.0, 0.0]))[0] < 0.0:
-                # compose with the time-reversing automorphism (xi, zeta) -> (-xi, conj zeta)
-                F = np.diag([-1.0, 1.0, -1.0]) @ F
-            if not _matches(F):
-                raise AssertionError("orientation flip broke the bracket table")
-            return F
-    raise AssertionError("no Killing-orthonormal frame matches the bracket table")
+    K = algebra.killing_form()
+    _, (T, S1, S2), _ = killing_axes(K)
+    if T @ K[:, 0] > 0.0:
+        T = -T
+    if S2 @ K @ algebra.bracket(T, S1) < 0.0:
+        S2 = -S2
+    return np.array([-T, S1, S2]) @ K / 8.0
 
 
 class CoverModel:

@@ -8,7 +8,7 @@ is a group homomorphism; the angle coordinate c is unbounded (no wrapping),
 which is what distinguishes the cover from the matrix group.  The group law
 is implemented directly in (c, w) coordinates; the arctangent correction in
 the angle component stays on the principal branch because its denominator is
-provably positive (see :func:`multiply`).
+provably positive, and free of cancellation (see :func:`multiply`).
 
 Tangent vectors carry coordinates (xi, zeta) in R x C.  Both kinds of value
 have a named tuple, and any plain (c, w) or (xi, zeta) pair is accepted where
@@ -17,10 +17,10 @@ step, returns a plain pair.  The module keeps the formulas of this group
 only: the differential of left translation (:func:`push_forward`), the angle
 1-form dc (:func:`time_form`) and the norm-to-angle growth ratio with its uniform
 linear bound (:func:`growth_ratio`, :func:`growth_bound_constants`), which
-support the existence certificate on this group.  Its Lie algebra is
+support the existence certificate on this group.  Its Lie algebra
 :data:`ALGEBRA`, a :class:`~sublorentz.liealg3.LieAlgebra3` on the basis
-(xi, Re zeta, Im zeta), and cone membership is decided by
-:mod:`sublorentz.conegeom`.
+(xi, Re zeta, Im zeta), is the reference the cover frame is tested against;
+cone membership is decided by :mod:`sublorentz.conegeom`.
 """
 
 from __future__ import annotations
@@ -62,16 +62,17 @@ def multiply(g1: CoverElement, g2: CoverElement) -> CoverElement:
     The angle correction is arctan(Im z / (r1 r2 + Re z)) with
     z = w1 conj(w2) exp(-i(c1+c2)) and r_i = sqrt(1+|w_i|^2).  Since
     r1 r2 > |w1||w2| >= |z|, the denominator is strictly positive and the
-    principal branch is globally correct; a nonpositive denominator would be
-    an internal error and is asserted against.
+    principal branch is globally correct.  Where Re z < 0 the sum cancels and
+    is taken as (1 + |w1|^2 + |w2|^2 + (Im z)^2) / (r1 r2 - Re z) instead; a
+    denominator that is not a positive float is an overflow (ArithmeticError).
     """
     s = g1.c + g2.c
     z = g1.w * g2.w.conjugate() * cmath.exp(-1j * s)
-    r1 = math.sqrt(1.0 + abs(g1.w) ** 2)
-    r2 = math.sqrt(1.0 + abs(g2.w) ** 2)
-    den = r1 * r2 + z.real
-    if not den > 0.0:
-        raise ArithmeticError("internal error: arctangent denominator not positive")
+    n1, n2 = abs(g1.w) ** 2, abs(g2.w) ** 2
+    r1, r2 = math.sqrt(1.0 + n1), math.sqrt(1.0 + n2)
+    den = r1 * r2 + z.real if z.real >= 0.0 else (1.0 + n1 + n2 + z.imag ** 2) / (r1 * r2 - z.real)
+    if not 0.0 < den < math.inf:
+        raise ArithmeticError("the arctangent denominator of the product is out of float range")
     c = s + math.atan2(z.imag, den)
     w = g2.w * r1 * cmath.exp(1j * g1.c) + g1.w * r2 * cmath.exp(-1j * g2.c)
     return CoverElement(c, w)

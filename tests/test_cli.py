@@ -126,6 +126,13 @@ def test_sl2_mul_matches_library(capsys):
     assert math.isclose(data["w"][0], expected.w.real, rel_tol=0, abs_tol=1e-15)
 
 
+@pytest.mark.parametrize("g1,g2", [("0,1e8,0", "0,-1e8,0"), ("3,1e8,2e8", "-3,-1e8,-2e8"),
+                                   ("-1.5,3e150,-2e150", "1.5,-3e150,2e150")])
+def test_sl2_mul_of_an_element_and_its_inverse_prints_the_identity(capsys, g1, g2):
+    code, out, _ = run(capsys, "sl2", "mul", "--g1", g1, "--g2", g2)
+    assert (code, out) == (EXIT_OK, '{"c": 0, "w": [0, 0]}\n')
+
+
 def test_sl2_inv_and_project(capsys):
     _, out, _ = run(capsys, "sl2", "inv", "--g", "0.3,2,-1")
     data = json.loads(out)

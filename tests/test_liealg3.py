@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sublorentz.liealg3 import CASE_IDS, LieAlgebra3, SubLorentzCase, from_case
+from sublorentz.liealg3 import CASE_IDS, SL2_CASES, LieAlgebra3, SubLorentzCase, from_case, killing_axes
 from sublorentz.oracle import sample_case
 
 finite = st.floats(min_value=-5, max_value=5, allow_nan=False)
@@ -133,6 +133,37 @@ def test_killing_form_is_symmetric_and_matches_the_closed_form():
             assert np.array_equal(K, K.T)
             want, size = _closed_form_killing(alg)
             assert np.all(np.abs(K - want) <= 1e-15 * size.max())
+
+
+def test_killing_axes_match_an_eigvalsh_reference_on_the_sl2_rows():
+    rng = np.random.default_rng(21)
+    for cid in sorted(SL2_CASES):
+        for i in range(40):
+            K = from_case(sample_case(cid, rng, i)).killing_form()
+            evals, axes, scale = killing_axes(K)
+            want = np.linalg.eigvalsh(K)
+            assert scale == max(-evals[0], evals[2])
+            assert np.all(np.abs(np.array(evals) - want) <= 1e-14 * scale), (cid, evals, want)
+            # Killing norms (-8, 8, 8), timelike first
+            assert np.allclose(axes @ K @ axes.T, np.diag([-8.0, 8.0, 8.0]), rtol=0.0, atol=1e-13)
+
+
+def test_killing_axes_follow_the_row_not_the_eigenvalue_order():
+    # row 10 at chi = 1: X3 is timelike for |kappa| < 1, spacelike and last otherwise,
+    # where K11 and K33 cross at kappa = 2 without the axes swapping
+    for kappa, timelike_x3 in ((0.0, True), (0.5, True), (1.999, False), (2.001, False), (-2.0, False)):
+        _, (t, s1, s2), _ = killing_axes(from_case(SubLorentzCase("10", kappa=kappa, chi=1.0)).killing_form())
+        if timelike_x3:
+            assert t[:2].tolist() == [0.0, 0.0] and s1[1:].tolist() == [0.0, 0.0] and s2[2] == 0.0
+        else:
+            assert t[2] == 0.0 and s1[2] == 0.0 and s2[:2].tolist() == [0.0, 0.0]
+
+
+def test_killing_axes_need_the_contact_layout():
+    K = np.diag([-2.0, 2.0, 2.0])
+    K[0, 2] = K[2, 0] = 0.5
+    with pytest.raises(ValueError, match="not in the contact layout"):
+        killing_axes(K)
 
 
 def test_derived_subalgebra_dimensions():

@@ -10,7 +10,8 @@ from hypothesis import strategies as hs
 
 from sublorentz.conegeom import SegmentCone
 from sublorentz.existence import check_case
-from sublorentz.liealg3 import LieAlgebra3, SubLorentzCase, from_case
+from sublorentz.liealg3 import SL2_CASES, LieAlgebra3, SubLorentzCase, from_case
+from sublorentz.oracle import sample_case
 from sublorentz import longarc, sl2cover
 from sublorentz.longarc import (
     ENDPOINT_TOL,
@@ -961,3 +962,29 @@ def test_sl2_cover_frame_maps_killing_form_to_normal_form():
         K = alg.killing_form()
         pulled = np.linalg.inv(F).T @ K @ np.linalg.inv(F)
         assert np.allclose(pulled, np.diag([-8.0, 8.0, 8.0]), atol=1e-9)
+
+
+def test_sl2_cover_frame_maps_the_brackets_and_follows_the_axis_rule():
+    # F [x, y] = [F x, F y] in su(1,1) on every basis pair, and X3 goes onto the
+    # xi axis when it is timelike (K33 < 0), onto the Im zeta axis otherwise
+    eye = np.eye(3)
+    pairs = [(eye[i], eye[j]) for i, j in ((0, 1), (0, 2), (1, 2))]
+    for seed in (1, 2, 3):
+        rng = np.random.default_rng(seed)
+        for cid in sorted(SL2_CASES):
+            for n in range(40):
+                alg = from_case(sample_case(cid, rng, n))
+                F = sl2_cover_frame(alg)
+                got = np.array([sl2cover.ALGEBRA.bracket(F @ x, F @ y) for x, y in pairs])
+                want = np.array([F @ alg.bracket(x, y) for x, y in pairs])
+                assert np.max(np.abs(got - want)) <= 2e-15 * np.max(np.abs(want)), (cid, n)
+                axis = 0 if alg.killing_form()[2, 2] < 0.0 else 2
+                assert F[:, 2].tolist().count(0.0) == 2 and F[axis, 2] != 0.0, (cid, n, F)
+
+
+@pytest.mark.parametrize("kappa", [0.0, 2.0, -2.0])
+def test_sl2_cover_frame_is_continuous_in_the_row_parameters(kappa):
+    # row 10 at chi = 1: two Killing eigenvalues are equal at kappa = 0 and cross at kappa = +-2
+    d = 1e-6
+    near = [sl2_cover_frame(from_case(SubLorentzCase("10", kappa=kappa + s * d, chi=1.0))) for s in (-1, 1)]
+    assert np.max(np.abs(near[1] - near[0])) <= 2e-6

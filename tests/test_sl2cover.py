@@ -88,6 +88,17 @@ def test_inverse_laws():
         assert np.max(np.abs(project(inv) - np.linalg.inv(project(g)))) <= 1e-12 * (1 + abs(g.w) ** 2)
 
 
+def test_an_element_times_its_inverse_is_the_identity_at_large_w():
+    # r1 r2 + Re z cancels to nothing in floats once |w| passes about 1e8
+    rng = np.random.default_rng(17)
+    for e in range(8, 151):
+        g = CoverElement(float(rng.uniform(-5, 5)), 10.0 ** e * cmath.exp(1j * float(rng.uniform(-4, 4))))
+        for prod in (multiply(g, inverse(g)), multiply(inverse(g), g)):
+            assert prod == IDENTITY, (e, prod)
+    with pytest.raises(ArithmeticError):
+        multiply(CoverElement(0.0, 1e200), CoverElement(0.0, -1e200))
+
+
 def test_associativity_and_homomorphism_samples():
     rng = np.random.default_rng(11)
     for _ in range(200):
