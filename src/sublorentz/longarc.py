@@ -64,38 +64,29 @@ MAX_STEPS = 10_000
 # ---------------------------------------------------------------------------
 # anti-norms
 
+def _lorentzian(u) -> float:
+    return math.sqrt(max(u[0] * u[0] - u[1] * u[1], 0.0))
+
+
 @dataclass(frozen=True)
 class AntiNorm:
-    """Nonnegative concave positively 1-homogeneous functional on the cone.
+    """Nonnegative concave positively 1-homogeneous functional on the cone, and its name.
 
-    ``kind="lorentzian"`` evaluates sqrt(x1^2 - x2^2) (the value is only
-    meaningful on the planar cone |x2| <= x1); any other concave homogeneous
-    choice is supplied as ``kind="custom"`` with an evaluator.  Called on an
-    (N, 3) array it returns the N row values, each equal to the value of the
-    row on its own.  The Lorentzian value of a plain list of floats is taken
-    on the floats themselves, with the same operations.
+    ``fn`` takes one control row, a list or an array of three floats, and
+    returns its value; the default is the Lorentzian sqrt(max(u0^2 - u1^2, 0)).
+    ``fn`` must be concave on the cone's cross-section, for the calibration
+    constant is found by a golden-section search that relies on it: the
+    Lorentzian is concave on |u1| <= u0, which holds on ``DEFAULT_CONE``.
     """
 
-    kind: str = "lorentzian"
-    fn: Optional[Callable[[np.ndarray], float]] = None
-    name: str = ""
+    fn: Callable[[Sequence[float]], float] = _lorentzian
+    name: str = "lorentzian"
 
-    def __call__(self, u):
-        if self.kind == "lorentzian":
-            if not isinstance(u, list):
-                u = np.asarray(u, dtype=float)
-                if u.ndim == 2:
-                    return np.sqrt(np.maximum(u[:, 0] * u[:, 0] - u[:, 1] * u[:, 1], 0.0))
-            return math.sqrt(max(u[0] * u[0] - u[1] * u[1], 0.0))
-        u = np.asarray(u, dtype=float)
-        if self.fn is None:
-            raise ValueError("custom anti-norm needs an evaluator")
-        if u.ndim == 2:
-            return np.array([float(self.fn(row)) for row in u])
+    def __call__(self, u) -> float:
         return float(self.fn(u))
 
 
-LORENTZIAN = AntiNorm("lorentzian", name="lorentzian")
+LORENTZIAN = AntiNorm()
 
 
 # ---------------------------------------------------------------------------
@@ -443,11 +434,8 @@ def build_cover_structure(eta: float = 1.0, anti_norm: Optional[AntiNorm] = None
     from .conegeom import CircularCone
 
     if anti_norm is None:
-        anti_norm = AntiNorm(
-            "custom",
-            fn=lambda u: math.sqrt(max(u[0] ** 2 - u[1] ** 2 - u[2] ** 2, 0.0)),
-            name="lorentzian-3d",
-        )
+        anti_norm = AntiNorm(lambda u: math.sqrt(max(u[0] ** 2 - u[1] ** 2 - u[2] ** 2, 0.0)),
+                             "lorentzian-3d")
     return CaseStructure(None, CircularCone((1.0, 0.0, 0.0), eta), anti_norm, CoverModel())
 
 
@@ -528,7 +516,7 @@ def _runs(rows: list):
 def _check_rows(cone: SolidCone, controls: np.ndarray, first: int = 0) -> None:
     # equal rows get equal answers, so each run of equal rows is checked once
     for idx, u, _ in _runs(controls.tolist()):
-        if float(np.linalg.norm(u)) <= 0.0:
+        if not any(u):  # exactly zero: a norm's square underflows on tiny nonzero rows
             raise ValueError(f"control {first + idx} is zero")
         if not contains(cone, u):
             raise ValueError(f"control {first + idx} lies outside the admissible cone")
@@ -616,9 +604,13 @@ def integrate(curve) -> IntegrationResult:
     return IntegrationResult(states[-1], np.array([model.coords(state) for state in states]))
 
 
-def _length(nu: AntiNorm, controls: np.ndarray, dt: float) -> float:
-    # a left-to-right sum, the same as over the rows one by one (np.sum rounds differently)
-    return float(sum(nu(controls).tolist()) * dt)
+def _length(nu: AntiNorm, runs, dt: float) -> float:
+    """Row values summed in row order (np.sum rounds differently) times dt, over (start, row,
+    count) runs of equal rows: each run's value is taken once and repeated count times."""
+    values = []
+    for _, u, k in runs:
+        values += [nu(u)] * k
+    return float(sum(values) * dt)
 
 
 def length(curve) -> float:
@@ -629,9 +621,9 @@ def length(curve) -> float:
     """
     if isinstance(curve, ControlCurve):
         curve = LoopedCurve(curve, 1)
-    nu = curve.structure.anti_norm
-    base_len = _length(nu, curve.base.controls, curve.dt) if curve.base is not None else 0.0
-    return curve.repeat * _length(nu, curve.loop.controls, curve.dt) + base_len
+    nu, dt = curve.structure.anti_norm, curve.dt
+    base_len = _length(nu, _runs(curve.base.controls.tolist()), dt) if curve.base is not None else 0.0
+    return curve.repeat * _length(nu, _runs(curve.loop.controls.tolist()), dt) + base_len
 
 
 def target_from_exp2(structure: CaseStructure, abc: Sequence[float]):
@@ -653,25 +645,25 @@ def target_from_exp2(structure: CaseStructure, abc: Sequence[float]):
 # ---------------------------------------------------------------------------
 # calibration upper bound
 
-def _section_ratio_max(cone: SegmentCone, nu: AntiNorm, p: np.ndarray) -> float:
-    """max over the cross-section u1 + s u2, |s| <= h of nu(v) / (p . v)."""
-    u1, u2 = np.asarray(cone.u1), np.asarray(cone.u2)
+def _section_ratio_max(cone: SegmentCone, nu: AntiNorm, p) -> float:
+    """max over the cross-section u1 + s u2, |s| <= h of nu(v) / (p . v), by golden section.
+
+    nu is concave and p . v positive and affine in s, so the ratio is quasi-concave on
+    [-h, h] (its superlevel sets are intervals) and flat only at its maximum: each step
+    keeps the maximizer in the interval it keeps, so no grid need bracket it first.  The
+    endpoint values cover a maximum at an end of the section.
+    """
+    (a0, a1, a2), (b0, b1, b2) = map(float, cone.u1), map(float, cone.u2)
+    p0, p1, p2 = map(float, p)
     h = cone.half_width
 
     def ratio(s: float) -> float:
-        v = u1 + s * u2
-        return nu(v) / float(np.dot(p, v))
+        v = [a0 + s * b0, a1 + s * b1, a2 + s * b2]
+        return nu(v) / (p0 * v[0] + p1 * v[1] + p2 * v[2])
 
-    grid = np.linspace(-h, h, 4001)
-    V = u1 + grid[:, None] * u2
-    vals = nu(V) / (V @ p)
-    i = int(np.argmax(vals))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, len(grid) - 1)]
     phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c1 = b - phi * (b - a)
-    c2 = a + phi * (b - a)
+    a, b = -h, h
+    c1, c2 = b - phi * (b - a), a + phi * (b - a)
     f1, f2 = ratio(c1), ratio(c2)
     for _ in range(80):
         if f1 < f2:
@@ -682,7 +674,7 @@ def _section_ratio_max(cone: SegmentCone, nu: AntiNorm, p: np.ndarray) -> float:
             b, c2, f2 = c2, c1, f1
             c1 = b - phi * (b - a)
             f1 = ratio(c1)
-    return max(float(vals[i]), f1, f2)
+    return max(f1, f2, ratio(-h), ratio(h))
 
 
 def distance_upper_bound(structure: CaseStructure, target, witness) -> float:
@@ -809,11 +801,9 @@ class _Search:
         """A copy of theta with one pair per row: a single pair is repeated n times."""
         return theta * self.n if len(theta) == 2 else theta[:]
 
-    def controls_of(self, theta) -> np.ndarray:
-        """The (n, 3) control rows of theta (flat or (n, 2)), each row from its own pair."""
-        r, b = np.reshape(np.asarray(theta, dtype=float), (self.n, 2)).T
-        r = np.maximum(r, _R_MIN)
-        return np.column_stack([r, r * np.clip(b, -_B_MAX, _B_MAX), np.zeros(self.n)])
+    def controls_of(self, theta: list) -> np.ndarray:
+        """The (n, 3) control rows of a flat theta of n pairs, each made by :func:`_control`."""
+        return np.array([_control(r, b) for r, b in zip(theta[::2], theta[1::2])])
 
     def rollout(self, theta: list) -> tuple[float, float]:
         runs = [(0, _control(*theta), self.n)] if len(theta) == 2 else _walk(theta)
@@ -856,7 +846,7 @@ class _Search:
         except OverflowError:
             # no complete rollout to reuse a part of; the length still counts every row
             self._last_runs = {}
-            return _length(self.nu, np.array([u for _, u, k in runs for _ in range(k)]), dt), math.inf
+            return _length(self.nu, runs, dt), math.inf
         if x is None:  # no run differs
             return self._last_score
         ell = float(sum(values) * dt)
@@ -1020,14 +1010,15 @@ def su2_unbounded_witness(structure: CaseStructure, demanded_length: float,
     dt = base_curve.dt if base_curve is not None else period / steps_per_loop
     m = max(1, int(math.ceil(period / dt)))
     scale = period / (m * dt)
-    loop = ControlCurve(dt, np.tile([scale, 0.0, 0.0], (m, 1)), structure)
+    row = [scale, 0.0, 0.0]
+    loop = ControlCurve(dt, np.tile(row, (m, 1)), structure)
     nu = structure.anti_norm
-    loop_len = _length(nu, loop.controls, dt)
+    loop_len = _length(nu, [(0, row, m)], dt)  # the block is one run of m equal rows
     base = None
     base_len = 0.0
     if base_curve is not None:
         base = ControlCurve(dt, base_curve.controls, structure)
-        base_len = _length(nu, base.controls, dt)
+        base_len = _length(nu, _runs(base.controls.tolist()), dt)
     loops = (demanded_length - base_len) / loop_len
     if not math.isfinite(loops):
         raise ValueError(f"demanded length {demanded_length:g} needs too many loops of "

@@ -45,8 +45,8 @@ class TangentVector(NamedTuple):
     zeta: complex
 
     def norm(self) -> float:
-        """Euclidean norm of (xi, zeta) in R x C ~ R^3."""
-        return math.sqrt(self.xi * self.xi + abs(self.zeta) ** 2)
+        """Euclidean norm of (xi, zeta) in R x C ~ R^3, with no squares to underflow or overflow."""
+        return math.hypot(self.xi, abs(self.zeta))
 
 
 IDENTITY = CoverElement(0.0, 0j)
@@ -54,6 +54,14 @@ IDENTITY = CoverElement(0.0, 0j)
 #: The Lie algebra on the basis (xi, Re zeta, Im zeta), read off the
 #: commutator under the projection differential.
 ALGEBRA = LieAlgebra3((0.0, 0.0, 2.0), (0.0, -2.0, 0.0), (-2.0, 0.0, 0.0))
+
+
+def _radius(a: float) -> float:
+    """sqrt(1 + a^2) for a = |w|, and a itself where a^2 overflows: the float root rounds to a there."""
+    try:
+        return math.sqrt(1.0 + a ** 2)
+    except OverflowError:
+        return a
 
 
 def multiply(g1: CoverElement, g2: CoverElement) -> CoverElement:
@@ -64,13 +72,14 @@ def multiply(g1: CoverElement, g2: CoverElement) -> CoverElement:
     r1 r2 > |w1||w2| >= |z|, the denominator is strictly positive and the
     principal branch is globally correct.  Where Re z < 0 the sum cancels and
     is taken as (1 + |w1|^2 + |w2|^2 + (Im z)^2) / (r1 r2 - Re z) instead; a
-    denominator that is not a positive float is an overflow (ArithmeticError).
+    denominator that is not a positive float is an overflow (ArithmeticError),
+    as is |w_i|^2 in that quotient.
     """
     s = g1.c + g2.c
     z = g1.w * g2.w.conjugate() * cmath.exp(-1j * s)
-    n1, n2 = abs(g1.w) ** 2, abs(g2.w) ** 2
-    r1, r2 = math.sqrt(1.0 + n1), math.sqrt(1.0 + n2)
-    den = r1 * r2 + z.real if z.real >= 0.0 else (1.0 + n1 + n2 + z.imag ** 2) / (r1 * r2 - z.real)
+    a1, a2 = abs(g1.w), abs(g2.w)
+    r1, r2 = _radius(a1), _radius(a2)
+    den = r1 * r2 + z.real if z.real >= 0.0 else (1.0 + a1 ** 2 + a2 ** 2 + z.imag ** 2) / (r1 * r2 - z.real)
     if not 0.0 < den < math.inf:
         raise ArithmeticError("the arctangent denominator of the product is out of float range")
     c = s + math.atan2(z.imag, den)
@@ -85,8 +94,7 @@ def inverse(g: CoverElement) -> CoverElement:
 
 def project(g: CoverElement) -> np.ndarray:
     """The 2x2 complex matrix in SU(1,1) covering g; unit determinant by construction."""
-    r = math.sqrt(1.0 + abs(g.w) ** 2)
-    z = cmath.exp(1j * g.c) * r
+    z = cmath.exp(1j * g.c) * _radius(abs(g.w))
     return np.array([[z, g.w], [g.w.conjugate(), z.conjugate()]])
 
 
@@ -138,7 +146,7 @@ def growth_ratio(base: CoverElement, u: TangentVector, eta: float) -> float:
         raise ValueError("the growth ratio needs eta > 0")
     if not contains(CircularCone((1.0, 0.0, 0.0), eta), (u.xi, u.zeta.real, u.zeta.imag)):
         raise ValueError("u is outside the admissible cone for this eta")
-    if u.norm() == 0.0:
+    if not (u.xi or u.zeta):
         raise ValueError("u must be nonzero")
     v = TangentVector(*push_forward(base, u))
     tau = v.xi

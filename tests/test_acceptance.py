@@ -326,7 +326,7 @@ def test_criterion_9_anti_norm_independence():
     # the witness on the cone section, depends on the anti-norm; row 2*'s tilted
     # witness gives different c_max under the two anti-norms, so a bound computed
     # under the wrong one would show in the ratio of the two bounds
-    edge = AntiNorm("custom", fn=lambda u: u[0] - abs(u[1]), name="edge")
+    edge = AntiNorm(lambda u: u[0] - abs(u[1]), "edge")
     ok = True
     bites = False
     details = []

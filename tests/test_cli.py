@@ -143,6 +143,15 @@ def test_sl2_inv_and_project(capsys):
     assert m == [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
 
 
+def test_sl2_mul_and_project_where_the_square_of_w_overflows(capsys):
+    # sqrt(1 + |w|^2) is |w| there, which is in float range
+    assert run(capsys, "sl2", "mul", "--g1", "0,1.4e154,0", "--g2", "0,0,0") == (
+        EXIT_OK, '{"c": 0, "w": [1.4e+154, 0]}\n', "")
+    code, out, err = run(capsys, "sl2", "project", "--g", "0,1e200,0")
+    assert (code, err) == (EXIT_OK, "")
+    assert json.loads(out)["matrix"] == [[1e200, 0.0], [1e200, 0.0], [1e200, -0.0], [1e200, -0.0]]
+
+
 def test_sl2_push_and_tau(capsys):
     _, out, _ = run(capsys, "sl2", "tau", "--g", "0,3,0", "--v", "1,0,0")
     assert json.loads(out)["tau"] == 1.0
@@ -320,8 +329,8 @@ def test_witness_for_a_huge_length_is_fast_and_small():
     (["sl2", "mul", "--g1", "1.7e308,0,0", "--g2", "1.7e308,0,0"], "sl2 mul: the values are out of float range"),
     *[(["sl2", command, "--g", "1e300,1e300,0", "--v", "1,0,0"], f"sl2 {command}: the values are out of float range")
       for command in ("push", "tau")],
-    (["sl2", "mul", "--g1", "0,1.4e154,0", "--g2", "0,0,0"], "sl2 mul: the values are out of float range"),
-    (["sl2", "project", "--g", "0,1e200,0"], "sl2 project: the values are out of float range"),
+    (["sl2", "mul", "--g1", "0,1e300,0", "--g2", "0,1e300,0"], "sl2 mul: the values are out of float range"),
+    (["sl2", "project", "--g", "0,1.7e308,1.7e308"], "sl2 project: the values are out of float range"),
     (["sl2", "tau", "--g", "-0,1e154,0", "--v", "1e300,1e300,1e-300"], "sl2 tau: the values are out of float range"),
     (["sl2", "push", "--g", "0,1e150,0", "--v", "1e300,0,0"], "sl2 push: the values are out of float range"),
     # the product overflows without raising, to coordinates nan

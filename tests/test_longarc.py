@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from sublorentz.conegeom import SegmentCone
+from sublorentz.conegeom import DEFAULT_CONE, SegmentCone
 from sublorentz.existence import check_case
-from sublorentz.liealg3 import SL2_CASES, LieAlgebra3, SubLorentzCase, from_case
+from sublorentz.liealg3 import CASE_IDS, SL2_CASES, LieAlgebra3, SubLorentzCase, from_case
 from sublorentz.oracle import sample_case
 from sublorentz import longarc, sl2cover
 from sublorentz.longarc import (
@@ -302,6 +302,17 @@ def test_integrate_rejects_bad_controls():
         integrate(ControlCurve(0.1, [[1.0, 0.0, 0.5]], st))
     with pytest.raises(ValueError, match="zero"):
         integrate(ControlCurve(0.1, [[0.0, 0.0, 0.0]], st))
+    with pytest.raises(ValueError, match="control 1 is zero"):
+        integrate(ControlCurve(0.1, [[1.0, 0.2, 0.0], [-0.0, 0.0, -0.0]], st))
+
+
+@pytest.mark.parametrize("tiny", [1e-170, 5e-324])
+def test_a_tiny_nonzero_control_is_not_called_zero(tiny):
+    # the square of its norm underflows to 0, the row itself does not
+    st = build_structure(HEIS)
+    curve = ControlCurve(0.1, [[tiny, 0.0, 0.0], [1.0, 0.2, 0.0]], st)
+    res = integrate(curve)
+    assert len(res.trajectory) == 3 and np.isfinite(res.trajectory).all()
 
 
 def test_trajectory_samples_every_step():
@@ -416,10 +427,12 @@ def test_cover_step_matches_array_form_bit_for_bit(frame, inputs):
 
 # -- anti-norms ---------------------------------------------------------------------
 
+EDGE = AntiNorm(lambda u: u[0] - abs(u[1]), "edge")
+
+
 def test_anti_norm_homogeneity_and_superadditivity():
-    edge = AntiNorm("custom", fn=lambda u: u[0] - abs(u[1]), name="edge")
     rng = np.random.default_rng(9)
-    for nu in (LORENTZIAN, edge):
+    for nu in (LORENTZIAN, EDGE):
         for _ in range(200):
             r1, r2 = rng.uniform(0.1, 2.0, 2)
             b1, b2 = rng.uniform(-1.0, 1.0, 2)
@@ -430,15 +443,107 @@ def test_anti_norm_homogeneity_and_superadditivity():
             assert nu(v + w) >= nu(v) + nu(w) - 1e-10
 
 
-def test_anti_norm_on_arrays_matches_rows():
+def test_anti_norm_gives_one_float_on_a_list_row_and_an_array_row():
     rng = np.random.default_rng(3)
     U = np.column_stack([rng.uniform(0.1, 2.0, 50), rng.uniform(-2.0, 2.0, 50),
                          rng.uniform(-1.0, 1.0, 50)])
-    edge = AntiNorm("custom", fn=lambda u: u[0] - abs(u[1]), name="edge")
-    for nu in (LORENTZIAN, edge):
-        values = nu(U)
-        assert values.shape == (50,)
-        assert values.tolist() == [nu(u) for u in U]
+    for nu in (LORENTZIAN, EDGE, build_cover_structure().anti_norm):
+        for row in U:
+            got = (nu(row.tolist()), nu(row))
+            assert [type(v) for v in got] == [float, float]
+            assert got[0].hex() == got[1].hex()
+
+
+def test_length_sums_one_value_per_row_in_row_order():
+    # rows drawn from a small pool, so that equal rows merge into runs and split them,
+    # and a zero second entry of either sign, which compares equal across runs
+    rng = np.random.default_rng(5)
+    pool = [[1.0, 0.2, 0.0], [0.7, -0.35, 0.0], [0.3, 0.0, 0.0], [0.3, -0.0, 0.0], [1e-170, 0.0, 0.0]]
+    for nu in (LORENTZIAN, EDGE):
+        st = build_structure(HEIS, anti_norm=nu)
+        for _ in range(200):
+            n = int(rng.integers(1, 13))
+            rows = [pool[i] for i in rng.integers(0, len(pool), n)]
+            curve = ControlCurve(1.0 / n, rows, st)
+            assert length(curve).hex() == float(sum([nu(u) for u in rows]) * curve.dt).hex()
+
+
+# -- calibration constant -------------------------------------------------------------
+
+def reference_section_ratio_max(cone, nu, p) -> float:
+    """The largest ratio nu(v) / (p . v) on the cone's cross-section by a 4 001-point grid,
+    then golden section between the grid neighbours of its best point."""
+    u1, u2 = np.asarray(cone.u1), np.asarray(cone.u2)
+    h = cone.half_width
+
+    def ratio(s):
+        v = u1 + s * u2
+        return nu(v) / float(np.dot(p, v))
+
+    grid = np.linspace(-h, h, 4001)
+    vals = [ratio(s) for s in grid.tolist()]
+    i = int(np.argmax(vals))
+    a, b = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
+    phi = (math.sqrt(5.0) - 1.0) / 2.0
+    c1, c2 = b - phi * (b - a), a + phi * (b - a)
+    f1, f2 = ratio(c1), ratio(c2)
+    for _ in range(80):
+        if f1 < f2:
+            a, c1, f1 = c1, c2, f2
+            c2 = a + phi * (b - a)
+            f2 = ratio(c2)
+        else:
+            b, c2, f2 = c2, c1, f1
+            c1 = b - phi * (b - a)
+            f1 = ratio(c1)
+    return max(vals[i], f1, f2)
+
+
+def _exists_witnesses():
+    """The witnesses of the exists verdicts, six draws per classification row."""
+    rng = np.random.default_rng(7)
+    out = []
+    for cid in CASE_IDS:
+        for n in range(6):
+            verdict = check_case(sample_case(cid, rng, n))
+            if verdict.witness is not None:
+                out.append(np.array(verdict.witness))
+    return out
+
+
+def test_c_max_matches_a_dense_grid_reference_on_the_verdict_witnesses():
+    witnesses = _exists_witnesses()
+    assert len(witnesses) >= 30
+    for nu in (LORENTZIAN, EDGE):
+        for p in witnesses:
+            got = longarc._section_ratio_max(DEFAULT_CONE, nu, p)
+            want = reference_section_ratio_max(DEFAULT_CONE, nu, p)
+            assert abs(got - want) <= 1e-15 * want, (nu.name, p)
+
+
+def test_c_max_matches_a_dense_grid_reference_on_random_cones():
+    # segment cones inside the light cone |x2| < x1, with a covector positive on them
+    rng = np.random.default_rng(11)
+    checked = 0
+    while checked < 40:
+        m, h = rng.uniform(-0.9, 0.9), rng.uniform(0.01, 2.0)
+        d = rng.uniform(0.2, 1.0) * (1.0 - abs(m)) / h  # so that |m +- h d| < 1
+        cone = SegmentCone((1.0, m, rng.normal()), (0.0, d, rng.normal()), h)
+        p = np.array([1.0, rng.uniform(-1.0, 1.0), rng.normal()])
+        if min(float(p @ r) for r in cone.rays()) <= 0.0:
+            continue
+        for nu in (LORENTZIAN, EDGE):
+            got = longarc._section_ratio_max(cone, nu, p)
+            want = reference_section_ratio_max(cone, nu, p)
+            assert abs(got - want) <= 1e-15 * want, (nu.name, cone, p)
+        checked += 1
+
+
+def test_the_heisenberg_c_max_is_exactly_one():
+    p = np.array(check_case(HEIS).witness)
+    st = build_structure(HEIS)
+    for nu in (LORENTZIAN, EDGE):
+        assert longarc._section_ratio_max(st.cone, nu, p) == 1.0
 
 
 # -- calibration bound ----------------------------------------------------------------
@@ -520,8 +625,6 @@ def test_the_bound_is_the_witness_integral_along_an_admissible_curve(case):
 
 # -- solver -----------------------------------------------------------------------------
 
-EDGE = AntiNorm("custom", fn=lambda u: u[0] - abs(u[1]), name="edge")
-
 # r below _R_MIN and b beyond +-_B_MAX are clamped; a zero b keeps its sign in r b
 _theta_r = hs.one_of(hs.floats(0.05, 2.0), hs.sampled_from([_R_MIN, 1e-9, 0.0, -0.0, -0.5]))
 _theta_rows = hs.tuples(
@@ -572,7 +675,7 @@ def test_rollout_matches_a_fresh_length_and_integration(structure_args, thetas):
     search = _Search(st, target, len(thetas[0]), budget=len(thetas))
     for theta in thetas:
         ell, err = search.rollout(theta.ravel().tolist())
-        controls = search.controls_of(theta)
+        controls = search.controls_of(theta.ravel().tolist())
         r, b = np.clip(theta[:, 0], _R_MIN, None), np.clip(theta[:, 1], -_B_MAX, _B_MAX)
         assert controls.tobytes() == np.column_stack([r, r * b, np.zeros(len(theta))]).tobytes()
         curve = ControlCurve(search.dt, controls, st)
@@ -609,9 +712,9 @@ def test_a_constant_candidate_scores_as_its_full_theta(structure_args, n, data):
         else:
             theta = data.draw(runs_of_pairs(n))
             got = pairs.rollout(theta.ravel().tolist())
-            controls = pairs.controls_of(theta)
+            controls = pairs.controls_of(theta.ravel().tolist())
         want = walked.rollout(theta.ravel().tolist())
-        assert controls.tobytes() == walked.controls_of(theta).tobytes()
+        assert controls.tobytes() == walked.controls_of(theta.ravel().tolist()).tobytes()
         curve = ControlCurve(pairs.dt, controls, st)
         fresh_err = float(np.linalg.norm(st.model.coords(integrate(curve).endpoint) - pairs.tcoords))
         assert tuple(v.hex() for v in got) == tuple(v.hex() for v in want) == (
@@ -741,7 +844,7 @@ def test_after_an_overflowing_candidate_the_last_one_still_scores_as_afresh():
     good = _distinct_theta(8)
     far = good.copy()
     far[3, 0] = 5000.0  # the exponential of this row overflows
-    curve = ControlCurve(search.dt, search.controls_of(good), st)
+    curve = ControlCurve(search.dt, search.controls_of(good.ravel().tolist()), st)
     err = float(np.linalg.norm(st.model.coords(integrate(curve).endpoint) - search.tcoords))
     fresh = (length(curve).hex(), err.hex())
     assert tuple(v.hex() for v in search.rollout(good.ravel().tolist())) == fresh

@@ -47,7 +47,51 @@ def test_project_unit_determinant_and_deck_invariance():
         assert np.max(np.abs(shifted - m)) <= 1e-12 * max(1.0, np.max(np.abs(m)))
 
 
+def test_project_where_the_square_of_w_overflows():
+    # sqrt(1 + |w|^2) rounds to |w| there, and the matrix is still in float range
+    m = project(CoverElement(0.0, 1e200))
+    assert m.tolist() == [[1e200, 1e200], [1e200, 1e200]]
+
+
 # -- group law -------------------------------------------------------------------
+
+def reference_multiply(g1, g2):
+    """The product with r_i = sqrt(1 + |w_i|^2) taken on the squares, valid where they are finite."""
+    s = g1.c + g2.c
+    z = g1.w * g2.w.conjugate() * cmath.exp(-1j * s)
+    n1, n2 = abs(g1.w) ** 2, abs(g2.w) ** 2
+    r1, r2 = math.sqrt(1.0 + n1), math.sqrt(1.0 + n2)
+    den = r1 * r2 + z.real if z.real >= 0.0 else (1.0 + n1 + n2 + z.imag ** 2) / (r1 * r2 - z.real)
+    if not 0.0 < den < math.inf:
+        raise ArithmeticError
+    return (s + math.atan2(z.imag, den),
+            g2.w * r1 * cmath.exp(1j * g1.c) + g1.w * r2 * cmath.exp(-1j * g2.c))
+
+
+def test_multiply_and_project_keep_their_floats_where_the_square_of_w_is_finite():
+    rng = np.random.default_rng(29)
+    for _ in range(2000):
+        g1, g2 = (CoverElement(rng.uniform(-10.0, 10.0),
+                               complex(*(rng.uniform(-1.0, 1.0, 2) * 10.0 ** rng.uniform(-300, 154, 2))))
+                  for _ in range(2))
+        try:
+            want = reference_multiply(g1, g2)
+        except ArithmeticError:  # (Im z)^2 or the denominator overflows
+            with pytest.raises(ArithmeticError):
+                multiply(g1, g2)
+            continue
+        got = multiply(g1, g2)
+        assert (got.c, got.w) == want
+        z = cmath.exp(1j * g1.c) * math.sqrt(1.0 + abs(g1.w) ** 2)
+        assert project(g1).tolist() == [[z, g1.w], [g1.w.conjugate(), z.conjugate()]]
+
+
+@pytest.mark.parametrize("w", [1.4e154, complex(-3e200, 4e200), 1e308])
+def test_a_product_with_the_identity_where_the_square_of_w_overflows(w):
+    g = CoverElement(0.5, w)
+    assert multiply(g, IDENTITY) == g
+    assert multiply(IDENTITY, g) == g
+
 
 def test_identity_and_rotation_accumulation():
     g = CoverElement(1.3, complex(0.4, -2.0))
@@ -240,6 +284,14 @@ def test_growth_ratio_rejections():
         growth_ratio(IDENTITY, TangentVector(1.0, 0.0), 0.0)
     with pytest.raises(ValueError, match="nonzero"):
         growth_ratio(IDENTITY, TangentVector(0.0, 0.0), 1.0)
+    with pytest.raises(ValueError, match="nonzero"):
+        growth_ratio(IDENTITY, TangentVector(-0.0, complex(0.0, -0.0)), 1.0)
+
+
+@pytest.mark.parametrize("tiny", [1e-170, 5e-324])
+def test_growth_ratio_of_a_tiny_nonzero_vector(tiny):
+    # |u|^2 underflows to 0; at the identity the push-forward is u, whose ratio is 1
+    assert growth_ratio(IDENTITY, TangentVector(tiny, 0j), 1.0) == 1.0
 
 
 def test_algebra_bracket_is_antisymmetric_and_jacobi():
