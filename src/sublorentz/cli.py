@@ -307,8 +307,7 @@ def cmd_solve(args) -> int:
     payload["params"] = case.params()
     payload["target"] = target_spec
     if result.found:
-        payload["trajectory"] = [list(map(float, row))
-                                 for row in integrate(result.curve).trajectory]
+        payload["trajectory"] = integrate(result.curve).trajectory.tolist()
     _emit(json.dumps(payload) + "\n", args.out)
     return EXIT_OK if result.found else EXIT_NOT_FOUND
 

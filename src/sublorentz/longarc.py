@@ -12,18 +12,21 @@ subgroup steps, on one of three concrete group realizations:
   eigenvalues, with a series branch where they nearly coincide, and each
   element carries the exponential of its own action, so a product is 2x2
   arithmetic;
-* unit quaternions for the su2 row;
+* unit quaternions for the su2 row, as (w, x, y, z) tuples of floats;
 * cover coordinates (c, w) for the sl2-type rows, in a frame read off the
   closed-form Killing axes, with classical RK4 steps on plain floats whose
   four stages all use the left translation of :mod:`sublorentz.sl2cover`.
 
-Every model steps a curve in two parts: ``increment(u, h)`` does the work
-that depends on the control row and the duration alone, and ``step(x, inc)``
-advances the state ``x`` with it.  On the semidirect model the increment is
-the exact exponential exp(h u), so a run of k equal rows from ``x`` ends at
-``step(x, increment(u, k dt))``, one exponential and one product whatever k
-is, and its j-th row is ``step(x, increment(u, j dt))``.  The quaternion and
-cover models take one increment per run and fold ``step`` over its rows.
+All three models carry their states as plain tuples of Python floats (and
+complex numbers on the cover), and a product is scalar arithmetic with no
+array built.  Every model steps a curve in two parts: ``increment(u, h)``
+does the work that depends on the control row and the duration alone, and
+``step(x, inc)`` advances the state ``x`` with it.  On the semidirect model
+the increment is the exact exponential exp(h u), so a run of k equal rows
+from ``x`` ends at ``step(x, increment(u, k dt))``, one exponential and one
+product whatever k is, and its j-th row is ``step(x, increment(u, j dt))``.
+The quaternion and cover models take one increment per run and fold
+``step`` over its rows.
 
 On top of integration the module provides the generalized length functional,
 a calibration-based upper bound on lengths into a target (solvable rows with
@@ -292,7 +295,7 @@ class SemidirectModel:
 
 
 class QuaternionModel:
-    """Unit quaternions realizing the su2 case algebra.
+    """Unit quaternions realizing the su2 case algebra, as plain (w, x, y, z) float 4-tuples.
 
     The case generators map to scaled imaginary units; scaling factors are
     fixed by the case parameters so that commutators reproduce the case
@@ -305,29 +308,31 @@ class QuaternionModel:
         k, x = case.kappa, case.chi
         alpha = math.sqrt(-(k + x)) / 2.0
         beta = math.sqrt(k - x) / 2.0
-        self.scales = np.array([alpha, beta, 2.0 * alpha * beta])
+        self.scales = (alpha, beta, 2.0 * alpha * beta)
         #: Parameter time after which exp(t X1) returns to the identity.
         self.period = su2_loop_period(case)
 
     def identity(self):
-        return np.array([1.0, 0.0, 0.0, 0.0])
+        return (1.0, 0.0, 0.0, 0.0)
 
     def exp(self, u, time: float = 1.0):
-        v = time * (self.scales * np.asarray(u, dtype=float))
+        v = [time * (s * float(c)) for s, c in zip(self.scales, u)]
+        # the floats of np.linalg.norm: its dot product may round differently from a Python sum
         theta = float(np.linalg.norm(v))
         if theta == 0.0:
-            return np.array([1.0, 0.0, 0.0, 0.0])
-        return np.concatenate([[math.cos(theta)], math.sin(theta) / theta * v])
+            return (1.0, 0.0, 0.0, 0.0)
+        f = math.sin(theta) / theta
+        return (math.cos(theta), f * v[0], f * v[1], f * v[2])
 
     def multiply(self, q, r):
         w1, x1, y1, z1 = q
         w2, x2, y2, z2 = r
-        return np.array([
+        return (
             w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
             w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
             w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
             w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-        ])
+        )
 
     def increment(self, u, dt: float):
         return self.exp(u, dt)
@@ -336,7 +341,7 @@ class QuaternionModel:
     step = multiply
 
     def coords(self, x) -> np.ndarray:
-        return np.asarray(x, dtype=float)
+        return np.array(x, dtype=float)
 
 
 def sl2_cover_frame(algebra: LieAlgebra3) -> np.ndarray:
@@ -458,7 +463,7 @@ class ControlCurve:
             raise ValueError("dt must be positive")
 
     def to_json(self) -> dict:
-        return {"dt": self.dt, "controls": [list(map(float, row)) for row in self.controls]}
+        return {"dt": self.dt, "controls": self.controls.tolist()}
 
 
 @dataclass(frozen=True, eq=False)
@@ -593,10 +598,9 @@ def integrate(curve) -> IntegrationResult:
         if isinstance(model, QuaternionModel):
             # rounding moves the block endpoint off the unit sphere, and
             # powering would raise its norm to the repeat count
-            x = x / np.linalg.norm(x)
+            x = tuple((np.array(x) / np.linalg.norm(x)).tolist())
         # a power that overflows comes out non-finite, which callers detect
-        with np.errstate(over="ignore", invalid="ignore"):
-            states.append(_power(model, x, curve.repeat))
+        states.append(_power(model, x, curve.repeat))
         rows = []
     if curve.base is not None:
         rows += curve.base.controls.tolist()

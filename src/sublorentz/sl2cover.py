@@ -71,15 +71,29 @@ def multiply(g1: CoverElement, g2: CoverElement) -> CoverElement:
     z = w1 conj(w2) exp(-i(c1+c2)) and r_i = sqrt(1+|w_i|^2).  Since
     r1 r2 > |w1||w2| >= |z|, the denominator is strictly positive and the
     principal branch is globally correct.  Where Re z < 0 the sum cancels and
-    is taken as (1 + |w1|^2 + |w2|^2 + (Im z)^2) / (r1 r2 - Re z) instead; a
-    denominator that is not a positive float is an overflow (ArithmeticError),
-    as is |w_i|^2 in that quotient.
+    is taken as (1 + |w1|^2 + |w2|^2 + (Im z)^2) / (r1 r2 - Re z) instead.
+    Where a square or a sum in that quotient overflows, it is taken on the
+    values scaled by a power of two 2^-e (both of its sides by 2^-2e), which
+    rounds as the unscaled quotient would wherever the scaled terms stay
+    normal.  A denominator that is not a positive float is an overflow
+    (ArithmeticError).
     """
     s = g1.c + g2.c
     z = g1.w * g2.w.conjugate() * cmath.exp(-1j * s)
     a1, a2 = abs(g1.w), abs(g2.w)
     r1, r2 = _radius(a1), _radius(a2)
-    den = r1 * r2 + z.real if z.real >= 0.0 else (1.0 + a1 ** 2 + a2 ** 2 + z.imag ** 2) / (r1 * r2 - z.real)
+    if z.real >= 0.0:
+        den = r1 * r2 + z.real
+    else:
+        try:
+            den = (1.0 + a1 ** 2 + a2 ** 2 + z.imag ** 2) / (r1 * r2 - z.real)
+        except OverflowError:
+            den = math.nan
+        if not den < math.inf:
+            e = -math.frexp(max(r1, r2, abs(z.imag)))[1]
+            b1, b2, q1, q2, y = (math.ldexp(t, e) for t in (a1, a2, r1, r2, z.imag))
+            den = ((math.ldexp(1.0, 2 * e) + b1 ** 2 + b2 ** 2 + y ** 2)
+                   / (q1 * q2 - math.ldexp(z.real, 2 * e)))
     if not 0.0 < den < math.inf:
         raise ArithmeticError("the arctangent denominator of the product is out of float range")
     c = s + math.atan2(z.imag, den)

@@ -147,6 +147,9 @@ def test_sl2_mul_and_project_where_the_square_of_w_overflows(capsys):
     # sqrt(1 + |w|^2) is |w| there, which is in float range
     assert run(capsys, "sl2", "mul", "--g1", "0,1.4e154,0", "--g2", "0,0,0") == (
         EXIT_OK, '{"c": 0, "w": [1.4e+154, 0]}\n', "")
+    # |w1|^2 overflows in the product's quotient, whose w is about 1.4e154 (sqrt(2) - 1)
+    assert run(capsys, "sl2", "mul", "--g1", "0,1.4e154,0", "--g2", "0,-1,0") == (
+        EXIT_OK, '{"c": 0, "w": [5.7989898732233315e+153, 0]}\n', "")
     code, out, err = run(capsys, "sl2", "project", "--g", "0,1e200,0")
     assert (code, err) == (EXIT_OK, "")
     assert json.loads(out)["matrix"] == [[1e200, 0.0], [1e200, 0.0], [1e200, -0.0], [1e200, -0.0]]

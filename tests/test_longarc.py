@@ -1,5 +1,6 @@
 import cmath
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ from sublorentz.longarc import (
     ControlCurve,
     CoverModel,
     LoopedCurve,
+    QuaternionModel,
     SemidirectModel,
     build_cover_structure,
     build_structure,
@@ -34,6 +36,7 @@ from sublorentz.longarc import (
     _B_MAX,
     _R_MIN,
     _Search,
+    _power,
     _steps,
     su2_unbounded_witness,
     target_from_exp2,
@@ -423,6 +426,81 @@ def test_cover_step_matches_array_form_bit_for_bit(frame, inputs):
     x, u, dt = inputs
     model = CoverModel(COVER_FRAMES[frame])
     assert _bits(model.step(x, model.increment(u, dt))) == _bits(reference_cover_step(model.frame, x, u, dt))
+
+
+def reference_quaternion_exp(scales, u, time):
+    """The quaternion exponential in array form."""
+    v = time * (np.array(scales) * np.asarray(u, dtype=float))
+    theta = float(np.linalg.norm(v))
+    if theta == 0.0:
+        return np.array([1.0, 0.0, 0.0, 0.0])
+    return np.concatenate([[math.cos(theta)], math.sin(theta) / theta * v])
+
+
+def reference_quaternion_multiply(q, r):
+    """The quaternion product in array form."""
+    w1, x1, y1, z1 = q
+    w2, x2, y2, z2 = r
+    return np.array([
+        w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+        w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+        w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+        w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
+    ])
+
+
+def reference_quaternion_power(x, k):
+    out = np.array([1.0, 0.0, 0.0, 0.0])
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing power comes out non-finite
+        while k:
+            if k & 1:
+                out = reference_quaternion_multiply(out, x)
+            k >>= 1
+            if k:
+                x = reference_quaternion_multiply(x, x)
+    return out
+
+
+def _quaternion_bits(x):
+    assert type(x) is tuple and len(x) == 4 and all(type(c) is float for c in x)
+    return [c.hex() for c in x]
+
+
+def test_quaternion_model_matches_array_form_bit_for_bit():
+    rng = np.random.default_rng(41)
+    for _ in range(200):
+        chi = -(10.0 ** rng.uniform(-3, 3))
+        model = QuaternionModel(SubLorentzCase("9", kappa=float(-chi * rng.uniform(-0.99, 0.99)), chi=chi))
+        assert type(model.scales) is tuple
+        for u, t in [((0.0, 0.0, 0.0), 0.7), ((1.0, -0.0, 0.0), 0.0)] + [
+                ((rng.uniform(-1, 1, 3) * 10.0 ** rng.uniform(-3, 3)).tolist(), 10.0 ** rng.uniform(-3, 1))
+                for _ in range(8)]:
+            assert _quaternion_bits(model.exp(u, t)) == [c.hex() for c in reference_quaternion_exp(
+                model.scales, u, t).tolist()]
+        x, want = model.identity(), np.array([1.0, 0.0, 0.0, 0.0])
+        for _ in range(int(rng.integers(1, 64))):
+            u, dt = rng.uniform(-1, 1, 3).tolist(), float(10.0 ** rng.uniform(-3, 0))
+            x = model.step(x, model.increment(u, dt))
+            want = reference_quaternion_multiply(want, reference_quaternion_exp(model.scales, u, dt))
+            assert _quaternion_bits(x) == [c.hex() for c in want.tolist()]
+        # unit, grown and shrunk bases, so that some powers overflow or underflow
+        k = int(10.0 ** rng.uniform(0, 15))
+        for scale in (1.0, 1.5, 0.5):
+            base = tuple(scale * c for c in x)
+            assert _quaternion_bits(_power(model, base, k)) == [
+                c.hex() for c in reference_quaternion_power(np.array(base), k).tolist()]
+
+
+@pytest.mark.parametrize("demand, steps", [(10.0, 64), (1e6, 7), (1e12, 300), (1e15, 1), (1e300, 64)])
+def test_the_powered_witness_endpoint_matches_array_form_bit_for_bit(demand, steps):
+    st = build_structure(SubLorentzCase("9", kappa=0.3, chi=-1.7))
+    curve = su2_unbounded_witness(st, demand, steps_per_loop=steps)
+    x = np.array([1.0, 0.0, 0.0, 0.0])
+    for u in curve.loop.controls:
+        x = reference_quaternion_multiply(x, reference_quaternion_exp(st.model.scales, u, curve.dt))
+    # one traversal is stepped as it is; more are powered from the renormalized block endpoint
+    want = x if curve.repeat == 1 else reference_quaternion_power(x / np.linalg.norm(x), curve.repeat)
+    assert _quaternion_bits(integrate(curve).endpoint) == [c.hex() for c in want.tolist()]
 
 
 # -- anti-norms ---------------------------------------------------------------------
@@ -1054,6 +1132,19 @@ def test_curve_json_shape():
     assert list(data) == ["dt", "controls", "loop_rows", "repeat"]
     assert data["loop_rows"] == 3 and data["repeat"] == 7
     assert data["controls"] == [[1.0, 0.5, 0.0]] * 3 + [[1.0, 0.0, 0.0]] * 2
+
+
+def test_curve_json_rows_are_the_floats_of_each_row():
+    st = build_structure(HEIS)
+    rows = [[1.0, -0.0, 0.0], [5e-324, -5e-324, 2.2250738585072014e-308], [1e-310, 0.1, 1.0 / 3.0],
+            [1.7e308, -1.7e308, 0.0]]
+    curve = ControlCurve(0.25, rows, st)
+    want = [list(map(float, row)) for row in curve.controls]
+    got = curve.to_json()["controls"]
+    assert all(type(c) is float for row in got for c in row)
+    assert json.dumps(got) == json.dumps(want)
+    assert json.dumps(got) == ("[[1.0, -0.0, 0.0], [5e-324, -5e-324, 2.2250738585072014e-308], "
+                               "[1e-310, 0.1, 0.3333333333333333], [1.7e+308, -1.7e+308, 0.0]]")
 
 
 def test_sl2_cover_frame_maps_killing_form_to_normal_form():

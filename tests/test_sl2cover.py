@@ -1,5 +1,6 @@
 import cmath
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -68,6 +69,32 @@ def reference_multiply(g1, g2):
             g2.w * r1 * cmath.exp(1j * g1.c) + g1.w * r2 * cmath.exp(-1j * g2.c))
 
 
+def decimal_angle(g1, g2):
+    """s + atan2(Im z, den) with the denominator taken in 60-digit decimals on the same floats,
+    or None where z or that denominator is out of float range."""
+    s = g1.c + g2.c
+    z = g1.w * g2.w.conjugate() * cmath.exp(-1j * s)
+    if not cmath.isfinite(z):
+        return None
+    with localcontext() as ctx:
+        ctx.prec = 60
+        n1, n2 = Decimal(abs(g1.w)) ** 2, Decimal(abs(g2.w)) ** 2
+        r1r2 = ((1 + n1) * (1 + n2)).sqrt()
+        zr, zi = Decimal(z.real), Decimal(z.imag)
+        den = float(r1r2 + zr if zr >= 0 else (1 + n1 + n2 + zi ** 2) / (r1r2 - zr))
+    return s + math.atan2(z.imag, den) if 0.0 < den < math.inf else None
+
+
+def assert_angle_matches_decimal(g1, g2):
+    want = decimal_angle(g1, g2)
+    if want is None:
+        with pytest.raises(ArithmeticError):
+            multiply(g1, g2)
+    else:
+        got = multiply(g1, g2).c
+        assert abs(got - want) <= 4e-16 * (abs(g1.c + g2.c) + math.pi), (g1, g2, got, want)
+
+
 def test_multiply_and_project_keep_their_floats_where_the_square_of_w_is_finite():
     rng = np.random.default_rng(29)
     for _ in range(2000):
@@ -76,14 +103,28 @@ def test_multiply_and_project_keep_their_floats_where_the_square_of_w_is_finite(
                   for _ in range(2))
         try:
             want = reference_multiply(g1, g2)
-        except ArithmeticError:  # (Im z)^2 or the denominator overflows
-            with pytest.raises(ArithmeticError):
-                multiply(g1, g2)
+        except ArithmeticError:  # a square overflows here; the product scales its quotient instead
+            assert_angle_matches_decimal(g1, g2)
             continue
         got = multiply(g1, g2)
         assert (got.c, got.w) == want
         z = cmath.exp(1j * g1.c) * math.sqrt(1.0 + abs(g1.w) ** 2)
         assert project(g1).tolist() == [[z, g1.w], [g1.w.conjugate(), z.conjugate()]]
+
+
+@pytest.mark.parametrize("g1, g2", [
+    # |w1|^2 overflows in the quotient
+    (CoverElement(0.0, 1.4e154), CoverElement(0.0, -1.0)),
+    (CoverElement(0.3, 1e200), CoverElement(-0.2, -1e-150)),
+    # every square is finite, and their sum overflows
+    (CoverElement(0.0, 1.3e154), CoverElement(0.0, complex(-0.7, 0.7))),
+    # (Im z)^2 overflows
+    (CoverElement(1.0, complex(3e100, -1e154)), CoverElement(-2.0, complex(-1e60, 5e60))),
+], ids=["w1 squared", "w1 squared, small w2", "sum of squares", "Im z squared"])
+def test_a_quotient_whose_squares_overflow_is_taken_on_scaled_values(g1, g2):
+    assert decimal_angle(g1, g2) is not None
+    assert_angle_matches_decimal(g1, g2)
+    assert cmath.isfinite(multiply(g1, g2).w)
 
 
 @pytest.mark.parametrize("w", [1.4e154, complex(-3e200, 4e200), 1e308])
