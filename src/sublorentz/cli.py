@@ -29,7 +29,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .conegeom import cone_from_json, cone_subspace_trivial, dual_contains, find_interior_dual_in_annihilator
+from .conegeom import (
+    _length,
+    cone_from_json,
+    cone_subspace_trivial,
+    dual_contains,
+    find_interior_dual_in_annihilator,
+)
 from .existence import check_case
 from .liealg3 import CASE_IDS, CASE_LABELS, SL2_CASES, SU2_CASE, SubLorentzCase
 from .longarc import (
@@ -290,7 +296,8 @@ def cmd_solve(args) -> int:
     if isinstance(target_spec, dict) and case.case_id in SL2_CASES:
         w = target_spec.get("w")
         values = [target_spec.get("c"), *w] if isinstance(w, list) and len(w) == 2 else []
-        if not values or not all(isinstance(t, (int, float)) and math.isfinite(t) for t in values):
+        if not values or not all(isinstance(t, (int, float)) and not isinstance(t, bool) and math.isfinite(t)
+                                 for t in values):
             raise ValueError('a cover target is {"c": c, "w": [re, im]} with finite numbers')
         target = CoverElement(values[0], complex(values[1], values[2]))
     elif isinstance(target_spec, list):
@@ -322,11 +329,12 @@ def cmd_witness(args) -> int:
     curve = su2_unbounded_witness(structure, args.demanded_length,
                                   steps_per_loop=args.steps_per_loop)
     result = integrate(curve)
-    endpoint_error = float(np.linalg.norm(
-        structure.model.coords(result.endpoint) - structure.model.coords(structure.model.identity())))
-    if not math.isfinite(endpoint_error):
+    d = structure.model.coords(result.endpoint) - structure.model.coords(structure.model.identity())
+    if not np.isfinite(d).all():
         raise ValueError(f"demanded length {args.demanded_length:g} is too long: the powered loop "
                          "endpoint is not finite")
+    # scaled by a power of two, so a finite but huge endpoint is measured without overflow
+    endpoint_error = _length(d)
     if endpoint_error > ENDPOINT_TOL:
         raise ValueError(f"demanded length {args.demanded_length:g} is too long: the powered loop "
                          f"endpoint is {endpoint_error:.3g} from the identity, above {ENDPOINT_TOL:g}")

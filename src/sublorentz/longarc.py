@@ -635,7 +635,8 @@ def target_from_exp2(structure: CaseStructure, abc: Sequence[float]):
     model = structure.model
     if isinstance(model, CoverModel):
         raise TypeError("this model takes targets in its own coordinates, not exponential ones")
-    if len(abc) != 3 or not all(isinstance(t, numbers.Real) and math.isfinite(t) for t in abc):
+    if len(abc) != 3 or not all(isinstance(t, numbers.Real) and not isinstance(t, bool) and math.isfinite(t)
+                                for t in abc):
         raise ValueError(f"a target in exponential coordinates is three finite numbers, got {list(abc)}")
     try:
         x = _exp_product(model, [(float(amount), basis_vec) for amount, basis_vec in zip(abc, np.eye(3))])
@@ -760,22 +761,23 @@ class _Search:
     other candidate is walked for its runs of equal control rows.  The
     rollout works per run and keeps one record per run of the last candidate,
     keyed by the run's start index: its row, count, start state, increment and
-    anti-norm value.  The fold models also keep the state after every row.
+    anti-norm value.
 
     It walks the new candidate's runs in one pass.  A run equal to the last
     candidate's in start, row and count is taken as it is, up to the first
-    run that differs; that run starts from the record at its own start (the
-    identity on the first rollout), and a fold model steps on from its first
-    changed row, so no row is stepped twice.  From there a run that starts
+    run that differs; on every model that run restarts from the start state
+    in the record at its own start (the identity on the first rollout), and
+    it and every later run are stepped from there.  A later run that starts
     where an old one did with the same row takes its anti-norm value, and its
     increment too where the count is also unchanged (on the fold models the
     increment does not depend on the count).  When no run differs the last
-    score is returned.  A semidirect run is one exact step, as
-    :func:`integrate` takes it, and the length is the left-to-right sum of
-    the row values (the value of a run's first row, repeated) times dt, as
-    :func:`length` takes it; so a rollout gives the same floats as
-    integrating the curve afresh.  A rollout whose exponential overflows or
-    whose endpoint is not finite scores as infeasible (endpoint error inf).
+    score is returned.  A semidirect run is one exact step and a fold model's
+    run one ``step`` per row, as :func:`integrate` takes them, and the length
+    is the left-to-right sum of the row values (the value of a run's first
+    row, repeated) times dt, as :func:`length` takes it; so a rollout gives
+    the same floats as integrating the curve afresh.  A rollout whose
+    exponential overflows or whose endpoint is not finite scores as
+    infeasible (endpoint error inf).
     """
 
     # Feasible candidates are ranked by length minus a multiple of the endpoint
@@ -795,10 +797,8 @@ class _Search:
         self.tcoords = self.model.coords(target)
         self.best: Optional[tuple[float, list, float]] = None
         # the last rollout: its runs (start -> row, count, start state, increment,
-        # value), the states after each row (the identity first; fold models only)
-        # and (length, endpoint error)
+        # value) and (length, endpoint error)
         self._last_runs: dict = {}
-        self._last_states: list = [self.model.identity()]
         self._last_score = (math.nan, math.inf)
 
     def expand(self, theta: list) -> list:
@@ -825,12 +825,7 @@ class _Search:
                         continue
                     # the first run that differs: every run before it matched, so an old
                     # run starts here too, unless this is the first rollout
-                    if exact:
-                        x = model.identity() if old is None else old[2]
-                    else:
-                        i = s + min(k, old[1]) if same else s  # the first changed row
-                        states = self._last_states[:i + 1]
-                        x = states[-1]
+                    x = model.identity() if old is None else old[2]
                 if same:
                     _, k0, _, inc, value = old
                     if exact and k0 != k:
@@ -839,14 +834,9 @@ class _Search:
                     inc = model.increment(u, k * dt if exact else dt)
                     value = self.nu(u)
                 values += [value] * k
-                if exact:
-                    records[s] = (u, k, x, inc, value)
+                records[s] = (u, k, x, inc, value)
+                for _ in range(1 if exact else k):
                     x = step(x, inc)
-                else:
-                    records[s] = (u, k, states[s], inc, value)
-                    for _ in range(s + k + 1 - len(states)):
-                        x = step(x, inc)
-                        states.append(x)
         except OverflowError:
             # no complete rollout to reuse a part of; the length still counts every row
             self._last_runs = {}
@@ -858,8 +848,6 @@ class _Search:
         err = math.sqrt(d.dot(d))  # the floats of np.linalg.norm(d)
         self._last_score = ell, err if math.isfinite(err) else math.inf
         self._last_runs = records
-        if not exact:
-            self._last_states = states
         return self._last_score
 
     def score(self, theta: list, mu: float) -> float:

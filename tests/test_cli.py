@@ -347,6 +347,11 @@ def test_witness_for_a_huge_length_is_fast_and_small():
      "the structure constants of case-2* are out of float range"),
     (["solve", "--case", "2*", "--kappa", "1e300", "--tau", "1e300", "--target", "[0,0,1]", "--steps", "2",
       "--budget", "5"], "the structure constants of case-2* are out of float range"),
+    # a JSON boolean is not a number
+    (["solve", "--case", "1", "--kappa", "0", "--target", "[1,0,true]", "--steps", "2", "--budget", "5"],
+     "a target in exponential coordinates is three finite numbers"),
+    (["solve", "--case", "10", "--kappa", "-2", "--chi", "-1", "--target", '{"c": true, "w": [0, 0]}',
+      "--steps", "2", "--budget", "5"], 'a cover target is {"c": c, "w": [re, im]} with finite numbers'),
 ])
 def test_bad_inputs_are_named_usage_errors(argv, message):
     proc = subprocess.run([sys.executable, "-m", "sublorentz.cli", *argv],
@@ -379,6 +384,11 @@ def test_semidirect_rows_with_a_large_tau_solve_without_a_warning(row, target, c
       "--budget", "5"], "the semidirect model of case-7 does not apply: its bracket images are out of float range"),
     (["solve", "--case", "1", "--kappa", "0", "--target", "[1e200,1e200,0]", "--steps", "2", "--budget", "5"],
      "the target [1e+200, 1e+200, 0] is out of float range: its exponential overflows"),
+    # the powered endpoint is finite, about (-1.44e224, -1.62e223, 0, 0); its squared norm overflows
+    (["witness", "--case", "9", "--kappa", "-0.2122766612781075", "--chi", "-1.0", "--length",
+      "2.2790229221201445e+27", "--steps-per-loop", "87"],
+     "demanded length 2.27902e+27 is too long: the powered loop endpoint is 1.45e+224 from the identity, "
+     "above 0.0001"),
 ])
 def test_values_out_of_float_range_are_named_without_a_warning(argv, message):
     proc = subprocess.run([sys.executable, "-W", "error", "-m", "sublorentz.cli", *argv],

@@ -745,7 +745,7 @@ def candidate_sequences(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(hs.sampled_from([(SubLorentzCase("12", kappa=-1.0, chi=-1.0), LORENTZIAN), (SL2, LORENTZIAN),
-                        (HEIS, EDGE)]),
+                        (SU2, LORENTZIAN), (HEIS, EDGE)]),
        candidate_sequences())
 def test_rollout_matches_a_fresh_length_and_integration(structure_args, thetas):
     st = build_structure(*structure_args)
@@ -867,20 +867,22 @@ def test_a_constant_candidate_is_one_run_without_the_row_walk(monkeypatch):
         assert (len(exps), len(steps), len(values), len(walks)) == (1, 1, 1, 0)
 
 
-def test_a_cover_change_steps_from_the_changed_row_on(monkeypatch):
+def test_a_cover_change_steps_from_its_run_start_on(monkeypatch):
+    # the first run that differs restarts from the start state in its record: a
+    # one-row change at row i steps every row from the start of the run that held it
     st = build_structure(SL2)
     target = integrate(constant_curve(st, (1.0, 0.2, 0.0), n=4)).endpoint
     n = 16
     steps = _counted(monkeypatch, CoverModel, "step")
     search = _Search(st, target, n, budget=1)
-    for base in (_distinct_theta(n), np.repeat(_distinct_theta(4), 4, axis=0)):
+    for base, run in ((_distinct_theta(n), 1), (np.repeat(_distinct_theta(4), 4, axis=0), 4)):
         for i in range(n):
             search.rollout(base.ravel().tolist())
             changed = base.copy()
             changed[i] = [2.0, 0.7]
             steps.clear()
             search.rollout(changed.ravel().tolist())
-            assert len(steps) == n - i, i
+            assert len(steps) == n - (i - i % run), i
 
 
 def test_a_cover_step_takes_four_push_forwards(monkeypatch):
