@@ -329,7 +329,7 @@ def cmd_witness(args) -> int:
     curve = su2_unbounded_witness(structure, args.demanded_length,
                                   steps_per_loop=args.steps_per_loop)
     result = integrate(curve)
-    d = structure.model.coords(result.endpoint) - structure.model.coords(structure.model.identity())
+    d = np.subtract(structure.model.coords(result.endpoint), structure.model.coords(structure.model.identity()))
     if not np.isfinite(d).all():
         raise ValueError(f"demanded length {args.demanded_length:g} is too long: the powered loop "
                          "endpoint is not finite")

@@ -33,13 +33,16 @@ a calibration-based upper bound on lengths into a target (solvable rows with
 an existence witness), a multi-start penalty search for near-longest curves,
 and the loop construction that exhibits unbounded lengths on the su2 row as a
 loop block, a repeat count and a base curve.  The search scores candidates
-per run of equal rows, and a constant one straight from its (r, b) pair.
+per run of equal rows, a constant one straight from its (r, b) pair (one
+exponential and no product on the semidirect model), and its endpoint error
+is a plain sum of squares on Python floats, whatever BLAS the host runs.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -290,8 +293,8 @@ class SemidirectModel:
     # a row's increment is its exponential, so a step is one product
     step = multiply
 
-    def coords(self, x) -> np.ndarray:
-        return np.array([x[0], x[1][0], x[1][1]])
+    def coords(self, x) -> tuple:
+        return (x[0], x[1][0], x[1][1])
 
 
 class QuaternionModel:
@@ -340,8 +343,8 @@ class QuaternionModel:
     # a row's increment is its exponential, so a step is one product
     step = multiply
 
-    def coords(self, x) -> np.ndarray:
-        return np.array(x, dtype=float)
+    def coords(self, x) -> tuple:
+        return tuple(x)
 
 
 def sl2_cover_frame(algebra: LieAlgebra3) -> np.ndarray:
@@ -403,8 +406,8 @@ class CoverModel:
                             complex(p + h * (((z1.real + 2.0 * z2.real) + 2.0 * z3.real) + z4.real),
                                     q + h * (((z1.imag + 2.0 * z2.imag) + 2.0 * z3.imag) + z4.imag)))
 
-    def coords(self, x) -> np.ndarray:
-        return np.array([x.c, x.w.real, x.w.imag])
+    def coords(self, x) -> tuple:
+        return (x.c, x.w.real, x.w.imag)
 
 
 # ---------------------------------------------------------------------------
@@ -731,15 +734,26 @@ class _BudgetExhausted(Exception):
     pass
 
 
+def _distance(a, b) -> float:
+    """Euclidean distance of two coordinate tuples: the squared differences summed left to
+    right in plain float arithmetic, so that no BLAS kernel (or its fused multiply-adds)
+    decides how it rounds.  Overflow gives inf or nan."""
+    total = 0.0
+    for d in map(operator.sub, a, b):
+        total += d * d
+    return math.sqrt(total)
+
+
 _B_MAX = 1.0 - 1e-9
 _R_MIN = 1e-7
 
 
 def _control(r: float, b: float) -> list:
     """The control row [r, r b, 0] of a pair (r, b): r clamped below at ``_R_MIN``, b to +-``_B_MAX``."""
-    # for finite entries max/min give the floats of np.clip; r b keeps the sign of a zero b
-    r = max(r, _R_MIN)
-    return [r, r * min(max(b, -_B_MAX), _B_MAX), 0.0]
+    # max/min's floats (NaN and signed zeros too; np.clip's for finite entries); r b keeps a zero b's sign
+    r = _R_MIN if _R_MIN > r else r
+    b = -_B_MAX if -_B_MAX > b else b
+    return [r, r * (_B_MAX if _B_MAX < b else b), 0.0]
 
 
 def _walk(theta: list) -> list:
@@ -771,12 +785,14 @@ class _Search:
     where an old one did with the same row takes its anti-norm value, and its
     increment too where the count is also unchanged (on the fold models the
     increment does not depend on the count).  When no run differs the last
-    score is returned.  A semidirect run is one exact step and a fold model's
-    run one ``step`` per row, as :func:`integrate` takes them, and the length
-    is the left-to-right sum of the row values (the value of a run's first
-    row, repeated) times dt, as :func:`length` takes it; so a rollout gives
-    the same floats as integrating the curve afresh.  A rollout whose
-    exponential overflows or whose endpoint is not finite scores as
+    score is returned.  A semidirect run is one exact step, none from row 0,
+    where it ends at its increment (the product with the identity differs from
+    it only in the sign of a zero or where both are non-finite), and a fold
+    model's run one ``step`` per row.  The length is the left-to-right sum of
+    the row values (the value of a run's first row, repeated) times dt, as
+    :func:`length` takes it, and the endpoint error :func:`_distance`; so a
+    rollout gives the same floats as integrating the curve afresh.  A rollout
+    whose exponential overflows or whose endpoint is not finite scores as
     infeasible (endpoint error inf).
     """
 
@@ -835,8 +851,11 @@ class _Search:
                     value = self.nu(u)
                 values += [value] * k
                 records[s] = (u, k, x, inc, value)
-                for _ in range(1 if exact else k):
-                    x = step(x, inc)
+                if exact:
+                    x = inc if s == 0 else step(x, inc)
+                else:
+                    for _ in range(k):
+                        x = step(x, inc)
         except OverflowError:
             # no complete rollout to reuse a part of; the length still counts every row
             self._last_runs = {}
@@ -844,8 +863,7 @@ class _Search:
         if x is None:  # no run differs
             return self._last_score
         ell = float(sum(values) * dt)
-        d = model.coords(x) - self.tcoords
-        err = math.sqrt(d.dot(d))  # the floats of np.linalg.norm(d)
+        err = _distance(model.coords(x), self.tcoords)
         self._last_score = ell, err if math.isfinite(err) else math.inf
         self._last_runs = records
         return self._last_score

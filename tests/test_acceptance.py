@@ -308,7 +308,7 @@ def test_criterion_8_su2_divergence():
     for demand in (10.0, 100.0, 1000.0):
         curve = su2_unbounded_witness(st, demand)
         ell = length(curve)
-        err = float(np.linalg.norm(st.model.coords(integrate(curve).endpoint) - idc))
+        err = float(np.linalg.norm(np.subtract(st.model.coords(integrate(curve).endpoint), idc)))
         details.append(f"L>={demand:g}: {ell:.1f} (err {err:.1e})")
         ok = ok and ell >= demand and err <= 1e-8
     elapsed = time.monotonic() - t0

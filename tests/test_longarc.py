@@ -36,6 +36,7 @@ from sublorentz.longarc import (
     _B_MAX,
     _R_MIN,
     _Search,
+    _distance,
     _power,
     _steps,
     su2_unbounded_witness,
@@ -282,7 +283,7 @@ def test_su2_constant_control_closes_after_one_period():
     period = st.model.period
     curve = constant_curve(st, (1.0, 0.0, 0.0), n=64, total=period)
     end = integrate(curve).endpoint
-    assert np.linalg.norm(st.model.coords(end) - st.model.coords(st.model.identity())) <= 1e-12
+    assert np.linalg.norm(np.subtract(st.model.coords(end), st.model.coords(st.model.identity()))) <= 1e-12
 
 
 def test_cover_pure_rotation_matches_multiply_iteration():
@@ -378,7 +379,7 @@ def test_cover_integrator_is_fourth_order():
     def endpoint(refine: int) -> np.ndarray:
         controls = np.repeat(profile, refine, axis=0)
         curve = ControlCurve(1.0 / (n * refine), controls, st)
-        return st.model.coords(integrate(curve).endpoint)
+        return np.array(st.model.coords(integrate(curve).endpoint))
 
     ref = endpoint(16)
     e1 = np.linalg.norm(endpoint(1) - ref)
@@ -757,7 +758,7 @@ def test_rollout_matches_a_fresh_length_and_integration(structure_args, thetas):
         r, b = np.clip(theta[:, 0], _R_MIN, None), np.clip(theta[:, 1], -_B_MAX, _B_MAX)
         assert controls.tobytes() == np.column_stack([r, r * b, np.zeros(len(theta))]).tobytes()
         curve = ControlCurve(search.dt, controls, st)
-        want_err = float(np.linalg.norm(st.model.coords(integrate(curve).endpoint) - search.tcoords))
+        want_err = _distance(st.model.coords(integrate(curve).endpoint), search.tcoords)
         assert (ell.hex(), err.hex()) == (length(curve).hex(), want_err.hex())
 
 
@@ -794,7 +795,7 @@ def test_a_constant_candidate_scores_as_its_full_theta(structure_args, n, data):
         want = walked.rollout(theta.ravel().tolist())
         assert controls.tobytes() == walked.controls_of(theta.ravel().tolist()).tobytes()
         curve = ControlCurve(pairs.dt, controls, st)
-        fresh_err = float(np.linalg.norm(st.model.coords(integrate(curve).endpoint) - pairs.tcoords))
+        fresh_err = _distance(st.model.coords(integrate(curve).endpoint), pairs.tcoords)
         assert tuple(v.hex() for v in got) == tuple(v.hex() for v in want) == (
             length(curve).hex(), fresh_err.hex())
 
@@ -823,8 +824,13 @@ def test_a_semidirect_run_is_one_exponential_and_one_step(monkeypatch):
     exps = _counted(monkeypatch, SemidirectModel, "exp")
     steps = _counted(monkeypatch, SemidirectModel, "step")
     search = _Search(st, target, 32, budget=1)
+    # a run from the identity ends at its increment, with no product
     search.rollout(np.full((32, 2), [0.9, 0.1]).ravel().tolist())
-    assert (len(exps), len(steps)) == (1, 1)
+    assert (len(exps), len(steps)) == (1, 0)
+    # a later run is one increment and one product
+    exps.clear()
+    search.rollout(np.repeat([[1.1, -0.2], [0.8, 0.3]], 16, axis=0).ravel().tolist())
+    assert (len(exps), len(steps)) == (2, 1)
 
     # a one-row change takes one exponential for the changed row; every later run
     # keeps its increment
@@ -864,7 +870,7 @@ def test_a_constant_candidate_is_one_run_without_the_row_walk(monkeypatch):
         steps.clear()
         values.clear()
         search.rollout(rb)
-        assert (len(exps), len(steps), len(values), len(walks)) == (1, 1, 1, 0)
+        assert (len(exps), len(steps), len(values), len(walks)) == (1, 0, 1, 0)
 
 
 def test_a_cover_change_steps_from_its_run_start_on(monkeypatch):
@@ -925,12 +931,40 @@ def test_after_an_overflowing_candidate_the_last_one_still_scores_as_afresh():
     far = good.copy()
     far[3, 0] = 5000.0  # the exponential of this row overflows
     curve = ControlCurve(search.dt, search.controls_of(good.ravel().tolist()), st)
-    err = float(np.linalg.norm(st.model.coords(integrate(curve).endpoint) - search.tcoords))
+    err = _distance(st.model.coords(integrate(curve).endpoint), search.tcoords)
     fresh = (length(curve).hex(), err.hex())
     assert tuple(v.hex() for v in search.rollout(good.ravel().tolist())) == fresh
     ell, err = search.rollout(far.ravel().tolist())
     assert math.isfinite(ell) and err == math.inf
     assert tuple(v.hex() for v in search.rollout(good.ravel().tolist())) == fresh
+
+
+def test_the_endpoint_error_is_a_plain_sum_of_squares():
+    # on this vector a fused multiply-add chain, as a BLAS dot kernel may take
+    # d0^2 + d1^2 + d2^2, rounds one unit in the last place below the plain sum
+    # of the rounded squares, and their square roots differ too
+    d = (-0.731, 0.695, 0.528)
+    squares = [Fraction(v) ** 2 for v in d]
+    plain = fused = float(squares[0])
+    for sq in squares[1:]:
+        plain += float(sq)
+        fused = float(Fraction(fused) + sq)
+    assert math.sqrt(plain) != math.sqrt(fused)
+    assert _distance(d, (0.0, 0.0, 0.0)).hex() == math.sqrt(plain).hex()
+    assert _distance((0.0, 0.0, 0.0), d).hex() == math.sqrt(plain).hex()
+
+
+def test_a_non_finite_endpoint_scores_an_error_of_inf():
+    # the Heisenberg exponential makes no transcendental call, so a huge control
+    # overflows in the arithmetic of the product instead of raising
+    st = build_structure(HEIS)
+    search = _Search(st, target_from_exp2(st, (1.0, 0.0, 0.0)), 2, budget=1)
+    for theta in ([1e200, 0.5], [1e200, 0.5, 1e200, -0.5]):
+        curve = ControlCurve(search.dt, search.controls_of(search.expand(theta)), st)
+        coords = st.model.coords(integrate(curve).endpoint)
+        assert not all(map(math.isfinite, coords))
+        assert math.isnan(_distance(coords, search.tcoords))
+        assert search.rollout(theta)[1] == math.inf
 
 
 @pytest.mark.parametrize("case", [HEIS, SubLorentzCase("12", kappa=-1.0, chi=-1.0), SL2])
@@ -941,7 +975,7 @@ def test_the_result_curve_has_the_reported_length_and_endpoint_error(case):
     target = integrate(ControlCurve(0.25, rows, st)).endpoint
     res = maximize(st, target, n_steps=8, budget=2000, seed=3)
     assert res.found and len(np.unique(res.curve.controls, axis=0)) > 1
-    err = float(np.linalg.norm(st.model.coords(integrate(res.curve).endpoint) - st.model.coords(target)))
+    err = _distance(st.model.coords(integrate(res.curve).endpoint), st.model.coords(target))
     assert (length(res.curve).hex(), err.hex()) == (res.length.hex(), res.endpoint_error.hex())
 
 
@@ -1006,7 +1040,7 @@ def test_su2_witness_reaches_demanded_lengths():
         curve = su2_unbounded_witness(st, demand)
         assert length(curve) >= demand
         end = integrate(curve).endpoint
-        err = np.linalg.norm(st.model.coords(end) - st.model.coords(st.model.identity()))
+        err = np.linalg.norm(np.subtract(st.model.coords(end), st.model.coords(st.model.identity())))
         assert err <= 1e-8
 
 
@@ -1017,7 +1051,7 @@ def test_su2_witness_preserves_base_endpoint():
     curve = su2_unbounded_witness(st, 25.0, base_curve=base)
     assert length(curve) >= 25.0
     end = st.model.coords(integrate(curve).endpoint)
-    assert np.linalg.norm(end - base_end) <= 1e-8
+    assert np.linalg.norm(np.subtract(end, base_end)) <= 1e-8
 
 
 def test_su2_witness_length_reaches_demand_with_a_base():
@@ -1107,7 +1141,7 @@ def test_su2_witness_powered_endpoint_stays_on_the_unit_sphere():
         curve = su2_unbounded_witness(st, demand)
         end = st.model.coords(integrate(curve).endpoint)
         assert abs(np.linalg.norm(end) - 1.0) <= 1e-12
-        assert np.linalg.norm(end - identity) <= ENDPOINT_TOL
+        assert np.linalg.norm(np.subtract(end, identity)) <= ENDPOINT_TOL
 
 
 def test_su2_witness_rejections():
