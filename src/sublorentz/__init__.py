@@ -40,7 +40,6 @@ from .longarc import (
     AntiNorm,
     CaseStructure,
     ControlCurve,
-    LoopedCurve,
     build_cover_structure,
     build_structure,
     distance_upper_bound,

@@ -26,7 +26,9 @@ the increment is the exact exponential exp(h u), so a run of k equal rows
 from ``x`` ends at ``step(x, increment(u, k dt))``, one exponential and one
 product whatever k is, and its j-th row is ``step(x, increment(u, j dt))``.
 The quaternion and cover models take one increment per run and fold
-``step`` over its rows.
+``step`` over its rows.  A curve (:class:`ControlCurve`) is its runs of equal
+rows, each checked and measured once; :func:`integrate` computes the endpoint
+alone, and its trajectory is sampled when first read.
 
 On top of integration the module provides the generalized length functional,
 a calibration-based upper bound on lengths into a target (solvable rows with
@@ -40,10 +42,12 @@ is a plain sum of squares on Python floats, whatever BLAS the host runs.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -63,7 +67,7 @@ ENDPOINT_TOL = 1e-4
 #: Most control rows a solve (``--steps``) or one su2 loop block
 #: (``--steps-per-loop``) may have.  Work and memory grow linearly in the row
 #: count: a solve holds (rows, 3) control arrays and rolls all rows out per
-#: evaluation, and a loop block is stepped row by row and printed.
+#: evaluation, and a loop block (one run) is stepped row by row and printed.
 MAX_STEPS = 10_000
 
 
@@ -163,6 +167,8 @@ def _exp_flow(A: tuple, h: float) -> tuple[tuple, tuple]:
         alpha, beta = 0.5 * (gp + gm), (gp - gm) / (2.0 * w)
     else:
         th = math.sqrt(-w2)
+        if not math.isfinite(th):
+            raise OverflowError("the exponential's rotation angle is not finite")
         ch, sn = math.cos(th), math.sin(th)
         shc = sn / th
         # expm1(mu + i th), accurate for small mu and th
@@ -243,7 +249,7 @@ class SemidirectModel:
         return (0.0, (0.0, 0.0), (1.0, 0.0, 0.0, 1.0))
 
     def split(self, u) -> tuple[float, tuple[float, float]]:
-        u0, u1, u2 = u if isinstance(u, list) else np.asarray(u, dtype=float).tolist()
+        u0, u1, u2 = u if isinstance(u, (list, tuple)) else np.asarray(u, dtype=float).tolist()
         r0, r1, r2 = self._frame_rows
         return (r0[0] * u0 + r0[1] * u1 + r0[2] * u2,
                 (r1[0] * u0 + r1[1] * u1 + r1[2] * u2, r2[0] * u0 + r2[1] * u1 + r2[2] * u2))
@@ -324,6 +330,8 @@ class QuaternionModel:
         theta = float(np.linalg.norm(v))
         if theta == 0.0:
             return (1.0, 0.0, 0.0, 0.0)
+        if not math.isfinite(theta):
+            raise OverflowError("the exponential's rotation angle is not finite")
         f = math.sin(theta) / theta
         return (math.cos(theta), f * v[0], f * v[1], f * v[2])
 
@@ -447,69 +455,75 @@ def build_cover_structure(eta: float = 1.0, anti_norm: Optional[AntiNorm] = None
     return CaseStructure(None, CircularCone((1.0, 0.0, 0.0), eta), anti_norm, CoverModel())
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class ControlCurve:
-    """Uniform-step admissible curve: controls are identity-frame cone vectors."""
+    """Uniform-step admissible curve: ``repeat`` traversals of the loop block, then the rows after it.
 
-    dt: float
-    controls: np.ndarray
-    structure: CaseStructure
-
-    def __post_init__(self):
-        controls = np.atleast_2d(np.asarray(self.controls, dtype=float))
-        if controls.shape[1] != 3:
-            raise ValueError("controls must be N x 3")
-        controls.setflags(write=False)
-        object.__setattr__(self, "controls", controls)
-        object.__setattr__(self, "dt", float(self.dt))
-        if not self.dt > 0.0:
-            raise ValueError("dt must be positive")
-
-    def to_json(self) -> dict:
-        return {"dt": self.dt, "controls": self.controls.tolist()}
-
-
-@dataclass(frozen=True, eq=False)
-class LoopedCurve:
-    """``repeat`` traversals of the curve ``loop``, then the optional ``base`` curve.
-
-    The rows are never expanded: the encoded rows are the loop block followed
-    by the base rows, and both curves share one time step and one structure.
+    ``loop_runs`` and ``runs`` hold (row, count) runs of identity-frame cone controls, a row
+    being a tuple of three floats.  ``ControlCurve(dt, controls, structure)`` finds the runs
+    of an (N, 3) array once, with no loop block.  Rows share a run where their bits are equal,
+    so :meth:`to_json` keeps signed zeros; :func:`_merged` joins runs whose rows compare equal.
     """
 
-    loop: ControlCurve
-    repeat: int
-    base: Optional[ControlCurve] = None
+    dt: float
+    runs: tuple
+    structure: CaseStructure
+    loop_runs: tuple = ()
+    repeat: int = 1
 
-    def __post_init__(self):
-        if not isinstance(self.repeat, numbers.Integral) or self.repeat < 0:
+    def __init__(self, dt: float, controls, structure: CaseStructure):
+        rows = np.atleast_2d(np.asarray(controls, dtype=float))
+        if rows.shape[1] != 3:
+            raise ValueError("controls must be N x 3")
+        values, bits = rows.tolist(), np.ascontiguousarray(rows).view(np.int64).tolist()
+        self._fill(dt, tuple((tuple(values[s]), k) for s, _, k in _runs(bits)), structure, (), 1)
+
+    @classmethod
+    def from_runs(cls, dt: float, runs, structure: CaseStructure, loop_runs=(), repeat=1) -> ControlCurve:
+        """``repeat`` traversals of the (row, count) runs ``loop_runs``, then the runs ``runs``."""
+        return cls.__new__(cls)._fill(dt, tuple(runs), structure, tuple(loop_runs), repeat)
+
+    def _fill(self, dt, runs: tuple, structure: CaseStructure, loop_runs: tuple, repeat) -> ControlCurve:
+        if not float(dt) > 0.0:
+            raise ValueError("dt must be positive")
+        if not isinstance(repeat, numbers.Integral) or repeat < 0:
             raise ValueError("repeat must be a nonnegative integer")
-        object.__setattr__(self, "repeat", int(self.repeat))
-        if self.base is not None and (self.base.dt != self.loop.dt
-                                      or self.base.structure is not self.loop.structure):
-            raise ValueError("the base curve must share the loop's time step and structure")
+        self.__dict__.update(dt=float(dt), runs=runs, structure=structure, loop_runs=loop_runs,
+                             repeat=int(repeat))  # the fields of a frozen dataclass, set once
+        return self
 
     @property
-    def dt(self) -> float:
-        return self.loop.dt
+    def loop(self) -> ControlCurve:
+        """The loop block as a curve of its own, traversed once."""
+        return ControlCurve.from_runs(self.dt, self.loop_runs, self.structure)
 
     @property
-    def structure(self) -> CaseStructure:
-        return self.loop.structure
+    def controls(self) -> np.ndarray:
+        """The rows, the loop block's once and then the rest, as an (N, 3) array."""
+        return np.array(self.to_json()["controls"], dtype=float).reshape(-1, 3)
 
     def to_json(self) -> dict:
-        out = self.loop.to_json()
-        if self.base is not None:
-            out["controls"] += self.base.to_json()["controls"]
-        out["loop_rows"] = len(self.loop.controls)
-        out["repeat"] = self.repeat
+        """dt and the rows (the block's once); with a block, its row count and the repeat count."""
+        out = {"dt": self.dt, "controls": [list(u) for u, k in self.loop_runs + self.runs for _ in range(k)]}
+        if self.loop_runs:
+            out.update(loop_rows=sum(k for _, k in self.loop_runs), repeat=self.repeat)
         return out
 
 
 @dataclass(frozen=True, eq=False)
 class IntegrationResult:
+    """The endpoint of ``curve`` from the identity; its trajectory is sampled when first read."""
+
     endpoint: object
-    trajectory: np.ndarray  # (N+1) x d coordinate samples
+    curve: ControlCurve
+
+    @cached_property
+    def trajectory(self) -> np.ndarray:
+        """(N+1) x d coordinate samples: the identity, then those :func:`_endpoint` takes."""
+        model = self.curve.structure.model
+        states = [model.identity()]
+        _endpoint(self.curve, states)
+        return np.array([model.coords(x) for x in states])
 
 
 def _runs(rows: list):
@@ -521,44 +535,32 @@ def _runs(rows: list):
             start = i
 
 
-def _check_rows(cone: SolidCone, controls: np.ndarray, first: int = 0) -> None:
-    # equal rows get equal answers, so each run of equal rows is checked once
-    for idx, u, _ in _runs(controls.tolist()):
-        if not any(u):  # exactly zero: a norm's square underflows on tiny nonzero rows
-            raise ValueError(f"control {first + idx} is zero")
-        if not contains(cone, u):
-            raise ValueError(f"control {first + idx} lies outside the admissible cone")
+def _merged(runs) -> list:
+    """(row, count) runs with neighbours whose rows compare equal joined, as :func:`_runs` finds them."""
+    return [(u, sum(k for _, k in run)) for u, run in itertools.groupby(runs, operator.itemgetter(0))]
 
 
-def _steps(model, x, rows: list, dt: float) -> list:
-    """The states after each control row of the row list ``rows``, stepped from ``x``.
+def _advance(model, x, runs, dt: float, samples: Optional[list] = None):
+    """The state ``x`` stepped through the (row, count) ``runs``; with a list ``samples``, the
+    state after each row is appended to it.
 
-    On the semidirect model the j-th row of a run of equal rows that starts
-    at the state ``x_s`` is ``step(x_s, increment(u, j dt))``, so the run's
-    last row is the one exact step a rollout takes for it.  The other models
-    take one increment per run and fold one ``step`` per row.
+    A semidirect run of k rows from ``x_s`` is one step, ``step(x_s, increment(u, k dt))``, and
+    its j-th row is ``step(x_s, increment(u, j dt))``; the other models fold a step per row.
     """
-    states = []
-    step = model.step
-    exact = isinstance(model, SemidirectModel)
-    for _, u, count in _runs(rows):
+    step, exact = model.step, isinstance(model, SemidirectModel)
+    for u, k in runs:
         if exact:
-            states += [step(x, model.increment(u, j * dt)) for j in range(1, count + 1)]
-            x = states[-1]
+            start = x
+            for j in (range(1, k + 1) if samples is not None else (k,)):
+                x = step(start, model.increment(u, j * dt))
+                if samples is not None:
+                    samples.append(x)
         else:
             inc = model.increment(u, dt)
-            for _ in range(count):
+            for _ in range(k):
                 x = step(x, inc)
-                states.append(x)
-    return states
-
-
-def _exp_product(model, segments):
-    """exp(t1 u1) exp(t2 u2) ... for the (t, u) ``segments``, skipping zero durations."""
-    x = model.identity()
-    for duration, u in segments:
-        if duration != 0.0:
-            x = model.multiply(x, model.exp(u, duration))
+                if samples is not None:
+                    samples.append(x)
     return x
 
 
@@ -574,63 +576,59 @@ def _power(model, x, k: int):
     return out
 
 
-def integrate(curve) -> IntegrationResult:
-    """Integrate a curve from the identity; rejects controls outside the cone.
+def _endpoint(curve: ControlCurve, samples: Optional[list] = None):
+    """The endpoint of ``curve`` from the identity; with a list ``samples``, the state after
+    each row is appended to it.
 
-    A :class:`ControlCurve` runs as a :class:`LoopedCurve` with repeat 1 and
-    no base.  A looped curve is stepped through its block once, the block's
-    endpoint (renormalized to unit length on the quaternion model) is raised
-    to the repeat count by binary powering, and the base is stepped from
-    there.  Its trajectory samples one block traversal, then
-    the powered endpoint when the repeat count exceeds one, then the base.
-    With repeat 1 the block and the base are stepped as one row list, so a
-    run of equal rows across them is one run, as in the expanded curve.
+    A block repeated once is stepped with the rows after it, so that a run across them is
+    one run, as in the expanded curve.  A block repeated more than once is stepped (and
+    sampled) once, its endpoint (renormalized on the quaternion model) raised to the repeat
+    count by binary powering, and the rows after it stepped from that power.
     """
-    if isinstance(curve, ControlCurve):
-        curve = LoopedCurve(curve, 1)
-    st = curve.structure
-    model = st.model
-    _check_rows(st.cone, curve.loop.controls)
-    if curve.base is not None:
-        _check_rows(st.cone, curve.base.controls, len(curve.loop.controls))
-    states = [model.identity()]
-    rows = curve.loop.controls.tolist() if curve.repeat else []
+    model, dt = curve.structure.model, curve.dt
+    x = model.identity()
+    if curve.repeat == 1:
+        return _advance(model, x, _merged(curve.loop_runs + curve.runs), dt, samples)
     if curve.repeat > 1:
-        states += _steps(model, states[-1], rows, curve.dt)
-        x = states[-1]
+        x = _advance(model, x, _merged(curve.loop_runs), dt, samples)
         if isinstance(model, QuaternionModel):
             # rounding moves the block endpoint off the unit sphere, and
             # powering would raise its norm to the repeat count
             x = tuple((np.array(x) / np.linalg.norm(x)).tolist())
         # a power that overflows comes out non-finite, which callers detect
-        states.append(_power(model, x, curve.repeat))
-        rows = []
-    if curve.base is not None:
-        rows += curve.base.controls.tolist()
-    states += _steps(model, states[-1], rows, curve.dt)
-    return IntegrationResult(states[-1], np.array([model.coords(state) for state in states]))
+        x = _power(model, x, curve.repeat)
+        if samples is not None:
+            samples.append(x)
+    return _advance(model, x, _merged(curve.runs), dt, samples)
+
+
+def integrate(curve: ControlCurve) -> IntegrationResult:
+    """Integrate a curve from the identity; rejects controls outside the cone.  Equal rows
+    get equal answers, so each run is checked once, and only the endpoint is computed here."""
+    first = 0
+    for u, k in curve.loop_runs + curve.runs:
+        if not any(u):  # exactly zero: a norm's square underflows on tiny nonzero rows
+            raise ValueError(f"control {first} is zero")
+        if not contains(curve.structure.cone, u):
+            raise ValueError(f"control {first} lies outside the admissible cone")
+        first += k
+    return IntegrationResult(_endpoint(curve), curve)
 
 
 def _length(nu: AntiNorm, runs, dt: float) -> float:
-    """Row values summed in row order (np.sum rounds differently) times dt, over (start, row,
-    count) runs of equal rows: each run's value is taken once and repeated count times."""
+    """Row values summed in row order (np.sum rounds differently) times dt, over (row, count)
+    runs of equal rows: each run's value is taken once and repeated count times."""
     values = []
-    for _, u, k in runs:
+    for u, k in runs:
         values += [nu(u)] * k
     return float(sum(values) * dt)
 
 
-def length(curve) -> float:
-    """Generalized length: sum of anti-norm values of the controls times dt.
-
-    A :class:`LoopedCurve` has length repeat * length(loop) + length(base);
-    a :class:`ControlCurve` runs as one with repeat 1 and no base.
-    """
-    if isinstance(curve, ControlCurve):
-        curve = LoopedCurve(curve, 1)
+def length(curve: ControlCurve) -> float:
+    """Generalized length: sum of anti-norm values of the controls times dt, that is
+    repeat * length(loop block) + length(the rows after it), one value per run."""
     nu, dt = curve.structure.anti_norm, curve.dt
-    base_len = _length(nu, _runs(curve.base.controls.tolist()), dt) if curve.base is not None else 0.0
-    return curve.repeat * _length(nu, _runs(curve.loop.controls.tolist()), dt) + base_len
+    return curve.repeat * _length(nu, _merged(curve.loop_runs), dt) + _length(nu, _merged(curve.runs), dt)
 
 
 def target_from_exp2(structure: CaseStructure, abc: Sequence[float]):
@@ -642,10 +640,13 @@ def target_from_exp2(structure: CaseStructure, abc: Sequence[float]):
                                 for t in abc):
         raise ValueError(f"a target in exponential coordinates is three finite numbers, got {list(abc)}")
     try:
-        x = _exp_product(model, [(float(amount), basis_vec) for amount, basis_vec in zip(abc, np.eye(3))])
+        x = model.identity()
+        for amount, basis_vec in zip(abc, np.eye(3)):
+            if amount != 0.0:  # a zero factor is the identity
+                x = model.multiply(x, model.exp(basis_vec, float(amount)))
         if not np.isfinite(model.coords(x)).all():  # it overflowed without raising
             raise OverflowError
-    except (OverflowError, ValueError):  # ValueError: the cosine of an angle that overflowed
+    except OverflowError:
         raise ValueError(f"the target {list(abc)} is out of float range: its exponential overflows") from None
     return x
 
@@ -859,7 +860,7 @@ class _Search:
         except OverflowError:
             # no complete rollout to reuse a part of; the length still counts every row
             self._last_runs = {}
-            return _length(self.nu, runs, dt), math.inf
+            return _length(self.nu, [(u, k) for _, u, k in runs], dt), math.inf
         if x is None:  # no run differs
             return self._last_score
         ell = float(sum(values) * dt)
@@ -998,14 +999,14 @@ def maximize(structure: CaseStructure, target, n_steps: int = 24, budget: int = 
 
 def su2_unbounded_witness(structure: CaseStructure, demanded_length: float,
                           base_curve: Optional[ControlCurve] = None,
-                          steps_per_loop: int = 64) -> LoopedCurve:
+                          steps_per_loop: int = 64) -> ControlCurve:
     """Admissible curve to the base endpoint of length at least ``demanded_length``.
 
     Prepends whole traversals of the closed timelike loop exp(t X1) (which
     returns to the identity after one period) to the base curve; each loop
     adds its fixed length, so any demanded length is reached while the
     endpoint stays that of the base curve.  The traversals are a repeat
-    count, not copied rows, so the curve's size does not grow with the demand.
+    count of a block of one run, so the curve's size does not grow with the demand.
     """
     if not 0.0 < demanded_length < math.inf:
         raise ValueError("demanded length must be positive and finite")
@@ -1019,16 +1020,14 @@ def su2_unbounded_witness(structure: CaseStructure, demanded_length: float,
     period = model.period
     dt = base_curve.dt if base_curve is not None else period / steps_per_loop
     m = max(1, int(math.ceil(period / dt)))
-    scale = period / (m * dt)
-    row = [scale, 0.0, 0.0]
-    loop = ControlCurve(dt, np.tile(row, (m, 1)), structure)
+    loop_runs = (((period / (m * dt), 0.0, 0.0), m),)  # one run of m equal rows
     nu = structure.anti_norm
-    loop_len = _length(nu, [(0, row, m)], dt)  # the block is one run of m equal rows
-    base = None
-    base_len = 0.0
+    loop_len = _length(nu, loop_runs, dt)
+    runs, base_len = (), 0.0
     if base_curve is not None:
-        base = ControlCurve(dt, base_curve.controls, structure)
-        base_len = _length(nu, _runs(base.controls.tolist()), dt)
+        if base_curve.loop_runs:
+            raise ValueError("the base curve must have no loop block")
+        runs, base_len = base_curve.runs, _length(nu, _merged(base_curve.runs), dt)
     loops = (demanded_length - base_len) / loop_len
     if not math.isfinite(loops):
         raise ValueError(f"demanded length {demanded_length:g} needs too many loops of "
@@ -1039,4 +1038,4 @@ def su2_unbounded_witness(structure: CaseStructure, demanded_length: float,
         k += max(1, k >> 52)
     if not math.isfinite(k * loop_len + base_len):
         raise ValueError(f"demanded length {demanded_length:g} gives a witness of infinite length")
-    return LoopedCurve(loop, k, base)
+    return ControlCurve.from_runs(dt, runs, structure, loop_runs, k)

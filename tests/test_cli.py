@@ -235,6 +235,14 @@ def test_witness_command(capsys):
     assert data["curve"]["repeat"] == 1
 
 
+def test_the_witness_of_length_1e12_keeps_its_loop_closed(capsys):
+    # the powered block endpoint carries k times the one-loop closure error, 3.3e-6 here; an
+    # exponential that folded the block as one rotation read 1.95e-5 through sin(fl(2 pi))
+    code, out, _ = run(capsys, "witness", "--case", "9", "--kappa", "0", "--chi", "-1", "--length", "1e12")
+    assert code == EXIT_OK
+    assert json.loads(out)["endpoint_error"] <= 1e-5
+
+
 # reads the child's own peak memory, so that no other process can mask it
 _RUSAGE_CHILD = """
 import contextlib, io, json, resource, sys

@@ -21,7 +21,6 @@ from sublorentz.longarc import (
     AntiNorm,
     ControlCurve,
     CoverModel,
-    LoopedCurve,
     QuaternionModel,
     SemidirectModel,
     build_cover_structure,
@@ -38,7 +37,7 @@ from sublorentz.longarc import (
     _Search,
     _distance,
     _power,
-    _steps,
+    _advance,
     su2_unbounded_witness,
     target_from_exp2,
 )
@@ -198,7 +197,7 @@ def test_carried_exponential_tracks_the_closed_form(branch):
     w2 = y11 * y11 + y12 * y21
     assert {"nilpotent": w2 == 0.0, "confluent series": 0.0 < abs(w2) < _CONFLUENT_W2,
             "w2 > 0": w2 >= _CONFLUENT_W2, "w2 < 0": w2 <= -_CONFLUENT_W2}[branch]
-    # 10 000 products carry E; _steps would take each row's exponential afresh
+    # 10 000 products carry E; _advance would take the run's exponential once, over 10 000 dt
     inc = model.increment(u, dt)
     states = list(itertools.accumulate([inc] * 10_000, model.step, initial=model.identity()))[1:]
     # the reference is taken at the exact multiple k tau of the row's own t increment, so
@@ -265,7 +264,9 @@ def test_steps_fold_one_increment_per_row(case, dt, rows):
             else:
                 x = model.step(x, model.increment(u, dt))
             want.append(x)
-    got = _steps(model, model.identity(), rows.tolist(), dt)
+    got = []
+    runs = [(u, len(list(run))) for u, run in itertools.groupby(rows.tolist())]
+    _advance(model, model.identity(), runs, dt, got)
     assert [_flat(state) for state in got] == [_flat(state) for state in want]
 
 
@@ -939,6 +940,19 @@ def test_after_an_overflowing_candidate_the_last_one_still_scores_as_afresh():
     assert tuple(v.hex() for v in search.rollout(good.ravel().tolist())) == fresh
 
 
+def test_an_overflowing_rotation_angle_scores_as_infeasible():
+    # row 12 is of rotation type: the angle of [1e154, 0.5]'s exponential is inf, whose
+    # cosine raised ValueError instead of OverflowError, which the rollout catches
+    st = build_structure(SubLorentzCase("12", kappa=-1.0, chi=-1.0))
+    search = _Search(st, target_from_exp2(st, (1, 0, 0)), 2, budget=1)
+    ell, err = search.rollout([1e154, 0.5])
+    assert math.isfinite(ell) and err == math.inf
+    with pytest.raises(OverflowError):
+        _exp_flow((0.0, 1.0, -1.0, 0.0), 1e308 * 10.0)
+    with pytest.raises(OverflowError):
+        build_structure(SU2).model.exp([1e308, 0.0, 0.0], 1e10)
+
+
 def test_the_endpoint_error_is_a_plain_sum_of_squares():
     # on this vector a fused multiply-add chain, as a BLAS dot kernel may take
     # d0^2 + d1^2 + d2^2, rounds one unit in the last place below the plain sum
@@ -1078,10 +1092,14 @@ def test_su2_witness_length_reaches_demand_with_a_base():
                     assert curve.repeat <= j + 1
 
 
-def _expanded(curve: LoopedCurve) -> ControlCurve:
+def looped(loop: ControlCurve, repeat: int, base=None) -> ControlCurve:
+    """``repeat`` traversals of the curve ``loop``, then the optional ``base`` curve."""
+    return ControlCurve.from_runs(loop.dt, () if base is None else base.runs, loop.structure, loop.runs, repeat)
+
+
+def _expanded(curve: ControlCurve) -> ControlCurve:
     blocks = [curve.loop.controls] * curve.repeat
-    if curve.base is not None:
-        blocks.append(curve.base.controls)
+    blocks.append(ControlCurve.from_runs(curve.dt, curve.runs, curve.structure).controls)
     return ControlCurve(curve.dt, np.vstack(blocks), curve.structure)
 
 
@@ -1096,14 +1114,14 @@ def _cone_rows(n: int):
 def test_looped_curve_matches_its_expanded_rows(case, dt, loop_rows, repeat, base_rows):
     st = build_structure(case)
     base = None if base_rows is None else ControlCurve(dt, base_rows, st)
-    looped = LoopedCurve(ControlCurve(dt, loop_rows, st), repeat, base)
-    flat = _expanded(looped)
-    got, want = integrate(looped), integrate(flat)
+    curve = looped(ControlCurve(dt, loop_rows, st), repeat, base)
+    flat = _expanded(curve)
+    got, want = integrate(curve), integrate(flat)
     assert np.allclose(st.model.coords(got.endpoint), st.model.coords(want.endpoint), rtol=0.0, atol=1e-12)
     assert np.array_equal(got.trajectory[-1], st.model.coords(got.endpoint))
     if repeat == 1:
         assert np.array_equal(got.trajectory, want.trajectory)
-    assert abs(length(looped) - length(flat)) <= 1e-12 * max(1.0, length(flat))
+    assert abs(length(curve) - length(flat)) <= 1e-12 * max(1.0, length(flat))
 
 
 @pytest.mark.parametrize("case,u", [(HEIS, (1.0, 0.4, 0.0)), (SU2, (1.0, -0.3, 0.0)), (SL2, (0.9, 0.18, 0.0))])
@@ -1111,27 +1129,98 @@ def test_plain_curve_runs_as_a_loop_repeated_once(case, u):
     st = build_structure(case)
     rows = np.array(u) * np.linspace(0.5, 1.5, 9)[:, None]
     curve = ControlCurve(0.1, rows, st)
-    got, want = integrate(curve), integrate(LoopedCurve(curve, 1))
+    got, want = integrate(curve), integrate(looped(curve, 1))
     assert np.array_equal(st.model.coords(got.endpoint), st.model.coords(want.endpoint))
     assert np.array_equal(got.trajectory, want.trajectory)
     x = st.model.identity()
     for row, sample in zip(rows, got.trajectory[1:]):
         x = st.model.step(x, st.model.increment(row, 0.1))
         assert np.array_equal(sample, st.model.coords(x))
-    assert length(curve) == length(LoopedCurve(curve, 1))
+    assert length(curve) == length(looped(curve, 1))
 
 
 def test_looped_curve_checks_every_encoded_row():
     st = build_structure(HEIS)
     loop = ControlCurve(0.1, [[1.0, 0.0, 0.0]] * 3, st)
     with pytest.raises(ValueError, match="control 4 lies outside"):
-        integrate(LoopedCurve(loop, 2, ControlCurve(0.1, [[1.0, 0.5, 0.0], [1.0, 2.0, 0.0]], st)))
+        integrate(looped(loop, 2, ControlCurve(0.1, [[1.0, 0.5, 0.0], [1.0, 2.0, 0.0]], st)))
     with pytest.raises(ValueError, match="control 1 is zero"):
-        integrate(LoopedCurve(ControlCurve(0.1, [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]], st), 3))
-    with pytest.raises(ValueError, match="time step"):
-        LoopedCurve(loop, 1, ControlCurve(0.2, [[1.0, 0.0, 0.0]], st))
+        integrate(looped(ControlCurve(0.1, [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]], st), 3))
     with pytest.raises(ValueError, match="nonnegative"):
-        LoopedCurve(loop, -1)
+        looped(loop, -1)
+
+
+def _coord_bits(coords) -> list:
+    return [float(c).hex() for c in coords]
+
+
+def test_a_witness_curve_is_its_runs(monkeypatch):
+    calls = {"contains": 0, "nu": 0}
+    real_contains = longarc.contains
+
+    def counted_contains(cone, v, strict=False):
+        calls["contains"] += 1
+        return real_contains(cone, v, strict)
+
+    def counted_nu(u):
+        calls["nu"] += 1
+        return LORENTZIAN(u)
+
+    monkeypatch.setattr(longarc, "contains", counted_contains)
+    st = build_structure(SU2, anti_norm=AntiNorm(counted_nu, "counted"))
+    curve = su2_unbounded_witness(st, 1e6, steps_per_loop=MAX_STEPS)
+    assert len(curve.loop_runs) == 1 and curve.loop_runs[0][1] == MAX_STEPS and curve.runs == ()
+    row = curve.loop_runs[0][0]
+    base = ControlCurve(curve.dt, [[1.0, 0.2, 0.0]] * 3 + [[1.0, -0.1, 0.0], [1.0, 0.2, 0.0]], st)
+    with_base = su2_unbounded_witness(st, 1e6, base_curve=base)
+    assert with_base.loop_runs == curve.loop_runs and with_base.runs == base.runs and len(base.runs) == 3
+    # integrate and length each take one value per run: a cone check and an anti-norm value
+    for c, runs in ((curve, 1), (with_base, 4)):
+        calls.update(contains=0, nu=0)
+        integrate(c)
+        length(c)
+        assert calls == {"contains": runs, "nu": runs}
+    data = curve.to_json()
+    assert data["loop_rows"] == len(data["controls"]) == MAX_STEPS
+    assert data["controls"] == [list(row)] * MAX_STEPS
+    assert np.array_equal(curve.loop.controls, np.tile(row, (MAX_STEPS, 1)))
+
+
+def test_equal_rows_keep_their_bits_in_a_curve():
+    # rows that differ only in the sign of a zero compare equal: they are stepped and
+    # measured as one run, and each is printed as it was given
+    st = build_structure(HEIS)
+    rows = [[1.0, 0.0, 0.0], [1.0, -0.0, 0.0], [1.0, 0.0, 0.0], [0.5, 0.1, 0.0]]
+    curve = ControlCurve(0.25, rows, st)
+    assert json.dumps(curve.to_json()["controls"]) == json.dumps(rows)
+    assert curve.controls.tolist() == rows
+    assert [k for _, k in curve.runs] == [1, 1, 1, 1]
+    assert [k for _, k in longarc._merged(curve.runs)] == [3, 1]
+    joined = ControlCurve(0.25, [[1.0, 0.0, 0.0]] * 3 + [[0.5, 0.1, 0.0]], st)
+    ends = [st.model.coords(integrate(c).endpoint) for c in (curve, joined)]
+    assert _coord_bits(ends[0]) == _coord_bits(ends[1])
+    assert length(curve).hex() == length(joined).hex()
+
+
+@pytest.mark.parametrize("case", [HEIS, SU2, SL2])
+@pytest.mark.parametrize("repeat", [0, 1, 3])
+@pytest.mark.parametrize("with_base", [False, True])
+def test_the_trajectory_ends_at_the_endpoint_to_the_bit(case, repeat, with_base):
+    st = build_structure(case)
+    loop = ControlCurve(0.1, [[1.0, 0.2, 0.0]] * 3 + [[0.8, -0.1, 0.0]] * 2, st)
+    # the base starts with the block's last row, so that with repeat 1 a run crosses into it
+    base = ControlCurve(0.1, [[0.8, -0.1, 0.0], [1.0, 0.3, 0.0]], st) if with_base else None
+    curve = looped(loop, repeat, base)
+    rows = 1 + (5 if repeat == 1 else 6 if repeat > 1 else 0) + (2 if with_base else 0)
+    for trajectory_first in (True, False):
+        res = integrate(curve)
+        if trajectory_first:
+            trajectory = res.trajectory
+        end = st.model.coords(res.endpoint)
+        if not trajectory_first:
+            trajectory = res.trajectory
+        assert res.trajectory is trajectory and trajectory.shape == (rows, len(end))
+        assert _coord_bits(trajectory[-1].tolist()) == _coord_bits(end)
 
 
 def test_su2_witness_powered_endpoint_stays_on_the_unit_sphere():
@@ -1163,8 +1252,7 @@ def test_curve_json_shape():
     data = curve.to_json()
     assert set(data) == {"dt", "controls"}
     assert len(data["controls"]) == 3 and len(data["controls"][0]) == 3
-    looped = LoopedCurve(curve, 7, constant_curve(st, (1.0, 0.0, 0.0), n=2, total=2 / 3))
-    data = looped.to_json()
+    data = looped(curve, 7, constant_curve(st, (1.0, 0.0, 0.0), n=2, total=2 / 3)).to_json()
     assert list(data) == ["dt", "controls", "loop_rows", "repeat"]
     assert data["loop_rows"] == 3 and data["repeat"] == 7
     assert data["controls"] == [[1.0, 0.5, 0.0]] * 3 + [[1.0, 0.0, 0.0]] * 2
