@@ -36,18 +36,20 @@ an existence witness), a multi-start penalty search for near-longest curves,
 and the loop construction that exhibits unbounded lengths on the su2 row as a
 loop block, a repeat count and a base curve.  The search scores candidates
 per run of equal rows, a constant one straight from its (r, b) pair (one
-exponential and no product on the semidirect model), and its endpoint error
-is a plain sum of squares on Python floats, whatever BLAS the host runs.
+exponential and no product on the semidirect model) and a one-row move from
+the runs of the kept candidate, and its endpoint error is a plain sum of
+squares on Python floats, whatever BLAS the host runs.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import numbers
 import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -248,12 +250,6 @@ class SemidirectModel:
     def identity(self):
         return (0.0, (0.0, 0.0), (1.0, 0.0, 0.0, 1.0))
 
-    def split(self, u) -> tuple[float, tuple[float, float]]:
-        u0, u1, u2 = u if isinstance(u, (list, tuple)) else np.asarray(u, dtype=float).tolist()
-        r0, r1, r2 = self._frame_rows
-        return (r0[0] * u0 + r0[1] * u1 + r0[2] * u2,
-                (r1[0] * u0 + r1[1] * u1 + r1[2] * u2, r2[0] * u0 + r2[1] * u1 + r2[2] * u2))
-
     def unsplit(self, a: float, v) -> np.ndarray:
         return self._frame_inv @ np.array([a, v[0], v[1]])
 
@@ -266,8 +262,14 @@ class SemidirectModel:
         return E, S
 
     def exp(self, u, time: float = 1.0):
-        a, (v0, v1) = self.split(u)
-        E, S = self._flow(a, time)
+        # split and _flow inline, in their float order: the search takes one exponential per candidate
+        u0, u1, u2 = u if isinstance(u, (list, tuple)) else np.asarray(u, dtype=float).tolist()
+        (f0, f1, f2), (g0, g1, g2), (h0, h1, h2) = self._frame_rows
+        a, v0, v1 = f0 * u0 + f1 * u1 + f2 * u2, g0 * u0 + g1 * u1 + g2 * u2, h0 * u0 + h1 * u1 + h2 * u2
+        p, q, r, s = self._act
+        E, S = _exp_flow((a * p, a * q, a * r, a * s), time)
+        if r == s == 0.0 and p:
+            E, S = (E[0], E[1], 0.0, 1.0), (S[0], S[1], 0.0, time)
         return (time * a, (S[0] * v0 + S[1] * v1, S[2] * v0 + S[3] * v1), E)
 
     def multiply(self, x, y):
@@ -326,8 +328,9 @@ class QuaternionModel:
 
     def exp(self, u, time: float = 1.0):
         v = [time * (s * float(c)) for s, c in zip(self.scales, u)]
-        # the floats of np.linalg.norm: its dot product may round differently from a Python sum
-        theta = float(np.linalg.norm(v))
+        # np.linalg.norm's floats (its dot product may round unlike a Python sum); an overflow is inf
+        with np.errstate(over="ignore"):
+            theta = float(np.linalg.norm(v))
         if theta == 0.0:
             return (1.0, 0.0, 0.0, 0.0)
         if not math.isfinite(theta):
@@ -757,44 +760,22 @@ def _control(r: float, b: float) -> list:
     return [r, r * (_B_MAX if _B_MAX < b else b), 0.0]
 
 
-def _walk(theta: list) -> list:
-    """The runs of equal control rows, as :func:`_runs` gives them, of a flat list of pairs."""
-    rows, prev = [], None
-    for rb in zip(theta[::2], theta[1::2]):
-        if rb != prev:
-            prev, u = rb, _control(*rb)
-        rows.append(u)
-    return list(_runs(rows))
-
-
 class _Search:
     """Scores candidates theta: flat lists [r0, b0, r1, b1, ...] of one (r, b) pair
     per row, each made a control row by :func:`_control`, or one pair [r, b]
-    that all rows share.
+    that all rows share, which is one run of n rows from the identity.
 
-    A single pair is one run of n equal rows, built from its two floats; any
-    other candidate is walked for its runs of equal control rows.  The
-    rollout works per run and keeps one record per run of the last candidate,
-    keyed by the run's start index: its row, count, start state, increment and
-    anti-norm value.
-
-    It walks the new candidate's runs in one pass.  A run equal to the last
-    candidate's in start, row and count is taken as it is, up to the first
-    run that differs; on every model that run restarts from the start state
-    in the record at its own start (the identity on the first rollout), and
-    it and every later run are stepped from there.  A later run that starts
-    where an old one did with the same row takes its anti-norm value, and its
-    increment too where the count is also unchanged (on the fold models the
-    increment does not depend on the count).  When no run differs the last
-    score is returned.  A semidirect run is one exact step, none from row 0,
-    where it ends at its increment (the product with the identity differs from
-    it only in the sign of a zero or where both are non-finite), and a fold
-    model's run one ``step`` per row.  The length is the left-to-right sum of
-    the row values (the value of a run's first row, repeated) times dt, as
-    :func:`length` takes it, and the endpoint error :func:`_distance`; so a
-    rollout gives the same floats as integrating the curve afresh.  A rollout
-    whose exponential overflows or whose endpoint is not finite scores as
-    infeasible (endpoint error inf).
+    Other candidates go per maximal run of rows that compare equal, a run's row
+    being the control of the pair at its first.  A descent's start is found for
+    its runs once; :meth:`keep` makes it, or a later move, the kept candidate.
+    A move of one row splits its run into at most three pieces, or joins the
+    row to a neighbour, stepped from the kept start state of the first run it
+    touches.  A piece keeps its run's value, and its increment where its count
+    is unchanged or does not matter (fold models); a run of the last candidate
+    with the same start, row and count lends its increment, and its end state
+    if it started from the same state.  Scores are the floats of
+    :func:`integrate` and :func:`length` on the curve afresh, up to a zero's
+    sign; an overflowing exponential or a non-finite endpoint scores inf error.
     """
 
     # Feasible candidates are ranked by length minus a multiple of the endpoint
@@ -813,67 +794,94 @@ class _Search:
         self.evals = 0
         self.tcoords = self.model.coords(target)
         self.best: Optional[tuple[float, list, float]] = None
-        # the last rollout: its runs (start -> row, count, start state, increment,
-        # value) and (length, endpoint error)
-        self._last_runs: dict = {}
-        self._last_score = (math.nan, math.inf)
+        # the kept candidate: runs (start, row, count, increment, value, start state), none once it
+        # overflowed, row values and score; the last candidate to keep, and its runs by start
+        self._runs: list = []
+        self._values: list = []
+        self._score = (math.nan, math.inf)
+        self._cand, self._last = None, {}
 
     def expand(self, theta: list) -> list:
         """A copy of theta with one pair per row: a single pair is repeated n times."""
         return theta * self.n if len(theta) == 2 else theta[:]
 
-    def controls_of(self, theta: list) -> np.ndarray:
-        """The (n, 3) control rows of a flat theta of n pairs, each made by :func:`_control`."""
-        return np.array([_control(r, b) for r, b in zip(theta[::2], theta[1::2])])
+    def _error(self, x) -> float:
+        err = _distance(self.model.coords(x), self.tcoords)
+        return err if math.isfinite(err) else math.inf
 
-    def rollout(self, theta: list) -> tuple[float, float]:
-        runs = [(0, _control(*theta), self.n)] if len(theta) == 2 else _walk(theta)
-        last, records, values = self._last_runs, {}, []
-        model, step, dt, exact = self.model, self.model.step, self.dt, self.exact
-        x = None  # the state at the current run's start, once a run differs
-        try:
-            for s, u, k in runs:
-                old = last.get(s)
-                same = old is not None and old[0] == u
-                if x is None:
-                    if same and old[1] == k:
-                        records[s] = old
-                        values += [old[4]] * k
-                        continue
-                    # the first run that differs: every run before it matched, so an old
-                    # run starts here too, unless this is the first rollout
-                    x = model.identity() if old is None else old[2]
-                if same:
-                    _, k0, _, inc, value = old
-                    if exact and k0 != k:
-                        inc = model.increment(u, k * dt)
-                else:
-                    inc = model.increment(u, k * dt if exact else dt)
-                    value = self.nu(u)
-                values += [value] * k
-                records[s] = (u, k, x, inc, value)
-                if exact:
-                    x = inc if s == 0 else step(x, inc)
-                else:
-                    for _ in range(k):
-                        x = step(x, inc)
-        except OverflowError:
-            # no complete rollout to reuse a part of; the length still counts every row
-            self._last_runs = {}
-            return _length(self.nu, [(u, k) for _, u, k in runs], dt), math.inf
-        if x is None:  # no run differs
-            return self._last_score
+    def rollout(self, theta: list, row: Optional[int] = None) -> tuple[float, float]:
+        """(length, endpoint error) of theta, the candidate :meth:`keep` then keeps; with
+        ``row``, theta is the kept candidate with the pair of that row moved."""
+        model, step, runs, exact, dt, n = self.model, self.model.step, self._runs, self.exact, self.dt, self.n
+        self._cand = None
+        if len(theta) == 2:
+            self._cand = (0, None, [], None)  # kept, a single pair leaves no runs to move from
+            u = _control(*theta)
+            ell = float(sum([self.nu(u)] * n) * dt)
+            try:
+                inc = model.increment(u, n * dt if exact else dt)
+                return ell, self._error(inc if exact else reduce(step, itertools.repeat(inc, n), model.identity()))
+            except OverflowError:
+                return ell, math.inf
+        if row is None or not runs:
+            j0, j1 = 0, len(runs)
+            rows = [_control(r, b) for r, b in zip(theta[::2], theta[1::2])]
+            new = [(s, u, k, None, self.nu(u), None) for s, u, k in _runs(rows)]
+            values = [run[4] for run in new for _ in range(run[2])]
+        else:
+            i = row
+            j0 = j = bisect.bisect_right(runs, i, key=operator.itemgetter(0)) - 1
+            s, w, k, inc, value, _ = runs[j]
+            u = _control(theta[2 * i], theta[2 * i + 1])
+            if u == w:
+                return self._score
+            kept = None if exact else inc  # a semidirect increment spans its run's count
+            right = i + 1 == s + k and j + 1 < len(runs) and runs[j + 1][1] == u  # the row joins the next run
+            count = 1 + runs[j + 1][2] if right else 1
+            if i == s and j and runs[j - 1][1] == u:  # the row joins the run before it
+                j0 = j - 1
+                s0, w0, k0, inc0, v, _ = runs[j0]
+                new = [(s0, w0, k0 + count, None if exact else inc0, v, None)]
+            else:
+                v = self.nu(u)
+                new = [(s, w, i - s, kept, value, None)] if i > s else []
+                new.append((i, u, count, None, v, None))
+            values = self._values[:]
+            values[i:i + count] = [v] * count  # a run's rows take the value of its first
+            j1 = j + 1 + right
+            if not right and i + 1 < s + k:
+                new.append((i + 1, _control(theta[2 * i + 2], theta[2 * i + 3]), s + k - i - 1, kept, value, None))
         ell = float(sum(values) * dt)
-        err = _distance(model.coords(x), self.tcoords)
-        self._last_score = ell, err if math.isfinite(err) else math.inf
-        self._last_runs = records
-        return self._last_score
+        last, out, x = self._last, [], runs[j0][5] if runs else model.identity()
+        try:
+            for s, u, k, inc, value, _ in itertools.chain(new, runs[j1:]):
+                old = last.get(s, (None,) * 6)  # the last candidate's run here lends its increment
+                if inc is None:
+                    reuse = old[1] == u and (old[2] == k or not exact)
+                    inc = old[3] if reuse else model.increment(u, k * dt if exact else dt)
+                out.append((s, u, k, inc, value, x))
+                if old[5] is x and old[1] == u and old[2] == k and s + k in last:  # and its end, from this state
+                    x = last[s + k][5]
+                else:
+                    x = (inc if s == 0 else step(x, inc)) if exact else reduce(step, itertools.repeat(inc, k), x)
+            score = ell, self._error(x)
+        except OverflowError:
+            out, score = None, (ell, math.inf)
+        self._last = {run[0]: run for run in out} if out else {}
+        self._cand = (j0, out, values, score)
+        return score
 
-    def score(self, theta: list, mu: float) -> float:
+    def keep(self) -> None:
+        """Make the last candidate scored the kept one."""
+        if self._cand is not None:
+            j0, out, self._values, self._score = self._cand
+            self._runs = [] if out is None else self._runs[:j0] + out
+
+    def score(self, theta: list, mu: float, row: Optional[int] = None) -> float:
         if self.evals >= self.budget:
             raise _BudgetExhausted
         self.evals += 1
-        ell, err = self.rollout(theta)
+        ell, err = self.rollout(theta, row)
         self.last = (ell, err)
         if err <= ENDPOINT_TOL and math.isfinite(ell):
             rank = ell - self.ERR_WEIGHT * err
@@ -887,9 +895,10 @@ class _Search:
         # in turn by +step then -step and keep the first move that beats the
         # current value by more than ``margin``; halve the step after a sweep with
         # no improvement and stop once it is below ``floor``.  A move is made on x
-        # in place and undone when it is not kept.
+        # in place, scored from the kept candidate, and undone when it is not kept.
         used = 1
         current = self.score(x, mu)
+        self.keep()
         while used < box:
             improved = False
             for i in range(len(x)):
@@ -898,10 +907,11 @@ class _Search:
                     if used >= box:
                         return x
                     x[i] = xi + delta
-                    val = self.score(x, mu)
+                    val = self.score(x, mu, i >> 1)
                     used += 1
                     if val > current + margin:
                         current, improved = val, True
+                        self.keep()
                         break
                     x[i] = xi
             if not improved:
@@ -990,7 +1000,7 @@ def maximize(structure: CaseStructure, target, n_steps: int = 24, budget: int = 
     if search.best is None:
         return SolveResult(False, None, float("nan"), float("inf"), search.evals)
     ell, theta, err = search.best
-    curve = ControlCurve(search.dt, search.controls_of(theta), structure)
+    curve = ControlCurve(search.dt, [_control(r, b) for r, b in zip(theta[::2], theta[1::2])], structure)
     return SolveResult(True, curve, ell, err, search.evals)
 
 

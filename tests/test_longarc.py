@@ -2,6 +2,7 @@ import cmath
 import itertools
 import json
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -164,6 +165,12 @@ def test_semidirect_log_round_trips(case, u):
     assert np.max(np.abs(model.log(model.exp(u)) - u)) <= 1e-12
 
 
+def _split(model: SemidirectModel, u) -> tuple[float, tuple[float, float]]:
+    """(a, (v0, v1)), the frame coordinates of u in the float order of ``SemidirectModel.exp``."""
+    a, v0, v1 = (r[0] * u[0] + r[1] * u[1] + r[2] * u[2] for r in model._frame_rows)
+    return a, (v0, v1)
+
+
 @pytest.mark.parametrize("case", [HEIS, SubLorentzCase("2*", kappa=-1.0, tau=1.5)], ids=lambda c: c.case_id)
 def test_the_fixed_ideal_direction_has_exact_rows(case):
     # ad_W maps the ideal into its first, derived direction, so the second is fixed
@@ -171,7 +178,7 @@ def test_the_fixed_ideal_direction_has_exact_rows(case):
     assert model._act[2:] == (0.0, 0.0)
     rng = np.random.default_rng(5)
     for u, h in zip(rng.uniform(-2.0, 2.0, (200, 3)).tolist(), rng.uniform(-40.0, 40.0, 200).tolist()):
-        a, (_, v1) = model.split(u)
+        a, (_, v1) = _split(model, u)
         E, S = model._flow(a, h)
         x = model.exp(u, h)
         assert (E[2:], S[2:], x[2][2:], x[1][1]) == ((0.0, 1.0), (0.0, h), (0.0, 1.0), h * v1)
@@ -191,7 +198,7 @@ def test_carried_exponential_tracks_the_closed_form(branch):
     case, dt = CARRIED_E_BRANCHES[branch]
     model = build_structure(case).model
     u = [1.0, 0.3, 0.0]
-    a, _ = model.split(u)
+    a, _ = _split(model, u)
     p, q, r, s = (a * entry for entry in model._act)
     y11, y12, y21 = 0.5 * (p - s) * dt, q * dt, r * dt
     w2 = y11 * y11 + y12 * y21
@@ -468,6 +475,16 @@ def _quaternion_bits(x):
     return [c.hex() for c in x]
 
 
+def test_a_huge_su2_target_is_the_named_error_without_a_warning():
+    # the dot product inside np.linalg.norm overflows: the angle is inf, not a RuntimeWarning
+    st = build_structure(SU2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for abc in ((1e200, 0, 0), (0, -1e160, 0), (1e155, 1e155, 1e155)):
+            with pytest.raises(ValueError, match="out of float range"):
+                target_from_exp2(st, abc)
+
+
 def test_quaternion_model_matches_array_form_bit_for_bit():
     rng = np.random.default_rng(41)
     for _ in range(200):
@@ -711,56 +728,36 @@ _theta_rows = hs.tuples(
     _theta_r, hs.one_of(hs.floats(-0.95, 0.95), hs.sampled_from([_B_MAX, -_B_MAX, 1.0, -1.5, 3.0, 0.0, -0.0])))
 
 
-@hs.composite
-def candidate_sequences(draw):
-    """A first theta, then candidates that are constant, constant but for the sign of a
-    zero b in one row, change one row, copy a neighbour's row (merging runs), change a
-    row inside a run of equal rows (splitting it), or are drawn afresh."""
-    n = draw(hs.integers(1, 8))
-    rows = hs.lists(_theta_rows, min_size=n, max_size=n)
-    theta = np.array(draw(rows))
-    out = [theta]
-    kinds = ["constant", "zero signs", "one row", "copy a neighbour", "inside a run", "fresh"]
-    for kind in draw(hs.lists(hs.sampled_from(kinds), min_size=1, max_size=8)):
-        if kind == "constant":
-            theta = np.tile(draw(_theta_rows), (n, 1))
-        elif kind == "zero signs":
-            theta = np.tile([draw(_theta_r), 0.0], (n, 1))
-            theta[draw(hs.integers(0, n - 1)), 1] = -0.0
-        elif kind == "one row":
-            theta = theta.copy()
-            theta[draw(hs.integers(0, n - 1))] = draw(_theta_rows)
-        elif kind == "copy a neighbour":
-            theta = theta.copy()
-            k = draw(hs.integers(0, n - 1))
-            theta[k] = theta[draw(hs.sampled_from(sorted({max(k - 1, 0), min(k + 1, n - 1)})))]
-        elif kind == "inside a run":
-            inside = [k for k in range(1, n) if theta[k].tobytes() == theta[k - 1].tobytes()]
-            theta = theta.copy()
-            if inside:
-                theta[draw(hs.sampled_from(inside))] = draw(_theta_rows)
-        else:
-            theta = np.array(draw(rows))
-        out.append(theta)
-    return out
+def _controls(pairs) -> np.ndarray:
+    """The control rows [r, r b, 0] of (r, b) pairs: r clamped below at _R_MIN, b to +-_B_MAX."""
+    theta = np.array(pairs, dtype=float).reshape(-1, 2)
+    r, b = np.clip(theta[:, 0], _R_MIN, None), np.clip(theta[:, 1], -_B_MAX, _B_MAX)
+    return np.column_stack([r, r * b, np.zeros(len(theta))])
 
 
-@settings(max_examples=150, deadline=None)
-@given(hs.sampled_from([(SubLorentzCase("12", kappa=-1.0, chi=-1.0), LORENTZIAN), (SL2, LORENTZIAN),
-                        (SU2, LORENTZIAN), (HEIS, EDGE)]),
-       candidate_sequences())
-def test_rollout_matches_a_fresh_length_and_integration(structure_args, thetas):
-    st = build_structure(*structure_args)
-    target = integrate(constant_curve(st, (1.0, 0.2, 0.0), n=4)).endpoint
-    search = _Search(st, target, len(thetas[0]), budget=len(thetas))
-    for theta in thetas:
-        ell, err = search.rollout(theta.ravel().tolist())
-        controls = search.controls_of(theta.ravel().tolist())
-        r, b = np.clip(theta[:, 0], _R_MIN, None), np.clip(theta[:, 1], -_B_MAX, _B_MAX)
-        assert controls.tobytes() == np.column_stack([r, r * b, np.zeros(len(theta))]).tobytes()
-        curve = ControlCurve(search.dt, controls, st)
-        want_err = _distance(st.model.coords(integrate(curve).endpoint), search.tcoords)
-        assert (ell.hex(), err.hex()) == (length(curve).hex(), want_err.hex())
+def _fresh_score(st, search, pairs) -> tuple:
+    """(length, endpoint error) hex of the curve of the (r, b) ``pairs``, built and integrated afresh;
+    an exponential that overflows, or an endpoint that is not finite, is an endpoint error of inf."""
+    curve = ControlCurve(search.dt, _controls(pairs), st)
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            err = _distance(st.model.coords(integrate(curve).endpoint), search.tcoords)
+        except OverflowError:
+            err = math.inf
+        return length(curve).hex(), (err if math.isfinite(err) else math.inf).hex()
+
+
+def _search(structure, n: int) -> _Search:
+    return _Search(structure, integrate(constant_curve(structure, (1.0, 0.2, 0.0), n=4)).endpoint, n, budget=1)
+
+
+def _listed(pairs) -> list:
+    """A flat theta list [r0, b0, r1, b1, ...] of Python floats from (r, b) pairs."""
+    return np.asarray(pairs, dtype=float).ravel().tolist()
+
+
+def _hex(score) -> tuple:
+    return tuple(v.hex() for v in score)
 
 
 @hs.composite
@@ -772,33 +769,72 @@ def runs_of_pairs(draw, n: int):
     return np.array(draw(hs.lists(hs.sampled_from(pool), min_size=n, max_size=n)))
 
 
+def _moved_row(data, pairs: np.ndarray) -> tuple[int, tuple]:
+    """A row and its new pair: a drawn one (r below _R_MIN and b at or beyond +-_B_MAX
+    among them), one that overflows, a neighbour's (joining its run, or both neighbours'
+    where they are equal), or the same pair with the sign of a zero b flipped."""
+    n = len(pairs)
+    same = [i for i in range(1, n - 1) if (_controls(pairs[i - 1]) == _controls(pairs[i + 1])).all()]
+    kind = data.draw(hs.sampled_from(["drawn", "overflows", "neighbour", "both neighbours", "zero b"]))
+    i = data.draw(hs.sampled_from(same) if kind == "both neighbours" and same else hs.integers(0, n - 1))
+    if kind == "drawn":
+        return i, data.draw(_theta_rows)
+    if kind == "overflows":
+        return i, (1e154, 0.5)
+    if kind in ("neighbour", "both neighbours"):
+        return i, tuple(pairs[data.draw(hs.sampled_from(sorted({max(i - 1, 0), min(i + 1, n - 1)})))])
+    r, b = pairs[i]
+    return i, (r, -b if b == 0.0 else 0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(hs.sampled_from([(SubLorentzCase("12", kappa=-1.0, chi=-1.0), LORENTZIAN), (SL2, LORENTZIAN),
+                        (SU2, LORENTZIAN), (HEIS, EDGE)]),
+       hs.integers(1, 8), hs.data())
+def test_rollout_matches_a_fresh_length_and_integration(structure_args, n, data):
+    # a kept theta, then one-row moves (each kept or not), constant candidates and fresh
+    # thetas: every score is that of integrating the candidate's curve afresh, also after
+    # the kept candidate itself overflowed
+    st = build_structure(*structure_args)
+    search = _search(st, n)
+    kept = data.draw(runs_of_pairs(n))
+    assert _hex(search.rollout(_listed(kept))) == _fresh_score(st, search, kept)
+    search.keep()
+    for kind in data.draw(hs.lists(hs.sampled_from(["move"] * 4 + ["constant", "fresh"]), min_size=1, max_size=10)):
+        if kind == "move":
+            i, pair = _moved_row(data, kept)
+            theta = kept.copy()
+            theta[i] = pair
+            got = search.rollout(_listed(theta), i)
+        elif kind == "constant":
+            pair = data.draw(hs.one_of(_theta_rows, hs.just((1e154, 0.5))))
+            theta = np.tile(pair, (n, 1))
+            got = search.rollout(list(pair))
+        else:
+            theta = data.draw(runs_of_pairs(n))
+            got = search.rollout(_listed(theta))
+        assert _hex(got) == _fresh_score(st, search, theta), kind
+        if data.draw(hs.booleans()):
+            search.keep()
+            kept = theta
+
+
 @settings(max_examples=150, deadline=None)
 @given(hs.sampled_from([(SubLorentzCase("12", kappa=-1.0, chi=-1.0), LORENTZIAN), (SL2, LORENTZIAN),
                         (HEIS, EDGE)]),
-       hs.integers(1, 8), hs.data())
-def test_a_constant_candidate_scores_as_its_full_theta(structure_args, n, data):
-    # a pair [r, b] is one run built from its two floats; the same candidate as
-    # n equal rows goes through the row walk; multi-run candidates in between
-    # move the run records of both searches
+       hs.integers(1, 8), hs.lists(hs.tuples(_theta_rows, hs.booleans()), min_size=1, max_size=8))
+def test_a_constant_candidate_scores_as_its_full_theta(structure_args, n, moves):
+    # a pair [r, b], scored as a move of the kept pair of a constant descent, scores as the
+    # same candidate of n equal rows walked afresh, and as its curve integrated afresh
     st = build_structure(*structure_args)
-    target = integrate(constant_curve(st, (1.0, 0.2, 0.0), n=4)).endpoint
-    pairs, walked = _Search(st, target, n, budget=1), _Search(st, target, n, budget=1)
-    for constant in data.draw(hs.lists(hs.booleans(), min_size=1, max_size=8)):
-        if constant:
-            rb = list(data.draw(_theta_rows))
-            theta = np.full((n, 2), rb)
-            got = pairs.rollout(rb)
-            controls = pairs.controls_of(pairs.expand(rb))
-        else:
-            theta = data.draw(runs_of_pairs(n))
-            got = pairs.rollout(theta.ravel().tolist())
-            controls = pairs.controls_of(theta.ravel().tolist())
-        want = walked.rollout(theta.ravel().tolist())
-        assert controls.tobytes() == walked.controls_of(theta.ravel().tolist()).tobytes()
-        curve = ControlCurve(pairs.dt, controls, st)
-        fresh_err = _distance(st.model.coords(integrate(curve).endpoint), pairs.tcoords)
-        assert tuple(v.hex() for v in got) == tuple(v.hex() for v in want) == (
-            length(curve).hex(), fresh_err.hex())
+    pairs, walked = _search(st, n), _search(st, n)
+    pairs.rollout(list(moves[0][0]))
+    pairs.keep()
+    for rb, keep in moves:
+        got = pairs.rollout(list(rb), 0)
+        assert _hex(got) == _hex(walked.rollout(list(rb) * n)) == _fresh_score(st, pairs, [rb] * n)
+        if keep:
+            pairs.keep()
 
 
 def _counted(monkeypatch, cls, name) -> list:
@@ -824,38 +860,37 @@ def test_a_semidirect_run_is_one_exponential_and_one_step(monkeypatch):
     target = target_from_exp2(st, (1.0, 0.0, 0.0))
     exps = _counted(monkeypatch, SemidirectModel, "exp")
     steps = _counted(monkeypatch, SemidirectModel, "step")
+    values = _counted(monkeypatch, AntiNorm, "__call__")
     search = _Search(st, target, 32, budget=1)
     # a run from the identity ends at its increment, with no product
-    search.rollout(np.full((32, 2), [0.9, 0.1]).ravel().tolist())
+    search.rollout(_listed(np.full((32, 2), [0.9, 0.1])))
     assert (len(exps), len(steps)) == (1, 0)
     # a later run is one increment and one product
     exps.clear()
-    search.rollout(np.repeat([[1.1, -0.2], [0.8, 0.3]], 16, axis=0).ravel().tolist())
+    search.rollout(_listed(np.repeat([[1.1, -0.2], [0.8, 0.3]], 16, axis=0)))
     assert (len(exps), len(steps)) == (2, 1)
 
-    # a one-row change takes one exponential for the changed row; every later run
-    # keeps its increment
-    base = _distinct_theta(32)
-    for i in range(32):
-        search.rollout(base.ravel().tolist())
-        changed = base.copy()
-        changed[i] = [2.0, 0.7]
-        exps.clear()
-        search.rollout(changed.ravel().tolist())
-        assert len(exps) == 1, i
-
-    # inside a run of four equal rows: the run's kept head (if the changed row is not
-    # its first), the changed row and the run's tail (if the changed row is not its
-    # last), whose counts changed
-    runs = np.repeat(base[:8], 4, axis=0)
-    for i in range(32):
-        search.rollout(runs.ravel().tolist())
-        changed = runs.copy()
-        changed[i] = [2.0, 0.7]
-        exps.clear()
-        search.rollout(changed.ravel().tolist())
-        o = i % 4
-        assert len(exps) == 1 + (o > 0) + (o < 3), i
+    # a one-row move takes one value, and one increment for each piece whose count is new:
+    # inside a run of four equal rows, the run's head (if the moved row is not its first),
+    # the moved row and the run's tail (if it is not its last); the other runs keep theirs.
+    # A second move of the same row takes the head's and the tail's increments from the
+    # first, and the head's end state, so it takes no product for the head either.
+    for base, run in ((_distinct_theta(32), 1), (np.repeat(_distinct_theta(8), 4, axis=0), 4)):
+        search.rollout(_listed(base))
+        search.keep()
+        for i in range(32):
+            o = i % run
+            for pair, incs, again in (([2.0, 0.7], 1 + (o > 0) + (o < run - 1), False),
+                                      ([2.1, 0.7], 1, o > 0 and i >= run)):
+                changed = base.copy()
+                changed[i] = pair
+                exps.clear()
+                values.clear()
+                steps.clear()
+                search.rollout(_listed(changed), i)
+                # one product for each piece and each later run, but none from row 0
+                runs_on = (o > 0) + 1 + (o < run - 1) + 32 // run - i // run - 1
+                assert (len(exps), len(values), len(steps)) == (incs, 1, runs_on - (i < run) - again), (i, pair)
 
 
 def test_a_constant_candidate_is_one_run_without_the_row_walk(monkeypatch):
@@ -864,32 +899,37 @@ def test_a_constant_candidate_is_one_run_without_the_row_walk(monkeypatch):
     exps = _counted(monkeypatch, SemidirectModel, "exp")
     steps = _counted(monkeypatch, SemidirectModel, "step")
     values = _counted(monkeypatch, AntiNorm, "__call__")
-    walks = _counted(monkeypatch, longarc, "_walk")
+    walks = _counted(monkeypatch, longarc, "_runs")
+    controls = _counted(monkeypatch, longarc, "_control")
     search = _Search(st, target, 32, budget=1)
-    for rb in ([0.9, 0.1], [1.1, -0.2]):
-        exps.clear()
-        steps.clear()
-        values.clear()
-        search.rollout(rb)
-        assert (len(exps), len(steps), len(values), len(walks)) == (1, 0, 1, 0)
+    # scored alone, or as the moves of a constant descent: one control row, no run walk
+    for rb, row in (([0.9, 0.1], None), ([1.1, -0.2], 0), ([1.1, 0.3], 0)):
+        for calls in (exps, steps, values, controls):
+            calls.clear()
+        search.rollout(rb, row)
+        search.keep()
+        assert (len(exps), len(steps), len(values), len(controls), len(walks)) == (1, 0, 1, 1, 0)
 
 
 def test_a_cover_change_steps_from_its_run_start_on(monkeypatch):
-    # the first run that differs restarts from the start state in its record: a
-    # one-row change at row i steps every row from the start of the run that held it
+    # a move steps from the kept start state of the run that held its row: every row from
+    # that run's start on, and none before it; a second move of the same row takes the end
+    # of its run's head from the first, and steps from the moved row on
     st = build_structure(SL2)
     target = integrate(constant_curve(st, (1.0, 0.2, 0.0), n=4)).endpoint
     n = 16
     steps = _counted(monkeypatch, CoverModel, "step")
     search = _Search(st, target, n, budget=1)
     for base, run in ((_distinct_theta(n), 1), (np.repeat(_distinct_theta(4), 4, axis=0), 4)):
+        search.rollout(_listed(base))
+        search.keep()
         for i in range(n):
-            search.rollout(base.ravel().tolist())
             changed = base.copy()
-            changed[i] = [2.0, 0.7]
-            steps.clear()
-            search.rollout(changed.ravel().tolist())
-            assert len(steps) == n - (i - i % run), i
+            for pair, first in (([2.0, 0.7], i - i % run), ([2.1, 0.7], i)):
+                changed[i] = pair
+                steps.clear()
+                search.rollout(_listed(changed), i)
+                assert len(steps) == n - first, (i, pair)
 
 
 def test_a_cover_step_takes_four_push_forwards(monkeypatch):
@@ -910,34 +950,60 @@ def test_a_cover_step_takes_four_push_forwards(monkeypatch):
 
 @pytest.mark.parametrize("case", [HEIS, SL2])
 def test_an_identical_candidate_takes_no_step_and_keeps_the_last_score(monkeypatch, case):
+    # a move that leaves its row's control as it was (the same pair, r clamped again, b
+    # clamped again, a zero b's sign flipped) returns the kept score with no increment
+    # and no step, inside a run as well as on a run of one row
     st = build_structure(case)
     target = integrate(constant_curve(st, (1.0, 0.2, 0.0), n=4)).endpoint
     incs = _counted(monkeypatch, type(st.model), "increment")
     steps = _counted(monkeypatch, type(st.model), "step")
     search = _Search(st, target, 16, budget=1)
-    for theta in (np.full((16, 2), [0.9, 0.1]), _distinct_theta(16),
-                  np.repeat(_distinct_theta(4), 4, axis=0)):
-        score = search.rollout(theta.ravel().tolist())
+    rows = _distinct_theta(16)
+    rows[[0, 4, 8]] = [[1e-9, 0.3], [1.0, 1.5], [0.9, 0.0]]
+    same = [(0, [0.0, 0.3]), (1, [0.0, 0.3]), (4, [1.0, 3.0]), (5, [1.0, 3.0]), (8, [0.9, -0.0]),
+            (10, [0.9, -0.0]), (3, None), (15, None)]
+    for theta in (np.full((16, 2), [0.9, 0.1]), rows, np.repeat(rows[::4], 4, axis=0)):
+        score = search.rollout(_listed(theta))
+        search.keep()
         incs.clear()
         steps.clear()
-        assert search.rollout(theta.ravel().tolist()) == score
-        assert (len(incs), len(steps)) == (0, 0)
+        checked = 0
+        for i, pair in same:
+            if pair is None or (_controls(pair) == _controls(theta[i])).all():
+                moved = theta.copy()
+                moved[i] = theta[i] if pair is None else pair
+                assert search.rollout(_listed(moved), i) == score
+                checked += 1
+        assert (len(incs), len(steps)) == (0, 0) and checked >= 2
 
 
 def test_after_an_overflowing_candidate_the_last_one_still_scores_as_afresh():
     st = build_structure(SubLorentzCase("3", kappa=0.5))
-    target = target_from_exp2(st, (1.0, 0.3, 0.0))
-    search = _Search(st, target, 8, budget=1)
+    search = _search(st, 8)
     good = _distinct_theta(8)
     far = good.copy()
     far[3, 0] = 5000.0  # the exponential of this row overflows
-    curve = ControlCurve(search.dt, search.controls_of(good.ravel().tolist()), st)
-    err = _distance(st.model.coords(integrate(curve).endpoint), search.tcoords)
-    fresh = (length(curve).hex(), err.hex())
-    assert tuple(v.hex() for v in search.rollout(good.ravel().tolist())) == fresh
-    ell, err = search.rollout(far.ravel().tolist())
+    assert _hex(search.rollout(_listed(good))) == _fresh_score(st, search, good)
+    search.keep()
+    # a move whose exponential overflows leaves the kept candidate as it was
+    ell, err = search.rollout(_listed(far), 3)
     assert math.isfinite(ell) and err == math.inf
-    assert tuple(v.hex() for v in search.rollout(good.ravel().tolist())) == fresh
+    for i in range(8):
+        moved = good.copy()
+        moved[i] = [1.3, -0.4]
+        assert _hex(search.rollout(_listed(moved), i)) == _fresh_score(st, search, moved)
+    # moves from a kept candidate that overflowed, kept or not
+    search.rollout(_listed(far))
+    search.keep()
+    for i in (5, 0, 3):
+        moved = far.copy()
+        moved[i] = [1.3, -0.4]
+        assert _hex(search.rollout(_listed(moved), i)) == _fresh_score(st, search, moved)
+    # the last move mends the overflowing row: kept, it is stepped from its runs again
+    search.keep()
+    moved[6] = [0.7, 0.2]
+    score = search.rollout(_listed(moved), 6)
+    assert math.isfinite(score[1]) and _hex(score) == _fresh_score(st, search, moved)
 
 
 def test_an_overflowing_rotation_angle_scores_as_infeasible():
@@ -974,11 +1040,15 @@ def test_a_non_finite_endpoint_scores_an_error_of_inf():
     st = build_structure(HEIS)
     search = _Search(st, target_from_exp2(st, (1.0, 0.0, 0.0)), 2, budget=1)
     for theta in ([1e200, 0.5], [1e200, 0.5, 1e200, -0.5]):
-        curve = ControlCurve(search.dt, search.controls_of(search.expand(theta)), st)
+        curve = ControlCurve(search.dt, _controls(theta * (4 // len(theta))), st)
         coords = st.model.coords(integrate(curve).endpoint)
         assert not all(map(math.isfinite, coords))
         assert math.isnan(_distance(coords, search.tcoords))
         assert search.rollout(theta)[1] == math.inf
+    # as a move of one row of a kept candidate that scored finite
+    assert search.rollout([0.9, 0.1, 0.9, 0.1])[1] < math.inf
+    search.keep()
+    assert search.rollout([0.9, 0.1, 1e200, -0.5], 1)[1] == math.inf
 
 
 @pytest.mark.parametrize("case", [HEIS, SubLorentzCase("12", kappa=-1.0, chi=-1.0), SL2])
