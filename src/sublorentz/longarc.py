@@ -68,8 +68,9 @@ ENDPOINT_TOL = 1e-4
 
 #: Most control rows a solve (``--steps``) or one su2 loop block
 #: (``--steps-per-loop``) may have.  Work and memory grow linearly in the row
-#: count: a solve holds (rows, 3) control arrays and rolls all rows out per
-#: evaluation, and a loop block (one run) is stepped row by row and printed.
+#: count: a solve holds one (r, b) pair and at most one run per row, and steps
+#: at most every row per evaluation, and a loop block (one run) is stepped row
+#: by row and printed.
 MAX_STEPS = 10_000
 
 
@@ -403,19 +404,24 @@ class CoverModel:
         return (u0, complex(u1, u2)), dt
 
     def step(self, x, inc):
-        # each float operation in the order of s + dt/6 (k1 + 2 k2 + 2 k3 + k4) on arrays
+        # each float operation in the order of s + dt/6 (k1 + 2 k2 + 2 k3 + k4) on arrays; the
+        # push-forward is looked up on its module at each call, where a tracer may have replaced it
+        push = sl2cover.push_forward
         v, dt = inc
         c, w = x
         p, q = w.real, w.imag
-        a1, z1 = sl2cover.push_forward(x, v)
+        a1, z = push(x, v)
         h = 0.5 * dt
-        a2, z2 = sl2cover.push_forward((c + h * a1, complex(p + h * z1.real, q + h * z1.imag)), v)
-        a3, z3 = sl2cover.push_forward((c + h * a2, complex(p + h * z2.real, q + h * z2.imag)), v)
-        a4, z4 = sl2cover.push_forward((c + dt * a3, complex(p + dt * z3.real, q + dt * z3.imag)), v)
+        r1, i1 = z.real, z.imag
+        a2, z = push((c + h * a1, complex(p + h * r1, q + h * i1)), v)
+        r2, i2 = z.real, z.imag
+        a3, z = push((c + h * a2, complex(p + h * r2, q + h * i2)), v)
+        r3, i3 = z.real, z.imag
+        a4, z = push((c + dt * a3, complex(p + dt * r3, q + dt * i3)), v)
         h = dt / 6.0
         return CoverElement(c + h * (((a1 + 2.0 * a2) + 2.0 * a3) + a4),
-                            complex(p + h * (((z1.real + 2.0 * z2.real) + 2.0 * z3.real) + z4.real),
-                                    q + h * (((z1.imag + 2.0 * z2.imag) + 2.0 * z3.imag) + z4.imag)))
+                            complex(p + h * (((r1 + 2.0 * r2) + 2.0 * r3) + z.real),
+                                    q + h * (((i1 + 2.0 * i2) + 2.0 * i3) + z.imag)))
 
     def coords(self, x) -> tuple:
         return (x.c, x.w.real, x.w.imag)
@@ -720,6 +726,8 @@ class SolveResult:
     endpoint_error: float
     evaluations: int
     upper_bound: Optional[float] = None
+    #: the evaluations whose candidate was stepped to its endpoint; not in :meth:`to_json`
+    rollouts: int = 0
 
     def to_json(self) -> dict:
         out = {
@@ -776,6 +784,8 @@ class _Search:
     if it started from the same state.  Scores are the floats of
     :func:`integrate` and :func:`length` on the curve afresh, up to a zero's
     sign; an overflowing exponential or a non-finite endpoint scores inf error.
+    Each candidate counts as one evaluation of the budget, also one a descent
+    does not step (see ``_descend``); ``rollouts`` counts those stepped.
     """
 
     # Feasible candidates are ranked by length minus a multiple of the endpoint
@@ -792,8 +802,11 @@ class _Search:
         self.dt = 1.0 / n_steps
         self.budget = budget
         self.evals = 0
+        #: candidates stepped to their endpoint, out of ``evals``
+        self.rollouts = 0
         self.tcoords = self.model.coords(target)
         self.best: Optional[tuple[float, list, float]] = None
+        self.best_rank = -math.inf  # that of ``best``, which a candidate must beat to replace it
         # the kept candidate: runs (start, row, count, increment, value, start state), none once it
         # overflowed, row values and score; the last candidate to keep, and its runs by start
         self._runs: list = []
@@ -809,15 +822,23 @@ class _Search:
         err = _distance(self.model.coords(x), self.tcoords)
         return err if math.isfinite(err) else math.inf
 
-    def rollout(self, theta: list, row: Optional[int] = None) -> tuple[float, float]:
+    def rollout(self, theta: list, row: Optional[int] = None,
+                bar: float = -math.inf) -> tuple[float, Optional[float]]:
         """(length, endpoint error) of theta, the candidate :meth:`keep` then keeps; with
-        ``row``, theta is the kept candidate with the pair of that row moved."""
+        ``row``, theta is the kept candidate with the pair of that row moved.
+
+        A length at most ``bar`` and at most the best rank rules the candidate out before it
+        is stepped: its score and its rank are at most its length.  It is then (length, None),
+        and :meth:`keep` cannot keep it."""
         model, step, runs, exact, dt, n = self.model, self.model.step, self._runs, self.exact, self.dt, self.n
         self._cand = None
         if len(theta) == 2:
-            self._cand = (0, None, [], None)  # kept, a single pair leaves no runs to move from
             u = _control(*theta)
             ell = float(sum([self.nu(u)] * n) * dt)
+            if ell <= bar and ell <= self.best_rank:
+                return ell, None
+            self.rollouts += 1
+            self._cand = (0, None, [], None)  # kept, a single pair leaves no runs to move from
             try:
                 inc = model.increment(u, n * dt if exact else dt)
                 return ell, self._error(inc if exact else reduce(step, itertools.repeat(inc, n), model.identity()))
@@ -852,6 +873,9 @@ class _Search:
             if not right and i + 1 < s + k:
                 new.append((i + 1, _control(theta[2 * i + 2], theta[2 * i + 3]), s + k - i - 1, kept, value, None))
         ell = float(sum(values) * dt)
+        if ell <= bar and ell <= self.best_rank:
+            return ell, None
+        self.rollouts += 1
         last, out, x = self._last, [], runs[j0][5] if runs else model.identity()
         try:
             for s, u, k, inc, value, _ in itertools.chain(new, runs[j1:]):
@@ -877,16 +901,24 @@ class _Search:
             j0, out, self._values, self._score = self._cand
             self._runs = [] if out is None else self._runs[:j0] + out
 
-    def score(self, theta: list, mu: float, row: Optional[int] = None) -> float:
+    def count(self) -> None:
+        """Count one evaluation; past the budget, end the search."""
         if self.evals >= self.budget:
             raise _BudgetExhausted
         self.evals += 1
-        ell, err = self.rollout(theta, row)
+
+    def score(self, theta: list, mu: float, row: Optional[int] = None, bar: float = -math.inf) -> float:
+        """The value length - mu error^2 of theta (see :meth:`rollout`), which may replace the
+        best; a candidate that ``bar`` rules out scores its length, at most ``bar``."""
+        self.count()
+        ell, err = self.rollout(theta, row, bar)
         self.last = (ell, err)
+        if err is None:
+            return ell
         if err <= ENDPOINT_TOL and math.isfinite(ell):
             rank = ell - self.ERR_WEIGHT * err
-            if self.best is None or rank > self.best[0] - self.ERR_WEIGHT * self.best[2]:
-                self.best = (ell, self.expand(theta), err)
+            if rank > self.best_rank:
+                self.best, self.best_rank = (ell, self.expand(theta), err), rank
         return ell - mu * err * err
 
     def _descend(self, x: list, mu: float, step: float, margin: float, floor: float,
@@ -896,9 +928,19 @@ class _Search:
         # current value by more than ``margin``; halve the step after a sweep with
         # no improvement and stop once it is below ``floor``.  A move is made on x
         # in place, scored from the kept candidate, and undone when it is not kept.
+        # Every move counts as one evaluation, but two kinds are not stepped, as
+        # neither can pay nor become the best:
+        # * a move in ``failed``, the (entry, value) moves that did not pay from the
+        #   current point, which would score as it did.  Once a move pays, ``failed``
+        #   holds the point just left, which scores below the new current.  Values
+        #   that compare equal give control rows that compare equal (a zero b's sign
+        #   only signs r b = 0), which the rollout already scores alike (its u == w);
+        # * a move whose length is at most the bar current + margin and at most the
+        #   best rank (see rollout).
         used = 1
         current = self.score(x, mu)
         self.keep()
+        failed: set = set()
         while used < box:
             improved = False
             for i in range(len(x)):
@@ -906,13 +948,20 @@ class _Search:
                 for delta in (step, -step):
                     if used >= box:
                         return x
-                    x[i] = xi + delta
-                    val = self.score(x, mu, i >> 1)
                     used += 1
-                    if val > current + margin:
+                    move = (i, xi + delta)
+                    if move in failed:
+                        self.count()
+                        continue
+                    x[i] = move[1]
+                    bar = current + margin
+                    val = self.score(x, mu, i >> 1, bar)
+                    if val > bar:
                         current, improved = val, True
                         self.keep()
+                        failed = {(i, xi)}
                         break
+                    failed.add(move)
                     x[i] = xi
             if not improved:
                 step *= 0.5
@@ -938,9 +987,12 @@ def maximize(structure: CaseStructure, target, n_steps: int = 24, budget: int = 
     refinements, penalty-escalated coordinate descents, random restarts) is a
     fixed deterministic sequence for a given seed; the budget only truncates
     it, so the set of evaluated candidates grows with the budget and the
-    reported best length is nondecreasing in it.  A curve counts as reaching
-    the target when its endpoint is within 1e-4 of it in group coordinates;
-    if no candidate gets that close the result is marked not found.
+    reported best length is nondecreasing in it.  Every candidate of the stream
+    is one evaluation, also one that a descent does not step because it would
+    change neither the descent's path nor the best (``rollouts`` counts those
+    stepped).  A curve counts as reaching the target when its endpoint is
+    within 1e-4 of it in group coordinates; if no candidate gets that close the
+    result is marked not found.
     """
     rng = np.random.default_rng(seed)
     search = _Search(structure, target, n_steps, budget)
@@ -998,10 +1050,10 @@ def maximize(structure: CaseStructure, target, n_steps: int = 24, budget: int = 
         pass
 
     if search.best is None:
-        return SolveResult(False, None, float("nan"), float("inf"), search.evals)
+        return SolveResult(False, None, float("nan"), float("inf"), search.evals, rollouts=search.rollouts)
     ell, theta, err = search.best
     curve = ControlCurve(search.dt, [_control(r, b) for r, b in zip(theta[::2], theta[1::2])], structure)
-    return SolveResult(True, curve, ell, err, search.evals)
+    return SolveResult(True, curve, ell, err, search.evals, rollouts=search.rollouts)
 
 
 # ---------------------------------------------------------------------------

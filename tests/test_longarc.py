@@ -837,6 +837,53 @@ def test_a_constant_candidate_scores_as_its_full_theta(structure_args, n, moves)
             pairs.keep()
 
 
+@settings(max_examples=200, deadline=None)
+@given(hs.sampled_from([(SubLorentzCase("12", kappa=-1.0, chi=-1.0), LORENTZIAN), (SL2, LORENTZIAN),
+                        (SU2, LORENTZIAN), (HEIS, EDGE)]),
+       hs.integers(1, 8), hs.floats(0.5, 1.5), hs.floats(0.5, 1.5), hs.sampled_from([1e4, 1e6, 1e8]),
+       hs.data())
+def test_a_candidate_that_its_length_rules_out_could_not_pay(structure_args, n, bar_scale, rank_scale, mu, data):
+    # a candidate whose length is at most the bar and the best rank is not stepped: stepped
+    # in full, its score is at most the bar and its rank at most the best rank, and keep()
+    # leaves the kept candidate as it was.  A move that was stepped, scored again from the
+    # same kept candidate after others, gives the same floats
+    st = build_structure(*structure_args)
+    search = _search(st, n)
+    kept = data.draw(runs_of_pairs(n))
+    ell, _ = search.rollout(_listed(kept))
+    search.keep()
+    bar, search.best_rank = ell * bar_scale, ell * rank_scale
+    stepped = []
+    for kind in data.draw(hs.lists(hs.sampled_from(["move"] * 4 + ["constant"]), min_size=1, max_size=10)):
+        if kind == "move":
+            i, pair = _moved_row(data, kept)
+            theta = kept.copy()
+            theta[i] = pair
+            args = (_listed(theta), i)
+        else:
+            pair = data.draw(_theta_rows)
+            theta = np.tile(pair, (n, 1))
+            args = (list(pair), None)
+        got = search.rollout(*args, bar)
+        fresh = _fresh_score(st, search, theta)
+        if got[1] is None:
+            full, err = (float.fromhex(h) for h in fresh)
+            assert got[0].hex() == fresh[0] and got[0] <= bar and got[0] <= search.best_rank
+            assert full - mu * err * err <= bar and full - _Search.ERR_WEIGHT * err <= search.best_rank
+        else:
+            assert _hex(got) == fresh, kind
+            stepped.append((args, got))
+        if data.draw(hs.booleans()):
+            if got[1] is not None:
+                # before the kept candidate changes, the others again, then this one to keep
+                for again, score in stepped[-2::-1] + stepped[-1:]:
+                    assert _hex(search.rollout(*again)) == _hex(score)
+                kept, stepped = theta, []
+            search.keep()
+    for again, score in stepped[::-1]:
+        assert _hex(search.rollout(*again)) == _hex(score)
+
+
 def _counted(monkeypatch, cls, name) -> list:
     """The list that collects the arguments of every call of ``cls.name`` from now on."""
     calls = []
@@ -1114,6 +1161,104 @@ def test_solver_respects_subcone_structures():
     assert res.found
     for u in res.curve.controls:
         assert abs(u[1]) <= 0.5 * u[0] + 1e-12
+
+
+def reference_descend(self, x, mu, step, margin, floor, box):
+    """The descent loop that scores every move in full: no move is skipped as already
+    failed, and none is ruled out by its length."""
+    used = 1
+    current = self.score(x, mu)
+    self.keep()
+    while used < box:
+        improved = False
+        for i in range(len(x)):
+            xi = x[i]
+            for delta in (step, -step):
+                if used >= box:
+                    return x
+                x[i] = xi + delta
+                val = self.score(x, mu, i >> 1)
+                used += 1
+                if val > current + margin:
+                    current, improved = val, True
+                    self.keep()
+                    break
+                x[i] = xi
+        if not improved:
+            step *= 0.5
+            if step < floor:
+                break
+    return x
+
+
+# rows 1, 3, 12, 13 (semidirect), 19, 2 and both branches of 10 (cover)
+_DESCENT_ROWS = [("1", 0, 4, 6000), ("3", 0, 4, 6000), ("12", 0, 4, 6000), ("13", 0, 4, 6000),
+                 ("19", 0, 4, 2500), ("2", 0, 4, 2500), ("10", 0, 4, 2500), ("10", 1, 4, 2500)]
+
+
+def _probe_target(st, rng, n: int, runs: int):
+    """The endpoint of n rows in one or two runs of drawn cone controls (r, r b, 0)."""
+    rows = [[r, r * b, 0.0] for r, b in zip(rng.uniform(0.6, 1.2, 2), rng.uniform(-0.5, 0.5, 2))]
+    head = n // 2 if runs == 2 else n
+    return integrate(ControlCurve(1.0 / n, [rows[0]] * head + [rows[1]] * (n - head), st)).endpoint
+
+
+def _spied_solve(monkeypatch, st, target, n: int, budget: int, seed: int):
+    """maximize with the numbers of the evaluations that were counted without a rollout
+    (skipped) and of those whose rollout stopped at the bound (pruned)."""
+    counted, rolled, pruned = [], set(), []
+    count, rollout = _Search.count, _Search.rollout
+
+    def spy_count(self):
+        count(self)
+        counted.append(self.evals)
+
+    def spy_rollout(self, *args):
+        rolled.add(self.evals)
+        out = rollout(self, *args)
+        if out[1] is None:
+            pruned.append(self.evals)
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(_Search, "count", spy_count)
+        m.setattr(_Search, "rollout", spy_rollout)
+        res = maximize(st, target, n_steps=n, budget=budget, seed=seed)
+    return res, [e for e in counted if e not in rolled], pruned
+
+
+@pytest.mark.parametrize("cid, index, n, budget", _DESCENT_ROWS)
+def test_the_descents_give_the_bytes_of_the_loop_that_scores_every_move(monkeypatch, cid, index, n, budget):
+    # skipping failed moves and moves that their length rules out changes no accepted
+    # move, no best and no count: the result's bytes and evaluations are those of the loop
+    # that rolls every candidate out, also for budgets that end on a skipped candidate and
+    # on a pruned one
+    kinds = set()
+    for seed, runs in ((3, 2), (11, 1)):
+        rng = np.random.default_rng(seed)
+        st = build_structure(sample_case(cid, rng, index))
+        target = _probe_target(st, rng, n, runs)
+        res, skipped, pruned = _spied_solve(monkeypatch, st, target, n, budget, seed)
+        assert 0 < res.rollouts <= res.evaluations - len(skipped) - len(pruned)
+        budgets = [budget] + [evals[len(evals) // 2] for evals in (skipped, pruned) if evals]
+        kinds.update(kind for kind, evals in (("skipped", skipped), ("pruned", pruned)) if evals)
+        for b in budgets:
+            got = maximize(st, target, n_steps=n, budget=b, seed=seed)
+            with monkeypatch.context() as m:
+                m.setattr(_Search, "_descend", reference_descend)
+                want = maximize(st, target, n_steps=n, budget=b, seed=seed)
+            assert json.dumps(got.to_json()) == json.dumps(want.to_json()), (seed, b)
+            assert got.evaluations == want.evaluations == b
+    assert kinds == {"skipped", "pruned"}
+
+
+def test_the_heisenberg_cli_solve_steps_at_most_half_its_candidates():
+    # the solve of `sublorentz solve --case 1 --kappa 0 --target [1,0,0] --steps 32 --budget
+    # 10000`: most of its moves are ruled out by their length or failed from the same point
+    st = build_structure(HEIS)
+    res = maximize(st, target_from_exp2(st, (1.0, 0.0, 0.0)), n_steps=32, budget=10000)
+    assert res.evaluations == 10000 and 0 < res.rollouts <= 0.5 * res.evaluations
+    assert "rollouts" not in res.to_json()
 
 
 # -- unbounded-length loops --------------------------------------------------------------
