@@ -30,7 +30,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .conegeom import (
-    _length,
     cone_from_json,
     cone_subspace_trivial,
     dual_contains,
@@ -308,7 +307,7 @@ def cmd_solve(args) -> int:
     bound = None
     verdict = check_case(case)
     if verdict.witness is not None:
-        bound = distance_upper_bound(structure, target, np.asarray(verdict.witness))
+        bound = distance_upper_bound(structure, target, verdict.witness)
     payload = dataclasses.replace(result, upper_bound=bound).to_json()
     payload["case"] = case.case_id
     payload["params"] = case.params()
@@ -329,12 +328,12 @@ def cmd_witness(args) -> int:
     curve = su2_unbounded_witness(structure, args.demanded_length,
                                   steps_per_loop=args.steps_per_loop)
     result = integrate(curve)
-    d = np.subtract(structure.model.coords(result.endpoint), structure.model.coords(structure.model.identity()))
-    if not np.isfinite(d).all():
+    model = structure.model
+    d = [a - b for a, b in zip(model.coords(result.endpoint), model.coords(model.identity()))]
+    if not all(map(math.isfinite, d)):
         raise ValueError(f"demanded length {args.demanded_length:g} is too long: the powered loop "
                          "endpoint is not finite")
-    # scaled by a power of two, so a finite but huge endpoint is measured without overflow
-    endpoint_error = _length(d)
+    endpoint_error = math.hypot(*d)  # scaled inside, so a huge finite endpoint does not overflow
     if endpoint_error > ENDPOINT_TOL:
         raise ValueError(f"demanded length {args.demanded_length:g} is too long: the powered loop "
                          f"endpoint is {endpoint_error:.3g} from the identity, above {ENDPOINT_TOL:g}")

@@ -192,21 +192,23 @@ def dual_contains(cone: SolidCone, p, strict: bool = False) -> bool:
     Decided in closed form: on the two extreme rays for a segment cone, and by
     axis/transverse comparison for a circular cone.
     """
+    def decide(p: np.ndarray, tol: float) -> bool:
+        if isinstance(cone, SegmentCone):
+            values, bound = [float(np.dot(p, r)) for r in cone.rays()], 0.0
+        else:
+            ahat = cone.unit_axis()
+            values = [float(np.dot(p, ahat))]
+            bound = _length(p - values[0] * ahat) / cone.aperture()
+        return all(v > bound + tol for v in values) if strict else all(v >= bound - tol for v in values)
+
     _require_acute(cone)
     p = _vec3(p)
-    if isinstance(cone, SegmentCone):
-        r1, r2 = cone.rays()
-        d1, d2 = float(np.dot(p, r1)), float(np.dot(p, r2))
-        if strict:
-            return d1 > ZERO_TOL and d2 > ZERO_TOL
-        return d1 >= -ZERO_TOL and d2 >= -ZERO_TOL
-    ahat = cone.unit_axis()
-    pi = float(np.dot(p, ahat))
-    rho = _length(p - pi * ahat)
-    bound = rho / cone.aperture()
-    if strict:
-        return pi > bound + ZERO_TOL
-    return pi >= bound - ZERO_TOL
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return decide(p, ZERO_TOL)
+    except ArithmeticError:  # a raw product overflows: decide on p 2^-e against the margin ZERO_TOL 2^-e
+        s, e = _split(p)
+        return decide(s, math.ldexp(ZERO_TOL, -e))
 
 
 def _subspace(subspace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

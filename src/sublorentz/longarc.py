@@ -17,7 +17,7 @@ subgroup steps, on one of three concrete group realizations:
   closed-form Killing axes, with classical RK4 steps on plain floats whose
   four stages all use the left translation of :mod:`sublorentz.sl2cover`.
 
-All three models carry their states as plain tuples of Python floats (and
+All three models carry states and frames as plain tuples of Python floats (and
 complex numbers on the cover), and a product is scalar arithmetic with no
 array built.  Every model steps a curve in two parts: ``increment(u, h)``
 does the work that depends on the control row and the duration alone, and
@@ -38,7 +38,7 @@ loop block, a repeat count and a base curve.  The search scores candidates
 per run of equal rows, a constant one straight from its (r, b) pair (one
 exponential and no product on the semidirect model) and a one-row move from
 the runs of the kept candidate, and its endpoint error is a plain sum of
-squares on Python floats, whatever BLAS the host runs.
+squares on Python floats.  Its random restarts draw from ``random.Random``.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ import itertools
 import math
 import numbers
 import operator
+import random
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from fractions import Fraction
@@ -72,6 +73,16 @@ ENDPOINT_TOL = 1e-4
 #: at most every row per evaluation, and a loop block (one run) is stepped row
 #: by row and printed.
 MAX_STEPS = 10_000
+
+_EYE = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+
+
+def _dot(a, b) -> float:
+    """The products summed left to right from 0.0: a BLAS dot's floats without fused multiply-adds."""
+    total = 0.0
+    for x, y in zip(a, b):
+        total += x * y
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +219,8 @@ class SemidirectModel:
 
     W = I0 x I1, so the frame (W, I0, I1) is orthonormal and its inverse is
     its transpose.  ad_W maps I into its derived directions and acts on I
-    through the 2x2 matrix ``action``, whose other rows are exact zeros.
-    Elements are triples (t, q, E): q a pair of floats and E = expm(t action)
+    through the row-major 2x2 ``_act``, whose other rows are exact zeros.
+    Elements are triples (t, q, E): q a pair of floats and E = expm(t _act)
     a row-major 4-tuple, carried with the element so that the product
     (t1, q1, E1)(t2, q2, E2) = (t1 + t2, q1 + E1 q2, E1 E2) makes no
     transcendental call.  ``coords`` and ``log`` read only (t, q).
@@ -236,23 +247,19 @@ class SemidirectModel:
             nv = math.hypot(v0, v1)
             v0, v1 = v0 / nv, v1 / nv
             frame, k = ((v1, 0.0 - v0, 0.0), (v0, v1, 0.0), (0.0, 0.0, 1.0)), 2
-        rows = np.array(frame)
-        self._frame_rows, self._frame_inv = frame, rows.T
-        with np.errstate(over="ignore", invalid="ignore"):
-            imgs = [rows @ algebra.bracket(frame[0], ideal) for ideal in frame[1:]]
-        if not all(np.isfinite(v).all() for v in imgs):
+        self._frame, self._derived = frame, k
+        imgs = [[_dot(row, algebra.bracket(frame[0], ideal).tolist()) for row in frame] for ideal in frame[1:]]
+        if not all(map(math.isfinite, itertools.chain(*imgs))):
             raise ValueError(f"the semidirect model of {algebra.label} does not apply: its bracket "
                              "images are out of float range")
-        self.action = np.column_stack([img[1:] for img in imgs])
-        self.action[k:] = 0.0  # its rows past the k derived directions, zero up to rounding
-        self._derived = k
-        self._act = tuple(self.action.ravel().tolist())
+        # its rows past the k derived directions are zero up to rounding
+        self._act = tuple(imgs[j][1 + i] if i < k else 0.0 for i in range(2) for j in range(2))
 
     def identity(self):
         return (0.0, (0.0, 0.0), (1.0, 0.0, 0.0, 1.0))
 
-    def unsplit(self, a: float, v) -> np.ndarray:
-        return self._frame_inv @ np.array([a, v[0], v[1]])
+    def unsplit(self, a: float, v) -> tuple:
+        return tuple(_dot(column, (a, v[0], v[1])) for column in zip(*self._frame))
 
     def _flow(self, a: float, h: float) -> tuple[tuple, tuple]:
         p, q, r, s = self._act
@@ -264,8 +271,8 @@ class SemidirectModel:
 
     def exp(self, u, time: float = 1.0):
         # split and _flow inline, in their float order: the search takes one exponential per candidate
-        u0, u1, u2 = u if isinstance(u, (list, tuple)) else np.asarray(u, dtype=float).tolist()
-        (f0, f1, f2), (g0, g1, g2), (h0, h1, h2) = self._frame_rows
+        u0, u1, u2 = u
+        (f0, f1, f2), (g0, g1, g2), (h0, h1, h2) = self._frame
         a, v0, v1 = f0 * u0 + f1 * u1 + f2 * u2, g0 * u0 + g1 * u1 + g2 * u2, h0 * u0 + h1 * u1 + h2 * u2
         p, q, r, s = self._act
         E, S = _exp_flow((a * p, a * q, a * r, a * s), time)
@@ -283,11 +290,11 @@ class SemidirectModel:
         """F(x), F: G -> R the homomorphism whose differential is the covector ``p``
         annihilating the derived subalgebra: as (t, q) = (0, q)(t, 0), F(t, q) is
         p(W) t + p(I) q, where the k derived directions of I weigh nothing."""
-        pw, *pi = (np.asarray(p, dtype=float) @ self._frame_inv).tolist()
+        pw, *pi = (_dot(p, row) for row in self._frame)
         k = self._derived
         return pw * x[0] + sum(c * q for c, q in zip(pi[k:], x[1][k:]))
 
-    def log(self, x) -> np.ndarray:
+    def log(self, x) -> tuple:
         a = x[0]
         _, S = self._flow(a, 1.0)
         det = S[0] * S[3] - S[1] * S[2]
@@ -329,9 +336,7 @@ class QuaternionModel:
 
     def exp(self, u, time: float = 1.0):
         v = [time * (s * float(c)) for s, c in zip(self.scales, u)]
-        # np.linalg.norm's floats (its dot product may round unlike a Python sum); an overflow is inf
-        with np.errstate(over="ignore"):
-            theta = float(np.linalg.norm(v))
+        theta = math.sqrt(_dot(v, v))  # an overflow is inf
         if theta == 0.0:
             return (1.0, 0.0, 0.0, 0.0)
         if not math.isfinite(theta):
@@ -359,8 +364,8 @@ class QuaternionModel:
         return tuple(x)
 
 
-def sl2_cover_frame(algebra: LieAlgebra3) -> np.ndarray:
-    """Isomorphism matrix sending case coordinates onto cover coordinates.
+def sl2_cover_frame(algebra: LieAlgebra3) -> tuple:
+    """Isomorphism matrix sending case coordinates onto cover coordinates, as three rows.
 
     With P the rows T, S1, S2 of :func:`~sublorentz.liealg3.killing_axes`,
     F = diag(-1, 1, 1) P K / 8 inverts their column matrix and maps (x1, x2, x3)
@@ -368,29 +373,29 @@ def sl2_cover_frame(algebra: LieAlgebra3) -> np.ndarray:
     negated when X1's angle -K(T, X1)/8 would be negative, then S2 when
     S2 K [T, S1] = +-16 is, as su(1,1) has [T, S1] = 2 S2.
     """
-    K = algebra.killing_form()
-    _, (T, S1, S2), _ = killing_axes(K)
-    if T @ K[:, 0] > 0.0:
-        T = -T
-    if S2 @ K @ algebra.bracket(T, S1) < 0.0:
-        S2 = -S2
-    return np.array([-T, S1, S2]) @ K / 8.0
+    K = algebra.killing_form().tolist()  # symmetric, so its rows are its columns
+    T, S1, S2 = (axis.tolist() for axis in killing_axes(K)[1])
+    if _dot(T, K[0]) > 0.0:
+        T = [-t for t in T]
+    if _dot([_dot(S2, col) for col in K], algebra.bracket(T, S1).tolist()) < 0.0:
+        S2 = [-t for t in S2]
+    return tuple(tuple(_dot(row, col) / 8.0 for col in K) for row in ([-t for t in T], S1, S2))
 
 
 class CoverModel:
     """Cover coordinates (c, w) with RK4 steps of the left-invariant dynamics.
 
-    The increment of a row is its cover coordinates ``frame @ u`` as a plain
-    (xi, zeta) pair, together with the time step.  A step is classical RK4 on
-    plain floats whose four stage velocities all come from
+    The increment of a row is its cover coordinates (the rows of ``frame``
+    times u) as a plain (xi, zeta) pair, with the time step.  A step is
+    classical RK4 on plain floats whose four stage velocities all come from
     ``sl2cover.push_forward``, each stage base passed as a plain (c, w) pair
     and each velocity returned as a plain (xi, zeta) pair.
     ``frame`` maps identity-frame control coordinates to cover coordinates;
     the identity frame is used for controls given directly as (xi, zeta).
     """
 
-    def __init__(self, frame: Optional[np.ndarray] = None):
-        self.frame = np.eye(3) if frame is None else np.asarray(frame, dtype=float)
+    def __init__(self, frame: Sequence[Sequence[float]] = _EYE):
+        self.frame = tuple(tuple(map(float, row)) for row in frame)
 
     def identity(self):
         return sl2cover.IDENTITY
@@ -399,9 +404,8 @@ class CoverModel:
         return sl2cover.multiply(x, y)
 
     def increment(self, u, dt: float):
-        # frame @ u stays a numpy product, as a scalar product rounds differently
-        u0, u1, u2 = (self.frame @ np.asarray(u, dtype=float)).tolist()
-        return (u0, complex(u1, u2)), dt
+        f0, f1, f2 = self.frame
+        return (_dot(f0, u), complex(_dot(f1, u), _dot(f2, u))), dt
 
     def step(self, x, inc):
         # each float operation in the order of s + dt/6 (k1 + 2 k2 + 2 k3 + k4) on arrays; the
@@ -603,7 +607,8 @@ def _endpoint(curve: ControlCurve, samples: Optional[list] = None):
         if isinstance(model, QuaternionModel):
             # rounding moves the block endpoint off the unit sphere, and
             # powering would raise its norm to the repeat count
-            x = tuple((np.array(x) / np.linalg.norm(x)).tolist())
+            norm = math.sqrt(_dot(x, x))
+            x = tuple(c / norm for c in x)
         # a power that overflows comes out non-finite, which callers detect
         x = _power(model, x, curve.repeat)
         if samples is not None:
@@ -625,7 +630,7 @@ def integrate(curve: ControlCurve) -> IntegrationResult:
 
 
 def _length(nu: AntiNorm, runs, dt: float) -> float:
-    """Row values summed in row order (np.sum rounds differently) times dt, over (row, count)
+    """Row values summed in row order (numpy's sum rounds differently) times dt, over (row, count)
     runs of equal rows: each run's value is taken once and repeated count times."""
     values = []
     for u, k in runs:
@@ -650,10 +655,10 @@ def target_from_exp2(structure: CaseStructure, abc: Sequence[float]):
         raise ValueError(f"a target in exponential coordinates is three finite numbers, got {list(abc)}")
     try:
         x = model.identity()
-        for amount, basis_vec in zip(abc, np.eye(3)):
+        for amount, basis_vec in zip(abc, _EYE):
             if amount != 0.0:  # a zero factor is the identity
                 x = model.multiply(x, model.exp(basis_vec, float(amount)))
-        if not np.isfinite(model.coords(x)).all():  # it overflowed without raising
+        if not all(map(math.isfinite, model.coords(x))):  # it overflowed without raising
             raise OverflowError
     except OverflowError:
         raise ValueError(f"the target {list(abc)} is out of float range: its exponential overflows") from None
@@ -708,7 +713,7 @@ def distance_upper_bound(structure: CaseStructure, target, witness) -> float:
     model = structure.model
     if not isinstance(model, SemidirectModel):
         raise TypeError("the calibration bound applies to the solvable (semidirect) models")
-    p = _vec3(witness)
+    p = _vec3(witness).tolist()
     if not witness_is_valid(structure.algebra, structure.cone, p):
         raise ValueError("witness is not a certificate: it must be strictly positive on the "
                          "punctured cone and annihilate the derived subalgebra")
@@ -762,7 +767,7 @@ _R_MIN = 1e-7
 
 def _control(r: float, b: float) -> list:
     """The control row [r, r b, 0] of a pair (r, b): r clamped below at ``_R_MIN``, b to +-``_B_MAX``."""
-    # max/min's floats (NaN and signed zeros too; np.clip's for finite entries); r b keeps a zero b's sign
+    # max/min's floats (NaN and signed zeros too; numpy's clip's for finite entries); r b keeps a zero b's sign
     r = _R_MIN if _R_MIN > r else r
     b = -_B_MAX if -_B_MAX > b else b
     return [r, r * (_B_MAX if _B_MAX < b else b), 0.0]
@@ -976,9 +981,12 @@ class _Search:
         return self._descend(list(rb), mu, 0.2, 1e-16, 1e-10, box)
 
 
-# a candidate far enough out overflows in floats and scores as infeasible, so
-# the search runs without numpy's overflow warnings
-@np.errstate(over="ignore", invalid="ignore")
+def _grid(lo: float, hi: float, n: int) -> list:
+    """The n floats of ``numpy.linspace(lo, hi, n)``: point i is i step + lo, and the last is hi."""
+    step = (hi - lo) / (n - 1)
+    return [i * step + lo for i in range(n - 1)] + [hi]
+
+
 def maximize(structure: CaseStructure, target, n_steps: int = 24, budget: int = 10000,
              seed: int = DEFAULT_SEED) -> SolveResult:
     """Penalty-augmented multi-start search for a near-longest admissible curve.
@@ -992,9 +1000,9 @@ def maximize(structure: CaseStructure, target, n_steps: int = 24, budget: int = 
     change neither the descent's path nor the best (``rollouts`` counts those
     stepped).  A curve counts as reaching the target when its endpoint is
     within 1e-4 of it in group coordinates; if no candidate gets that close the
-    result is marked not found.
+    result is marked not found.  A candidate far enough out overflows in floats
+    and scores as infeasible.
     """
-    rng = np.random.default_rng(seed)
     search = _Search(structure, target, n_steps, budget)
     model = structure.model
 
@@ -1002,23 +1010,22 @@ def maximize(structure: CaseStructure, target, n_steps: int = 24, budget: int = 
     log_u = None
     if isinstance(model, SemidirectModel):
         try:
-            log_u = np.asarray(model.log(target), dtype=float)
+            log_u = model.log(target)
         except (ValueError, TypeError, OverflowError):
-            log_u = None
+            pass
     if log_u is not None and log_u[0] > 0.0 and abs(log_u[2]) < 1e-9:
-        r0 = float(np.clip(log_u[0], _R_MIN, None))
-        b0 = float(np.clip(log_u[1] / max(log_u[0], _R_MIN), -_B_MAX, _B_MAX))
-        log_theta = [r0, b0]
+        r0 = max(log_u[0], _R_MIN)
+        log_theta = [r0, min(max(log_u[1] / r0, -_B_MAX), _B_MAX)]
 
     try:
         if log_theta is not None:
             search.score(log_theta, 1e8)
 
         # constant-control sweep over the compact slab, ranked by endpoint error
-        r_hi = 3.0 if log_u is None else max(2.5, 2.5 * float(np.linalg.norm(log_u)))
+        r_hi = 3.0 if log_u is None else max(2.5, 2.5 * math.sqrt(_dot(log_u, log_u)))
         grid: list[tuple[float, list]] = []
-        for r in np.linspace(0.15, r_hi, 12).tolist():
-            for b in np.linspace(-0.95, 0.95, 13).tolist():
+        for r in _grid(0.15, r_hi, 12):
+            for b in _grid(-0.95, 0.95, 13):
                 search.score([r, b], 1e4)
                 grid.append((search.last[1], [r, b]))
         grid.sort(key=lambda t: t[0])
@@ -1039,11 +1046,9 @@ def maximize(structure: CaseStructure, target, n_steps: int = 24, budget: int = 
             for mu, box in ((1e5, 1200), (1e7, 1200)):
                 theta = search.coordinate_descent(theta, mu, box)
 
+        rng, r_top = random.Random(seed), min(r_hi, 2.0)
         while True:
-            theta = np.column_stack([
-                rng.uniform(0.2, min(r_hi, 2.0), n_steps),
-                rng.uniform(-0.8, 0.8, n_steps),
-            ]).ravel().tolist()
+            theta = [v for _ in range(n_steps) for v in (rng.uniform(0.2, r_top), rng.uniform(-0.8, 0.8))]
             for mu, box in ((1e4, 250), (1e6, 250), (1e8, 300)):
                 theta = search.coordinate_descent(theta, mu, box)
     except _BudgetExhausted:

@@ -404,6 +404,19 @@ def test_values_out_of_float_range_are_named_without_a_warning(argv, message):
     assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_USAGE, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("cone", ['{"kind":"segment","u1":[1,0,0],"u2":[0,1,0]}',
+                                  '{"kind":"circular","axis":[1,1,0],"eta":1}'])
+def test_cone_dual_near_the_largest_float_answers_without_a_warning(cone):
+    # p . r overflows on the raw covector; it lies on the segment cone's dual boundary and
+    # on the circular cone's axis
+    for strict, want in ((False, True), (True, "circular" in cone)):
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "sublorentz.cli", "cone", "dual", "--cone", cone,
+                               "--p", "1.7e308,1.7e308,0", *(["--strict"] if strict else [])],
+                              capture_output=True, text=True, env=_ENV)
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+        assert json.loads(proc.stdout) == {"contains": want, "strict": strict}
+
+
 @pytest.mark.parametrize("row,target", [(["2*", "--kappa", "-1", "--tau", "1.5"], "[30,0,0]"),
                                         (["11", "--kappa", "1", "--chi", "1"], "[30,30,30]")])
 def test_far_targets_on_exists_rows_get_a_finite_bound(row, target):

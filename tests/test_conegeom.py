@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -132,6 +133,67 @@ def test_dual_contains_circular():
     # dual cone is wider: slope bound is 1/sqrt(eta+1)
     assert dual_contains(cone, (1, 1.2, 0), strict=True)
     assert not dual_contains(cone, (1, 1.5, 0))
+
+
+def _raw_dual_contains(cone, p, strict: bool) -> tuple[bool, bool]:
+    """(the answer of the raw float formula of dual_contains, whether its values are finite):
+    p on the extreme rays against ZERO_TOL, or p on the axis against the transverse length."""
+    from sublorentz.conegeom import ZERO_TOL, _length
+
+    p = np.asarray(p, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if isinstance(cone, SegmentCone):
+            d = [float(np.dot(p, r)) for r in cone.rays()]
+            answer = all(v > ZERO_TOL for v in d) if strict else all(v >= -ZERO_TOL for v in d)
+            return answer, all(map(math.isfinite, d))
+        ahat = cone.unit_axis()
+        pi = float(np.dot(p, ahat))
+        try:
+            bound = _length(p - pi * ahat) / cone.aperture()
+        except OverflowError:  # the transverse length is past the largest float
+            return None, False
+        answer = pi > bound + ZERO_TOL if strict else pi >= bound - ZERO_TOL
+        return answer, math.isfinite(pi) and math.isfinite(bound)
+
+
+def _exact_dual_contains(cone, p, strict: bool) -> bool:
+    """Dual membership on the exact rationals of p and the cone's floats, without a margin."""
+    from fractions import Fraction
+
+    p = [Fraction(float(c)) for c in p]
+    if isinstance(cone, SegmentCone):
+        d = [sum(a * Fraction(float(b)) for a, b in zip(p, r)) for r in cone.rays()]
+        return all(v > 0 for v in d) if strict else all(v >= 0 for v in d)
+    a = [Fraction(float(c)) for c in cone.axis]
+    pa, aa, pp = (sum(x * y for x, y in zip(u, v)) for u, v in ((p, a), (a, a), (p, p)))
+    # p.a > |p_perp| |a| / sqrt(eta + 1), squared: (eta + 1) (p.a)^2 > (|p|^2 |a|^2 - (p.a)^2)
+    lhs, rhs = Fraction(cone.eta + 1.0) * pa * pa, pp * aa - pa * pa
+    return pa > 0 and lhs > rhs if strict else pa >= 0 and lhs >= rhs
+
+
+DUAL_GRID_CONES = (DEFAULT_CONE, SegmentCone((1.0, 1.0, 1.0), (1.0, -1.0, 0.5), 0.5),
+                   CircularCone((1.0, 1.0, 0.0), 1.0), CircularCone((0.0, 0.0, 1.0), 0.0))
+
+
+def test_dual_contains_keeps_every_finite_answer_and_decides_overflowing_ones():
+    # a grid of covectors from tiny to the largest floats, on both kinds of cone; 1.7e308 and
+    # the float below it leave a margin far below ZERO_TOL once scaled, which must still count
+    values = (0.0, 1.0, -1.0, 3.5, -2.0, 1e-300, 1e150, -1e200, 1.7e308, math.nextafter(1.7e308, 0.0), -1.7e308,
+              8.9e307)
+    overflowed = 0
+    for cone in DUAL_GRID_CONES:
+        for p in itertools.product(values, repeat=3):
+            for strict in (False, True):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    got = dual_contains(cone, p, strict=strict)
+                old, finite = _raw_dual_contains(cone, p, strict)
+                if finite:
+                    assert got == old, (cone, p, strict)
+                else:
+                    overflowed += 1
+                    assert got == _exact_dual_contains(cone, p, strict), (cone, p, strict)
+    assert overflowed > 0
 
 
 def test_strict_dual_positive_on_sampled_directions():

@@ -1,7 +1,12 @@
 import cmath
+import decimal
 import itertools
 import json
 import math
+import os
+import platform
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
 
@@ -12,7 +17,7 @@ from hypothesis import strategies as hs
 
 from sublorentz.conegeom import DEFAULT_CONE, SegmentCone
 from sublorentz.existence import check_case
-from sublorentz.liealg3 import CASE_IDS, SL2_CASES, LieAlgebra3, SubLorentzCase, from_case
+from sublorentz.liealg3 import CASE_IDS, SL2_CASES, LieAlgebra3, SubLorentzCase, from_case, killing_axes
 from sublorentz.oracle import sample_case
 from sublorentz import longarc, sl2cover
 from sublorentz.longarc import (
@@ -129,7 +134,7 @@ def test_the_semidirect_invariants_are_relative_to_the_brackets(cid, tau):
     # the bracket images scale with tau; the model still splits off the abelian ideal
     alg = from_case(SubLorentzCase(cid, tau=tau))
     model = SemidirectModel(alg)
-    assert np.all(np.isfinite(model.action))
+    assert all(map(math.isfinite, model._act))
 
 
 @pytest.mark.parametrize("cid,variant", [("4", 1), ("4", 2), ("7", 1), ("7", 2)])
@@ -141,7 +146,7 @@ def test_rows_4_and_7_split_off_an_exact_abelian_ideal_at_every_tau(cid, variant
             continue
         alg = from_case(SubLorentzCase(cid, tau=tau, variant=variant))
         model = SemidirectModel(alg)
-        assert np.all(np.isfinite(model.action))
+        assert all(map(math.isfinite, model._act))
         w, i0, i1 = (model.unsplit(a, (b, c)) for a, b, c in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
         images = [alg.bracket(w, i0), alg.bracket(w, i1)]
         scale = max(float(np.max(np.abs(v))) for v in images)
@@ -167,7 +172,7 @@ def test_semidirect_log_round_trips(case, u):
 
 def _split(model: SemidirectModel, u) -> tuple[float, tuple[float, float]]:
     """(a, (v0, v1)), the frame coordinates of u in the float order of ``SemidirectModel.exp``."""
-    a, v0, v1 = (r[0] * u[0] + r[1] * u[1] + r[2] * u[2] for r in model._frame_rows)
+    a, v0, v1 = (r[0] * u[0] + r[1] * u[1] + r[2] * u[2] for r in model._frame)
     return a, (v0, v1)
 
 
@@ -395,6 +400,15 @@ def test_cover_integrator_is_fourth_order():
     assert e1 / e2 >= 12.0
 
 
+def plain_dot(a, b) -> float:
+    """The products summed left to right from 0.0 on Python floats, as a BLAS dot without
+    fused multiply-adds rounds them."""
+    total = 0.0
+    for x, y in zip(a, b):
+        total += float(x) * float(y)
+    return total
+
+
 def reference_cover_step(frame, x, u, dt):
     """The cover RK4 step in array form: four push-forwards on (c, Re w, Im w) arrays."""
     def velocity(s, u_cov):
@@ -402,7 +416,7 @@ def reference_cover_step(frame, x, u, dt):
                                         TangentVector(u_cov[0], complex(u_cov[1], u_cov[2]))))
         return np.array([v.xi, v.zeta.real, v.zeta.imag])
 
-    u_cov = frame @ np.asarray(u, dtype=float)
+    u_cov = [plain_dot(row, u) for row in frame]
     s = np.array([x.c, x.w.real, x.w.imag])
     k1 = velocity(s, u_cov)
     k2 = velocity(s + 0.5 * dt * k1, u_cov)
@@ -438,9 +452,9 @@ def test_cover_step_matches_array_form_bit_for_bit(frame, inputs):
 
 
 def reference_quaternion_exp(scales, u, time):
-    """The quaternion exponential in array form."""
+    """The quaternion exponential in array form, its angle the square root of a plain sum of squares."""
     v = time * (np.array(scales) * np.asarray(u, dtype=float))
-    theta = float(np.linalg.norm(v))
+    theta = math.sqrt(plain_dot(v, v))
     if theta == 0.0:
         return np.array([1.0, 0.0, 0.0, 0.0])
     return np.concatenate([[math.cos(theta)], math.sin(theta) / theta * v])
@@ -518,7 +532,7 @@ def test_the_powered_witness_endpoint_matches_array_form_bit_for_bit(demand, ste
     for u in curve.loop.controls:
         x = reference_quaternion_multiply(x, reference_quaternion_exp(st.model.scales, u, curve.dt))
     # one traversal is stepped as it is; more are powered from the renormalized block endpoint
-    want = x if curve.repeat == 1 else reference_quaternion_power(x / np.linalg.norm(x), curve.repeat)
+    want = x if curve.repeat == 1 else reference_quaternion_power(x / math.sqrt(plain_dot(x, x)), curve.repeat)
     assert _quaternion_bits(integrate(curve).endpoint) == [c.hex() for c in want.tolist()]
 
 
@@ -1081,6 +1095,104 @@ def test_the_endpoint_error_is_a_plain_sum_of_squares():
     assert _distance((0.0, 0.0, 0.0), d).hex() == math.sqrt(plain).hex()
 
 
+# maximize on 8 steps to the endpoint of 8 equal rows of a control: a row 19 input whose
+# length reads otherwise when the cover frame or its products take fused multiply-adds, and
+# a row 3 input whose length does when the logarithm's start or the grid range takes them
+_KERNEL_PROBE = """
+import json
+from sublorentz.liealg3 import SubLorentzCase
+from sublorentz.longarc import ControlCurve, build_structure, integrate, maximize
+out = []
+for case, u, budget, seed in (
+        (SubLorentzCase("19", kappa=0.4648247756055284, chi=0.7394083751846701),
+         [0.6970462835283949, -0.07529927905985247, 0.0], 800, 1509563077),
+        (SubLorentzCase("3", tau=2.0, variant=1), [1.026544826966286, 0.0014677137658417744, 0.0], 400, 779176820)):
+    st = build_structure(case)
+    res = maximize(st, integrate(ControlCurve(1.0 / 8, [u] * 8, st)).endpoint, n_steps=8, budget=budget, seed=seed)
+    out.append((res.length.hex(), res.endpoint_error.hex()))
+print(json.dumps(out))
+"""
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="OPENBLAS_CORETYPE names x86-64 kernels")
+def test_solve_floats_do_not_depend_on_the_blas_kernel():
+    # Prescott's kernels have no fused multiply-add; an AVX2 or AVX-512 host picks ones that do
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.join(os.path.dirname(__file__), "..", "src"),
+                                                      env.get("PYTHONPATH")]))
+    out = [subprocess.run([sys.executable, "-c", _KERNEL_PROBE], env=e, capture_output=True, text=True, check=True)
+           .stdout for e in (env, {**env, "OPENBLAS_CORETYPE": "Prescott"})]
+    assert out[0] == out[1]
+    assert len(json.loads(out[0])) == 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(hs.one_of(hs.floats(2.5, 1.7976931348623157e308), hs.just(math.inf)))
+def test_the_grid_has_the_floats_of_numpy_linspace(r_hi):
+    # over the range of r_hi, whose largest values overflow the product numpy takes for the last point
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo, hi, n in ((0.15, r_hi, 12), (-0.95, 0.95, 13)):
+            assert [v.hex() for v in longarc._grid(lo, hi, n)] == [v.hex() for v in np.linspace(lo, hi, n).tolist()]
+
+
+def _dot_error_bound(a, b) -> Fraction:
+    """gamma_3 sum |a_i b_i|: the forward error bound of a three-term dot product summed in floats."""
+    u = Fraction(1, 2 ** 53)
+    return 3 * u / (1 - 3 * u) * sum(abs(Fraction(x) * Fraction(y)) for x, y in zip(a, b))
+
+
+def test_the_quaternion_angle_is_accurate():
+    # theta = sqrt(v . v) on Python floats, against the square root of the exact sum in 40 digits
+    rng = np.random.default_rng(43)
+    worst = 0.0
+    for _ in range(2000):
+        v = (rng.uniform(-1, 1, 3) * 10.0 ** rng.uniform(-2, 2, 3) * 10.0 ** rng.uniform(-100, 100)).tolist()
+        theta = math.sqrt(longarc._dot(v, v))
+        with decimal.localcontext(decimal.Context(prec=40)):
+            exact = sum(Fraction(c) ** 2 for c in v)
+            want = (decimal.Decimal(exact.numerator) / decimal.Decimal(exact.denominator)).sqrt()
+            worst = max(worst, float(abs(decimal.Decimal(theta) - want) / want))
+    # half of gamma_3 for the sum of squares, plus the root's own rounding, in units of 2^-53
+    assert worst <= 2.5 * 2.0 ** -53, worst
+
+
+def test_the_cover_frame_is_accurate():
+    # F = diag(-1, 1, 1) P K / 8, entry by entry against the exact products of the same axes and form
+    for seed in (1, 2):
+        rng = np.random.default_rng(seed)
+        for cid in sorted(SL2_CASES):
+            for n in range(20):
+                alg = from_case(sample_case(cid, rng, n))
+                F = sl2_cover_frame(alg)
+                assert type(F) is tuple and all(type(c) is float for row in F for c in row)
+                K = alg.killing_form().tolist()
+                T, S1, S2 = (axis.tolist() for axis in killing_axes(K)[1])
+                exact = lambda a, b: sum(Fraction(x) * Fraction(y) for x, y in zip(a, b))
+                if exact(T, K[0]) > 0:
+                    T = [-t for t in T]
+                if exact([exact(S2, col) for col in K], alg.bracket(T, S1).tolist()) < 0:
+                    S2 = [-t for t in S2]
+                for got, row in zip(F, ([-t for t in T], S1, S2)):
+                    for g, col in zip(got, K):
+                        assert abs(Fraction(g) - exact(row, col) / 8) <= _dot_error_bound(row, col) / 8
+
+
+@pytest.mark.parametrize("case", ROUND_TRIP_CASES + (SubLorentzCase("2*", kappa=-1.0, tau=1.5),
+                                                     SubLorentzCase("7", tau=1e9)), ids=lambda c: c.case_id)
+def test_unsplit_is_accurate(case):
+    # the transposed frame times (a, v0, v1), against the exact products of the same frame
+    model = build_structure(case).model
+    columns = list(zip(*model._frame))
+    rng = np.random.default_rng(47)
+    for a, v0, v1 in (rng.uniform(-1, 1, (200, 3)) * 10.0 ** rng.uniform(-5, 5, (200, 3))).tolist():
+        got = model.unsplit(a, (v0, v1))
+        assert type(got) is tuple and all(type(c) is float for c in got)
+        for g, col in zip(got, columns):
+            exact = sum(Fraction(x) * Fraction(y) for x, y in zip(col, (a, v0, v1)))
+            assert abs(Fraction(g) - exact) <= _dot_error_bound(col, (a, v0, v1))
+
+
 def test_a_non_finite_endpoint_scores_an_error_of_inf():
     # the Heisenberg exponential makes no transcendental call, so a huge control
     # overflows in the arithmetic of the product instead of raising
@@ -1507,7 +1619,7 @@ def test_sl2_cover_frame_maps_the_brackets_and_follows_the_axis_rule():
         for cid in sorted(SL2_CASES):
             for n in range(40):
                 alg = from_case(sample_case(cid, rng, n))
-                F = sl2_cover_frame(alg)
+                F = np.array(sl2_cover_frame(alg))
                 got = np.array([sl2cover.ALGEBRA.bracket(F @ x, F @ y) for x, y in pairs])
                 want = np.array([F @ alg.bracket(x, y) for x, y in pairs])
                 assert np.max(np.abs(got - want)) <= 2e-15 * np.max(np.abs(want)), (cid, n)
@@ -1519,5 +1631,5 @@ def test_sl2_cover_frame_maps_the_brackets_and_follows_the_axis_rule():
 def test_sl2_cover_frame_is_continuous_in_the_row_parameters(kappa):
     # row 10 at chi = 1: two Killing eigenvalues are equal at kappa = 0 and cross at kappa = +-2
     d = 1e-6
-    near = [sl2_cover_frame(from_case(SubLorentzCase("10", kappa=kappa + s * d, chi=1.0))) for s in (-1, 1)]
+    near = [np.array(sl2_cover_frame(from_case(SubLorentzCase("10", kappa=kappa + s * d, chi=1.0)))) for s in (-1, 1)]
     assert np.max(np.abs(near[1] - near[0])) <= 2e-6
