@@ -20,6 +20,7 @@ All output is deterministic for a fixed seed (default 1729); floats in the
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -65,27 +66,47 @@ def _f17(x: float) -> str:
 # ---------------------------------------------------------------------------
 # the verdict table
 
+def _row_draws(cid: str, rng, samples: int):
+    """Each sampled draw of one row, decided as it is read against the reference verdict."""
+    for i in range(samples):
+        case = sample_case(cid, rng, i)
+        outcome, want = check_case(case).outcome, expected_outcome(case)
+        yield {"params": case.params(), "outcome": outcome.value, "expected": want.value, "match": outcome == want}
+
+
+def _table_rows(samples: int, seed: int):
+    """(row id, its draws) in table order; the rows share one generator, so each row's draws
+    are read before the next row's."""
+    rng = np.random.default_rng(seed)
+    return ((cid, _row_draws(cid, rng, samples)) for cid in CASE_IDS)
+
+
+def _write_table(rows, samples: int, seed: int, text: bool, write) -> bool:
+    """Write the table draw by draw, as text or as the bytes of ``json.dumps`` on
+    :func:`build_table`'s dict; True iff every draw matches its reference verdict."""
+    all_match = True
+    write(f"# classification verdicts (seed={seed}, samples={samples})\n" if text
+          else f'{{"seed": {seed}, "samples": {samples}, "rows": [')
+    for n, (cid, draws) in enumerate(rows):
+        # a JSON row is its object up to the open list of its draws
+        write(f"{cid:>3}  {CASE_LABELS[cid]:<12} " if text
+              else (", " if n else "") + json.dumps({"case": cid, "label": CASE_LABELS[cid], "draws": []})[:-2])
+        for i, d in enumerate(draws):
+            all_match = all_match and d["match"]
+            mark = "" if d["match"] else " [MISMATCH expected " + d["expected"] + "]"
+            sep = ("; " if text else ", ") if i else ""
+            write(sep + (f"({_format_params(d['params'])})->{d['outcome']}{mark}" if text else json.dumps(d)))
+        write("\n" if text else "]}")
+    write(f"agreement: {'ok' if all_match else 'MISMATCH'}\n" if text
+          else f'], "all_match": {json.dumps(all_match)}}}\n')
+    return all_match
+
+
 def build_table(samples: int, seed: int) -> dict:
     """Evaluate every table row over sampled parameters and compare to reference."""
-    rng = np.random.default_rng(seed)
-    rows = []
-    all_match = True
-    for cid in CASE_IDS:
-        draws = []
-        for i in range(samples):
-            case = sample_case(cid, rng, i)
-            verdict = check_case(case)
-            want = expected_outcome(case)
-            match = verdict.outcome == want
-            all_match = all_match and match
-            draws.append({
-                "params": case.params(),
-                "outcome": verdict.outcome.value,
-                "expected": want.value,
-                "match": match,
-            })
-        rows.append({"case": cid, "label": CASE_LABELS[cid], "draws": draws})
-    return {"seed": seed, "samples": samples, "rows": rows, "all_match": all_match}
+    rows = [{"case": cid, "label": CASE_LABELS[cid], "draws": list(draws)} for cid, draws in _table_rows(samples, seed)]
+    return {"seed": seed, "samples": samples, "rows": rows,
+            "all_match": all(d["match"] for row in rows for d in row["draws"])}
 
 
 def _format_params(params: dict) -> str:
@@ -93,15 +114,10 @@ def _format_params(params: dict) -> str:
 
 
 def render_table_text(table: dict) -> str:
-    lines = [f"# classification verdicts (seed={table['seed']}, samples={table['samples']})"]
-    for row in table["rows"]:
-        parts = []
-        for d in row["draws"]:
-            mark = "" if d["match"] else " [MISMATCH expected " + d["expected"] + "]"
-            parts.append(f"({_format_params(d['params'])})->{d['outcome']}{mark}")
-        lines.append(f"{row['case']:>3}  {row['label']:<12} " + "; ".join(parts))
-    lines.append("agreement: " + ("ok" if table["all_match"] else "MISMATCH"))
-    return "\n".join(lines) + "\n"
+    parts: list = []
+    rows = ((row["case"], row["draws"]) for row in table["rows"])
+    _write_table(rows, table["samples"], table["seed"], True, parts.append)
+    return "".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -225,12 +241,11 @@ def cmd_table(args) -> int:
         raise ValueError("samples must be >= 1")
     if args.seed < 0:
         raise ValueError("--seed must be >= 0")
-    table = build_table(args.samples, args.seed)
-    if args.format == "text":
-        _emit(render_table_text(table), args.out)
-    else:
-        _emit(json.dumps(table) + "\n", args.out)
-    return EXIT_OK if table["all_match"] else EXIT_MISMATCH
+    # each draw is written as it is decided, so memory does not grow with --samples
+    rows = _table_rows(args.samples, args.seed)
+    with open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+        all_match = _write_table(rows, args.samples, args.seed, args.format == "text", fh.write)
+    return EXIT_OK if all_match else EXIT_MISMATCH
 
 
 def cmd_check(args) -> int:
@@ -351,16 +366,12 @@ def cmd_witness(args) -> int:
 def cmd_cone(args) -> int:
     cone = cone_from_json(json.loads(args.cone))
     if args.cone_command == "dual":
-        res = dual_contains(cone, np.asarray(args.p), strict=args.strict)
-        _emit(json.dumps({"contains": bool(res), "strict": bool(args.strict)}) + "\n", args.out)
-        return EXIT_OK
-    subspace = np.asarray(json.loads(args.subspace), dtype=float)
-    trivial = cone_subspace_trivial(cone, subspace)
-    witness = find_interior_dual_in_annihilator(cone, subspace)
-    _emit(json.dumps({
-        "trivial": bool(trivial),
-        "witness": list(witness) if witness is not None else None,
-    }) + "\n", args.out)
+        payload = {"contains": dual_contains(cone, args.p, strict=args.strict), "strict": args.strict}
+    else:  # the answers are Python bools and a float triple or None
+        subspace = json.loads(args.subspace)
+        payload = {"trivial": cone_subspace_trivial(cone, subspace),
+                   "witness": find_interior_dual_in_annihilator(cone, subspace)}
+    _emit(json.dumps(payload) + "\n", args.out)
     return EXIT_OK
 
 

@@ -12,28 +12,26 @@ Two cone shapes are supported:
 * :class:`CircularCone`: the solid cone {v : v.axis >= sqrt(eta+1) |v_perp|}
   around a spatial axis; ``eta = 0`` is the widest member of the family.
 
-All membership and duality questions are decided in closed form on the
-extreme rays (segment) or by axis/transverse decomposition (circular); a
-segment cone computes its plane normal and the inverse of its frame
-(u1, u2, normal) once, at construction.  A cone is acute unless it is a
-half-plane, so :func:`acute` reads that off the shape.  A subspace is given
-by basis rows; one full SVD of them checks their independence and gives an
-orthonormal basis of the span and one of its annihilator.  Covectors, such
-as the annihilator witnesses, are plain float triples paired with vectors by
-the dot product.
+Vectors and covectors are float triples (:func:`_vec3`).  A cone builds once
+what its questions need: a segment cone its unit normal, the inverse of its
+frame (u1, u2, normal) and its extreme rays u1 +- h u2, which must be finite;
+a circular cone its unit axis.  Questions are decided in closed form on the
+rays or by axis/transverse decomposition, with one left-to-right dot
+(:func:`_dot`) and ``math.hypot`` lengths; numpy only checks inputs, inverts
+the frame, and takes a subspace's SVD and a circular plane's eigenvalues.
+A cone is acute unless it is a half-plane, so :func:`acute` reads that off
+the shape.
 
 Exact-zero comparisons use ``ZERO_TOL``: the independence test of a segment
 cone's generators is relative to their lengths; the membership and duality
 tests are absolute (the distance off a segment cone's plane is scaled by
 max(1, largest |v_i|)), so their inputs are expected to be of order one.
-The lengths of a circular cone's axis, of subspace rows, of the transverse
-parts in circular membership, of a segment cone's generators and normal and
-of the rays and ray coordinates in a segment cone's annihilator witness are
-taken after scaling by a power of two (:func:`_scaled`, :func:`_length`), so
-huge or tiny ones neither overflow nor underflow.
-The tolerance pair below is the one the whole package uses; this module
-imports nothing from the package, so every other module can take it from
-here.
+Unit vectors are taken on the vector scaled by a power of two
+(:func:`_split`), and dual membership decides on the covector so scaled
+against the margin scaled alike, so huge or tiny inputs neither overflow nor
+underflow.  The tolerance pair below is the one the whole package uses; this
+module imports nothing from the package, so every other module can take it
+from here.
 """
 
 from __future__ import annotations
@@ -49,96 +47,108 @@ ZERO_TOL = 1e-12
 #: Numerical-rank cutoff on singular values and eigenvalues.
 RANK_TOL = 1e-10
 
+Vec3 = tuple[float, float, float]
 
-def _scaled(v: np.ndarray) -> np.ndarray:
-    """Each row of v (the last axis) divided by the power of two of its largest |component|.
 
-    A power of two rounds no bit, so a unit vector, a sign or a ratio of
-    lengths taken on the result is that of v, and no square overflows or
-    underflows on the way.  A zero row stays zero.
+def _dot(a, b) -> float:
+    """The products summed left to right from 0.0: a BLAS dot's floats without fused multiply-adds."""
+    total = 0.0
+    for x, y in zip(a, b):
+        total += x * y
+    return total
+
+
+def _cross(a, b) -> Vec3:
+    """The cross product a x b, each component a difference of two products (``numpy.cross``'s floats)."""
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+
+def _split(v) -> tuple[tuple[float, ...], int]:
+    """A finite vector v as (s, e) with v = s 2^e, s's largest |component| in [1/2, 1) (a zero v gives e = 0).
+
+    A power of two rounds no bit, so a unit vector, a sign or a ratio of lengths
+    taken on s is that of v, and no square overflows or underflows on the way.
     """
-    return np.ldexp(v, -np.frexp(np.max(np.abs(v), axis=-1, keepdims=True))[1])
+    e = math.frexp(max(map(abs, v)))[1]
+    return tuple(math.ldexp(x, -e) for x in v), e
 
 
-def _split(v: np.ndarray) -> tuple[np.ndarray, int]:
-    """A finite vector v as (s, e) with v = s 2^e, s :func:`_scaled` (a zero v gives e = 0)."""
-    e = math.frexp(max(map(abs, v.tolist())))[1]
-    return np.ldexp(v, -e), e
+def _unit(v) -> tuple[float, ...]:
+    """v / |v| for a finite nonzero vector v, taken on its :func:`_split` part."""
+    s = _split(v)[0]
+    length = math.hypot(*s)
+    return tuple(x / length for x in s)
 
 
-def _length(v: np.ndarray) -> float:
-    """The Euclidean length of a finite vector, taken on its :func:`_split` part and scaled back.
-
-    It is the float of ``np.linalg.norm(v)``, the square root of ``v.dot(v)``,
-    wherever that neither overflows nor underflows.
-    """
-    s, e = _split(v)
-    return math.ldexp(math.sqrt(s.dot(s)), e)
-
-
-def _vec3(x) -> np.ndarray:
+def _vec3(x) -> Vec3:
     v = np.asarray(x, dtype=float).reshape(3)
     if not np.all(np.isfinite(v)):
         raise ValueError("vector has non-finite components")
-    return v
+    return tuple(v.tolist())
 
 
 @dataclass(frozen=True)
 class SegmentCone:
-    u1: tuple[float, float, float]
-    u2: tuple[float, float, float]
+    u1: Vec3
+    u2: Vec3
     half_width: float = 1.0
-    #: Unit normal of the carrier plane and the inverse of the frame (u1, u2, normal).
-    _normal: np.ndarray = field(init=False, repr=False, compare=False)
-    _frame_inv: np.ndarray = field(init=False, repr=False, compare=False)
+    #: Unit normal of the carrier plane, the rows of the inverse of the frame (u1, u2, normal),
+    #: and the extreme rays (None for a half-plane).
+    _normal: Vec3 = field(init=False, repr=False, compare=False)
+    _frame_inv: tuple[Vec3, Vec3, Vec3] = field(init=False, repr=False, compare=False)
+    _rays: Optional[tuple[Vec3, Vec3]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        u1 = _vec3(self.u1)
-        u2 = _vec3(self.u2)
-        object.__setattr__(self, "u1", tuple(u1))
-        object.__setattr__(self, "u2", tuple(u2))
-        object.__setattr__(self, "half_width", float(self.half_width))
+        u1, u2, h = _vec3(self.u1), _vec3(self.u2), float(self.half_width)
         # on the generators scaled by powers of two, which change neither the test
         # nor the unit normal; the test is relative to the generators' scale, so a
         # cone of small generators stays a cone
         s1, s2 = _split(u1)[0], _split(u2)[0]
-        n = np.cross(s1, s2)
-        length = math.sqrt(n.dot(n))
-        if length <= ZERO_TOL * math.sqrt(s1.dot(s1)) * math.sqrt(s2.dot(s2)):
+        n = _cross(s1, s2)
+        length = math.hypot(*n)
+        if length <= ZERO_TOL * math.hypot(*s1) * math.hypot(*s2):
             raise ValueError("u1 and u2 must be linearly independent")
-        if not (self.half_width >= 0.0):
+        if not (h >= 0.0):
             raise ValueError("half_width must be >= 0 (math.inf allowed)")
-        n = n / length
-        object.__setattr__(self, "_normal", n)
-        object.__setattr__(self, "_frame_inv", np.linalg.inv(np.column_stack([u1, u2, n])))
+        rays = None
+        if not math.isinf(h):
+            rays = (tuple(a + h * b for a, b in zip(u1, u2)), tuple(a - h * b for a, b in zip(u1, u2)))
+            if not all(map(math.isfinite, rays[0] + rays[1])):
+                raise ValueError(f"the extreme rays u1 +- h u2 of a segment cone of half-width {h!r} "
+                                 "are not finite")
+        normal = tuple(x / length for x in n)
+        frame_inv = tuple(map(tuple, np.linalg.inv(np.column_stack([u1, u2, normal])).tolist()))
+        for name, value in zip(("u1", "u2", "half_width", "_normal", "_frame_inv", "_rays"),
+                               (u1, u2, h, normal, frame_inv, rays)):
+            object.__setattr__(self, name, value)
 
-    def rays(self) -> tuple[np.ndarray, np.ndarray]:
+    def rays(self) -> tuple[Vec3, Vec3]:
         """Extreme rays u1 +- h u2 of the closed cone (finite half-width only)."""
-        if math.isinf(self.half_width):
+        if self._rays is None:
             raise ValueError("a half-plane cone has no extreme ray pair")
-        u1, u2 = np.asarray(self.u1), np.asarray(self.u2)
-        return u1 + self.half_width * u2, u1 - self.half_width * u2
+        return self._rays
 
 
 @dataclass(frozen=True)
 class CircularCone:
-    axis: tuple[float, float, float]
+    axis: Vec3
     eta: float = 0.0
+    _unit_axis: Vec3 = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = _vec3(self.axis)
-        if not np.any(a):
+        if not any(a):
             raise ValueError("axis must be nonzero")
-        object.__setattr__(self, "axis", tuple(a))
+        object.__setattr__(self, "axis", a)
         object.__setattr__(self, "eta", float(self.eta))
         if not math.isfinite(self.eta):
             raise ValueError(f"eta must be finite, got {self.eta!r}")
         if self.eta < 0.0:
             raise ValueError("eta must be >= 0")
+        object.__setattr__(self, "_unit_axis", _unit(a))
 
-    def unit_axis(self) -> np.ndarray:
-        a = _scaled(np.asarray(self.axis))
-        return a / np.linalg.norm(a)
+    def unit_axis(self) -> Vec3:
+        return self._unit_axis
 
     def aperture(self) -> float:
         """The slope bound sqrt(eta + 1) of the membership inequality."""
@@ -151,13 +161,19 @@ SolidCone = Union[SegmentCone, CircularCone]
 DEFAULT_CONE = SegmentCone((1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
 
 
+def _axial(cone: CircularCone, v) -> tuple[float, float]:
+    """(v . a, |v - (v . a) a|) for the unit axis a."""
+    a = cone._unit_axis
+    xi = _dot(v, a)
+    return xi, math.hypot(*(x - xi * y for x, y in zip(v, a)))
+
+
 def contains(cone: SolidCone, v, strict: bool = False) -> bool:
     """Membership in the closed cone; with ``strict``, in its relative interior."""
     v = _vec3(v)
     if isinstance(cone, SegmentCone):
-        a, b, c = (cone._frame_inv @ v).tolist()
-        scale = max(1.0, float(np.max(np.abs(v))))
-        if abs(c) > ZERO_TOL * scale:
+        a, b, c = (_dot(row, v) for row in cone._frame_inv)
+        if abs(c) > ZERO_TOL * max(1.0, *map(abs, v)):
             return False
         h = cone.half_width
         if strict:
@@ -167,13 +183,9 @@ def contains(cone: SolidCone, v, strict: bool = False) -> bool:
         if a < -ZERO_TOL:
             return False
         return True if math.isinf(h) else abs(b) <= h * a + ZERO_TOL
-    ahat = cone.unit_axis()
-    xi = float(np.dot(v, ahat))
-    zeta = v - xi * ahat
-    bound = cone.aperture() * _length(zeta)
-    if strict:
-        return xi > bound + ZERO_TOL
-    return xi >= bound - ZERO_TOL
+    xi, transverse = _axial(cone, v)
+    bound = cone.aperture() * transverse
+    return xi > bound + ZERO_TOL if strict else xi >= bound - ZERO_TOL
 
 
 def acute(cone: SolidCone) -> bool:
@@ -190,32 +202,26 @@ def dual_contains(cone: SolidCone, p, strict: bool = False) -> bool:
     """Dual-cone membership: p nonnegative on the cone; strictly positive with ``strict``.
 
     Decided in closed form: on the two extreme rays for a segment cone, and by
-    axis/transverse comparison for a circular cone.
+    axis/transverse comparison for a circular cone.  Both are taken on p 2^-e
+    (:func:`_split`) against the margin ``ZERO_TOL`` 2^-e, which is the answer
+    on p itself wherever its products are finite.
     """
-    def decide(p: np.ndarray, tol: float) -> bool:
-        if isinstance(cone, SegmentCone):
-            values, bound = [float(np.dot(p, r)) for r in cone.rays()], 0.0
-        else:
-            ahat = cone.unit_axis()
-            values = [float(np.dot(p, ahat))]
-            bound = _length(p - values[0] * ahat) / cone.aperture()
-        return all(v > bound + tol for v in values) if strict else all(v >= bound - tol for v in values)
-
     _require_acute(cone)
-    p = _vec3(p)
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            return decide(p, ZERO_TOL)
-    except ArithmeticError:  # a raw product overflows: decide on p 2^-e against the margin ZERO_TOL 2^-e
-        s, e = _split(p)
-        return decide(s, math.ldexp(ZERO_TOL, -e))
+    s, e = _split(_vec3(p))
+    tol = math.ldexp(ZERO_TOL, -e)
+    if isinstance(cone, SegmentCone):
+        values, bound = [_dot(s, r) for r in cone._rays], 0.0
+    else:
+        xi, transverse = _axial(cone, s)
+        values, bound = [xi], transverse / cone.aperture()
+    return all(v > bound + tol for v in values) if strict else all(v >= bound - tol for v in values)
 
 
-def _subspace(subspace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Basis rows U, an orthonormal basis of their span and one of its annihilator, from one SVD."""
+def _subspace(subspace) -> tuple[list, list, list]:
+    """Basis rows U, and rows of an orthonormal basis of their span and of its annihilator, from one SVD."""
     U = np.asarray(subspace, dtype=float)
     if U.size == 0:
-        return np.zeros((0, 3)), np.zeros((0, 3)), np.eye(3)
+        return [], [], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
     U = U.reshape(-1, 3)
     k = U.shape[0]
     if k > 3:
@@ -223,30 +229,28 @@ def _subspace(subspace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     _, s, vt = np.linalg.svd(U)
     if int(np.sum(s > RANK_TOL * max(1.0, s[0]))) != k:
         raise ValueError("subspace basis vectors are linearly dependent")
-    return U, vt[:k], vt[k:]
+    return U.tolist(), vt[:k].tolist(), vt[k:].tolist()
 
 
 def cone_subspace_trivial(cone: SolidCone, subspace) -> bool:
     """True iff the cone meets the given subspace only at the origin."""
     _require_acute(cone)
     U, B, A = _subspace(subspace)
-    k = U.shape[0]
+    k = len(U)
     if k == 0:
         return True
     if k == 3:
         return False
-    # rows scaled by powers of two, so that no square of a long row overflows
-    Us = _scaled(U)
     if isinstance(cone, CircularCone):
         if k == 2:
             # plane vs solid circular cone: sign of the restricted quadratic form
-            ahat = cone.unit_axis()
-            alpha2 = cone.aperture() ** 2
-            Q = alpha2 * (np.eye(3) - np.outer(ahat, ahat)) - np.outer(ahat, ahat)
+            a, B = np.asarray(cone._unit_axis), np.asarray(B)
+            Q = cone.aperture() ** 2 * (np.eye(3) - np.outer(a, a)) - np.outer(a, a)
             return float(np.min(np.linalg.eigvalsh(B @ Q @ B.T))) > ZERO_TOL
         d = B[0]
-    elif np.all(np.abs(Us @ cone._normal) <= RANK_TOL * np.linalg.norm(Us, axis=1)):
-        # the subspace lies in the carrier plane; a plane of it holds the cone
+    elif all(abs(_dot(s, cone._normal)) <= RANK_TOL * math.hypot(*s) for s in (_split(u)[0] for u in U)):
+        # the subspace lies in the carrier plane (tested on rows scaled by powers of two, so that
+        # no product of a long row overflows); a plane of it holds the cone
         if k == 2:
             return False
         d = B[0]
@@ -254,12 +258,11 @@ def cone_subspace_trivial(cone: SolidCone, subspace) -> bool:
         return True
     else:
         # the line where the subspace's plane meets the carrier plane
-        d = np.cross(A[0], cone._normal)
-        d = d / np.linalg.norm(d)
-    return not (contains(cone, d) or contains(cone, -d))
+        d = _unit(_cross(A[0], cone._normal))
+    return not (contains(cone, d) or contains(cone, [-x for x in d]))
 
 
-def find_interior_dual_in_annihilator(cone: SolidCone, subspace) -> Optional[tuple[float, float, float]]:
+def find_interior_dual_in_annihilator(cone: SolidCone, subspace) -> Optional[Vec3]:
     """A covector strictly positive on the punctured cone and vanishing on the subspace.
 
     Returns ``None`` when no such covector exists.  The construction is direct
@@ -269,59 +272,50 @@ def find_interior_dual_in_annihilator(cone: SolidCone, subspace) -> Optional[tup
     """
     _require_acute(cone)
     B = _subspace(subspace)[2]
-    m = B.shape[0]
+    m = len(B)
     if m == 0:
         return None
 
     if isinstance(cone, SegmentCone):
-        r1, r2 = cone.rays()
+        r1, r2 = cone._rays
         if m == 3:
-            p = r1 / _length(r1) + r2 / _length(r2)
-            return tuple((p / np.linalg.norm(p)).tolist())
+            return _unit([x + y for x, y in zip(_unit(r1), _unit(r2))])
         if m == 1:
             b = B[0]
-            t1, t2 = float(np.dot(b, r1)), float(np.dot(b, r2))
+            t1, t2 = _dot(b, r1), _dot(b, r2)
             for sign in (1.0, -1.0):
                 if sign * t1 > ZERO_TOL and sign * t2 > ZERO_TOL:
-                    return tuple((sign * b).tolist())
+                    return tuple(sign * x for x in b)
             return None
-        a1 = np.array([np.dot(B[0], r1), np.dot(B[1], r1)])
-        a2 = np.array([np.dot(B[0], r2), np.dot(B[1], r2)])
-        (s1, e1), (s2, e2) = _split(a1), _split(a2)
-        l1, l2 = math.sqrt(s1.dot(s1)), math.sqrt(s2.dot(s2))
-        n1, n2 = math.ldexp(l1, e1), math.ldexp(l2, e2)
-        ray_scale = max(1.0, _length(r1), _length(r2))
-        if n1 <= ZERO_TOL * ray_scale or n2 <= ZERO_TOL * ray_scale:
+        # the rays' coordinates in the annihilator's basis, and their unit vectors
+        a1, a2 = [_dot(b, r1) for b in B], [_dot(b, r2) for b in B]
+        ray_scale = max(1.0, math.hypot(*r1), math.hypot(*r2))
+        if math.hypot(*a1) <= ZERO_TOL * ray_scale or math.hypot(*a2) <= ZERO_TOL * ray_scale:
             return None
-        if float(s1.dot(s2)) / (l1 * l2) <= -1.0 + ZERO_TOL:  # the cosine of a1 and a2
+        c1, c2 = _unit(a1), _unit(a2)
+        if _dot(c1, c2) <= -1.0 + ZERO_TOL:  # the cosine of a1 and a2
             return None
-        y = a1 / n1 + a2 / n2
-        p = y[0] * B[0] + y[1] * B[1]
-        p = p / np.linalg.norm(p)
-        if np.dot(p, r1) > ZERO_TOL and np.dot(p, r2) > ZERO_TOL:
-            return tuple(p.tolist())
-        return None
+        y0, y1 = c1[0] + c2[0], c1[1] + c2[1]
+        p = _unit([y0 * x + y1 * z for x, z in zip(*B)])
+        return p if _dot(p, r1) > ZERO_TOL and _dot(p, r2) > ZERO_TOL else None
 
-    ahat = cone.unit_axis()
+    ahat = cone._unit_axis
     inv_alpha = 1.0 / cone.aperture()
     if m == 3:
-        return tuple(ahat.tolist())
+        return ahat
     if m == 1:
         b = B[0]
-        pi = float(np.dot(b, ahat))
+        pi = _dot(b, ahat)
         rho = math.sqrt(max(0.0, 1.0 - pi * pi))
-        if abs(pi) > inv_alpha * rho + ZERO_TOL:
-            return tuple((math.copysign(1.0, pi) * b).tolist())
+        return tuple(math.copysign(1.0, pi) * x for x in b) if abs(pi) > inv_alpha * rho + ZERO_TOL else None
+    # the axis projected onto the annihilator
+    c = [_dot(b, ahat) for b in B]
+    proj = [_dot(c, column) for column in zip(*B)]
+    length = math.hypot(*proj)
+    if length <= ZERO_TOL:
         return None
-    proj = B.T @ (B @ ahat)
-    np_ = float(np.linalg.norm(proj))
-    if np_ <= ZERO_TOL:
-        return None
-    p = proj / np_
-    rho = math.sqrt(max(0.0, 1.0 - np_ * np_))
-    if np_ > inv_alpha * rho + ZERO_TOL:
-        return tuple(p.tolist())
-    return None
+    rho = math.sqrt(max(0.0, 1.0 - length * length))
+    return tuple(x / length for x in proj) if length > inv_alpha * rho + ZERO_TOL else None
 
 
 def cone_to_json(cone: SolidCone) -> dict:

@@ -23,17 +23,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
-from .conegeom import (
-    DEFAULT_CONE,
-    ZERO_TOL,
-    SegmentCone,
-    SolidCone,
-    _vec3,
-    dual_contains,
-    find_interior_dual_in_annihilator,
-)
+from .conegeom import (DEFAULT_CONE, ZERO_TOL, SegmentCone, SolidCone, _dot, _vec3, dual_contains,
+                       find_interior_dual_in_annihilator)
 from .liealg3 import (SL2_CASES, SU2_CASE, LieAlgebra3, SubLorentzCase, from_case,
                       killing_axes, su2_loop_period)
 
@@ -121,10 +112,10 @@ def killing_containment(algebra: LieAlgebra3, cone: SegmentCone = DEFAULT_CONE) 
     _, _, scale = killing_axes(K)
     if not isinstance(cone, SegmentCone) or math.isinf(cone.half_width):
         raise ValueError("the containment test needs a planar segment cone of finite width")
-    u1, u2 = np.asarray(cone.u1), np.asarray(cone.u2)
-    k11 = float(u1 @ K @ u1)
-    k12 = float(u1 @ K @ u2)
-    k22 = float(u2 @ K @ u2)
+    # u K v as (u K) . v; K is symmetric, so (u K)_j is its row j dotted with u
+    u1, u2, K = cone.u1, cone.u2, K.tolist()
+    u1K, u2K = [_dot(u1, row) for row in K], [_dot(u2, row) for row in K]
+    k11, k12, k22 = _dot(u1K, u1), _dot(u1K, u2), _dot(u2K, u2)
     h = cone.half_width
     best = max(k11 - 2.0 * h * k12 + h * h * k22, k11 + 2.0 * h * k12 + h * h * k22)
     if k22 < 0.0:
@@ -160,9 +151,5 @@ def check_case(case: SubLorentzCase, cone: SolidCone = DEFAULT_CONE) -> Verdict:
 def witness_is_valid(algebra: LieAlgebra3, cone: SolidCone, witness) -> bool:
     """Check a covector certificate: strict dual membership plus annihilation."""
     p = _vec3(witness)
-    if not dual_contains(cone, p, strict=True):
-        return False
-    derived = algebra.derived_subalgebra()
-    if derived.shape[0] and float(np.max(np.abs(derived @ p))) > ZERO_TOL:
-        return False
-    return True
+    return dual_contains(cone, p, strict=True) and all(
+        abs(_dot(row, p)) <= ZERO_TOL for row in algebra.derived_subalgebra().tolist())

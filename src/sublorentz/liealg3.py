@@ -66,7 +66,7 @@ class LieAlgebra3:
     def __post_init__(self):
         try:
             for name in ("b12", "b13", "b23"):
-                object.__setattr__(self, name, tuple(float(t) for t in _vec3(getattr(self, name))))
+                object.__setattr__(self, name, _vec3(getattr(self, name)))
         except ValueError:  # a row's constants overflow, such as sqrt(kappa + tau^2) on row 2*
             raise ValueError(f"the structure constants of {self.label} are out of float range") from None
         defect = self.jacobi_defect()
@@ -81,8 +81,8 @@ class LieAlgebra3:
         ((0 + t12 b12) + t13 b13) + t23 b23.  The leading 0.0 turns a sum of
         zeros into +0.0.
         """
-        v1, v2, v3 = _vec3(v).tolist()
-        w1, w2, w3 = _vec3(w).tolist()
+        v1, v2, v3 = _vec3(v)
+        w1, w2, w3 = _vec3(w)
         t12 = v1 * w2 - v2 * w1
         t13 = v1 * w3 - v3 * w1
         t23 = v2 * w3 - v3 * w2

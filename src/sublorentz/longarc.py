@@ -57,7 +57,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import sl2cover
-from .conegeom import DEFAULT_CONE, ZERO_TOL, SegmentCone, SolidCone, _vec3, contains
+from .conegeom import DEFAULT_CONE, ZERO_TOL, CircularCone, SegmentCone, SolidCone, _dot, _vec3, contains
 from .existence import witness_is_valid
 from .liealg3 import (SL2_CASES, SU2_CASE, LieAlgebra3, SubLorentzCase, from_case,
                       killing_axes, su2_loop_period)
@@ -75,14 +75,6 @@ ENDPOINT_TOL = 1e-4
 MAX_STEPS = 10_000
 
 _EYE = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
-
-
-def _dot(a, b) -> float:
-    """The products summed left to right from 0.0: a BLAS dot's floats without fused multiply-adds."""
-    total = 0.0
-    for x, y in zip(a, b):
-        total += x * y
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -460,8 +452,6 @@ def build_structure(case: SubLorentzCase, anti_norm: AntiNorm = LORENTZIAN,
 
 def build_cover_structure(eta: float = 1.0, anti_norm: Optional[AntiNorm] = None) -> CaseStructure:
     """Raw cover structure with controls in (xi, Re zeta, Im zeta) coordinates."""
-    from .conegeom import CircularCone
-
     if anti_norm is None:
         anti_norm = AntiNorm(lambda u: math.sqrt(max(u[0] ** 2 - u[1] ** 2 - u[2] ** 2, 0.0)),
                              "lorentzian-3d")
@@ -676,7 +666,7 @@ def _section_ratio_max(cone: SegmentCone, nu: AntiNorm, p) -> float:
     keeps the maximizer in the interval it keeps, so no grid need bracket it first.  The
     endpoint values cover a maximum at an end of the section.
     """
-    (a0, a1, a2), (b0, b1, b2) = map(float, cone.u1), map(float, cone.u2)
+    (a0, a1, a2), (b0, b1, b2) = cone.u1, cone.u2
     p0, p1, p2 = map(float, p)
     h = cone.half_width
 
@@ -713,7 +703,7 @@ def distance_upper_bound(structure: CaseStructure, target, witness) -> float:
     model = structure.model
     if not isinstance(model, SemidirectModel):
         raise TypeError("the calibration bound applies to the solvable (semidirect) models")
-    p = _vec3(witness).tolist()
+    p = _vec3(witness)
     if not witness_is_valid(structure.algebra, structure.cone, p):
         raise ValueError("witness is not a certificate: it must be strictly positive on the "
                          "punctured cone and annihilate the derived subalgebra")
@@ -765,18 +755,29 @@ _B_MAX = 1.0 - 1e-9
 _R_MIN = 1e-7
 
 
-def _control(r: float, b: float) -> list:
-    """The control row [r, r b, 0] of a pair (r, b): r clamped below at ``_R_MIN``, b to +-``_B_MAX``."""
+def _b_max(cone: SolidCone) -> float:
+    """The clamp on b that keeps the search's rows [r, r b, 0] inside a cone of u1 along +X1 and u2
+    along X2: ``_B_MAX`` min(1, h |u2[1]| / u1[0]), which is ``_B_MAX`` on the default cone."""
+    if isinstance(cone, SegmentCone):
+        (a, a2, a3), (c1, c, c3) = cone.u1, cone.u2
+        if a > 0.0 and a2 == a3 == c1 == c3 == 0.0:
+            return _B_MAX * min(1.0, cone.half_width * abs(c) / a)
+    raise ValueError("the search proposes controls [r, r b, 0], so it needs a segment cone whose u1 is "
+                     "a positive multiple of X1 and whose u2 is a multiple of X2")
+
+
+def _control(r: float, b: float, b_max: float) -> list:
+    """The control row [r, r b, 0] of a pair (r, b): r clamped below at ``_R_MIN``, b to +-``b_max``."""
     # max/min's floats (NaN and signed zeros too; numpy's clip's for finite entries); r b keeps a zero b's sign
     r = _R_MIN if _R_MIN > r else r
-    b = -_B_MAX if -_B_MAX > b else b
-    return [r, r * (_B_MAX if _B_MAX < b else b), 0.0]
+    b = -b_max if -b_max > b else b
+    return [r, r * (b_max if b_max < b else b), 0.0]
 
 
 class _Search:
     """Scores candidates theta: flat lists [r0, b0, r1, b1, ...] of one (r, b) pair
-    per row, each made a control row by :func:`_control`, or one pair [r, b]
-    that all rows share, which is one run of n rows from the identity.
+    per row, each made a control row by :func:`_control` with b clamped by :func:`_b_max`,
+    or one pair [r, b] that all rows share, which is one run of n rows from the identity.
 
     Other candidates go per maximal run of rows that compare equal, a run's row
     being the control of the pair at its first.  A descent's start is found for
@@ -801,6 +802,7 @@ class _Search:
 
     def __init__(self, structure: CaseStructure, target, n_steps: int, budget: int):
         self.model = structure.model
+        self.b_max = _b_max(structure.cone)
         self.exact = isinstance(self.model, SemidirectModel)
         self.nu = structure.anti_norm
         self.n = n_steps
@@ -836,9 +838,10 @@ class _Search:
         is stepped: its score and its rank are at most its length.  It is then (length, None),
         and :meth:`keep` cannot keep it."""
         model, step, runs, exact, dt, n = self.model, self.model.step, self._runs, self.exact, self.dt, self.n
+        b_max = self.b_max
         self._cand = None
         if len(theta) == 2:
-            u = _control(*theta)
+            u = _control(*theta, b_max)
             ell = float(sum([self.nu(u)] * n) * dt)
             if ell <= bar and ell <= self.best_rank:
                 return ell, None
@@ -851,14 +854,14 @@ class _Search:
                 return ell, math.inf
         if row is None or not runs:
             j0, j1 = 0, len(runs)
-            rows = [_control(r, b) for r, b in zip(theta[::2], theta[1::2])]
+            rows = [_control(r, b, b_max) for r, b in zip(theta[::2], theta[1::2])]
             new = [(s, u, k, None, self.nu(u), None) for s, u, k in _runs(rows)]
             values = [run[4] for run in new for _ in range(run[2])]
         else:
             i = row
             j0 = j = bisect.bisect_right(runs, i, key=operator.itemgetter(0)) - 1
             s, w, k, inc, value, _ = runs[j]
-            u = _control(theta[2 * i], theta[2 * i + 1])
+            u = _control(theta[2 * i], theta[2 * i + 1], b_max)
             if u == w:
                 return self._score
             kept = None if exact else inc  # a semidirect increment spans its run's count
@@ -876,7 +879,8 @@ class _Search:
             values[i:i + count] = [v] * count  # a run's rows take the value of its first
             j1 = j + 1 + right
             if not right and i + 1 < s + k:
-                new.append((i + 1, _control(theta[2 * i + 2], theta[2 * i + 3]), s + k - i - 1, kept, value, None))
+                after = _control(theta[2 * i + 2], theta[2 * i + 3], b_max)
+                new.append((i + 1, after, s + k - i - 1, kept, value, None))
         ell = float(sum(values) * dt)
         if ell <= bar and ell <= self.best_rank:
             return ell, None
@@ -1001,7 +1005,9 @@ def maximize(structure: CaseStructure, target, n_steps: int = 24, budget: int = 
     stepped).  A curve counts as reaching the target when its endpoint is
     within 1e-4 of it in group coordinates; if no candidate gets that close the
     result is marked not found.  A candidate far enough out overflows in floats
-    and scores as infeasible.
+    and scores as infeasible.  The candidates are control rows [r, r b, 0], with
+    b clamped so that they stay inside the structure's cone; a cone that holds
+    no such clamp is a ``ValueError`` (see :func:`_b_max`).
     """
     search = _Search(structure, target, n_steps, budget)
     model = structure.model
@@ -1015,7 +1021,7 @@ def maximize(structure: CaseStructure, target, n_steps: int = 24, budget: int = 
             pass
     if log_u is not None and log_u[0] > 0.0 and abs(log_u[2]) < 1e-9:
         r0 = max(log_u[0], _R_MIN)
-        log_theta = [r0, min(max(log_u[1] / r0, -_B_MAX), _B_MAX)]
+        log_theta = [r0, min(max(log_u[1] / r0, -search.b_max), search.b_max)]
 
     try:
         if log_theta is not None:
@@ -1057,7 +1063,7 @@ def maximize(structure: CaseStructure, target, n_steps: int = 24, budget: int = 
     if search.best is None:
         return SolveResult(False, None, float("nan"), float("inf"), search.evals, rollouts=search.rollouts)
     ell, theta, err = search.best
-    curve = ControlCurve(search.dt, [_control(r, b) for r, b in zip(theta[::2], theta[1::2])], structure)
+    curve = ControlCurve(search.dt, [_control(r, b, search.b_max) for r, b in zip(theta[::2], theta[1::2])], structure)
     return SolveResult(True, curve, ell, err, search.evals, rollouts=search.rollouts)
 
 

@@ -255,6 +255,38 @@ print(json.dumps({"code": code, "maxrss_kb": resource.getrusage(resource.RUSAGE_
 """
 
 
+# the table written to the null device, and the child's own peak memory: VmHWM is that of
+# the child's image alone, where ru_maxrss keeps the peak of the process it was forked from
+_TABLE_RSS_CHILD = """
+import json, os, re, sys
+from sublorentz.cli import main
+with open(os.devnull, "w") as sink:
+    sys.stdout, out = sink, sys.stdout
+    code = main(sys.argv[1:])
+    sys.stdout = out
+with open("/proc/self/status") as status:
+    peak_kb = int(re.search(r"VmHWM:\\s*(\\d+) kB", status.read()).group(1))
+print(json.dumps({"code": code, "maxrss_kb": peak_kb}))
+"""
+
+
+def test_table_memory_does_not_grow_with_the_samples():
+    # each draw is written as it is decided: 20 and 400 samples per row peak within 2 MB
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("the peak resident set is read from /proc/self/status")
+    runs = {(fmt, n): subprocess.Popen([sys.executable, "-c", _TABLE_RSS_CHILD, "table", "--samples", str(n),
+                                        "--format", fmt], stdout=subprocess.PIPE, text=True, env=_ENV)
+            for fmt in ("json", "text") for n in (20, 400)}
+    peak = {}
+    for key, proc in runs.items():
+        out, _ = proc.communicate()
+        child = json.loads(out)
+        assert (proc.returncode, child["code"]) == (0, EXIT_OK), key
+        peak[key] = child["maxrss_kb"]
+    for fmt in ("json", "text"):
+        assert peak[fmt, 400] - peak[fmt, 20] < 2 * 1024, (fmt, peak)
+
+
 def test_witness_for_a_huge_length_is_fast_and_small():
     pytest.importorskip("resource")
     if sys.platform != "linux":
@@ -415,6 +447,15 @@ def test_cone_dual_near_the_largest_float_answers_without_a_warning(cone):
                               capture_output=True, text=True, env=_ENV)
         assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
         assert json.loads(proc.stdout) == {"contains": want, "strict": strict}
+
+
+@pytest.mark.parametrize("argv", [["dual", "--p", "1,0,0"], ["intersect", "--subspace", "[[0,0,1]]"]])
+def test_a_segment_cone_whose_extreme_rays_overflow_is_a_named_error(argv):
+    cone = '{"kind":"segment","u1":[1,0,0],"u2":[0,2,0],"half_width":1e308}'
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "sublorentz.cli", "cone", argv[0], "--cone", cone,
+                           *argv[1:]], capture_output=True, text=True, env=_ENV)
+    message = "the extreme rays u1 +- h u2 of a segment cone of half-width 1e+308 are not finite"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_USAGE, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("row,target", [(["2*", "--kappa", "-1", "--tau", "1.5"], "[30,0,0]"),

@@ -1,6 +1,9 @@
+import decimal
 import itertools
 import math
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -111,6 +114,13 @@ def test_segment_cone_rejects_parallel_or_zero_generators(u1, u2):
         SegmentCone(u1, u2)
 
 
+def test_a_segment_cone_whose_extreme_rays_overflow_is_rejected():
+    with pytest.raises(ValueError, match=r"the extreme rays u1 \+- h u2 of a segment cone of half-width 1e\+308 "
+                                         "are not finite"):
+        SegmentCone((1, 0, 0), (0, 2, 0), 1e308)
+    assert SegmentCone((1, 0, 0), (0, 1, 0), 1e308).rays() == ((1.0, 1e308, 0.0), (1.0, -1e308, 0.0))
+
+
 def test_dependent_basis_rejected():
     with pytest.raises(ValueError, match="dependent"):
         cone_subspace_trivial(DEFAULT_CONE, [(1, 0, 0), (2, 0, 0)])
@@ -138,7 +148,7 @@ def test_dual_contains_circular():
 def _raw_dual_contains(cone, p, strict: bool) -> tuple[bool, bool]:
     """(the answer of the raw float formula of dual_contains, whether its values are finite):
     p on the extreme rays against ZERO_TOL, or p on the axis against the transverse length."""
-    from sublorentz.conegeom import ZERO_TOL, _length
+    from sublorentz.conegeom import ZERO_TOL
 
     p = np.asarray(p, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -146,12 +156,9 @@ def _raw_dual_contains(cone, p, strict: bool) -> tuple[bool, bool]:
             d = [float(np.dot(p, r)) for r in cone.rays()]
             answer = all(v > ZERO_TOL for v in d) if strict else all(v >= -ZERO_TOL for v in d)
             return answer, all(map(math.isfinite, d))
-        ahat = cone.unit_axis()
+        ahat = np.asarray(cone.unit_axis())
         pi = float(np.dot(p, ahat))
-        try:
-            bound = _length(p - pi * ahat) / cone.aperture()
-        except OverflowError:  # the transverse length is past the largest float
-            return None, False
+        bound = math.hypot(*(p - pi * ahat)) / cone.aperture()  # inf past the largest float
         answer = pi > bound + ZERO_TOL if strict else pi >= bound - ZERO_TOL
         return answer, math.isfinite(pi) and math.isfinite(bound)
 
@@ -464,8 +471,8 @@ def test_a_segment_cone_of_huge_or_tiny_generators_builds_with_the_unit_normal(s
         warnings.simplefilter("error")
         cone = SegmentCone((scale, 0, 0), (0, scale, 0))
         tilted = SegmentCone((scale, 0, 0), (0, scale, scale))
-    assert cone._normal.tolist() == [0.0, 0.0, 1.0]
-    assert np.max(np.abs(tilted._normal - SegmentCone((1, 0, 0), (0, 1, 1))._normal)) <= 2e-16
+    assert cone._normal == (0.0, 0.0, 1.0)
+    assert np.max(np.abs(np.subtract(tilted._normal, SegmentCone((1, 0, 0), (0, 1, 1))._normal))) <= 2e-16
 
 
 @pytest.mark.parametrize("rows", [[], [[0, 0, 1]], [[1, -1, 0]], [[0, 0, 1], [1, 2, 0]]])
@@ -482,15 +489,35 @@ def test_a_segment_cone_of_generators_1e300_answers_as_the_unit_one(rows):
 _ordinary = st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3))
 
 
+def _within_ulps(got: float, exact: Fraction, ulps: int) -> bool:
+    """|got - exact| <= ulps units in the last place of got, decided on rationals."""
+    return abs(Fraction(got) - exact) <= ulps * Fraction(math.ulp(got))
+
+
+def _unit_to_within_ulps(v, ulps: int) -> bool:
+    """The exact length of the float vector v is within ulps units in the last place of 1."""
+    squares = sum(Fraction(x) ** 2 for x in v)
+    lo, hi = (1 - ulps * Fraction(math.ulp(1.0))) ** 2, (1 + ulps * Fraction(math.ulp(1.0))) ** 2
+    return lo <= squares <= hi
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(u1=st.tuples(_ordinary, _ordinary, _ordinary), u2=st.tuples(_ordinary, _ordinary, _ordinary))
-def test_a_segment_cone_normal_is_the_unscaled_formula_bit_for_bit(u1, u2):
+def test_a_segment_cone_normal_is_the_unit_cross_product_to_within_two_ulps(u1, u2):
+    # the cross product's floats are numpy's, and its length in 60 decimal digits stands in for the exact one
     n = np.cross(u1, u2)
     if np.linalg.norm(n) <= 1e-12 * np.linalg.norm(u1) * np.linalg.norm(u2):
         with pytest.raises(ValueError, match="linearly independent"):
             SegmentCone(u1, u2)
     else:
-        assert SegmentCone(u1, u2)._normal.tobytes() == (n / np.linalg.norm(n)).tobytes()
+        normal = SegmentCone(u1, u2)._normal
+        assert all(type(x) is float for x in normal)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            length = sum(Decimal(x) ** 2 for x in n.tolist()).sqrt()
+            exact = [Fraction(Decimal(x) / length) for x in n.tolist()]
+        assert all(_within_ulps(x, e, 2) for x, e in zip(normal, exact)), (normal, exact)
+        assert _unit_to_within_ulps(normal, 2)
 
 
 # -- serialization -------------------------------------------------------------

@@ -1,10 +1,11 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from sublorentz.cli import build_table
-from sublorentz.conegeom import DEFAULT_CONE, CircularCone, SegmentCone
+from sublorentz.conegeom import ZERO_TOL, DEFAULT_CONE, CircularCone, SegmentCone, dual_contains
 from sublorentz.existence import (
     Outcome,
     Verdict,
@@ -13,7 +14,7 @@ from sublorentz.existence import (
     killing_containment,
     witness_is_valid,
 )
-from sublorentz.liealg3 import CASE_IDS, LieAlgebra3, SubLorentzCase, from_case
+from sublorentz.liealg3 import CASE_IDS, SL2_CASES, SU2_CASE, LieAlgebra3, SubLorentzCase, from_case
 from sublorentz.longarc import build_structure, sl2_cover_frame
 from sublorentz.oracle import expected_outcome, sample_case
 
@@ -210,3 +211,29 @@ def test_verdict_json_round_trip():
         data = verdict.to_json()
         assert set(data) >= {"case", "params", "outcome", "witness", "rationale"}
         assert Verdict.from_json(data) == verdict
+
+
+def test_every_sampled_witness_is_a_float_unit_covector_that_certifies_its_row():
+    # 50 draws of every solvable row at seeds 1-10, each witness a unit covector to within
+    # 3 ulps of 1, its squares summed exactly: a witness normalized here is within one, but the
+    # SVD row that is the witness of a one-dimensional annihilator reaches 2 ulps and a hair
+    ulp = Fraction(math.ulp(1.0))
+    checked = 0
+    for seed in range(1, 11):
+        rng = np.random.default_rng(seed)
+        for cid in CASE_IDS:
+            for i in range(50):
+                case = sample_case(cid, rng, i)
+                if cid in SL2_CASES or cid == SU2_CASE:
+                    continue
+                verdict = check_case(case)
+                if verdict.witness is None:
+                    continue
+                p = verdict.witness
+                assert all(type(x) is float for x in p), (case, p)
+                assert (1 - 3 * ulp) ** 2 <= sum(Fraction(x) ** 2 for x in p) <= (1 + 3 * ulp) ** 2, (case, p)
+                derived = from_case(case).derived_subalgebra()
+                assert all(abs(float(row @ np.asarray(p))) <= ZERO_TOL for row in derived), (case, p)
+                assert dual_contains(DEFAULT_CONE, p, strict=True), (case, p)
+                checked += 1
+    assert checked >= 3000

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from sublorentz.conegeom import DEFAULT_CONE, SegmentCone
+from sublorentz.conegeom import DEFAULT_CONE, SegmentCone, contains
 from sublorentz.existence import check_case
 from sublorentz.liealg3 import CASE_IDS, SL2_CASES, LieAlgebra3, SubLorentzCase, from_case, killing_axes
 from sublorentz.oracle import sample_case
@@ -1273,6 +1273,34 @@ def test_solver_respects_subcone_structures():
     assert res.found
     for u in res.curve.controls:
         assert abs(u[1]) <= 0.5 * u[0] + 1e-12
+
+
+def test_the_search_proposes_no_row_outside_a_narrow_cone(monkeypatch):
+    # the target of the constant control (1, 0.8, 0), off the axis and outside the cone
+    # |x2| <= x1 / 2: no admissible curve reaches it, and no candidate leaves the cone
+    narrow = build_structure(HEIS, cone=SegmentCone((1, 0, 0), (0, 1, 0), 0.5))
+    target = integrate(ControlCurve(1 / 8, [(1.0, 0.8, 0.0)] * 8, build_structure(HEIS))).endpoint
+    control, rows = longarc._control, []
+
+    def recorded(*args):
+        rows.append(control(*args))
+        return rows[-1]
+
+    monkeypatch.setattr(longarc, "_control", recorded)
+    res = maximize(narrow, target, n_steps=8, budget=800, seed=2)
+    assert rows and all(contains(narrow.cone, u) for u in rows)
+    assert not res.found and res.curve is None
+
+
+def test_the_search_needs_a_cone_that_holds_its_controls():
+    # the clamp on b is _B_MAX itself on the default cone, so no default-cone solve moves
+    assert longarc._b_max(DEFAULT_CONE) == _B_MAX
+    assert longarc._b_max(SegmentCone((2, 0, 0), (0, -0.5, 0), 3.0)) == _B_MAX * 0.75
+    cover = build_cover_structure(1.0)
+    tilted = build_structure(HEIS, cone=SegmentCone((1, 0.1, 0), (0, 1, 0), 0.5))
+    for st in (cover, tilted):
+        with pytest.raises(ValueError, match="needs a segment cone whose u1 is a positive multiple of X1"):
+            maximize(st, st.model.identity(), n_steps=4, budget=10)
 
 
 def reference_descend(self, x, mu, step, margin, floor, box):
