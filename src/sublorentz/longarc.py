@@ -21,24 +21,31 @@ All three models carry states and frames as plain tuples of Python floats (and
 complex numbers on the cover), and a product is scalar arithmetic with no
 array built.  Every model steps a curve in two parts: ``increment(u, h)``
 does the work that depends on the control row and the duration alone, and
-``step(x, inc)`` advances the state ``x`` with it.  On the semidirect model
-the increment is the exact exponential exp(h u), so a run of k equal rows
-from ``x`` ends at ``step(x, increment(u, k dt))``, one exponential and one
-product whatever k is, and its j-th row is ``step(x, increment(u, j dt))``.
-The quaternion and cover models take one increment per run and fold
-``step`` over its rows.  A curve (:class:`ControlCurve`) is its runs of equal
-rows, each checked and measured once; :func:`integrate` computes the endpoint
-alone, and its trajectory is sampled when first read.
+``step(x, inc)`` advances the state ``x`` with it.  The dynamics are
+left-invariant, so a run of k equal rows from ``x`` ends at ``x`` times the
+element ``run(u, k, dt)`` that the run reaches from the identity, one product
+whatever k is.  On the semidirect model that element is the exact exponential
+exp(k dt u); on the cover it is Phi^k, Phi being one RK4 row from the
+identity, raised to k by binary powering (one RK4 row and O(log k) products).
+The j-th row of such a run is ``x`` times ``run(u, j, dt)``.  Only the
+quaternion model folds: it takes one increment per run and folds ``step``
+over its rows, so its loop block keeps the floats, and the closure error,
+that the su2 witness is checked against.  A curve
+(:class:`ControlCurve`) is its runs of equal rows, each checked and measured
+once; :func:`integrate` computes the endpoint alone, and its trajectory is
+sampled when first read.  Lengths are sums of row values taken left to right
+in plain float arithmetic, so that they do not depend on how an interpreter's
+``sum`` rounds.
 
 On top of integration the module provides the generalized length functional,
 a calibration-based upper bound on lengths into a target (solvable rows with
 an existence witness), a multi-start penalty search for near-longest curves,
 and the loop construction that exhibits unbounded lengths on the su2 row as a
 loop block, a repeat count and a base curve.  The search scores candidates
-per run of equal rows, a constant one straight from its (r, b) pair (one
-exponential and no product on the semidirect model) and a one-row move from
-the runs of the kept candidate, and its endpoint error is a plain sum of
-squares on Python floats.  Its random restarts draw from ``random.Random``.
+per run of equal rows, a constant one straight from its (r, b) pair (one run
+element and no product) and a one-row move from the runs of the kept
+candidate, and its endpoint error is a plain sum of squares on Python floats.
+Its random restarts draw from ``random.Random``.
 """
 
 from __future__ import annotations
@@ -222,6 +229,9 @@ class SemidirectModel:
     rows is therefore one increment over k dt and one step.
     """
 
+    #: a run is one element, not a step per row
+    folds = False
+
     def __init__(self, algebra: LieAlgebra3):
         (b1, b2, one), (c, a12, zero13), (a21, minus_c, zero23) = algebra.b12, algebra.b13, algebra.b23
         # exact, as float products round (row 6 at kappa = 1e-9 would pass as 1 + (kappa - 1)(kappa + 1))
@@ -272,11 +282,24 @@ class SemidirectModel:
             E, S = (E[0], E[1], 0.0, 1.0), (S[0], S[1], 0.0, time)
         return (time * a, (S[0] * v0 + S[1] * v1, S[2] * v0 + S[3] * v1), E)
 
-    def multiply(self, x, y):
+    def step(self, x, y):
+        """The product x y: a row's increment is its exponential, so a step is one product."""
         t, (p0, p1), (e0, e1, e2, e3) = x
         s, (q0, q1), (f0, f1, f2, f3) = y
         return (t + s, (p0 + (e0 * q0 + e1 * q1), p1 + (e2 * q0 + e3 * q1)),
                 (e0 * f0 + e1 * f2, e0 * f1 + e1 * f3, e2 * f0 + e3 * f2, e2 * f1 + e3 * f3))
+
+    def multiply(self, x, y):
+        # the product is the step, looked up at each call, where a tracer may have replaced it
+        return self.step(x, y)
+
+    def run(self, u, k: int, dt: float):
+        """The element that a run of k rows u reaches from the identity: exp(k dt u)."""
+        return self.exp(u, k * dt)
+
+    def run_rows(self, u, k: int, dt: float) -> list:
+        """``run(u, j, dt)`` for j = 1..k."""
+        return [self.exp(u, j * dt) for j in range(1, k + 1)]
 
     def homomorphism(self, p, x) -> float:
         """F(x), F: G -> R the homomorphism whose differential is the covector ``p``
@@ -284,7 +307,7 @@ class SemidirectModel:
         p(W) t + p(I) q, where the k derived directions of I weigh nothing."""
         pw, *pi = (_dot(p, row) for row in self._frame)
         k = self._derived
-        return pw * x[0] + sum(c * q for c, q in zip(pi[k:], x[1][k:]))
+        return pw * x[0] + _dot(pi[k:], x[1][k:])
 
     def log(self, x) -> tuple:
         a = x[0]
@@ -298,9 +321,6 @@ class SemidirectModel:
     def increment(self, u, dt: float):
         return self.exp(u, dt)
 
-    # a row's increment is its exponential, so a step is one product
-    step = multiply
-
     def coords(self, x) -> tuple:
         return (x[0], x[1][0], x[1][1])
 
@@ -310,8 +330,12 @@ class QuaternionModel:
 
     The case generators map to scaled imaginary units; scaling factors are
     fixed by the case parameters so that commutators reproduce the case
-    bracket table exactly.
+    bracket table exactly.  A run folds one product per row, in the order the
+    su2 witness's closure error is measured in.
     """
+
+    #: a run is a step per row
+    folds = True
 
     def __init__(self, case: SubLorentzCase):
         if case.case_id != SU2_CASE:
@@ -384,7 +408,15 @@ class CoverModel:
     and each velocity returned as a plain (xi, zeta) pair.
     ``frame`` maps identity-frame control coordinates to cover coordinates;
     the identity frame is used for controls given directly as (xi, zeta).
+
+    The dynamics are left-invariant, so a run of k equal rows is one
+    element: the RK4 row Phi from the identity, raised to k by binary
+    powering with ``sl2cover.multiply``.  A run then costs one RK4 row and
+    O(log k) products, not k RK4 rows.
     """
+
+    #: a run is one element, not a step per row
+    folds = False
 
     def __init__(self, frame: Sequence[Sequence[float]] = _EYE):
         self.frame = tuple(tuple(map(float, row)) for row in frame)
@@ -418,6 +450,16 @@ class CoverModel:
         return CoverElement(c + h * (((a1 + 2.0 * a2) + 2.0 * a3) + a4),
                             complex(p + h * (((r1 + 2.0 * r2) + 2.0 * r3) + z.real),
                                     q + h * (((i1 + 2.0 * i2) + 2.0 * i3) + z.imag)))
+
+    def run(self, u, k: int, dt: float):
+        """The element that a run of k rows u reaches from the identity: Phi^k, Phi the RK4 row
+        from the identity."""
+        return _power(self, self.step(sl2cover.IDENTITY, self.increment(u, dt)), k)
+
+    def run_rows(self, u, k: int, dt: float) -> list:
+        """``run(u, j, dt)`` for j = 1..k, from one RK4 row."""
+        phi = self.step(sl2cover.IDENTITY, self.increment(u, dt))
+        return [_power(self, phi, j) for j in range(1, k + 1)]
 
     def coords(self, x) -> tuple:
         return (x.c, x.w.real, x.w.imag)
@@ -547,36 +589,41 @@ def _advance(model, x, runs, dt: float, samples: Optional[list] = None):
     """The state ``x`` stepped through the (row, count) ``runs``; with a list ``samples``, the
     state after each row is appended to it.
 
-    A semidirect run of k rows from ``x_s`` is one step, ``step(x_s, increment(u, k dt))``, and
-    its j-th row is ``step(x_s, increment(u, j dt))``; the other models fold a step per row.
+    A run of k rows from ``x_s`` is one product, ``multiply(x_s, run(u, k, dt))``, and its j-th
+    row is ``multiply(x_s, run(u, j, dt))``; a model that folds takes a step per row.
     """
-    step, exact = model.step, isinstance(model, SemidirectModel)
-    for u, k in runs:
-        if exact:
-            start = x
-            for j in (range(1, k + 1) if samples is not None else (k,)):
-                x = step(start, model.increment(u, j * dt))
-                if samples is not None:
-                    samples.append(x)
-        else:
+    if model.folds:
+        step = model.step
+        for u, k in runs:
             inc = model.increment(u, dt)
             for _ in range(k):
                 x = step(x, inc)
                 if samples is not None:
                     samples.append(x)
+        return x
+    multiply = model.multiply
+    for u, k in runs:
+        if samples is None:
+            x = multiply(x, model.run(u, k, dt))
+        else:
+            start = x
+            for element in model.run_rows(u, k, dt):
+                x = multiply(start, element)
+                samples.append(x)
     return x
 
 
 def _power(model, x, k: int):
-    """x^k by binary powering: O(log k) products through ``model.multiply``."""
-    out = model.identity()
-    while k:
+    """x^k for k >= 1 by binary powering: O(log k) products through ``model.multiply``, the
+    first factor taken as it is rather than multiplied onto the identity."""
+    out = None
+    while True:
         if k & 1:
-            out = model.multiply(out, x)
+            out = x if out is None else model.multiply(out, x)
         k >>= 1
-        if k:
-            x = model.multiply(x, x)
-    return out
+        if not k:
+            return out
+        x = model.multiply(x, x)
 
 
 def _endpoint(curve: ControlCurve, samples: Optional[list] = None):
@@ -619,13 +666,19 @@ def integrate(curve: ControlCurve) -> IntegrationResult:
     return IntegrationResult(_endpoint(curve), curve)
 
 
+def _total(values) -> float:
+    """The floats summed left to right from 0.0 in plain float arithmetic.  numpy's pairwise sum
+    and Python 3.12's compensated ``sum`` round otherwise, so a length would print other bits."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def _length(nu: AntiNorm, runs, dt: float) -> float:
-    """Row values summed in row order (numpy's sum rounds differently) times dt, over (row, count)
-    runs of equal rows: each run's value is taken once and repeated count times."""
-    values = []
-    for u, k in runs:
-        values += [nu(u)] * k
-    return float(sum(values) * dt)
+    """Row values summed in row order times dt, over (row, count) runs of equal rows: each run's
+    value is taken once and repeated count times."""
+    return _total(v for u, k in runs for v in itertools.repeat(nu(u), k)) * dt
 
 
 def length(curve: ControlCurve) -> float:
@@ -784,12 +837,16 @@ class _Search:
     its runs once; :meth:`keep` makes it, or a later move, the kept candidate.
     A move of one row splits its run into at most three pieces, or joins the
     row to a neighbour, stepped from the kept start state of the first run it
-    touches.  A piece keeps its run's value, and its increment where its count
-    is unchanged or does not matter (fold models); a run of the last candidate
-    with the same start, row and count lends its increment, and its end state
-    if it started from the same state.  Scores are the floats of
-    :func:`integrate` and :func:`length` on the curve afresh, up to a zero's
-    sign; an overflowing exponential or a non-finite endpoint scores inf error.
+    touches.  A run is one element, ``run(u, k, dt)`` composed onto its start
+    state (a run from the identity is its element, with no product), or on a
+    model that folds, one increment stepped k times.  A piece keeps its run's
+    value, and its element where its count is unchanged (its increment, on a
+    model that folds, whatever its count); a run of the last candidate with
+    the same start, row and count lends its element, and its end state if it
+    started from the same state.  Scores are the floats of :func:`integrate`
+    and :func:`length` on the curve afresh, up to a zero's sign; an
+    overflowing exponential, RK4 row or product, or a non-finite endpoint,
+    scores inf error.
     Each candidate counts as one evaluation of the budget, also one a descent
     does not step (see ``_descend``); ``rollouts`` counts those stepped.
     """
@@ -803,7 +860,6 @@ class _Search:
     def __init__(self, structure: CaseStructure, target, n_steps: int, budget: int):
         self.model = structure.model
         self.b_max = _b_max(structure.cone)
-        self.exact = isinstance(self.model, SemidirectModel)
         self.nu = structure.anti_norm
         self.n = n_steps
         self.dt = 1.0 / n_steps
@@ -814,7 +870,7 @@ class _Search:
         self.tcoords = self.model.coords(target)
         self.best: Optional[tuple[float, list, float]] = None
         self.best_rank = -math.inf  # that of ``best``, which a candidate must beat to replace it
-        # the kept candidate: runs (start, row, count, increment, value, start state), none once it
+        # the kept candidate: runs (start, row, count, element, value, start state), none once it
         # overflowed, row values and score; the last candidate to keep, and its runs by start
         self._runs: list = []
         self._values: list = []
@@ -837,19 +893,22 @@ class _Search:
         A length at most ``bar`` and at most the best rank rules the candidate out before it
         is stepped: its score and its rank are at most its length.  It is then (length, None),
         and :meth:`keep` cannot keep it."""
-        model, step, runs, exact, dt, n = self.model, self.model.step, self._runs, self.exact, self.dt, self.n
+        model, runs, dt, n = self.model, self._runs, self.dt, self.n
+        fold = model.folds
         b_max = self.b_max
         self._cand = None
         if len(theta) == 2:
             u = _control(*theta, b_max)
-            ell = float(sum([self.nu(u)] * n) * dt)
+            ell = _total(itertools.repeat(self.nu(u), n)) * dt
             if ell <= bar and ell <= self.best_rank:
                 return ell, None
             self.rollouts += 1
             self._cand = (0, None, [], None)  # kept, a single pair leaves no runs to move from
             try:
-                inc = model.increment(u, n * dt if exact else dt)
-                return ell, self._error(inc if exact else reduce(step, itertools.repeat(inc, n), model.identity()))
+                if fold:
+                    return ell, self._error(reduce(model.step, itertools.repeat(model.increment(u, dt), n),
+                                                   model.identity()))
+                return ell, self._error(model.run(u, n, dt))
             except OverflowError:
                 return ell, math.inf
         if row is None or not runs:
@@ -864,13 +923,13 @@ class _Search:
             u = _control(theta[2 * i], theta[2 * i + 1], b_max)
             if u == w:
                 return self._score
-            kept = None if exact else inc  # a semidirect increment spans its run's count
+            kept = inc if fold else None  # an element spans its run's count
             right = i + 1 == s + k and j + 1 < len(runs) and runs[j + 1][1] == u  # the row joins the next run
             count = 1 + runs[j + 1][2] if right else 1
             if i == s and j and runs[j - 1][1] == u:  # the row joins the run before it
                 j0 = j - 1
                 s0, w0, k0, inc0, v, _ = runs[j0]
-                new = [(s0, w0, k0 + count, None if exact else inc0, v, None)]
+                new = [(s0, w0, k0 + count, inc0 if fold else None, v, None)]
             else:
                 v = self.nu(u)
                 new = [(s, w, i - s, kept, value, None)] if i > s else []
@@ -881,22 +940,26 @@ class _Search:
             if not right and i + 1 < s + k:
                 after = _control(theta[2 * i + 2], theta[2 * i + 3], b_max)
                 new.append((i + 1, after, s + k - i - 1, kept, value, None))
-        ell = float(sum(values) * dt)
+        ell = _total(values) * dt
         if ell <= bar and ell <= self.best_rank:
             return ell, None
         self.rollouts += 1
         last, out, x = self._last, [], runs[j0][5] if runs else model.identity()
         try:
             for s, u, k, inc, value, _ in itertools.chain(new, runs[j1:]):
-                old = last.get(s, (None,) * 6)  # the last candidate's run here lends its increment
+                old = last.get(s, (None,) * 6)  # the last candidate's run here lends its element
                 if inc is None:
-                    reuse = old[1] == u and (old[2] == k or not exact)
-                    inc = old[3] if reuse else model.increment(u, k * dt if exact else dt)
+                    if old[1] == u and (old[2] == k or fold):
+                        inc = old[3]
+                    else:
+                        inc = model.increment(u, dt) if fold else model.run(u, k, dt)
                 out.append((s, u, k, inc, value, x))
                 if old[5] is x and old[1] == u and old[2] == k and s + k in last:  # and its end, from this state
                     x = last[s + k][5]
+                elif fold:
+                    x = reduce(model.step, itertools.repeat(inc, k), x)
                 else:
-                    x = (inc if s == 0 else step(x, inc)) if exact else reduce(step, itertools.repeat(inc, k), x)
+                    x = inc if s == 0 else model.multiply(x, inc)
             score = ell, self._error(x)
         except OverflowError:
             out, score = None, (ell, math.inf)

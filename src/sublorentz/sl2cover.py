@@ -76,7 +76,7 @@ def multiply(g1: CoverElement, g2: CoverElement) -> CoverElement:
     values scaled by a power of two 2^-e (both of its sides by 2^-2e), which
     rounds as the unscaled quotient would wherever the scaled terms stay
     normal.  A denominator that is not a positive float is an overflow
-    (ArithmeticError).
+    (OverflowError, as the group models' other overflows are).
     """
     s = g1.c + g2.c
     z = g1.w * g2.w.conjugate() * cmath.exp(-1j * s)
@@ -95,7 +95,7 @@ def multiply(g1: CoverElement, g2: CoverElement) -> CoverElement:
             den = ((math.ldexp(1.0, 2 * e) + b1 ** 2 + b2 ** 2 + y ** 2)
                    / (q1 * q2 - math.ldexp(z.real, 2 * e)))
     if not 0.0 < den < math.inf:
-        raise ArithmeticError("the arctangent denominator of the product is out of float range")
+        raise OverflowError("the arctangent denominator of the product is out of float range")
     c = s + math.atan2(z.imag, den)
     w = g2.w * r1 * cmath.exp(1j * g1.c) + g1.w * r2 * cmath.exp(-1j * g2.c)
     return CoverElement(c, w)

@@ -1,3 +1,4 @@
+import builtins
 import contextlib
 import io
 import json
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
+from sublorentz import longarc
 from sublorentz.cli import (
     EXIT_MISMATCH,
     EXIT_NOT_FOUND,
@@ -620,6 +622,40 @@ def test_table_exit_code_on_disagreement(capsys, monkeypatch):
     code, out, _ = run(capsys, "table", "--samples", "1", "--seed", "7")
     assert code == EXIT_MISMATCH
     assert json.loads(out)["all_match"] is False
+
+
+def _compensated_sum(values, start=0):
+    """Python 3.12's ``sum``: ints summed exactly, floats with Neumaier's compensation."""
+    values = list(values)
+    if all(isinstance(v, int) for v in values):
+        return builtins.sum(values, start)
+    total, c = float(start), 0.0
+    for x in values:
+        t = total + x
+        c += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + c
+
+
+#: the solves and the witness that the CI runs twice and compares byte for byte
+_CI_RUNS = [
+    ("solve", "--case", "10", "--kappa", "-2", "--chi", "-1", "--steps", "16", "--budget", "400",
+     "--target", '{"c": 0.7775644, "w": [0.0812746, 0]}'),
+    ("solve", "--case", "10", "--kappa", "-2", "--chi", "-1", "--steps", "16", "--budget", "2500",
+     "--target", '{"c": 0.7775644, "w": [0.0812746, 0]}'),
+    ("solve", "--case", "1", "--kappa", "0", "--target", "[1,0,0]", "--steps", "32", "--budget", "10000"),
+    ("solve", "--case", "12", "--kappa", "-1", "--chi", "-1", "--target", "[1,0.3,0]", "--steps", "16",
+     "--budget", "3000"),
+    ("witness", "--case", "9", "--kappa", "0", "--chi", "-1", "--length", "1e12"),
+]
+
+
+def test_ci_runs_print_the_same_bytes_under_a_compensated_sum(capsys, monkeypatch):
+    # lengths are summed left to right, not with the builtin sum, whose rounding Python 3.12
+    # changed: under its emulation every CI run prints the bytes it prints under 3.10 and 3.11
+    plain = [run(capsys, *argv) for argv in _CI_RUNS]
+    monkeypatch.setattr(longarc, "sum", _compensated_sum, raising=False)
+    assert [run(capsys, *argv) for argv in _CI_RUNS] == plain
 
 
 def test_solve_byte_determinism(capsys):
