@@ -26,7 +26,8 @@ left-invariant, so a run of k equal rows from ``x`` ends at ``x`` times the
 element ``run(u, k, dt)`` that the run reaches from the identity, one product
 whatever k is.  On the semidirect model that element is the exact exponential
 exp(k dt u); on the cover it is Phi^k, Phi being one RK4 row from the
-identity, raised to k by binary powering (one RK4 row and O(log k) products).
+identity, raised to k in closed form by ``sl2cover.power`` (one RK4 row and
+O(1) scalar work, whatever k is).
 The j-th row of such a run is ``x`` times ``run(u, j, dt)``.  Only the
 quaternion model folds: it takes one increment per run and folds ``step``
 over its rows, so its loop block keeps the floats, and the closure error,
@@ -410,9 +411,10 @@ class CoverModel:
     the identity frame is used for controls given directly as (xi, zeta).
 
     The dynamics are left-invariant, so a run of k equal rows is one
-    element: the RK4 row Phi from the identity, raised to k by binary
-    powering with ``sl2cover.multiply``.  A run then costs one RK4 row and
-    O(log k) products, not k RK4 rows.
+    element: the RK4 row Phi from the identity, raised to k in closed form by
+    ``sl2cover.power`` (Cayley-Hamilton on Phi's projection to SU(1,1)).  A
+    run then costs one RK4 row and O(1) scalar work, not k RK4 rows, and its
+    j-th rows cost O(1) each.
     """
 
     #: a run is one element, not a step per row
@@ -428,8 +430,11 @@ class CoverModel:
         return sl2cover.multiply(x, y)
 
     def increment(self, u, dt: float):
-        f0, f1, f2 = self.frame
-        return (_dot(f0, u), complex(_dot(f1, u), _dot(f2, u))), dt
+        # the three frame dots inline, each summed from 0.0 left to right as _dot sums
+        u0, u1, u2 = u
+        (f0, f1, f2), (g0, g1, g2), (h0, h1, h2) = self.frame
+        return ((0.0 + f0 * u0 + f1 * u1 + f2 * u2,
+                 complex(0.0 + g0 * u0 + g1 * u1 + g2 * u2, 0.0 + h0 * u0 + h1 * u1 + h2 * u2)), dt)
 
     def step(self, x, inc):
         # each float operation in the order of s + dt/6 (k1 + 2 k2 + 2 k3 + k4) on arrays; the
@@ -453,13 +458,13 @@ class CoverModel:
 
     def run(self, u, k: int, dt: float):
         """The element that a run of k rows u reaches from the identity: Phi^k, Phi the RK4 row
-        from the identity."""
-        return _power(self, self.step(sl2cover.IDENTITY, self.increment(u, dt)), k)
+        from the identity, its power in closed form (``sl2cover.power``)."""
+        return sl2cover.power(self.step(sl2cover.IDENTITY, self.increment(u, dt)), k)
 
     def run_rows(self, u, k: int, dt: float) -> list:
         """``run(u, j, dt)`` for j = 1..k, from one RK4 row."""
         phi = self.step(sl2cover.IDENTITY, self.increment(u, dt))
-        return [_power(self, phi, j) for j in range(1, k + 1)]
+        return [sl2cover.power(phi, j) for j in range(1, k + 1)]
 
     def coords(self, x) -> tuple:
         return (x.c, x.w.real, x.w.imag)
@@ -615,7 +620,9 @@ def _advance(model, x, runs, dt: float, samples: Optional[list] = None):
 
 def _power(model, x, k: int):
     """x^k for k >= 1 by binary powering: O(log k) products through ``model.multiply``, the
-    first factor taken as it is rather than multiplied onto the identity."""
+    first factor taken as it is rather than multiplied onto the identity.  It raises a
+    curve's repeated block to its repeat count, the su2 witness's loop; a cover run's
+    power is the closed form ``sl2cover.power``."""
     out = None
     while True:
         if k & 1:

@@ -8,7 +8,9 @@ is a group homomorphism; the angle coordinate c is unbounded (no wrapping),
 which is what distinguishes the cover from the matrix group.  The group law
 is implemented directly in (c, w) coordinates; the arctangent correction in
 the angle component stays on the principal branch because its denominator is
-provably positive, and free of cancellation (see :func:`multiply`).
+provably positive, and free of cancellation (see :func:`multiply`).  A power
+g^k is taken in closed form on the projection, by Cayley-Hamilton, and lifted
+to the cover on the principal branch as well (see :func:`power`).
 
 Tangent vectors carry coordinates (xi, zeta) in R x C.  Both kinds of value
 have a named tuple, and any plain (c, w) or (xi, zeta) pair is accepted where
@@ -98,6 +100,62 @@ def multiply(g1: CoverElement, g2: CoverElement) -> CoverElement:
         raise OverflowError("the arctangent denominator of the product is out of float range")
     c = s + math.atan2(z.imag, den)
     w = g2.w * r1 * cmath.exp(1j * g1.c) + g1.w * r2 * cmath.exp(-1j * g2.c)
+    return CoverElement(c, w)
+
+
+def power(g: CoverElement, k: int) -> CoverElement:
+    """g^k for an integer k >= 1 in closed form: O(1) scalar work whatever k is.
+
+    The centre (m pi, 0), m = round(c / pi), is factored out first: g = (m pi, 0) h with
+    h = (c - m pi, (-1)^m w), so |c_h| <= pi/2 and the half trace tau = r cos c_h of h's
+    projection A is >= 0, r = sqrt(1 + |w|^2).  As det A = 1, Cayley-Hamilton gives
+    A^k = U_(k-1)(tau) A - U_(k-2)(tau) I with Chebyshev polynomials of the second kind,
+    so w_k = U_(k-1) w_h and a_k = T_k(tau) + i U_(k-1) Im a_h.  With 1 - tau taken without
+    cancellation as 2 sin^2(c_h/2) - |w|^2 cos c_h / (r + 1), h is elliptic (tau < 1,
+    T_k = cos k theta, U_(k-1) = sin k theta / sin theta, theta of the sign of c_h),
+    hyperbolic (tau > 1, the same with cosh and sinh) or parabolic (tau = 1, T_k = 1,
+    U_(k-1) = k).  The angle of h^k is k theta (theta = 0 off the elliptic branch) plus the
+    principal argument of a_k exp(-ik theta), whose real part is positive: it is
+    cos^2 k theta + rho sin^2 k theta with rho = Im a_h / sin theta >= 1 on the elliptic
+    branch and T_k(tau) >= 1 off it.  That part lifts continuously along the one-parameter
+    subgroup through h, so the principal branch is the cover's.  A result that is not
+    finite is an overflow (OverflowError, as :func:`multiply`'s overflows are).
+    """
+    if k == 1:
+        return g
+    c, w = g
+    if not math.isfinite(c):  # round() would raise ValueError on a nan
+        raise OverflowError("the angle of the element is not finite")
+    m = round(c / math.pi)
+    c -= m * math.pi
+    if m & 1:
+        w = -w
+    a = abs(w)
+    r = math.hypot(1.0, a)
+    cos, sin = math.cos(c), math.sin(c)
+    tau = r * cos
+    d = 2.0 * math.sin(0.5 * c) ** 2 - a * (a / (r + 1.0)) * cos  # 1 - tau
+    im = r * sin
+    if d > 0.0:  # elliptic: A is conjugate to a rotation by theta
+        s = math.copysign(math.sqrt(d * (1.0 + tau)), c)  # sin theta
+        kt = k * math.atan2(s, tau)  # k theta
+        f, ck = math.sin(kt), math.cos(kt)
+        # rho - 1 = (rho^2 - 1) / (rho + 1), with rho^2 - 1 = |w|^2 / sin^2 theta
+        rho1 = a * (a / (s * (im + s)))
+        angle = kt + math.atan2(f * ck * rho1, 1.0 + rho1 * f * f)
+    elif d < 0.0:  # hyperbolic
+        s = math.sqrt(-d * (1.0 + tau))  # sinh sigma
+        ks = k * math.asinh(s)  # k sigma
+        f = math.sinh(ks)
+        angle = math.atan(math.tanh(ks) * (im / s))
+    else:  # parabolic
+        s, f = 1.0, float(k)
+        angle = math.atan(f * im)
+    # w_k = U_(k-1) w_h as f (w_h / sin theta): |w_h| >= |sinh sigma| off the elliptic branch,
+    # so no factor overflows where w_k does not
+    c, w = k * m * math.pi + angle, (-f if k * m & 1 else f) * (w / s)
+    if not (math.isfinite(c) and cmath.isfinite(w)):
+        raise OverflowError("the power is out of float range")
     return CoverElement(c, w)
 
 

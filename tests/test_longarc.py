@@ -264,8 +264,8 @@ def _flat(x) -> list:
        hs.floats(0.01, 0.5), curve_rows())
 def test_sampled_rows_follow_each_models_run_shape(case, dt, rows):
     # a run from x_s reaches x_s exp(j dt u) at its j-th row on the semidirect model and
-    # x_s Phi^j on the cover, Phi the RK4 row from the identity; the quaternion model
-    # folds one step per row
+    # x_s Phi^j on the cover, Phi the RK4 row from the identity and its power in closed
+    # form; the quaternion model folds one step per row
     model = build_structure(case).model
     x = model.identity()
     want = []
@@ -276,7 +276,7 @@ def test_sampled_rows_follow_each_models_run_shape(case, dt, rows):
             if isinstance(model, SemidirectModel):
                 x = model.multiply(start, model.exp(u, j * dt))
             elif isinstance(model, CoverModel):
-                x = model.multiply(start, _power(model, phi, j))
+                x = model.multiply(start, sl2cover.power(phi, j))
             else:
                 x = model.step(x, model.increment(u, dt))
             want.append(x)
@@ -487,6 +487,47 @@ def test_an_overflowing_cover_run_is_an_overflow_error():
         integrate(constant_curve(st, (1e10, 5e9, 0.0)))
     ell, err = _Search(st, st.model.identity(), 16, budget=1).rollout([1e10, 0.5])
     assert math.isfinite(ell) and err == math.inf
+
+
+@hs.composite
+def cover_run_rows(draw):
+    """An RK4 row Phi from the identity on row 10, 19 or 2 (``sample_case``): a cone
+    control (r, r b, 0) with r <= 6 and |b| < 1, over one of 1 to 64 rows."""
+    case = sample_case(draw(hs.sampled_from(["10", "19", "2"])),
+                       np.random.default_rng(draw(hs.integers(0, 2 ** 32 - 1))), draw(hs.integers(0, 1)))
+    model = build_structure(case).model
+    r = draw(hs.floats(1e-3, 6.0))
+    b = draw(hs.floats(-1.0, 1.0, exclude_min=True, exclude_max=True))
+    return model.step(sl2cover.IDENTITY, model.increment((r, r * b, 0.0), 1.0 / draw(hs.integers(1, 64))))
+
+
+@hs.composite
+def central_elements(draw):
+    """An element at angle +-3, -7 or pi with |w| <= 5: past pi/2, so its power factors out
+    the centre; its half trace r cos c is <= -1 at pi, and at +-3 once |w| >= 0.15."""
+    return CoverElement(draw(hs.sampled_from([3.0, -3.0, -7.0, math.pi])),
+                        cmath.rect(draw(hs.floats(0.0, 5.0)), draw(hs.floats(-math.pi, math.pi))))
+
+
+@settings(max_examples=400, deadline=None)
+@given(hs.one_of(cover_run_rows(), central_elements()),
+       hs.one_of(hs.integers(1, 40), hs.sampled_from([1000, 10000])))
+def test_the_closed_form_cover_power_matches_binary_powering(g, k):
+    # where binary powering stays finite, the closed form agrees with it to 2e-13 k relative,
+    # the angle on its own as well (a lift off by a turn would show there, not beside a
+    # large |w|); where it overflows or goes non-finite, the closed form raises OverflowError
+    try:
+        want = _power(CoverModel(), g, k)
+        finite = math.isfinite(want.c) and cmath.isfinite(want.w)
+    except OverflowError:
+        finite = False
+    if not finite:
+        with pytest.raises(OverflowError):
+            sl2cover.power(g, k)
+        return
+    got = sl2cover.power(g, k)
+    assert abs(got.c - want.c) <= 2e-13 * k * max(1.0, abs(want.c)), (got, want)
+    assert max(abs(got.c - want.c), abs(got.w - want.w)) <= 2e-13 * k * max(1.0, abs(want.c), abs(want.w)), (got, want)
 
 
 def reference_quaternion_exp(scales, u, time):
@@ -1309,6 +1350,19 @@ def test_maximize_recovers_cover_probe():
     res = maximize(st, target, n_steps=24, budget=3000, seed=5)
     assert res.found
     assert res.length >= 0.98 * length(probe)
+
+
+@pytest.mark.parametrize("n_steps", [1, 2, 3])
+def test_a_coarse_cover_solve_ends_in_its_result(n_steps):
+    # at one to three rows over unit time an RK4 row's angle passes pi/2, so the power of
+    # a run factors out the centre; the search still ends in its result, and a found
+    # curve integrates to the endpoint error it reports
+    st = build_structure(SL2)
+    target = CoverElement(0.7775644, 0.0812746 + 0j)
+    res = maximize(st, target, n_steps=n_steps, budget=300, seed=longarc.DEFAULT_SEED)
+    if res.found:
+        end = integrate(res.curve).endpoint
+        assert _distance(st.model.coords(end), st.model.coords(target)) == res.endpoint_error
 
 
 def test_solver_respects_subcone_structures():

@@ -17,6 +17,7 @@ from sublorentz.sl2cover import (
     growth_ratio,
     inverse,
     multiply,
+    power,
     project,
     push_forward,
     time_form,
@@ -193,6 +194,14 @@ def test_associativity_and_homomorphism_samples():
         assert abs(a.c - b.c) <= 1e-9 and abs(a.w - b.w) <= 1e-9
         m = project(multiply(g1, g2)) - project(g1) @ project(g2)
         assert np.max(np.abs(m)) <= 1e-9
+
+
+def test_a_power_that_is_not_finite_is_an_overflow_error():
+    # as a product's overflow is: the search scores an OverflowError as an infinite error
+    for g in (CoverElement(math.inf, 0j), CoverElement(math.nan, 0j), CoverElement(0.0, complex(math.inf, 0.0)),
+              CoverElement(0.0, complex(math.nan, 0.0)), CoverElement(0.5, 1e300 + 0j)):
+        with pytest.raises(OverflowError):
+            power(g, 2)
 
 
 # -- push-forward -----------------------------------------------------------------
