@@ -24,14 +24,13 @@ does the work that depends on the control row and the duration alone, and
 ``step(x, inc)`` advances the state ``x`` with it.  The dynamics are
 left-invariant, so a run of k equal rows from ``x`` ends at ``x`` times the
 element ``run(u, k, dt)`` that the run reaches from the identity, one product
-whatever k is.  On the semidirect model that element is the exact exponential
-exp(k dt u); on the cover it is Phi^k, Phi being one RK4 row from the
-identity, raised to k in closed form by ``sl2cover.power`` (one RK4 row and
-O(1) scalar work, whatever k is).
-The j-th row of such a run is ``x`` times ``run(u, j, dt)``.  Only the
-quaternion model folds: it takes one increment per run and folds ``step``
-over its rows, so its loop block keeps the floats, and the closure error,
-that the su2 witness is checked against.  A curve
+whatever k is, and its j-th row is ``x`` times ``run(u, j, dt)``.  On the
+semidirect model that element is the exact exponential exp(k dt u); on the
+cover it is Phi^k, Phi being one RK4 row from the identity, raised to k in
+closed form by ``sl2cover.power``; on the quaternion model it is k steps
+folded from the identity, so the su2 witness's loop block keeps the floats,
+and the closure error, that it is checked against.  ``power(x, k)`` raises
+an element to a repeat count the model's own way.  A curve
 (:class:`ControlCurve`) is its runs of equal rows, each checked and measured
 once; :func:`integrate` computes the endpoint alone, and its trajectory is
 sampled when first read.  Lengths are sums of row values taken left to right
@@ -230,9 +229,6 @@ class SemidirectModel:
     rows is therefore one increment over k dt and one step.
     """
 
-    #: a run is one element, not a step per row
-    folds = False
-
     def __init__(self, algebra: LieAlgebra3):
         (b1, b2, one), (c, a12, zero13), (a21, minus_c, zero23) = algebra.b12, algebra.b13, algebra.b23
         # exact, as float products round (row 6 at kappa = 1e-9 would pass as 1 + (kappa - 1)(kappa + 1))
@@ -302,6 +298,9 @@ class SemidirectModel:
         """``run(u, j, dt)`` for j = 1..k."""
         return [self.exp(u, j * dt) for j in range(1, k + 1)]
 
+    def power(self, x, k: int):
+        return _power(self, x, k)
+
     def homomorphism(self, p, x) -> float:
         """F(x), F: G -> R the homomorphism whose differential is the covector ``p``
         annihilating the derived subalgebra: as (t, q) = (0, q)(t, 0), F(t, q) is
@@ -331,12 +330,10 @@ class QuaternionModel:
 
     The case generators map to scaled imaginary units; scaling factors are
     fixed by the case parameters so that commutators reproduce the case
-    bracket table exactly.  A run folds one product per row, in the order the
-    su2 witness's closure error is measured in.
+    bracket table exactly.  A run's element is its k steps folded from the
+    identity, one product per row, in the order the su2 witness's closure
+    error is measured in.
     """
-
-    #: a run is a step per row
-    folds = True
 
     def __init__(self, case: SubLorentzCase):
         if case.case_id != SU2_CASE:
@@ -377,6 +374,20 @@ class QuaternionModel:
     # a row's increment is its exponential, so a step is one product
     step = multiply
 
+    def run(self, u, k: int, dt: float):
+        """The element that a run of k rows u reaches from the identity: k steps folded from it."""
+        return reduce(self.step, itertools.repeat(self.increment(u, dt), k), self.identity())
+
+    def run_rows(self, u, k: int, dt: float) -> list:
+        """``run(u, j, dt)`` for j = 1..k: the partial products of those steps."""
+        return list(itertools.accumulate(itertools.repeat(self.increment(u, dt), k), self.step,
+                                         initial=self.identity()))[1:]
+
+    def power(self, x, k: int):
+        # rounding moves x off the unit sphere, and powering would raise its norm to k
+        norm = math.sqrt(_dot(x, x))
+        return _power(self, tuple(c / norm for c in x), k)
+
     def coords(self, x) -> tuple:
         return tuple(x)
 
@@ -416,9 +427,6 @@ class CoverModel:
     run then costs one RK4 row and O(1) scalar work, not k RK4 rows, and its
     j-th rows cost O(1) each.
     """
-
-    #: a run is one element, not a step per row
-    folds = False
 
     def __init__(self, frame: Sequence[Sequence[float]] = _EYE):
         self.frame = tuple(tuple(map(float, row)) for row in frame)
@@ -465,6 +473,9 @@ class CoverModel:
         """``run(u, j, dt)`` for j = 1..k, from one RK4 row."""
         phi = self.step(sl2cover.IDENTITY, self.increment(u, dt))
         return [sl2cover.power(phi, j) for j in range(1, k + 1)]
+
+    def power(self, x, k: int):
+        return sl2cover.power(x, k)
 
     def coords(self, x) -> tuple:
         return (x.c, x.w.real, x.w.imag)
@@ -531,7 +542,10 @@ class ControlCurve:
     @classmethod
     def from_runs(cls, dt: float, runs, structure: CaseStructure, loop_runs=(), repeat=1) -> ControlCurve:
         """``repeat`` traversals of the (row, count) runs ``loop_runs``, then the runs ``runs``."""
-        return cls.__new__(cls)._fill(dt, tuple(runs), structure, tuple(loop_runs), repeat)
+        runs, loop_runs = tuple(runs), tuple(loop_runs)
+        if not all(isinstance(k, numbers.Integral) and k >= 1 for _, k in loop_runs + runs):
+            raise ValueError("a run's count must be a positive integer")
+        return cls.__new__(cls)._fill(dt, runs, structure, loop_runs, repeat)
 
     def _fill(self, dt, runs: tuple, structure: CaseStructure, loop_runs: tuple, repeat) -> ControlCurve:
         if not float(dt) > 0.0:
@@ -595,17 +609,8 @@ def _advance(model, x, runs, dt: float, samples: Optional[list] = None):
     state after each row is appended to it.
 
     A run of k rows from ``x_s`` is one product, ``multiply(x_s, run(u, k, dt))``, and its j-th
-    row is ``multiply(x_s, run(u, j, dt))``; a model that folds takes a step per row.
+    row is ``multiply(x_s, run(u, j, dt))``.
     """
-    if model.folds:
-        step = model.step
-        for u, k in runs:
-            inc = model.increment(u, dt)
-            for _ in range(k):
-                x = step(x, inc)
-                if samples is not None:
-                    samples.append(x)
-        return x
     multiply = model.multiply
     for u, k in runs:
         if samples is None:
@@ -620,9 +625,8 @@ def _advance(model, x, runs, dt: float, samples: Optional[list] = None):
 
 def _power(model, x, k: int):
     """x^k for k >= 1 by binary powering: O(log k) products through ``model.multiply``, the
-    first factor taken as it is rather than multiplied onto the identity.  It raises a
-    curve's repeated block to its repeat count, the su2 witness's loop; a cover run's
-    power is the closed form ``sl2cover.power``."""
+    first factor taken as it is rather than multiplied onto the identity.  It is ``power`` on
+    the semidirect and quaternion models; the cover's is the closed form ``sl2cover.power``."""
     out = None
     while True:
         if k & 1:
@@ -639,22 +643,16 @@ def _endpoint(curve: ControlCurve, samples: Optional[list] = None):
 
     A block repeated once is stepped with the rows after it, so that a run across them is
     one run, as in the expanded curve.  A block repeated more than once is stepped (and
-    sampled) once, its endpoint (renormalized on the quaternion model) raised to the repeat
-    count by binary powering, and the rows after it stepped from that power.
+    sampled) once, its endpoint raised to the repeat count by the model's ``power``, and the
+    rows after it stepped from that power.  A power that overflows comes out non-finite
+    (an ``OverflowError`` on the cover).
     """
     model, dt = curve.structure.model, curve.dt
     x = model.identity()
     if curve.repeat == 1:
         return _advance(model, x, _merged(curve.loop_runs + curve.runs), dt, samples)
     if curve.repeat > 1:
-        x = _advance(model, x, _merged(curve.loop_runs), dt, samples)
-        if isinstance(model, QuaternionModel):
-            # rounding moves the block endpoint off the unit sphere, and
-            # powering would raise its norm to the repeat count
-            norm = math.sqrt(_dot(x, x))
-            x = tuple(c / norm for c in x)
-        # a power that overflows comes out non-finite, which callers detect
-        x = _power(model, x, curve.repeat)
+        x = model.power(_advance(model, x, _merged(curve.loop_runs), dt, samples), curve.repeat)
         if samples is not None:
             samples.append(x)
     return _advance(model, x, _merged(curve.runs), dt, samples)
@@ -845,11 +843,10 @@ class _Search:
     A move of one row splits its run into at most three pieces, or joins the
     row to a neighbour, stepped from the kept start state of the first run it
     touches.  A run is one element, ``run(u, k, dt)`` composed onto its start
-    state (a run from the identity is its element, with no product), or on a
-    model that folds, one increment stepped k times.  A piece keeps its run's
-    value, and its element where its count is unchanged (its increment, on a
-    model that folds, whatever its count); a run of the last candidate with
-    the same start, row and count lends its element, and its end state if it
+    state (a run from the identity is its element, with no product), so an
+    element is specific to its run's count.  A piece keeps its run's value,
+    and a run left whole its element; a run of the last candidate with the
+    same start, row and count lends its element, and its end state if it
     started from the same state.  Scores are the floats of :func:`integrate`
     and :func:`length` on the curve afresh, up to a zero's sign; an
     overflowing exponential, RK4 row or product, or a non-finite endpoint,
@@ -901,7 +898,6 @@ class _Search:
         is stepped: its score and its rank are at most its length.  It is then (length, None),
         and :meth:`keep` cannot keep it."""
         model, runs, dt, n = self.model, self._runs, self.dt, self.n
-        fold = model.folds
         b_max = self.b_max
         self._cand = None
         if len(theta) == 2:
@@ -912,9 +908,6 @@ class _Search:
             self.rollouts += 1
             self._cand = (0, None, [], None)  # kept, a single pair leaves no runs to move from
             try:
-                if fold:
-                    return ell, self._error(reduce(model.step, itertools.repeat(model.increment(u, dt), n),
-                                                   model.identity()))
                 return ell, self._error(model.run(u, n, dt))
             except OverflowError:
                 return ell, math.inf
@@ -926,27 +919,26 @@ class _Search:
         else:
             i = row
             j0 = j = bisect.bisect_right(runs, i, key=operator.itemgetter(0)) - 1
-            s, w, k, inc, value, _ = runs[j]
+            s, w, k, _, value, _ = runs[j]
             u = _control(theta[2 * i], theta[2 * i + 1], b_max)
             if u == w:
                 return self._score
-            kept = inc if fold else None  # an element spans its run's count
             right = i + 1 == s + k and j + 1 < len(runs) and runs[j + 1][1] == u  # the row joins the next run
             count = 1 + runs[j + 1][2] if right else 1
             if i == s and j and runs[j - 1][1] == u:  # the row joins the run before it
                 j0 = j - 1
-                s0, w0, k0, inc0, v, _ = runs[j0]
-                new = [(s0, w0, k0 + count, inc0 if fold else None, v, None)]
+                s0, w0, k0, _, v, _ = runs[j0]
+                new = [(s0, w0, k0 + count, None, v, None)]
             else:
                 v = self.nu(u)
-                new = [(s, w, i - s, kept, value, None)] if i > s else []
+                new = [(s, w, i - s, None, value, None)] if i > s else []
                 new.append((i, u, count, None, v, None))
             values = self._values[:]
             values[i:i + count] = [v] * count  # a run's rows take the value of its first
             j1 = j + 1 + right
             if not right and i + 1 < s + k:
                 after = _control(theta[2 * i + 2], theta[2 * i + 3], b_max)
-                new.append((i + 1, after, s + k - i - 1, kept, value, None))
+                new.append((i + 1, after, s + k - i - 1, None, value, None))
         ell = _total(values) * dt
         if ell <= bar and ell <= self.best_rank:
             return ell, None
@@ -956,15 +948,10 @@ class _Search:
             for s, u, k, inc, value, _ in itertools.chain(new, runs[j1:]):
                 old = last.get(s, (None,) * 6)  # the last candidate's run here lends its element
                 if inc is None:
-                    if old[1] == u and (old[2] == k or fold):
-                        inc = old[3]
-                    else:
-                        inc = model.increment(u, dt) if fold else model.run(u, k, dt)
+                    inc = old[3] if old[1] == u and old[2] == k else model.run(u, k, dt)
                 out.append((s, u, k, inc, value, x))
                 if old[5] is x and old[1] == u and old[2] == k and s + k in last:  # and its end, from this state
                     x = last[s + k][5]
-                elif fold:
-                    x = reduce(model.step, itertools.repeat(inc, k), x)
                 else:
                     x = inc if s == 0 else model.multiply(x, inc)
             score = ell, self._error(x)

@@ -263,14 +263,14 @@ def _flat(x) -> list:
 @given(hs.sampled_from([HEIS, SubLorentzCase("12", kappa=-1.0, chi=-1.0), SU2, SL2]),
        hs.floats(0.01, 0.5), curve_rows())
 def test_sampled_rows_follow_each_models_run_shape(case, dt, rows):
-    # a run from x_s reaches x_s exp(j dt u) at its j-th row on the semidirect model and
+    # a run from x_s reaches x_s exp(j dt u) at its j-th row on the semidirect model,
     # x_s Phi^j on the cover, Phi the RK4 row from the identity and its power in closed
-    # form; the quaternion model folds one step per row
+    # form, and x_s times j steps folded from the identity on the quaternion model
     model = build_structure(case).model
     x = model.identity()
     want = []
     for u, run in itertools.groupby(rows.tolist()):
-        start = x
+        start, folded = x, model.identity()
         phi = model.step(model.identity(), model.increment(u, dt))
         for j in range(1, len(list(run)) + 1):
             if isinstance(model, SemidirectModel):
@@ -278,7 +278,8 @@ def test_sampled_rows_follow_each_models_run_shape(case, dt, rows):
             elif isinstance(model, CoverModel):
                 x = model.multiply(start, sl2cover.power(phi, j))
             else:
-                x = model.step(x, model.increment(u, dt))
+                folded = model.step(folded, model.increment(u, dt))
+                x = model.multiply(start, folded)
             want.append(x)
     got = []
     runs = [(u, len(list(run))) for u, run in itertools.groupby(rows.tolist())]
@@ -914,7 +915,7 @@ def test_rollout_matches_a_fresh_length_and_integration(structure_args, n, data)
 
 @settings(max_examples=150, deadline=None)
 @given(hs.sampled_from([(SubLorentzCase("12", kappa=-1.0, chi=-1.0), LORENTZIAN), (SL2, LORENTZIAN),
-                        (HEIS, EDGE)]),
+                        (SU2, LORENTZIAN), (HEIS, EDGE)]),
        hs.integers(1, 8), hs.lists(hs.tuples(_theta_rows, hs.booleans()), min_size=1, max_size=8))
 def test_a_constant_candidate_scores_as_its_full_theta(structure_args, n, moves):
     # a pair [r, b], scored as a move of the kept pair of a constant descent, scores as the
@@ -1604,6 +1605,28 @@ def test_looped_curve_checks_every_encoded_row():
         integrate(looped(ControlCurve(0.1, [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]], st), 3))
     with pytest.raises(ValueError, match="nonnegative"):
         looped(loop, -1)
+
+
+@pytest.mark.parametrize("case", [HEIS, SU2, SL2])
+def test_a_run_count_that_is_not_a_positive_integer_is_a_named_error(case):
+    st = build_structure(case)
+    for count in (-2, 0, 2.5, 2.0, None):
+        bad = (((1.0, 0.0, 0.0), count),)
+        for runs, loop_runs in ((bad, ()), ((), bad)):
+            with pytest.raises(ValueError, match="a run's count must be a positive integer"):
+                ControlCurve.from_runs(0.1, runs, st, loop_runs, 2)
+    curve = ControlCurve.from_runs(0.1, (((1.0, 0.0, 0.0), np.int64(2)),), st, (((1.0, 0.5, 0.0), 1),), 2)
+    assert len(integrate(curve).trajectory) == 5  # the identity, the block's row, its square and two rows
+
+
+@pytest.mark.parametrize("loop_runs", [(((1.2, 0.5, 0.0), 4),), (((1.0, 0.3, 0.0), 3), ((0.8, -0.2, 0.0), 2))])
+@pytest.mark.parametrize("k", [2, 3, 7, 39, 1000])
+def test_a_repeated_cover_block_is_raised_by_the_closed_form_power(loop_runs, k):
+    st, dt, u = build_structure(SL2), 0.1, (0.9, 0.1, 0.0)
+    curve = ControlCurve.from_runs(dt, ((u, 2),), st, loop_runs, k)
+    block = integrate(curve.loop).endpoint
+    want = st.model.multiply(sl2cover.power(block, k), st.model.run(u, 2, dt))
+    assert [v.hex() for v in _flat(integrate(curve).endpoint)] == [v.hex() for v in _flat(want)]
 
 
 def _coord_bits(coords) -> list:
