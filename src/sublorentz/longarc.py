@@ -33,9 +33,9 @@ and the closure error, that it is checked against.  ``power(x, k)`` raises
 an element to a repeat count the model's own way.  A curve
 (:class:`ControlCurve`) is its runs of equal rows, each checked and measured
 once; :func:`integrate` computes the endpoint alone, and its trajectory is
-sampled when first read.  Lengths are sums of row values taken left to right
-in plain float arithmetic, so that they do not depend on how an interpreter's
-``sum`` rounds.
+sampled when first read.  A length sums count times row value over the runs,
+left to right in plain float arithmetic, so it costs O(runs) and does not
+depend on how an interpreter's ``sum`` rounds.
 
 On top of integration the module provides the generalized length functional,
 a calibration-based upper bound on lengths into a target (solvable rows with
@@ -545,6 +545,9 @@ class ControlCurve:
         runs, loop_runs = tuple(runs), tuple(loop_runs)
         if not all(isinstance(k, numbers.Integral) and k >= 1 for _, k in loop_runs + runs):
             raise ValueError("a run's count must be a positive integer")
+        if not all(isinstance(u, (tuple, list, np.ndarray)) and len(u) == 3 and all(
+                isinstance(t, numbers.Real) and not isinstance(t, bool) for t in u) for u, _ in loop_runs + runs):
+            raise ValueError("a run's row must be three real numbers")
         return cls.__new__(cls)._fill(dt, runs, structure, loop_runs, repeat)
 
     def _fill(self, dt, runs: tuple, structure: CaseStructure, loop_runs: tuple, repeat) -> ControlCurve:
@@ -672,8 +675,8 @@ def integrate(curve: ControlCurve) -> IntegrationResult:
 
 
 def _total(values) -> float:
-    """The floats summed left to right from 0.0 in plain float arithmetic.  numpy's pairwise sum
-    and Python 3.12's compensated ``sum`` round otherwise, so a length would print other bits."""
+    """The floats (a length's one per run, a distance's squares) summed left to right from 0.0 in
+    plain float arithmetic: numpy's pairwise sum and Python 3.12's compensated ``sum`` round otherwise."""
     total = 0.0
     for v in values:
         total += v
@@ -681,14 +684,14 @@ def _total(values) -> float:
 
 
 def _length(nu: AntiNorm, runs, dt: float) -> float:
-    """Row values summed in row order times dt, over (row, count) runs of equal rows: each run's
-    value is taken once and repeated count times."""
-    return _total(v for u, k in runs for v in itertools.repeat(nu(u), k)) * dt
+    """count * nu(row) summed in run order times dt, over (row, count) runs of equal rows: one
+    value and one rounding per run, so k equal rows round once where k additions would k times."""
+    return _total(k * nu(u) for u, k in runs) * dt
 
 
 def length(curve: ControlCurve) -> float:
     """Generalized length: sum of anti-norm values of the controls times dt, that is
-    repeat * length(loop block) + length(the rows after it), one value per run."""
+    repeat * length(loop block) + length(the rows after it), each summed per run by :func:`_length`."""
     nu, dt = curve.structure.anti_norm, curve.dt
     return curve.repeat * _length(nu, _merged(curve.loop_runs), dt) + _length(nu, _merged(curve.runs), dt)
 
@@ -803,10 +806,7 @@ def _distance(a, b) -> float:
     """Euclidean distance of two coordinate tuples: the squared differences summed left to
     right in plain float arithmetic, so that no BLAS kernel (or its fused multiply-adds)
     decides how it rounds.  Overflow gives inf or nan."""
-    total = 0.0
-    for d in map(operator.sub, a, b):
-        total += d * d
-    return math.sqrt(total)
+    return math.sqrt(_total(d * d for d in map(operator.sub, a, b)))
 
 
 _B_MAX = 1.0 - 1e-9
@@ -847,10 +847,10 @@ class _Search:
     element is specific to its run's count.  A piece keeps its run's value,
     and a run left whole its element; a run of the last candidate with the
     same start, row and count lends its element, and its end state if it
-    started from the same state.  Scores are the floats of :func:`integrate`
-    and :func:`length` on the curve afresh, up to a zero's sign; an
-    overflowing exponential, RK4 row or product, or a non-finite endpoint,
-    scores inf error.
+    started from the same state.  Lengths sum count * value per run, as
+    :func:`length` does, and scores are the floats of :func:`integrate` and
+    :func:`length` on the curve afresh, up to a zero's sign; an overflowing
+    exponential, RK4 row or product, or a non-finite endpoint, scores inf error.
     Each candidate counts as one evaluation of the budget, also one a descent
     does not step (see ``_descend``); ``rollouts`` counts those stepped.
     """
@@ -867,17 +867,15 @@ class _Search:
         self.nu = structure.anti_norm
         self.n = n_steps
         self.dt = 1.0 / n_steps
-        self.budget = budget
-        self.evals = 0
+        self.budget, self.evals = budget, 0
         #: candidates stepped to their endpoint, out of ``evals``
         self.rollouts = 0
         self.tcoords = self.model.coords(target)
         self.best: Optional[tuple[float, list, float]] = None
         self.best_rank = -math.inf  # that of ``best``, which a candidate must beat to replace it
-        # the kept candidate: runs (start, row, count, element, value, start state), none once it
-        # overflowed, row values and score; the last candidate to keep, and its runs by start
+        # the kept candidate: runs (start, row, count, element, row value, start state), none once
+        # it overflowed, and score; the last candidate to keep, and its runs by start
         self._runs: list = []
-        self._values: list = []
         self._score = (math.nan, math.inf)
         self._cand, self._last = None, {}
 
@@ -886,7 +884,13 @@ class _Search:
         return theta * self.n if len(theta) == 2 else theta[:]
 
     def _error(self, x) -> float:
-        err = _distance(self.model.coords(x), self.tcoords)
+        coords, target = self.model.coords(x), self.tcoords
+        if len(target) == 3:  # _distance's floats written out: 0.0 + d0^2 is d0^2
+            (c0, c1, c2), (t0, t1, t2) = coords, target
+            d0, d1, d2 = c0 - t0, c1 - t1, c2 - t2
+            err = math.sqrt(d0 * d0 + d1 * d1 + d2 * d2)
+        else:
+            err = _distance(coords, target)
         return err if math.isfinite(err) else math.inf
 
     def rollout(self, theta: list, row: Optional[int] = None,
@@ -897,25 +901,23 @@ class _Search:
         A length at most ``bar`` and at most the best rank rules the candidate out before it
         is stepped: its score and its rank are at most its length.  It is then (length, None),
         and :meth:`keep` cannot keep it."""
-        model, runs, dt, n = self.model, self._runs, self.dt, self.n
-        b_max = self.b_max
         self._cand = None
         if len(theta) == 2:
-            u = _control(*theta, b_max)
-            ell = _total(itertools.repeat(self.nu(u), n)) * dt
+            u, dt, n = _control(theta[0], theta[1], self.b_max), self.dt, self.n
+            ell = n * self.nu(u) * dt
             if ell <= bar and ell <= self.best_rank:
                 return ell, None
             self.rollouts += 1
-            self._cand = (0, None, [], None)  # kept, a single pair leaves no runs to move from
+            self._cand = (0, None, None)  # kept, a single pair leaves no runs to move from
             try:
-                return ell, self._error(model.run(u, n, dt))
+                return ell, self._error(self.model.run(u, n, dt))
             except OverflowError:
                 return ell, math.inf
+        model, runs, dt, b_max = self.model, self._runs, self.dt, self.b_max
         if row is None or not runs:
             j0, j1 = 0, len(runs)
             rows = [_control(r, b, b_max) for r, b in zip(theta[::2], theta[1::2])]
             new = [(s, u, k, None, self.nu(u), None) for s, u, k in _runs(rows)]
-            values = [run[4] for run in new for _ in range(run[2])]
         else:
             i = row
             j0 = j = bisect.bisect_right(runs, i, key=operator.itemgetter(0)) - 1
@@ -933,19 +935,18 @@ class _Search:
                 v = self.nu(u)
                 new = [(s, w, i - s, None, value, None)] if i > s else []
                 new.append((i, u, count, None, v, None))
-            values = self._values[:]
-            values[i:i + count] = [v] * count  # a run's rows take the value of its first
             j1 = j + 1 + right
             if not right and i + 1 < s + k:
                 after = _control(theta[2 * i + 2], theta[2 * i + 3], b_max)
                 new.append((i + 1, after, s + k - i - 1, None, value, None))
-        ell = _total(values) * dt
+        rest = runs[j1:]
+        ell = _total(k * v for _, _, k, _, v, _ in itertools.chain(runs[:j0], new, rest)) * dt
         if ell <= bar and ell <= self.best_rank:
             return ell, None
         self.rollouts += 1
         last, out, x = self._last, [], runs[j0][5] if runs else model.identity()
         try:
-            for s, u, k, inc, value, _ in itertools.chain(new, runs[j1:]):
+            for s, u, k, inc, value, _ in itertools.chain(new, rest):
                 old = last.get(s, (None,) * 6)  # the last candidate's run here lends its element
                 if inc is None:
                     inc = old[3] if old[1] == u and old[2] == k else model.run(u, k, dt)
@@ -958,13 +959,13 @@ class _Search:
         except OverflowError:
             out, score = None, (ell, math.inf)
         self._last = {run[0]: run for run in out} if out else {}
-        self._cand = (j0, out, values, score)
+        self._cand = (j0, out, score)
         return score
 
     def keep(self) -> None:
         """Make the last candidate scored the kept one."""
         if self._cand is not None:
-            j0, out, self._values, self._score = self._cand
+            j0, out, self._score = self._cand
             self._runs = [] if out is None else self._runs[:j0] + out
 
     def count(self) -> None:
@@ -1069,8 +1070,7 @@ def maximize(structure: CaseStructure, target, n_steps: int = 24, budget: int = 
     search = _Search(structure, target, n_steps, budget)
     model = structure.model
 
-    log_theta = None
-    log_u = None
+    log_theta = log_u = None
     if isinstance(model, SemidirectModel):
         try:
             log_u = model.log(target)

@@ -645,9 +645,10 @@ def test_anti_norm_gives_one_float_on_a_list_row_and_an_array_row():
             assert got[0].hex() == got[1].hex()
 
 
-def test_length_sums_one_value_per_row_in_row_order():
+def test_length_sums_one_value_per_run_in_run_order():
     # rows drawn from a small pool, so that equal rows merge into runs and split them,
-    # and a zero second entry of either sign, which compares equal across runs
+    # and a zero second entry of either sign, which compares equal across runs: a run of
+    # k rows adds k nu(row) once, the value of its first row, the runs summed left to right
     rng = np.random.default_rng(5)
     pool = [[1.0, 0.2, 0.0], [0.7, -0.35, 0.0], [0.3, 0.0, 0.0], [0.3, -0.0, 0.0], [1e-170, 0.0, 0.0]]
     for nu in (LORENTZIAN, EDGE):
@@ -656,7 +657,33 @@ def test_length_sums_one_value_per_row_in_row_order():
             n = int(rng.integers(1, 13))
             rows = [pool[i] for i in rng.integers(0, len(pool), n)]
             curve = ControlCurve(1.0 / n, rows, st)
-            assert length(curve).hex() == float(sum([nu(u) for u in rows]) * curve.dt).hex()
+            want = 0.0
+            for u, run in itertools.groupby(rows):
+                want += len(list(run)) * nu(u)
+            assert length(curve).hex() == (want * curve.dt).hex()
+
+
+_run_pairs = hs.lists(hs.tuples(hs.tuples(hs.floats(0.2, 2.0), hs.floats(-0.9, 0.9)), hs.integers(1, 10_000)),
+                      max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(hs.sampled_from([HEIS, SubLorentzCase("12", kappa=-1.0, chi=-1.0), SL2, SU2]), hs.floats(1e-4, 1.0),
+       _run_pairs.filter(bool), _run_pairs, hs.integers(0, 1000))
+def test_a_length_is_within_one_rounding_per_run_of_the_exact_sum(case, dt, runs, loop_runs, repeat):
+    # count * value per run rounds once per run, so the error does not grow with the row count:
+    # within (runs + 2) units of 2^-53 relative of the exact sum of every row's value times dt
+    st = build_structure(case)
+    nu = st.anti_norm
+    rows = [(tuple(_controls(rb)[0].tolist()), k) for rb, k in runs]
+    loop_rows = [(tuple(_controls(rb)[0].tolist()), k) for rb, k in loop_runs]
+    curve = ControlCurve.from_runs(dt, rows, st, loop_rows, repeat)
+    exact = Fraction(0)
+    for block, times in ((loop_rows, repeat), (rows, 1)):
+        exact += times * sum(k * Fraction(nu(u)) for u, k in block)
+    exact *= Fraction(curve.dt)
+    merged = len(longarc._merged(loop_rows)) + len(longarc._merged(rows))
+    assert abs(Fraction(length(curve)) - exact) <= (merged + 2) * Fraction(1, 2 ** 53) * exact
 
 
 # -- calibration constant -------------------------------------------------------------
@@ -1052,6 +1079,36 @@ def test_a_constant_candidate_is_one_run_without_the_row_walk(monkeypatch):
         assert (len(exps), len(steps), len(values), len(controls), len(walks)) == (1, 0, 1, 1, 0)
 
 
+def test_a_move_sums_one_value_per_run_not_per_row(monkeypatch):
+    # at 10 000 rows, a candidate of two runs moved in one row sums at most its runs + 2
+    # values (a row inside a run splits it in three), and a constant candidate sums none
+    st = build_structure(HEIS)
+    n = 10_000
+    summed, total = [], longarc._total
+
+    def spied(values):
+        values = list(values)
+        summed.append(len(values))
+        return total(values)
+
+    monkeypatch.setattr(longarc, "_total", spied)
+    search = _Search(st, target_from_exp2(st, (1.0, 0.0, 0.0)), n, budget=1)
+    theta = _listed(np.repeat([[0.9, 0.1], [1.1, -0.2]], n // 2, axis=0))
+    search.rollout(theta)
+    search.keep()
+    for i in (0, 1, n // 4, n // 2 - 1, n // 2, n - 2, n - 1):
+        for pair in ([1.3, 0.4], [1.1, -0.2] if i < n // 2 else [0.9, 0.1]):  # a new row, or the other run's
+            moved = theta[:]
+            moved[2 * i:2 * i + 2] = pair
+            summed.clear()
+            ell, _ = search.rollout(moved, i)
+            assert summed and max(summed) <= 2 + 2, (i, summed)
+            assert ell.hex() == length(ControlCurve(search.dt, _controls(np.reshape(moved, (-1, 2))), st)).hex()
+    summed.clear()
+    ell, _ = search.rollout([0.9, 0.1])
+    assert not summed and ell == n * LORENTZIAN(_controls([0.9, 0.1])[0]) * search.dt
+
+
 def test_a_cover_move_takes_one_rk4_row_per_new_piece(monkeypatch):
     # a move takes one RK4 row, its element's Phi, for each piece whose element is new:
     # inside a run of four equal rows, the run's head (if the moved row is not its first),
@@ -1180,6 +1237,27 @@ def test_the_endpoint_error_is_a_plain_sum_of_squares():
     assert math.sqrt(plain) != math.sqrt(fused)
     assert _distance(d, (0.0, 0.0, 0.0)).hex() == math.sqrt(plain).hex()
     assert _distance((0.0, 0.0, 0.0), d).hex() == math.sqrt(plain).hex()
+    # the search writes the sum out on three coordinates: it has _distance's bits on every
+    # model, and on su2's four coordinates, and it is inf where the distance is not finite
+    elements = {"semidirect": lambda c: (c[0], (c[1], c[2]), (1.0, 0.0, 0.0, 1.0)),
+                "cover": lambda c: CoverElement(c[0], complex(c[1], c[2])), "su2": tuple}
+    rng = np.random.default_rng(11)
+    for case, kind in ((HEIS, "semidirect"), (SubLorentzCase("12", kappa=-1.0, chi=-1.0), "semidirect"),
+                       (SL2, "cover"), (SU2, "su2")):
+        st = build_structure(case)
+        search = _search(st, 4)
+        dim = len(search.tcoords)
+        draws = [rng.normal(size=dim) * 10.0 ** rng.uniform(-9, 3, size=dim) for _ in range(300)]
+        for coords in [np.zeros(dim), d + (0.0,) * (dim - 3)] + draws:
+            for target in (search.tcoords, (0.0,) * dim):
+                search.tcoords = target
+                x = elements[kind](coords.tolist() if isinstance(coords, np.ndarray) else coords)
+                assert search._error(x).hex() == _distance(st.model.coords(x), target).hex()
+        for coords in ([1e200, -1e200] + [0.0] * (dim - 2), [math.inf] + [0.0] * (dim - 1),
+                       [math.nan] + [0.0] * (dim - 1), [0.0] * (dim - 1) + [-math.inf]):
+            x = elements[kind](coords)
+            assert not math.isfinite(_distance(st.model.coords(x), search.tcoords))
+            assert search._error(x) == math.inf
 
 
 # maximize on 8 steps to the endpoint of 8 equal rows of a control: a row 19 input whose
@@ -1525,11 +1603,12 @@ def test_su2_witness_preserves_base_endpoint():
 
 def test_su2_witness_length_reaches_demand_with_a_base():
     st = build_structure(SU2)
-    # demand = 2 loops + base: the row-by-row sum came out one unit in the last place short
+    # demand = 2 loops + base, each summed per run (a row-by-row sum came out one unit in
+    # the last place short of it, at 25.532741228718308)
     base = ControlCurve(0.2, [[1.0, 0.0, 0.0]] * 2, st)
     loop_len = length(su2_unbounded_witness(st, 1.0, base_curve=base).loop)
     demand = 2 * loop_len + length(base)
-    assert demand == 25.532741228718308
+    assert demand == 25.532741228718344
     assert length(su2_unbounded_witness(st, demand, base_curve=base)) >= demand
     rng = np.random.default_rng(6)
     for dt in np.linspace(0.05, 0.9, 12):
@@ -1617,6 +1696,21 @@ def test_a_run_count_that_is_not_a_positive_integer_is_a_named_error(case):
                 ControlCurve.from_runs(0.1, runs, st, loop_runs, 2)
     curve = ControlCurve.from_runs(0.1, (((1.0, 0.0, 0.0), np.int64(2)),), st, (((1.0, 0.5, 0.0), 1),), 2)
     assert len(integrate(curve).trajectory) == 5  # the identity, the block's row, its square and two rows
+
+
+@pytest.mark.parametrize("case", [HEIS, SU2, SL2])
+def test_a_run_row_that_is_not_three_real_numbers_is_a_named_error(case):
+    st = build_structure(case)
+    for row in ((1.0, 0.0), (1.0, 0.0, 0.0, 0.0), 1.0, None, "1,0", ("1", 0.0, 0.0), (1.0, None, 0.0),
+                (True, 0.0, 0.0), (1.0, 1j, 0.0), np.ones((3, 1)), {1.0: 0, 0.0: 1, 2.0: 2}):
+        bad = ((row, 2),)
+        for runs, loop_runs in ((bad, ()), ((), bad)):
+            with pytest.raises(ValueError, match="a run's row must be three real numbers"):
+                ControlCurve.from_runs(0.1, runs, st, loop_runs, 2)
+    # a list, an array, integers and numpy floats are rows
+    for row in ([1.0, 0.5, 0.0], np.array([1.0, 0.5, 0.0]), (1, 0, 0), (np.float64(1.0), np.int64(0), 0.0)):
+        curve = ControlCurve.from_runs(0.1, ((row, 2),), st, ((row, 1),), 2)
+        assert len(integrate(curve).trajectory) == 5  # the identity, the block's row, its square and two rows
 
 
 @pytest.mark.parametrize("loop_runs", [(((1.2, 0.5, 0.0), 4),), (((1.0, 0.3, 0.0), 3), ((0.8, -0.2, 0.0), 2))])
