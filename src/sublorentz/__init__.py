@@ -14,7 +14,6 @@ from .conegeom import (
     acute,
     cone_from_json,
     cone_subspace_trivial,
-    cone_to_json,
     contains,
     dual_contains,
     find_interior_dual_in_annihilator,
@@ -40,7 +39,6 @@ from .longarc import (
     AntiNorm,
     CaseStructure,
     ControlCurve,
-    build_cover_structure,
     build_structure,
     distance_upper_bound,
     integrate,

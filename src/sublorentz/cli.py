@@ -31,6 +31,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .conegeom import (
+    _json_vec3,
     cone_from_json,
     cone_subspace_trivial,
     dual_contains,
@@ -74,16 +75,9 @@ def _row_draws(cid: str, rng, samples: int):
         yield {"params": case.params(), "outcome": outcome.value, "expected": want.value, "match": outcome == want}
 
 
-def _table_rows(samples: int, seed: int):
-    """(row id, its draws) in table order; the rows share one generator, so each row's draws
-    are read before the next row's."""
-    rng = np.random.default_rng(seed)
-    return ((cid, _row_draws(cid, rng, samples)) for cid in CASE_IDS)
-
-
 def _write_table(rows, samples: int, seed: int, text: bool, write) -> bool:
-    """Write the table draw by draw, as text or as the bytes of ``json.dumps`` on
-    :func:`build_table`'s dict; True iff every draw matches its reference verdict."""
+    """Write the table draw by draw, as text or as one JSON object (seed, samples, rows of case,
+    label and draws, all_match); True iff every draw matches its reference verdict."""
     all_match = True
     write(f"# classification verdicts (seed={seed}, samples={samples})\n" if text
           else f'{{"seed": {seed}, "samples": {samples}, "rows": [')
@@ -102,22 +96,8 @@ def _write_table(rows, samples: int, seed: int, text: bool, write) -> bool:
     return all_match
 
 
-def build_table(samples: int, seed: int) -> dict:
-    """Evaluate every table row over sampled parameters and compare to reference."""
-    rows = [{"case": cid, "label": CASE_LABELS[cid], "draws": list(draws)} for cid, draws in _table_rows(samples, seed)]
-    return {"seed": seed, "samples": samples, "rows": rows,
-            "all_match": all(d["match"] for row in rows for d in row["draws"])}
-
-
 def _format_params(params: dict) -> str:
     return ",".join(f"{k}={v!r}" for k, v in sorted(params.items()))
-
-
-def render_table_text(table: dict) -> str:
-    parts: list = []
-    rows = ((row["case"], row["draws"]) for row in table["rows"])
-    _write_table(rows, table["samples"], table["seed"], True, parts.append)
-    return "".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +221,10 @@ def cmd_table(args) -> int:
         raise ValueError("samples must be >= 1")
     if args.seed < 0:
         raise ValueError("--seed must be >= 0")
-    # each draw is written as it is decided, so memory does not grow with --samples
-    rows = _table_rows(args.samples, args.seed)
+    # each draw is written as it is decided, so memory does not grow with --samples; the rows
+    # share one generator, so each row's draws are read before the next row's
+    rng = np.random.default_rng(args.seed)
+    rows = ((cid, _row_draws(cid, rng, args.samples)) for cid in CASE_IDS)
     with open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext(sys.stdout) as fh:
         all_match = _write_table(rows, args.samples, args.seed, args.format == "text", fh.write)
     return EXIT_OK if all_match else EXIT_MISMATCH
@@ -369,6 +351,9 @@ def cmd_cone(args) -> int:
         payload = {"contains": dual_contains(cone, args.p, strict=args.strict), "strict": args.strict}
     else:  # the answers are Python bools and a float triple or None
         subspace = json.loads(args.subspace)
+        if not isinstance(subspace, list):
+            raise ValueError("--subspace must be a JSON list of basis vectors")
+        subspace = [_json_vec3(u, "a --subspace basis vector") for u in subspace]
         payload = {"trivial": cone_subspace_trivial(cone, subspace),
                    "witness": find_interior_dual_in_annihilator(cone, subspace)}
     _emit(json.dumps(payload) + "\n", args.out)

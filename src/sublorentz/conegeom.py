@@ -147,9 +147,6 @@ class CircularCone:
             raise ValueError("eta must be >= 0")
         object.__setattr__(self, "_unit_axis", _unit(a))
 
-    def unit_axis(self) -> Vec3:
-        return self._unit_axis
-
     def aperture(self) -> float:
         """The slope bound sqrt(eta + 1) of the membership inequality."""
         return math.sqrt(self.eta + 1.0)
@@ -318,13 +315,12 @@ def find_interior_dual_in_annihilator(cone: SolidCone, subspace) -> Optional[Vec
     return tuple(x / length for x in proj) if length > inv_alpha * rho + ZERO_TOL else None
 
 
-def cone_to_json(cone: SolidCone) -> dict:
-    if isinstance(cone, SegmentCone):
-        out = {"kind": "segment", "u1": list(cone.u1), "u2": list(cone.u2)}
-        if cone.half_width != 1.0:
-            out["half_width"] = cone.half_width
-        return out
-    return {"kind": "circular", "axis": list(cone.axis), "eta": cone.eta}
+def _json_vec3(value, name: str) -> tuple:
+    """A vector read from JSON: a list of three finite numbers, no JSON boolean among them."""
+    if not (isinstance(value, list) and len(value) == 3 and all(
+            isinstance(t, (int, float)) and not isinstance(t, bool) and math.isfinite(t) for t in value)):
+        raise ValueError(f"{name} must be three finite numbers")
+    return tuple(value)
 
 
 def cone_from_json(data: dict) -> SolidCone:
@@ -335,7 +331,7 @@ def cone_from_json(data: dict) -> SolidCone:
     def required(key: str) -> tuple:
         if key not in data:
             raise ValueError(f"a {kind} cone needs the key {key!r}")
-        return tuple(data[key])
+        return _json_vec3(data[key], f"a {kind} cone's {key!r}")
 
     if kind == "segment":
         return SegmentCone(required("u1"), required("u2"), data.get("half_width", 1.0))

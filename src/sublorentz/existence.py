@@ -66,18 +66,6 @@ class Verdict:
             out["certificate"] = self.certificate
         return out
 
-    @classmethod
-    def from_json(cls, data: dict) -> "Verdict":
-        return cls(
-            outcome=Outcome(data["outcome"]),
-            rationale=data["rationale"],
-            witness=tuple(data["witness"]) if data.get("witness") is not None else None,
-            loop=data.get("loop"),
-            certificate=data.get("certificate"),
-            case_id=data.get("case"),
-            params=data.get("params") or None,
-        )
-
 
 def check_solvable(algebra: LieAlgebra3, cone: SolidCone = DEFAULT_CONE) -> Verdict:
     """Certificate search for groups admitting a translation-invariant calibration.

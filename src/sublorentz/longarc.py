@@ -64,7 +64,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import sl2cover
-from .conegeom import DEFAULT_CONE, ZERO_TOL, CircularCone, SegmentCone, SolidCone, _dot, _vec3, contains
+from .conegeom import DEFAULT_CONE, ZERO_TOL, SegmentCone, SolidCone, _dot, _vec3, contains
 from .existence import witness_is_valid
 from .liealg3 import (SL2_CASES, SU2_CASE, LieAlgebra3, SubLorentzCase, from_case,
                       killing_axes, su2_loop_period)
@@ -486,9 +486,9 @@ class CoverModel:
 
 @dataclass(frozen=True, eq=False)
 class CaseStructure:
-    """An algebra bundled with its cone, anti-norm and concrete group model."""
+    """A row's algebra bundled with its cone, anti-norm and concrete group model."""
 
-    algebra: Optional[LieAlgebra3]
+    algebra: LieAlgebra3
     cone: SolidCone
     anti_norm: AntiNorm
     model: object
@@ -506,14 +506,6 @@ def build_structure(case: SubLorentzCase, anti_norm: AntiNorm = LORENTZIAN,
     else:
         model = SemidirectModel(algebra)
     return CaseStructure(algebra, cone, anti_norm, model)
-
-
-def build_cover_structure(eta: float = 1.0, anti_norm: Optional[AntiNorm] = None) -> CaseStructure:
-    """Raw cover structure with controls in (xi, Re zeta, Im zeta) coordinates."""
-    if anti_norm is None:
-        anti_norm = AntiNorm(lambda u: math.sqrt(max(u[0] ** 2 - u[1] ** 2 - u[2] ** 2, 0.0)),
-                             "lorentzian-3d")
-    return CaseStructure(None, CircularCone((1.0, 0.0, 0.0), eta), anti_norm, CoverModel())
 
 
 @dataclass(frozen=True, eq=False, init=False)

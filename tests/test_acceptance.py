@@ -4,12 +4,13 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 report lines alongside the pytest verdicts.
 """
 
+import json
 import math
 import time
 
 import numpy as np
 
-from sublorentz.cli import build_table
+from sublorentz.cli import EXIT_OK, main
 from sublorentz.conegeom import (
     SegmentCone,
     cone_subspace_trivial,
@@ -54,15 +55,16 @@ def report(criterion: int, ok: bool, detail: str) -> None:
 
 # -- criterion 1: verdict table reproduction -----------------------------------
 
-def test_criterion_1_table_reproduction():
+def test_criterion_1_table_reproduction(capsys):
     t0 = time.monotonic()
-    table = build_table(samples=5, seed=SEED)
+    code = main(["table", "--samples", "5", "--seed", str(SEED)])
     elapsed = time.monotonic() - t0
+    table = json.loads(capsys.readouterr().out)
     mismatches = [
         (row["case"], d["params"], d["outcome"], d["expected"])
         for row in table["rows"] for d in row["draws"] if not d["match"]
     ]
-    ok = table["all_match"] and not mismatches and elapsed < 5.0
+    ok = code == EXIT_OK and table["all_match"] and not mismatches and elapsed < 5.0
     report(1, ok, f"20 rows x 5 draws, {len(mismatches)} mismatches, {elapsed:.2f}s")
 
 

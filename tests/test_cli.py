@@ -1,9 +1,11 @@
+import ast
 import builtins
 import contextlib
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -20,9 +22,7 @@ from sublorentz.cli import (
     EXIT_NOT_FOUND,
     EXIT_OK,
     EXIT_USAGE,
-    build_table,
     main,
-    render_table_text,
 )
 from sublorentz.liealg3 import CASE_IDS, SL2_CASES
 from sublorentz.sl2cover import CoverElement, multiply
@@ -394,6 +394,15 @@ def test_witness_for_a_huge_length_is_fast_and_small():
      "a target in exponential coordinates is three finite numbers"),
     (["solve", "--case", "10", "--kappa", "-2", "--chi", "-1", "--target", '{"c": true, "w": [0, 0]}',
       "--steps", "2", "--budget", "5"], 'a cover target is {"c": c, "w": [re, im]} with finite numbers'),
+    # a vector read from JSON is three finite numbers, a JSON boolean or string not among them
+    *[(["cone", "dual", "--cone", '{"kind":"segment","u1":%s,"u2":[0,1,0]}' % u1, "--p", "1,0,0"],
+       "a segment cone's 'u1' must be three finite numbers") for u1 in ("5", "[1,0]", '["1",0,0]', "[1,0,0,0]")],
+    (["cone", "dual", "--cone", '{"kind":"circular","axis":[true,0,0]}', "--p", "1,0,0"],
+     "a circular cone's 'axis' must be three finite numbers"),
+    *[(["cone", "intersect", "--cone", '{"kind":"segment","u1":[1,0,0],"u2":[0,1,0]}', "--subspace", subspace],
+       "a --subspace basis vector must be three finite numbers") for subspace in ("[[1,2]]", "[[NaN,0,1]]", "[1,0,0]")],
+    (["cone", "intersect", "--cone", '{"kind":"segment","u1":[1,0,0],"u2":[0,1,0]}', "--subspace", "5"],
+     "--subspace must be a JSON list of basis vectors"),
 ])
 def test_bad_inputs_are_named_usage_errors(argv, message):
     proc = subprocess.run([sys.executable, "-m", "sublorentz.cli", *argv],
@@ -607,11 +616,43 @@ def test_out_file(tmp_path, capsys):
     assert json.loads(path.read_text())["all_match"] is True
 
 
-def test_build_table_mismatch_detection():
-    table = build_table(2, 99)
-    assert table["all_match"]
-    text = render_table_text(table)
+def test_build_table_mismatch_detection(capsys):
+    code, text, _ = run(capsys, "table", "--samples", "2", "--seed", "99", "--format", "text")
+    assert code == EXIT_OK and text.endswith("agreement: ok\n")
     assert "MISMATCH" not in text
+
+
+def _text_table(text: str) -> tuple:
+    """(header, rows as (case, label, [(params, outcome, match)]), agreement line) of a text table."""
+    header, *lines, agreement = text.splitlines()
+    rows = []
+    for line in lines:
+        cid, label, draws = re.fullmatch(r" *(\S+)  (\S+) +(.*)", line).groups()
+        parsed = []
+        for draw in draws.split("; "):
+            params, outcome, expected = re.fullmatch(r"\((.*)\)->(\S+?)(?: \[MISMATCH expected (\S+)\])?",
+                                                     draw).groups()
+            values = {k: ast.literal_eval(v) for k, v in (kv.split("=", 1) for kv in params.split(",") if kv)}
+            parsed.append((values, outcome, expected is None))
+        rows.append((cid, label, parsed))
+    return header, rows, agreement
+
+
+@pytest.mark.parametrize("seed", [1729, 9241])
+def test_table_text_and_json_list_the_same_draws_in_the_same_order(capsys, seed):
+    code, out, _ = run(capsys, "table", "--samples", "5", "--seed", str(seed))
+    assert code == EXIT_OK
+    table = json.loads(out)
+    code, text, _ = run(capsys, "table", "--samples", "5", "--seed", str(seed), "--format", "text")
+    assert code == EXIT_OK
+    header, rows, agreement = _text_table(text)
+    assert header == f"# classification verdicts (seed={seed}, samples=5)"
+    assert (table["seed"], table["samples"]) == (seed, 5)
+    assert [row["case"] for row in table["rows"]] == [cid for cid, _, _ in rows] == list(CASE_IDS)
+    assert rows == [(row["case"], row["label"], [(d["params"], d["outcome"], d["match"]) for d in row["draws"]])
+                    for row in table["rows"]]
+    assert all(len(draws) == 5 for _, _, draws in rows)
+    assert agreement == "agreement: " + ("ok" if table["all_match"] else "MISMATCH")
 
 
 def test_table_exit_code_on_disagreement(capsys, monkeypatch):

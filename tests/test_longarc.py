@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from sublorentz.conegeom import DEFAULT_CONE, SegmentCone, contains
+from sublorentz.conegeom import DEFAULT_CONE, CircularCone, SegmentCone, contains
 from sublorentz.existence import check_case
 from sublorentz.liealg3 import CASE_IDS, SL2_CASES, LieAlgebra3, SubLorentzCase, from_case, killing_axes
 from sublorentz.oracle import sample_case
@@ -25,11 +25,11 @@ from sublorentz.longarc import (
     LORENTZIAN,
     MAX_STEPS,
     AntiNorm,
+    CaseStructure,
     ControlCurve,
     CoverModel,
     QuaternionModel,
     SemidirectModel,
-    build_cover_structure,
     build_structure,
     distance_upper_bound,
     integrate,
@@ -305,7 +305,7 @@ def test_su2_constant_control_closes_after_one_period():
 
 
 def test_cover_pure_rotation_matches_multiply_iteration():
-    st = build_cover_structure(eta=1.0)
+    st = CaseStructure(sl2cover.ALGEBRA, CircularCone((1, 0, 0), 1.0), LORENTZIAN, CoverModel())
     xi, total, n = 0.8, 1.5, 24
     curve = constant_curve(st, (xi, 0.0, 0.0), n=n, total=total)
     end = integrate(curve).endpoint
@@ -619,6 +619,7 @@ def test_the_powered_witness_endpoint_matches_array_form_bit_for_bit(demand, ste
 # -- anti-norms ---------------------------------------------------------------------
 
 EDGE = AntiNorm(lambda u: u[0] - abs(u[1]), "edge")
+LORENTZIAN_3D = AntiNorm(lambda u: math.sqrt(max(u[0] ** 2 - u[1] ** 2 - u[2] ** 2, 0.0)), "lorentzian-3d")
 
 
 def test_anti_norm_homogeneity_and_superadditivity():
@@ -638,7 +639,7 @@ def test_anti_norm_gives_one_float_on_a_list_row_and_an_array_row():
     rng = np.random.default_rng(3)
     U = np.column_stack([rng.uniform(0.1, 2.0, 50), rng.uniform(-2.0, 2.0, 50),
                          rng.uniform(-1.0, 1.0, 50)])
-    for nu in (LORENTZIAN, EDGE, build_cover_structure().anti_norm):
+    for nu in (LORENTZIAN, EDGE, LORENTZIAN_3D):
         for row in U:
             got = (nu(row.tolist()), nu(row))
             assert [type(v) for v in got] == [float, float]
@@ -1474,7 +1475,7 @@ def test_the_search_needs_a_cone_that_holds_its_controls():
     # the clamp on b is _B_MAX itself on the default cone, so no default-cone solve moves
     assert longarc._b_max(DEFAULT_CONE) == _B_MAX
     assert longarc._b_max(SegmentCone((2, 0, 0), (0, -0.5, 0), 3.0)) == _B_MAX * 0.75
-    cover = build_cover_structure(1.0)
+    cover = build_structure(SL2, cone=CircularCone((1, 0, 0), 1.0))
     tilted = build_structure(HEIS, cone=SegmentCone((1, 0.1, 0), (0, 1, 0), 0.5))
     for st in (cover, tilted):
         with pytest.raises(ValueError, match="needs a segment cone whose u1 is a positive multiple of X1"):
