@@ -24,6 +24,7 @@ import contextlib
 import dataclasses
 import json
 import math
+import os
 import re
 import sys
 from typing import Optional, Sequence
@@ -366,23 +367,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    commands = {"table": cmd_table, "check": cmd_check, "sl2": cmd_sl2, "solve": cmd_solve,
+                "witness": cmd_witness, "cone": cmd_cone}
     try:
-        if args.command == "table":
-            return cmd_table(args)
-        if args.command == "check":
-            return cmd_check(args)
-        if args.command == "sl2":
-            return cmd_sl2(args)
-        if args.command == "solve":
-            return cmd_solve(args)
-        if args.command == "witness":
-            return cmd_witness(args)
-        if args.command == "cone":
-            return cmd_cone(args)
+        code = commands[args.command](args)
+        sys.stdout.flush()  # a reader that left early fails here, not in the interpreter's exit flush
+        return code
+    except BrokenPipeError:  # such as `table | head`: what is left goes to devnull, as Python's docs advise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_USAGE
     except (ValueError, TypeError, OverflowError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
-    return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -16,9 +16,11 @@ parameters, and the bracket table is built from them directly, so every row
 algebra is in this layout by construction.
 
 The bracket is evaluated on plain Python floats from the three table rows,
-in the fixed order of operations given in :meth:`LieAlgebra3.bracket`; the
-adjoint matrix, the Jacobi check at construction and the Killing form
-trace(ad_Xi ad_Xj) are built from it.  :func:`killing_axes` reads the Killing
+in the fixed order of operations given in :meth:`LieAlgebra3.bracket`, and
+the Jacobi check at construction is built from it.  The Killing form
+trace(ad_Xi ad_Xj) is read off the table rows on plain floats too, its sums
+in the fixed order given in :meth:`LieAlgebra3.killing_form`, so none of its
+floats goes through BLAS.  :func:`killing_axes` reads the Killing
 eigenvalues and axes off the layout's K13 = K23 = 0 in closed form.
 """
 
@@ -89,11 +91,6 @@ class LieAlgebra3:
         return np.array([0.0 + t12 * p + t13 * q + t23 * r
                          for p, q, r in zip(self.b12, self.b13, self.b23)])
 
-    def adjoint(self, v) -> np.ndarray:
-        """Matrix of ad_v, i.e. w -> [v, w], in the fixed basis."""
-        eye = np.eye(3)
-        return np.column_stack([self.bracket(v, eye[j]) for j in range(3)])
-
     def jacobi_defect(self) -> float:
         eye = np.eye(3)
         j = (
@@ -111,15 +108,20 @@ class LieAlgebra3:
         return vt[:rank]
 
     def killing_form(self) -> np.ndarray:
-        """Symmetric matrix K[i,j] = trace(ad_Xi ad_Xj)."""
-        ads = [self.adjoint(np.eye(3)[i]) for i in range(3)]
-        # the products overflow once a row's parameters come near the square root of the largest float
-        with np.errstate(over="ignore", invalid="ignore"):
-            K = np.array([[np.trace(ads[i] @ ads[j]) for j in range(3)] for i in range(3)])
-            K = 0.5 * (K + K.T)
-        if not np.isfinite(K).all():
+        """Symmetric matrix K[i,j] = trace(ad_Xi ad_Xj), on Python floats off the table rows.
+
+        Column l of ad_Xi is [Xi, Xl]: a table row, its negation 0.0 - t, or zero.  Each diagonal
+        entry of ad_Xi ad_Xj, then the trace, is summed from 0.0 left to right; K is 0.5 (K + K^T).
+        """
+        rows, zero = {(0, 1): self.b12, (0, 2): self.b13, (1, 2): self.b23}, (0.0, 0.0, 0.0)
+        ads = [[rows.get((i, l)) or tuple(0.0 - t for t in rows.get((l, i), zero)) for l in range(3)]
+               for i in range(3)]  # ads[i][l][m] = ad_Xi[m][l]
+        diag = lambda a, b, m: 0.0 + a[0][m] * b[m][0] + a[1][m] * b[m][1] + a[2][m] * b[m][2]
+        K = [[0.0 + diag(a, b, 0) + diag(a, b, 1) + diag(a, b, 2) for b in ads] for a in ads]
+        K = [[0.5 * (K[i][j] + K[j][i]) for j in range(3)] for i in range(3)]
+        if not all(map(math.isfinite, K[0] + K[1] + K[2])):  # products past the float range are inf
             raise ValueError(f"the Killing form of {self.label} is out of float range: its entries overflow")
-        return K
+        return np.array(K)
 
 
 def killing_axes(K) -> tuple[tuple[float, float, float], np.ndarray, float]:

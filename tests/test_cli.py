@@ -412,6 +412,22 @@ def test_bad_inputs_are_named_usage_errors(argv, message):
     assert message in proc.stderr and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_a_table_whose_reader_leaves_early_is_a_usage_error_without_a_traceback(unbuffered):
+    # about 170 kB of text, well past a pipe's and stdout's buffers, so the child is still
+    # writing when the reader closes its end after one line
+    env = {k: v for k, v in _ENV.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen([sys.executable, "-W", "error", "-m", "sublorentz.cli", "table", "--samples", "150",
+                             "--format", "text"], stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                            env={**env, "PYTHONUNBUFFERED": "1"} if unbuffered else env)
+    assert proc.stdout.readline().startswith("# classification verdicts")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == EXIT_USAGE
+    assert err == ""  # no traceback, and no "Exception ignored" from the exit flush
+
+
 @pytest.mark.parametrize("row,target,code", [
     (["4", "--tau", "-1e4"], "[0.001,0,0]", EXIT_OK), (["7", "--tau", "-1e4"], "[0,0,1]", EXIT_NOT_FOUND),
     (["4", "--tau", "-1e30"], "[0,0,1]", EXIT_NOT_FOUND), (["7", "--tau", "1e8"], "[0,0,1]", EXIT_NOT_FOUND),

@@ -1,10 +1,12 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sublorentz import sl2cover
 from sublorentz.liealg3 import CASE_IDS, SL2_CASES, LieAlgebra3, SubLorentzCase, from_case, killing_axes
 from sublorentz.oracle import sample_case
 
@@ -70,11 +72,6 @@ def _reference_bracket(alg, v, w) -> np.ndarray:
     return out
 
 
-def _reference_adjoint(alg, v) -> np.ndarray:
-    eye = np.eye(3)
-    return np.column_stack([_reference_bracket(alg, v, eye[j]) for j in range(3)])
-
-
 def _unchecked(b12, b13, b23) -> LieAlgebra3:
     # the bracket formula holds for any table, so this one skips the Jacobi check
     alg = object.__new__(LieAlgebra3)
@@ -90,13 +87,10 @@ _triple = st.tuples(_entry, _entry, _entry)
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(table=st.tuples(_triple, _triple, _triple), v=_triple, w=_triple)
-def test_bracket_and_adjoint_match_the_array_formula_bit_for_bit(table, v, w):
+def test_bracket_matches_the_array_formula_bit_for_bit(table, v, w):
     alg = _unchecked(*table)
     got, want = alg.bracket(v, w), _reference_bracket(alg, v, w)
     assert got.dtype == want.dtype and got.shape == want.shape == (3,)
-    assert got.tobytes() == want.tobytes()
-    got, want = alg.adjoint(v), _reference_adjoint(alg, v)
-    assert got.shape == want.shape == (3, 3)
     assert got.tobytes() == want.tobytes()
 
 
@@ -106,22 +100,47 @@ def test_bracket_rejects_non_finite_vectors(bad):
     for v, w in (([bad, 0, 0], [0, 1, 0]), ([1, 0, 0], [0, bad, 0])):
         with pytest.raises(ValueError, match="non-finite"):
             alg.bracket(v, w)
-    with pytest.raises(ValueError, match="non-finite"):
-        alg.adjoint([0, 0, bad])
+
+
+def _structure_constant(alg, k, i, l) -> float:
+    """C^k_il, component k of [Xi, Xl], off the table."""
+    rows = {(0, 1): alg.b12, (0, 2): alg.b13, (1, 2): alg.b23}
+    if i == l:
+        return 0.0
+    return rows[i, l][k] if i < l else -rows[l, i][k]
 
 
 def _closed_form_killing(alg) -> tuple[np.ndarray, np.ndarray]:
     """K[i,j] = sum over k, l of C^k_il C^l_jk off the table, with the sum of |terms| per entry."""
-    rows = {(0, 1): alg.b12, (0, 2): alg.b13, (1, 2): alg.b23}
-
-    def C(k, i, l):  # component k of [Xi, Xl]
-        if i == l:
-            return 0.0
-        return rows[i, l][k] if i < l else -rows[l, i][k]
-
+    C = lambda k, i, l: _structure_constant(alg, k, i, l)
     terms = np.array([[[C(k, i, l) * C(l, j, k) for k in range(3) for l in range(3)]
                        for j in range(3)] for i in range(3)])
     return np.array([[math.fsum(t) for t in row] for row in terms]), np.abs(terms).sum(axis=2)
+
+
+def _exact_killing(alg, i, j) -> tuple[Fraction, Fraction]:
+    """The exact sum over k, l of C^k_il C^l_jk, and the exact sum of its terms' magnitudes."""
+    C = lambda k, i, l: Fraction(_structure_constant(alg, k, i, l))
+    terms = [C(k, i, l) * C(l, j, k) for k in range(3) for l in range(3)]
+    return sum(terms, Fraction(0)), sum(map(abs, terms), Fraction(0))
+
+
+# a term passes one product, two sums into its diagonal entry, two into the trace and the
+# symmetrizing sum: six roundings of unit 2^-53, plus the nine products' underflow
+_GAMMA6, _UNDERFLOW = Fraction(6, 2**53 - 6), 9 * Fraction(2) ** -1074
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(table=st.tuples(_triple, _triple, _triple))
+@example(table=(sl2cover.ALGEBRA.b12, sl2cover.ALGEBRA.b13, sl2cover.ALGEBRA.b23))
+def test_killing_form_is_bitwise_symmetric_and_within_the_summation_bound_of_the_exact_sum(table):
+    alg = _unchecked(*table)
+    K = alg.killing_form()
+    assert K.shape == (3, 3) and K.tobytes() == np.ascontiguousarray(K.T).tobytes()
+    for i in range(3):
+        for j in range(3):
+            exact, size = _exact_killing(alg, i, j)
+            assert abs(Fraction(K[i, j]) - exact) <= _GAMMA6 * size + _UNDERFLOW, (i, j, K[i, j], float(exact))
 
 
 def test_killing_form_is_symmetric_and_matches_the_closed_form():

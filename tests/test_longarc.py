@@ -1280,17 +1280,48 @@ print(json.dumps(out))
 """
 
 
-@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
-                    reason="OPENBLAS_CORETYPE names x86-64 kernels")
-def test_solve_floats_do_not_depend_on_the_blas_kernel():
-    # Prescott's kernels have no fused multiply-add; an AVX2 or AVX-512 host picks ones that do
+def _under_both_kernels(probe: str) -> list[str]:
+    """What ``probe`` prints in a child interpreter under the host's default BLAS kernel, then under
+    Prescott's, which has no fused multiply-add where an AVX2 or AVX-512 host picks ones that do."""
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.join(os.path.dirname(__file__), "..", "src"),
                                                       env.get("PYTHONPATH")]))
-    out = [subprocess.run([sys.executable, "-c", _KERNEL_PROBE], env=e, capture_output=True, text=True, check=True)
-           .stdout for e in (env, {**env, "OPENBLAS_CORETYPE": "Prescott"})]
+    return [subprocess.run([sys.executable, "-c", probe], env=e, capture_output=True, text=True, check=True)
+            .stdout for e in (env, {**env, "OPENBLAS_CORETYPE": "Prescott"})]
+
+
+_X86_64_ONLY = pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                                  reason="OPENBLAS_CORETYPE names x86-64 kernels")
+
+
+@_X86_64_ONLY
+def test_solve_floats_do_not_depend_on_the_blas_kernel():
+    out = _under_both_kernels(_KERNEL_PROBE)
     assert out[0] == out[1]
     assert len(json.loads(out[0])) == 2
+
+
+# the Killing forms of seeded draws of rows 6, 8 and 19, and a row 19 cover frame: numpy's
+# matrix products took fused multiply-adds on some kernels and read otherwise on these
+_KILLING_PROBE = """
+import numpy as np
+from sublorentz.liealg3 import SubLorentzCase, from_case
+from sublorentz.longarc import sl2_cover_frame
+from sublorentz.oracle import sample_case
+rng = np.random.default_rng(1729)
+for cid in ("6", "8", "19"):
+    for i in range(60):
+        print(cid, i, from_case(sample_case(cid, rng, i)).killing_form().tobytes().hex())
+frame = sl2_cover_frame(from_case(SubLorentzCase("19", kappa=1.1905580696825613, chi=-0.7963636471793467)))
+print([[x.hex() for x in row] for row in frame])
+"""
+
+
+@_X86_64_ONLY
+def test_the_killing_form_and_the_cover_frame_do_not_depend_on_the_blas_kernel():
+    out = _under_both_kernels(_KILLING_PROBE)
+    assert out[0] == out[1]
+    assert len(out[0].splitlines()) == 181
 
 
 @settings(max_examples=300, deadline=None)
