@@ -195,7 +195,8 @@ class SubLorentzCase:
         k, t, x = self.kappa, self.tau, self.chi
         need = lambda name, val: self._require(val is not None, f"case {cid} requires {name}")
         if cid == "1":
-            self._require(_is_zero(k), "case 1 requires kappa = 0")
+            # exactly: from_case ignores kappa here, so a tiny one would be echoed but not used
+            self._require(k is None or k == 0.0, "case 1 requires kappa = 0")
         elif cid in ("2", "2*"):
             need("kappa", k)
             self._require(not _is_zero(k), f"case {cid} requires kappa != 0")

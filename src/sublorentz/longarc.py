@@ -45,6 +45,12 @@ loop block, a repeat count and a base curve.  The search scores candidates
 per run of equal rows, a constant one straight from its (r, b) pair (one run
 element and no product) and a one-row move from the runs of the kept
 candidate, and its endpoint error is a plain sum of squares on Python floats.
+On the semidirect model an element's first coordinate t is a homomorphism
+G -> R, so a candidate's endpoint t is its runs' h (f . u) summed in the
+products' order, with no exponential, and sqrt(d^2), d = t - the target's t,
+is a lower bound on its endpoint error that holds in floats.  A grid
+candidate or a descent move that this bound shows can neither become the
+best nor be kept is counted but not stepped, and no output byte changes.
 Its random restarts draw from ``random.Random``.
 """
 
@@ -843,8 +849,11 @@ class _Search:
     :func:`length` does, and scores are the floats of :func:`integrate` and
     :func:`length` on the curve afresh, up to a zero's sign; an overflowing
     exponential, RK4 row or product, or a non-finite endpoint, scores inf error.
-    Each candidate counts as one evaluation of the budget, also one a descent
-    does not step (see ``_descend``); ``rollouts`` counts those stepped.
+    Each candidate counts as one evaluation of the budget, also one that is
+    not stepped (see ``_descend`` and :meth:`rollout`): before any step, a
+    candidate's length, and on the semidirect model a lower bound lb on its
+    endpoint error read off its endpoint's t, can show that it neither
+    becomes the best nor is kept.  ``rollouts`` counts those stepped.
     """
 
     # Feasible candidates are ranked by length minus a multiple of the endpoint
@@ -863,6 +872,8 @@ class _Search:
         #: candidates stepped to their endpoint, out of ``evals``
         self.rollouts = 0
         self.tcoords = self.model.coords(target)
+        #: f, the semidirect frame's first row: a row u's exponential over h has t = h (f . u)
+        self._tf = self.model._frame[0] if isinstance(self.model, SemidirectModel) else None
         self.best: Optional[tuple[float, list, float]] = None
         self.best_rank = -math.inf  # that of ``best``, which a candidate must beat to replace it
         # the kept candidate: runs (start, row, count, element, row value, start state), none once
@@ -885,28 +896,27 @@ class _Search:
             err = _distance(coords, target)
         return err if math.isfinite(err) else math.inf
 
-    def rollout(self, theta: list, row: Optional[int] = None,
-                bar: float = -math.inf) -> tuple[float, Optional[float]]:
+    def rollout(self, theta: list, row: Optional[int] = None, mu: float = 0.0,
+                bar: Optional[float] = None, cap: float = math.inf) -> tuple[float, float]:
         """(length, endpoint error) of theta, the candidate :meth:`keep` then keeps; with
         ``row``, theta is the kept candidate with the pair of that row moved.
 
-        A length at most ``bar`` and at most the best rank rules the candidate out before it
-        is stepped: its score and its rank are at most its length.  It is then (length, None),
-        and :meth:`keep` cannot keep it."""
+        A candidate is ruled out before it is stepped when it cannot become the best and its
+        caller would not keep it, as a lower bound lb on its endpoint error e shows: its rank
+        ell - 10 e is at most ell - 10 lb, and its score ell - mu e^2 at most ell - mu lb^2.
+        That is when lb is above ``ENDPOINT_TOL`` or ell - 10 lb is at most the best rank, and
+        either ell - mu lb^2 is at most ``bar`` (a descent's move) or lb is above ``cap`` (the
+        grid's third least error so far).  It is then (ell, lb), and :meth:`keep` cannot keep
+        it.  lb = 0 rules out a move whose length is at most the bar and the best rank.  On the
+        semidirect model lb is sqrt(d^2), d = t - the target's t, t the endpoint's first
+        coordinate, whose runs' h (f . u) are summed in the order of the rollout's products
+        with no exponential: at most ``_error``'s sqrt(d^2 + ...), as rounding is monotone."""
         self._cand = None
-        if len(theta) == 2:
-            u, dt, n = _control(theta[0], theta[1], self.b_max), self.dt, self.n
-            ell = n * self.nu(u) * dt
-            if ell <= bar and ell <= self.best_rank:
-                return ell, None
-            self.rollouts += 1
-            self._cand = (0, None, None)  # kept, a single pair leaves no runs to move from
-            try:
-                return ell, self._error(self.model.run(u, n, dt))
-            except OverflowError:
-                return ell, math.inf
         model, runs, dt, b_max = self.model, self._runs, self.dt, self.b_max
-        if row is None or not runs:
+        if len(theta) == 2:
+            u, n = _control(theta[0], theta[1], b_max), self.n
+            ell, new = n * self.nu(u) * dt, None
+        elif row is None or not runs:
             j0, j1 = 0, len(runs)
             rows = [_control(r, b, b_max) for r, b in zip(theta[::2], theta[1::2])]
             new = [(s, u, k, None, self.nu(u), None) for s, u, k in _runs(rows)]
@@ -931,12 +941,36 @@ class _Search:
             if not right and i + 1 < s + k:
                 after = _control(theta[2 * i + 2], theta[2 * i + 3], b_max)
                 new.append((i + 1, after, s + k - i - 1, None, value, None))
-        rest = runs[j1:]
-        ell = _total(k * v for _, _, k, _, v, _ in itertools.chain(runs[:j0], new, rest)) * dt
-        if ell <= bar and ell <= self.best_rank:
-            return ell, None
+        if new is not None:
+            rest = runs[j1:]
+            ell = _total(k * v for _, _, k, _, v, _ in itertools.chain(runs[:j0], new, rest)) * dt
+            x = runs[j0][5] if runs else model.identity()
+        if bar is not None and ell <= bar and ell <= self.best_rank:
+            return ell, 0.0
+        tf = self._tf
+        if tf and (bar is not None or cap < math.inf):
+            f0, f1, f2 = tf
+            if new is None:
+                t = n * dt * (f0 * u[0] + f1 * u[1] + f2 * u[2])
+            else:  # from the start state's t, each run's as the products sum them
+                t = x[0]
+                for _, u, k, _, _, _ in new:
+                    t += k * dt * (f0 * u[0] + f1 * u[1] + f2 * u[2])
+                for run in rest:
+                    t += run[3][0]
+            d = t - self.tcoords[0]
+            lb = math.sqrt(d * d)
+            if (lb > ENDPOINT_TOL or ell - self.ERR_WEIGHT * lb <= self.best_rank) and (
+                    (bar is not None and ell - mu * lb * lb <= bar) or lb > cap):
+                return ell, lb
         self.rollouts += 1
-        last, out, x = self._last, [], runs[j0][5] if runs else model.identity()
+        if new is None:
+            self._cand = (0, None, None)  # kept, a single pair leaves no runs to move from
+            try:
+                return ell, self._error(model.run(u, n, dt))
+            except OverflowError:
+                return ell, math.inf
+        last, out = self._last, []
         try:
             for s, u, k, inc, value, _ in itertools.chain(new, rest):
                 old = last.get(s, (None,) * 6)  # the last candidate's run here lends its element
@@ -966,14 +1000,14 @@ class _Search:
             raise _BudgetExhausted
         self.evals += 1
 
-    def score(self, theta: list, mu: float, row: Optional[int] = None, bar: float = -math.inf) -> float:
+    def score(self, theta: list, mu: float, row: Optional[int] = None, bar: Optional[float] = None,
+              cap: float = math.inf) -> float:
         """The value length - mu error^2 of theta (see :meth:`rollout`), which may replace the
-        best; a candidate that ``bar`` rules out scores its length, at most ``bar``."""
+        best.  A candidate ruled out scores with its error's lower bound in place of its error:
+        at most ``bar``, or with ``last`` recording an error above ``cap``, and never the best."""
         self.count()
-        ell, err = self.rollout(theta, row, bar)
+        ell, err = self.rollout(theta, row, mu, bar, cap)
         self.last = (ell, err)
-        if err is None:
-            return ell
         if err <= ENDPOINT_TOL and math.isfinite(ell):
             rank = ell - self.ERR_WEIGHT * err
             if rank > self.best_rank:
@@ -994,8 +1028,9 @@ class _Search:
         #   holds the point just left, which scores below the new current.  Values
         #   that compare equal give control rows that compare equal (a zero b's sign
         #   only signs r b = 0), which the rollout already scores alike (its u == w);
-        # * a move whose length is at most the bar current + margin and at most the
-        #   best rank (see rollout).
+        # * a move that cannot become the best and whose score is at most the bar
+        #   current + margin by a bound known before any step: its length, less
+        #   mu lb^2 where the model gives an error bound lb (see rollout).
         used = 1
         current = self.score(x, mu)
         self.keep()
@@ -1050,9 +1085,13 @@ def maximize(structure: CaseStructure, target, n_steps: int = 24, budget: int = 
     fixed deterministic sequence for a given seed; the budget only truncates
     it, so the set of evaluated candidates grows with the budget and the
     reported best length is nondecreasing in it.  Every candidate of the stream
-    is one evaluation, also one that a descent does not step because it would
-    change neither the descent's path nor the best (``rollouts`` counts those
-    stepped).  A curve counts as reaching the target when its endpoint is
+    is one evaluation, also one that is not stepped because it would change
+    neither the search's path nor the best (``rollouts`` counts those stepped):
+    a descent move whose length, less mu lb^2, is at most the descent's bar,
+    and a grid candidate whose error bound lb is above the third least grid
+    error so far, which is ranked by lb and so stays out of the grid's first
+    three (lb being the semidirect model's bound of :meth:`_Search.rollout`,
+    0 on the others).  A curve counts as reaching the target when its endpoint is
     within 1e-4 of it in group coordinates; if no candidate gets that close the
     result is marked not found.  A candidate far enough out overflows in floats
     and scores as infeasible.  The candidates are control rows [r, r b, 0], with
@@ -1076,13 +1115,20 @@ def maximize(structure: CaseStructure, target, n_steps: int = 24, budget: int = 
         if log_theta is not None:
             search.score(log_theta, 1e8)
 
-        # constant-control sweep over the compact slab, ranked by endpoint error
+        # constant-control sweep over the compact slab, ranked by endpoint error.  A candidate
+        # whose error bound is above the third least error so far cannot be among the first
+        # three: where it cannot become the best either, it is ranked by that bound unstepped
         r_hi = 3.0 if log_u is None else max(2.5, 2.5 * math.sqrt(_dot(log_u, log_u)))
         grid: list[tuple[float, list]] = []
+        least = [math.inf] * 3
         for r in _grid(0.15, r_hi, 12):
             for b in _grid(-0.95, 0.95, 13):
-                search.score([r, b], 1e4)
-                grid.append((search.last[1], [r, b]))
+                search.score([r, b], 1e4, cap=least[2])
+                err = search.last[1]
+                grid.append((err, [r, b]))
+                if err < least[2]:
+                    bisect.insort(least, err)
+                    least.pop()
         grid.sort(key=lambda t: t[0])
 
         refined: list[list] = []

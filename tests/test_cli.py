@@ -403,6 +403,8 @@ def test_witness_for_a_huge_length_is_fast_and_small():
        "a --subspace basis vector must be three finite numbers") for subspace in ("[[1,2]]", "[[NaN,0,1]]", "[1,0,0]")],
     (["cone", "intersect", "--cone", '{"kind":"segment","u1":[1,0,0],"u2":[0,1,0]}', "--subspace", "5"],
      "--subspace must be a JSON list of basis vectors"),
+    # row 1's algebra takes no kappa, so a tiny one is not rounded to zero and echoed unused
+    (["check", "--case", "1", "--kappa", "1e-13"], "case 1 requires kappa = 0"),
 ])
 def test_bad_inputs_are_named_usage_errors(argv, message):
     proc = subprocess.run([sys.executable, "-m", "sublorentz.cli", *argv],

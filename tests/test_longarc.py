@@ -965,12 +965,14 @@ def test_a_constant_candidate_scores_as_its_full_theta(structure_args, n, moves)
        hs.integers(1, 8), hs.floats(0.5, 1.5), hs.floats(0.5, 1.5), hs.sampled_from([1e4, 1e6, 1e8]),
        hs.data())
 def test_a_candidate_that_its_length_rules_out_could_not_pay(structure_args, n, bar_scale, rank_scale, mu, data):
-    # a candidate whose length is at most the bar and the best rank is not stepped: stepped
-    # in full, its score is at most the bar and its rank at most the best rank, and keep()
-    # leaves the kept candidate as it was.  A move that was stepped, scored again from the
-    # same kept candidate after others, gives the same floats
+    # a candidate that its length, less mu lb^2 on the semidirect rows, rules out is not
+    # stepped: it is (length, lb) with lb at most its error, it scores at most the bar,
+    # stepped in full its score is at most the bar and it cannot become the best, and
+    # keep() leaves the kept candidate as it was.  A move that was stepped, scored again
+    # from the same kept candidate after others, gives the same floats
     st = build_structure(*structure_args)
     search = _search(st, n)
+    search.budget = math.inf
     kept = data.draw(runs_of_pairs(n))
     ell, _ = search.rollout(_listed(kept))
     search.keep()
@@ -986,17 +988,24 @@ def test_a_candidate_that_its_length_rules_out_could_not_pay(structure_args, n, 
             pair = data.draw(_theta_rows)
             theta = np.tile(pair, (n, 1))
             args = (list(pair), None)
-        got = search.rollout(*args, bar)
+        rank, rollouts = search.best_rank, search.rollouts
+        got = search.rollout(*args, mu, bar)
         fresh = _fresh_score(st, search, theta)
-        if got[1] is None:
+        if search.rollouts == rollouts and got is not search._score:  # not the kept score of an unmoved row
             full, err = (float.fromhex(h) for h in fresh)
-            assert got[0].hex() == fresh[0] and got[0] <= bar and got[0] <= search.best_rank
-            assert full - mu * err * err <= bar and full - _Search.ERR_WEIGHT * err <= search.best_rank
+            lb = got[1]
+            assert got[0].hex() == fresh[0] and 0.0 <= lb <= err
+            assert search.score(args[0], mu, args[1], bar) == got[0] - mu * lb * lb <= bar
+            assert search.last == got and search.best_rank == rank and search.rollouts == rollouts
+            assert full - mu * err * err <= bar
+            assert err > ENDPOINT_TOL or full - _Search.ERR_WEIGHT * err <= rank
+            if not isinstance(st.model, SemidirectModel):
+                assert lb == 0.0
         else:
             assert _hex(got) == fresh, kind
             stepped.append((args, got))
         if data.draw(hs.booleans()):
-            if got[1] is not None:
+            if search.rollouts > rollouts:
                 # before the kept candidate changes, the others again, then this one to keep
                 for again, score in stepped[-2::-1] + stepped[-1:]:
                     assert _hex(search.rollout(*again)) == _hex(score)
@@ -1004,6 +1013,54 @@ def test_a_candidate_that_its_length_rules_out_could_not_pay(structure_args, n, 
             search.keep()
     for again, score in stepped[::-1]:
         assert _hex(search.rollout(*again)) == _hex(score)
+
+
+@settings(max_examples=200, deadline=None)
+@given(hs.sampled_from(["1", "2*", "3", "12", "13", "7"]), hs.integers(0, 2**32 - 1), hs.integers(1, 8),
+       hs.data())
+def test_the_error_bound_is_the_endpoints_t_and_at_most_its_error(cid, seed, n, data):
+    # ruled out whatever its bound (best rank inf, cap -1), a candidate is (length, lb) with no
+    # step.  lb is sqrt(d^2), d = t - the target's t, t the first coordinate of its curve's
+    # endpoint integrated afresh, bit for bit: against the target's t and against a target t
+    # of 0, where it is |t|.  lb is at most the error stepped in full.  Moves are drawn from a
+    # kept candidate, which each stepped candidate may become
+    st = build_structure(sample_case(cid, np.random.default_rng(seed), 0))
+    search = _search(st, n)
+    target = search.tcoords
+    kept = data.draw(runs_of_pairs(n))
+    search.rollout(_listed(kept))
+    search.keep()
+    for kind in data.draw(hs.lists(hs.sampled_from(["move"] * 3 + ["constant"]), min_size=1, max_size=8)):
+        if kind == "move":
+            i, pair = _moved_row(data, kept)
+            theta = kept.copy()
+            theta[i] = pair
+            args = (_listed(theta), i)
+        else:
+            pair = data.draw(_theta_rows)
+            theta = np.tile(pair, (n, 1))
+            args = (list(pair), None)
+        search.best_rank, rollouts, bounds = math.inf, search.rollouts, []
+        for t_target in (target[0], 0.0):
+            search.tcoords = (t_target,) + target[1:]
+            bounds.append(search.rollout(*args, cap=-1.0))
+        search.tcoords, search.best_rank = target, -math.inf
+        if bounds[0] is search._score:  # the move leaves its row as it was: the kept score
+            continue
+        full, err = search.rollout(*args)
+        assert search.rollouts == rollouts + 1
+        assert all(ell == full for ell, _ in bounds) and bounds[0][1] <= err
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                t = st.model.coords(integrate(ControlCurve(search.dt, _controls(theta), st)).endpoint)[0]
+            except OverflowError:
+                assert err == math.inf
+            else:
+                d = t - target[0]
+                assert [lb.hex() for _, lb in bounds] == [math.sqrt(d * d).hex(), math.sqrt(t * t).hex()]
+        if data.draw(hs.booleans()):
+            search.keep()
+            kept = theta
 
 
 def _counted(monkeypatch, cls, name) -> list:
@@ -1553,28 +1610,43 @@ def _probe_target(st, rng, n: int, runs: int):
     return integrate(ControlCurve(1.0 / n, [rows[0]] * head + [rows[1]] * (n - head), st)).endpoint
 
 
-def _spied_solve(monkeypatch, st, target, n: int, budget: int, seed: int):
-    """maximize with the numbers of the evaluations that were counted without a rollout
-    (skipped) and of those whose rollout stopped at the bound (pruned)."""
-    counted, rolled, pruned = [], set(), []
-    count, rollout = _Search.count, _Search.rollout
+def _spied_solve(monkeypatch, st, target, n: int, budget: int, seed: int, bound: bool = True):
+    """maximize, with the numbers of the evaluations that were counted without a rollout
+    (skipped), those whose rollout ruled them out before any step (pruned), each with its
+    kind, the grid's or the descents', and the search's path: the start and arguments of each
+    descent, the constant descents' starts being the grid's first three.  With ``bound`` off
+    the search has no endpoint t, so its error bound is 0 and only the length rules out."""
+    counted, rolled, pruned, path = [], set(), {}, []
+    count, rollout, descend, init = _Search.count, _Search.rollout, _Search._descend, _Search.__init__
 
     def spy_count(self):
         count(self)
         counted.append(self.evals)
 
-    def spy_rollout(self, *args):
+    def spy_rollout(self, theta, row=None, mu=0.0, bar=None, cap=math.inf):
         rolled.add(self.evals)
-        out = rollout(self, *args)
-        if out[1] is None:
-            pruned.append(self.evals)
+        rollouts = self.rollouts
+        out = rollout(self, theta, row, mu, bar, cap)
+        if self.rollouts == rollouts and out is not self._score:  # not the kept score of an unmoved row
+            pruned[self.evals] = "grid" if bar is None else "descents"
         return out
+
+    def spy_descend(self, x, *args):
+        path.append((list(x), args))
+        return descend(self, x, *args)
+
+    def init_without_t(self, *args):
+        init(self, *args)
+        self._tf = None
 
     with monkeypatch.context() as m:
         m.setattr(_Search, "count", spy_count)
         m.setattr(_Search, "rollout", spy_rollout)
+        m.setattr(_Search, "_descend", spy_descend)
+        if not bound:
+            m.setattr(_Search, "__init__", init_without_t)
         res = maximize(st, target, n_steps=n, budget=budget, seed=seed)
-    return res, [e for e in counted if e not in rolled], pruned
+    return res, [e for e in counted if e not in rolled], pruned, path
 
 
 @pytest.mark.parametrize("cid, index, n, budget", _DESCENT_ROWS)
@@ -1588,9 +1660,9 @@ def test_the_descents_give_the_bytes_of_the_loop_that_scores_every_move(monkeypa
         rng = np.random.default_rng(seed)
         st = build_structure(sample_case(cid, rng, index))
         target = _probe_target(st, rng, n, runs)
-        res, skipped, pruned = _spied_solve(monkeypatch, st, target, n, budget, seed)
+        res, skipped, pruned, _ = _spied_solve(monkeypatch, st, target, n, budget, seed)
         assert 0 < res.rollouts <= res.evaluations - len(skipped) - len(pruned)
-        budgets = [budget] + [evals[len(evals) // 2] for evals in (skipped, pruned) if evals]
+        budgets = [budget] + [evals[len(evals) // 2] for evals in (skipped, sorted(pruned)) if evals]
         kinds.update(kind for kind, evals in (("skipped", skipped), ("pruned", pruned)) if evals)
         for b in budgets:
             got = maximize(st, target, n_steps=n, budget=b, seed=seed)
@@ -1600,6 +1672,32 @@ def test_the_descents_give_the_bytes_of_the_loop_that_scores_every_move(monkeypa
             assert json.dumps(got.to_json()) == json.dumps(want.to_json()), (seed, b)
             assert got.evaluations == want.evaluations == b
     assert kinds == {"skipped", "pruned"}
+
+
+@pytest.mark.parametrize("cid", ["1", "3", "12", "13"])
+def test_the_error_bound_rules_out_candidates_without_changing_a_byte(monkeypatch, cid):
+    # ruling grid candidates and descent moves out by the error bound changes no byte, no
+    # count and no descent's start: those of the search with the bound off, for budgets that
+    # end inside the grid (at 60, and at 157, where it ends after the log start), on a
+    # candidate of each kind that only the bound rules out, and at the full budget.  The
+    # target of one run is found from the log start, that of two runs is not found at all
+    rng = np.random.default_rng(5)
+    st = build_structure(sample_case(cid, rng, 0))
+    n, budget, seed = 8, 1600, 7
+    for runs in (1, 2):
+        target = _probe_target(st, rng, n, runs)
+        _, _, pruned, _ = _spied_solve(monkeypatch, st, target, n, budget, seed)
+        _, _, by_length, _ = _spied_solve(monkeypatch, st, target, n, budget, seed, bound=False)
+        assert by_length.items() <= pruned.items()
+        by_bound = {kind: sorted(e for e, k in pruned.items() if k == kind and e not in by_length)
+                    for kind in ("grid", "descents")}
+        assert by_bound["grid"] and by_bound["descents"]
+        for b in [60, 157] + [evals[len(evals) // 2] for evals in by_bound.values()] + [budget]:
+            got, _, _, path = _spied_solve(monkeypatch, st, target, n, b, seed)
+            want, _, _, want_path = _spied_solve(monkeypatch, st, target, n, b, seed, bound=False)
+            assert json.dumps(got.to_json()) == json.dumps(want.to_json()) and path == want_path, (runs, b)
+            assert got.evaluations == want.evaluations == b and got.rollouts <= want.rollouts
+        assert got.found == (runs == 1) and len(path) > 3 and got.rollouts < want.rollouts
 
 
 def test_the_heisenberg_cli_solve_steps_at_most_half_its_candidates():
