@@ -101,7 +101,7 @@ def killing_containment(algebra: LieAlgebra3, cone: SegmentCone = DEFAULT_CONE) 
     if not isinstance(cone, SegmentCone) or math.isinf(cone.half_width):
         raise ValueError("the containment test needs a planar segment cone of finite width")
     # u K v as (u K) . v; K is symmetric, so (u K)_j is its row j dotted with u
-    u1, u2, K = cone.u1, cone.u2, K.tolist()
+    u1, u2 = cone.u1, cone.u2
     u1K, u2K = [_dot(u1, row) for row in K], [_dot(u2, row) for row in K]
     k11, k12, k22 = _dot(u1K, u1), _dot(u1K, u2), _dot(u2K, u2)
     h = cone.half_width
@@ -140,4 +140,4 @@ def witness_is_valid(algebra: LieAlgebra3, cone: SolidCone, witness) -> bool:
     """Check a covector certificate: strict dual membership plus annihilation."""
     p = _vec3(witness)
     return dual_contains(cone, p, strict=True) and all(
-        abs(_dot(row, p)) <= ZERO_TOL for row in algebra.derived_subalgebra().tolist())
+        abs(_dot(row, p)) <= ZERO_TOL for row in algebra.derived_subalgebra())

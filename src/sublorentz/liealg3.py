@@ -15,13 +15,15 @@ Each row gives its five coefficients (c, a12, a21, b1, b2) in terms of its
 parameters, and the bracket table is built from them directly, so every row
 algebra is in this layout by construction.
 
-The bracket is evaluated on plain Python floats from the three table rows,
-in the fixed order of operations given in :meth:`LieAlgebra3.bracket`, and
-the Jacobi check at construction is built from it.  The Killing form
-trace(ad_Xi ad_Xj) is read off the table rows on plain floats too, its sums
-in the fixed order given in :meth:`LieAlgebra3.killing_form`, so none of its
+Every result is plain Python floats, and no caller converts one: the
+bracket is a tuple of three, evaluated from the three table rows in the
+fixed order of operations given in :meth:`LieAlgebra3.bracket`, and the
+Jacobi check at construction is built from it.  The Killing form
+trace(ad_Xi ad_Xj) is a tuple of rows read off the table rows, its sums in
+the fixed order given in :meth:`LieAlgebra3.killing_form`, so none of its
 floats goes through BLAS.  :func:`killing_axes` reads the Killing
-eigenvalues and axes off the layout's K13 = K23 = 0 in closed form.
+eigenvalues and axes (tuples) off the layout's K13 = K23 = 0 in closed
+form.  The derived subalgebra's orthonormal rows come from one SVD, as lists.
 """
 
 from __future__ import annotations
@@ -55,6 +57,9 @@ SL2_CASES = frozenset({"2", "6", "8", "10", "19"})
 #: Row whose group is SU2 (compact; carries closed timelike loops).
 SU2_CASE = "9"
 
+#: The basis X1, X2, X3 as coordinate rows.
+_EYE = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+
 
 @dataclass(frozen=True)
 class LieAlgebra3:
@@ -75,7 +80,7 @@ class LieAlgebra3:
         if defect > ZERO_TOL:
             raise ValueError(f"structure constants violate the Jacobi identity (defect {defect:.3e})")
 
-    def bracket(self, v, w) -> np.ndarray:
+    def bracket(self, v, w) -> tuple[float, float, float]:
         """Bilinear antisymmetric extension of the basis bracket table.
 
         Evaluated on Python floats: the coefficient t_ij = v_i w_j - v_j w_i
@@ -88,27 +93,27 @@ class LieAlgebra3:
         t12 = v1 * w2 - v2 * w1
         t13 = v1 * w3 - v3 * w1
         t23 = v2 * w3 - v3 * w2
-        return np.array([0.0 + t12 * p + t13 * q + t23 * r
-                         for p, q, r in zip(self.b12, self.b13, self.b23)])
+        return tuple(0.0 + t12 * p + t13 * q + t23 * r for p, q, r in zip(self.b12, self.b13, self.b23))
 
     def jacobi_defect(self) -> float:
-        eye = np.eye(3)
-        j = (
-            self.bracket(self.bracket(eye[0], eye[1]), eye[2])
-            + self.bracket(self.bracket(eye[1], eye[2]), eye[0])
-            + self.bracket(self.bracket(eye[2], eye[0]), eye[1])
-        )
-        return float(np.max(np.abs(j)))
+        """Largest |[[Xi, Xj], Xk] + [[Xj, Xk], Xi] + [[Xk, Xi], Xj]| entry, each summed left to right.
 
-    def derived_subalgebra(self) -> np.ndarray:
+        NaN, as numpy's max gives it, when an entry is NaN: products past the
+        float range are inf, and inf - inf is NaN.
+        """
+        e1, e2, e3 = _EYE
+        defects = [abs(a + b + c) for a, b, c in zip(self.bracket(self.bracket(e1, e2), e3),
+                                                     self.bracket(self.bracket(e2, e3), e1),
+                                                     self.bracket(self.bracket(e3, e1), e2))]
+        return next((d for d in defects if d != d), max(defects))
+
+    def derived_subalgebra(self) -> list[list[float]]:
         """Orthonormal basis (rows) of the span of all basis brackets."""
-        rows = np.array([self.b12, self.b13, self.b23])
-        u, s, vt = np.linalg.svd(rows)
-        rank = int(np.sum(s > RANK_TOL))
-        return vt[:rank]
+        _, s, vt = np.linalg.svd([self.b12, self.b13, self.b23])
+        return vt[:int((s > RANK_TOL).sum())].tolist()
 
-    def killing_form(self) -> np.ndarray:
-        """Symmetric matrix K[i,j] = trace(ad_Xi ad_Xj), on Python floats off the table rows.
+    def killing_form(self) -> tuple[tuple[float, float, float], ...]:
+        """Symmetric matrix K[i,j] = trace(ad_Xi ad_Xj), as rows of Python floats off the table rows.
 
         Column l of ad_Xi is [Xi, Xl]: a table row, its negation 0.0 - t, or zero.  Each diagonal
         entry of ad_Xi ad_Xj, then the trace, is summed from 0.0 left to right; K is 0.5 (K + K^T).
@@ -118,13 +123,13 @@ class LieAlgebra3:
                for i in range(3)]  # ads[i][l][m] = ad_Xi[m][l]
         diag = lambda a, b, m: 0.0 + a[0][m] * b[m][0] + a[1][m] * b[m][1] + a[2][m] * b[m][2]
         K = [[0.0 + diag(a, b, 0) + diag(a, b, 1) + diag(a, b, 2) for b in ads] for a in ads]
-        K = [[0.5 * (K[i][j] + K[j][i]) for j in range(3)] for i in range(3)]
+        K = tuple(tuple(0.5 * (K[i][j] + K[j][i]) for j in range(3)) for i in range(3))
         if not all(map(math.isfinite, K[0] + K[1] + K[2])):  # products past the float range are inf
             raise ValueError(f"the Killing form of {self.label} is out of float range: its entries overflow")
-        return np.array(K)
+        return K
 
 
-def killing_axes(K) -> tuple[tuple[float, float, float], np.ndarray, float]:
+def killing_axes(K) -> tuple[tuple[float, float, float], tuple[tuple[float, float, float], ...], float]:
     """Ascending eigenvalues, axes and scale of an index-1 Killing form of the contact layout.
 
     With K13 = K23 = 0 the eigenvalues are K33 and m +- r, m = (K11 + K22)/2,
@@ -134,7 +139,7 @@ def killing_axes(K) -> tuple[tuple[float, float, float], np.ndarray, float]:
     -8, 8, 8) follow the row, not the eigenvalue order: X3, X1, X2 - (K12/K11) X1
     when K33 < 0, else the block's negative and positive eigenvectors, then X3.
     """
-    (k11, k12, k13), (_, k22, k23), (_, _, k33) = np.asarray(K, dtype=float).tolist()
+    (k11, k12, k13), (_, k22, k23), (_, _, k33) = K
     if not (k13 == 0.0 and k23 == 0.0):
         raise ValueError("the Killing form is not in the contact layout: K13 and K23 must be 0")
     if k12 == 0.0:  # a diagonal block: its eigenvalues and eigenvectors exactly
@@ -150,9 +155,9 @@ def killing_axes(K) -> tuple[tuple[float, float, float], np.ndarray, float]:
     if k33 < 0.0:
         q, t, s1 = k12 / k11, math.sqrt(8.0 / -k33), math.sqrt(8.0 / k11)
         s2 = math.sqrt(8.0 / (k22 - q * k12))
-        return evals, np.array([[0.0, 0.0, t], [s1, 0.0, 0.0], [-q * s2, s2, 0.0]]), scale
+        return evals, ((0.0, 0.0, t), (s1, 0.0, 0.0), (-q * s2, s2, 0.0)), scale
     t, s1, s2 = math.sqrt(8.0 / -lo), math.sqrt(8.0 / hi), math.sqrt(8.0 / k33)
-    return evals, np.array([[-sin * t, cos * t, 0.0], [cos * s1, sin * s1, 0.0], [0.0, 0.0, s2]]), scale
+    return evals, ((-sin * t, cos * t, 0.0), (cos * s1, sin * s1, 0.0), (0.0, 0.0, s2)), scale
 
 
 def _is_zero(x: Optional[float]) -> bool:

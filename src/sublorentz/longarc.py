@@ -19,9 +19,11 @@ subgroup steps, on one of three concrete group realizations:
 
 All three models carry states and frames as plain tuples of Python floats (and
 complex numbers on the cover), and a product is scalar arithmetic with no
-array built.  Every model steps a curve in two parts: ``increment(u, h)``
-does the work that depends on the control row and the duration alone, and
-``step(x, inc)`` advances the state ``x`` with it.  The dynamics are
+array built.  Every model answers one protocol: ``identity()``,
+``exp(u, h)``, ``multiply(x, y)``, ``run(u, k, dt)``, ``run_rows(u, k, dt)``,
+``power(x, k)`` and ``coords(x)``; ``step`` is the one group operation a
+row costs (a product on the exact models, an RK4 row ``step(x, u, dt)`` on
+the cover).  The dynamics are
 left-invariant, so a run of k equal rows from ``x`` ends at ``x`` times the
 element ``run(u, k, dt)`` that the run reaches from the identity, one product
 whatever k is, and its j-th row is ``x`` times ``run(u, j, dt)``.  On the
@@ -72,7 +74,7 @@ import numpy as np
 from . import sl2cover
 from .conegeom import DEFAULT_CONE, ZERO_TOL, SegmentCone, SolidCone, _dot, _vec3, contains
 from .existence import witness_is_valid
-from .liealg3 import (SL2_CASES, SU2_CASE, LieAlgebra3, SubLorentzCase, from_case,
+from .liealg3 import (_EYE, SL2_CASES, SU2_CASE, LieAlgebra3, SubLorentzCase, from_case,
                       killing_axes, su2_loop_period)
 from .sl2cover import CoverElement
 
@@ -86,8 +88,6 @@ ENDPOINT_TOL = 1e-4
 #: at most every row per evaluation, and a loop block (one run) is stepped row
 #: by row and printed.
 MAX_STEPS = 10_000
-
-_EYE = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -230,9 +230,9 @@ class SemidirectModel:
     (t1, q1, E1)(t2, q2, E2) = (t1 + t2, q1 + E1 q2, E1 E2) makes no
     transcendental call.  ``coords`` and ``log`` read only (t, q).
     Exponentials of algebra vectors are available in closed form, so
-    constant-control steps are exact: the increment of a row over a
-    duration h is exp(h u), and a step is one product.  A run of k equal
-    rows is therefore one increment over k dt and one step.
+    constant-control steps are exact: a row u over a duration h reaches
+    exp(h u), and a step is one product.  A run of k equal rows is
+    therefore one exponential over k dt.
     """
 
     def __init__(self, algebra: LieAlgebra3):
@@ -253,7 +253,7 @@ class SemidirectModel:
             v0, v1 = v0 / nv, v1 / nv
             frame, k = ((v1, 0.0 - v0, 0.0), (v0, v1, 0.0), (0.0, 0.0, 1.0)), 2
         self._frame, self._derived = frame, k
-        imgs = [[_dot(row, algebra.bracket(frame[0], ideal).tolist()) for row in frame] for ideal in frame[1:]]
+        imgs = [[_dot(row, algebra.bracket(frame[0], ideal)) for row in frame] for ideal in frame[1:]]
         if not all(map(math.isfinite, itertools.chain(*imgs))):
             raise ValueError(f"the semidirect model of {algebra.label} does not apply: its bracket "
                              "images are out of float range")
@@ -275,18 +275,15 @@ class SemidirectModel:
         return E, S
 
     def exp(self, u, time: float = 1.0):
-        # split and _flow inline, in their float order: the search takes one exponential per candidate
+        # the split inline, in its float order: the search takes one exponential per candidate
         u0, u1, u2 = u
         (f0, f1, f2), (g0, g1, g2), (h0, h1, h2) = self._frame
         a, v0, v1 = f0 * u0 + f1 * u1 + f2 * u2, g0 * u0 + g1 * u1 + g2 * u2, h0 * u0 + h1 * u1 + h2 * u2
-        p, q, r, s = self._act
-        E, S = _exp_flow((a * p, a * q, a * r, a * s), time)
-        if r == s == 0.0 and p:
-            E, S = (E[0], E[1], 0.0, 1.0), (S[0], S[1], 0.0, time)
+        E, S = self._flow(a, time)
         return (time * a, (S[0] * v0 + S[1] * v1, S[2] * v0 + S[3] * v1), E)
 
     def step(self, x, y):
-        """The product x y: a row's increment is its exponential, so a step is one product."""
+        """The product x y: a row over a duration h reaches exp(h u), so a step is one product."""
         t, (p0, p1), (e0, e1, e2, e3) = x
         s, (q0, q1), (f0, f1, f2, f3) = y
         return (t + s, (p0 + (e0 * q0 + e1 * q1), p1 + (e2 * q0 + e3 * q1)),
@@ -324,9 +321,6 @@ class SemidirectModel:
         q0, q1 = x[1]
         return self.unsplit(a, ((S[3] * q0 - S[1] * q1) / det, (S[0] * q1 - S[2] * q0) / det))
 
-    def increment(self, u, dt: float):
-        return self.exp(u, dt)
-
     def coords(self, x) -> tuple:
         return (x[0], x[1][0], x[1][1])
 
@@ -336,9 +330,9 @@ class QuaternionModel:
 
     The case generators map to scaled imaginary units; scaling factors are
     fixed by the case parameters so that commutators reproduce the case
-    bracket table exactly.  A run's element is its k steps folded from the
-    identity, one product per row, in the order the su2 witness's closure
-    error is measured in.
+    bracket table exactly.  A row u over a duration h reaches exp(h u), so a
+    step is one product, and a run's element is its k steps folded from the
+    identity, in the order the su2 witness's closure error is measured in.
     """
 
     def __init__(self, case: SubLorentzCase):
@@ -374,19 +368,16 @@ class QuaternionModel:
             w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
         )
 
-    def increment(self, u, dt: float):
-        return self.exp(u, dt)
-
-    # a row's increment is its exponential, so a step is one product
+    # a row over a duration h reaches exp(h u), so a step is one product
     step = multiply
 
     def run(self, u, k: int, dt: float):
         """The element that a run of k rows u reaches from the identity: k steps folded from it."""
-        return reduce(self.step, itertools.repeat(self.increment(u, dt), k), self.identity())
+        return reduce(self.step, itertools.repeat(self.exp(u, dt), k), self.identity())
 
     def run_rows(self, u, k: int, dt: float) -> list:
         """``run(u, j, dt)`` for j = 1..k: the partial products of those steps."""
-        return list(itertools.accumulate(itertools.repeat(self.increment(u, dt), k), self.step,
+        return list(itertools.accumulate(itertools.repeat(self.exp(u, dt), k), self.step,
                                          initial=self.identity()))[1:]
 
     def power(self, x, k: int):
@@ -407,11 +398,11 @@ def sl2_cover_frame(algebra: LieAlgebra3) -> tuple:
     negated when X1's angle -K(T, X1)/8 would be negative, then S2 when
     S2 K [T, S1] = +-16 is, as su(1,1) has [T, S1] = 2 S2.
     """
-    K = algebra.killing_form().tolist()  # symmetric, so its rows are its columns
-    T, S1, S2 = (axis.tolist() for axis in killing_axes(K)[1])
+    K = algebra.killing_form()  # symmetric, so its rows are its columns
+    T, S1, S2 = killing_axes(K)[1]
     if _dot(T, K[0]) > 0.0:
         T = [-t for t in T]
-    if _dot([_dot(S2, col) for col in K], algebra.bracket(T, S1).tolist()) < 0.0:
+    if _dot([_dot(S2, col) for col in K], algebra.bracket(T, S1)) < 0.0:
         S2 = [-t for t in S2]
     return tuple(tuple(_dot(row, col) / 8.0 for col in K) for row in ([-t for t in T], S1, S2))
 
@@ -419,11 +410,12 @@ def sl2_cover_frame(algebra: LieAlgebra3) -> tuple:
 class CoverModel:
     """Cover coordinates (c, w) with RK4 steps of the left-invariant dynamics.
 
-    The increment of a row is its cover coordinates (the rows of ``frame``
-    times u) as a plain (xi, zeta) pair, with the time step.  A step is
-    classical RK4 on plain floats whose four stage velocities all come from
-    ``sl2cover.push_forward``, each stage base passed as a plain (c, w) pair
-    and each velocity returned as a plain (xi, zeta) pair.
+    ``step(x, u, dt)`` advances ``x`` over one row u of duration dt: it takes
+    u's cover coordinates (the rows of ``frame`` times u) as a plain
+    (xi, zeta) pair, then one classical RK4 step on plain floats whose four
+    stage velocities all come from ``sl2cover.push_forward``, each stage
+    base passed as a plain (c, w) pair and each velocity returned as a plain
+    (xi, zeta) pair.
     ``frame`` maps identity-frame control coordinates to cover coordinates;
     the identity frame is used for controls given directly as (xi, zeta).
 
@@ -443,18 +435,16 @@ class CoverModel:
     def multiply(self, x, y):
         return sl2cover.multiply(x, y)
 
-    def increment(self, u, dt: float):
-        # the three frame dots inline, each summed from 0.0 left to right as _dot sums
+    def step(self, x, u, dt: float):
+        # the control's cover coordinates v: the three frame dots inline, each summed from 0.0 left
+        # to right as _dot sums; then each float operation in the order of
+        # s + dt/6 (k1 + 2 k2 + 2 k3 + k4) on arrays.  The push-forward is looked up on its module
+        # at each call, where a tracer may have replaced it
+        push = sl2cover.push_forward
         u0, u1, u2 = u
         (f0, f1, f2), (g0, g1, g2), (h0, h1, h2) = self.frame
-        return ((0.0 + f0 * u0 + f1 * u1 + f2 * u2,
-                 complex(0.0 + g0 * u0 + g1 * u1 + g2 * u2, 0.0 + h0 * u0 + h1 * u1 + h2 * u2)), dt)
-
-    def step(self, x, inc):
-        # each float operation in the order of s + dt/6 (k1 + 2 k2 + 2 k3 + k4) on arrays; the
-        # push-forward is looked up on its module at each call, where a tracer may have replaced it
-        push = sl2cover.push_forward
-        v, dt = inc
+        v = (0.0 + f0 * u0 + f1 * u1 + f2 * u2,
+             complex(0.0 + g0 * u0 + g1 * u1 + g2 * u2, 0.0 + h0 * u0 + h1 * u1 + h2 * u2))
         c, w = x
         p, q = w.real, w.imag
         a1, z = push(x, v)
@@ -473,11 +463,11 @@ class CoverModel:
     def run(self, u, k: int, dt: float):
         """The element that a run of k rows u reaches from the identity: Phi^k, Phi the RK4 row
         from the identity, its power in closed form (``sl2cover.power``)."""
-        return sl2cover.power(self.step(sl2cover.IDENTITY, self.increment(u, dt)), k)
+        return sl2cover.power(self.step(sl2cover.IDENTITY, u, dt), k)
 
     def run_rows(self, u, k: int, dt: float) -> list:
         """``run(u, j, dt)`` for j = 1..k, from one RK4 row."""
-        phi = self.step(sl2cover.IDENTITY, self.increment(u, dt))
+        phi = self.step(sl2cover.IDENTITY, u, dt)
         return [sl2cover.power(phi, j) for j in range(1, k + 1)]
 
     def power(self, x, k: int):
@@ -561,11 +551,6 @@ class ControlCurve:
     def loop(self) -> ControlCurve:
         """The loop block as a curve of its own, traversed once."""
         return ControlCurve.from_runs(self.dt, self.loop_runs, self.structure)
-
-    @property
-    def controls(self) -> np.ndarray:
-        """The rows, the loop block's once and then the rest, as an (N, 3) array."""
-        return np.array(self.to_json()["controls"], dtype=float).reshape(-1, 3)
 
     def to_json(self) -> dict:
         """dt and the rows (the block's once); with a block, its row count and the repeat count."""

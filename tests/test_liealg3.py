@@ -1,4 +1,5 @@
 import math
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -39,10 +40,11 @@ def test_case10_bracket_read_off_layout():
 @given(v=st.tuples(finite, finite, finite), w=st.tuples(finite, finite, finite), lam=finite)
 def test_bracket_antisymmetric_bilinear(v, w, lam):
     alg = from_case(SubLorentzCase("10", kappa=-2.0, chi=-1.0))
+    bracket = lambda v, w: np.asarray(alg.bracket(v, w))
     v, w = np.asarray(v), np.asarray(w)
-    assert np.allclose(alg.bracket(v, w), -alg.bracket(w, v), atol=1e-12)
-    assert np.allclose(alg.bracket(v, v), 0.0, atol=1e-12)
-    assert np.allclose(alg.bracket(lam * v, w), lam * alg.bracket(v, w), atol=1e-9)
+    assert np.allclose(bracket(v, w), -bracket(w, v), atol=1e-12)
+    assert np.allclose(bracket(v, v), 0.0, atol=1e-12)
+    assert np.allclose(bracket(lam * v, w), lam * bracket(v, w), atol=1e-9)
 
 
 def test_jacobi_defect_across_all_cases():
@@ -89,9 +91,40 @@ _triple = st.tuples(_entry, _entry, _entry)
 @given(table=st.tuples(_triple, _triple, _triple), v=_triple, w=_triple)
 def test_bracket_matches_the_array_formula_bit_for_bit(table, v, w):
     alg = _unchecked(*table)
-    got, want = alg.bracket(v, w), _reference_bracket(alg, v, w)
+    got, want = np.asarray(alg.bracket(v, w)), _reference_bracket(alg, v, w)
     assert got.dtype == want.dtype and got.shape == want.shape == (3,)
     assert got.tobytes() == want.tobytes()
+
+
+def _reference_jacobi_defect(alg) -> float:
+    """The Jacobi defect as an array formula: the three double brackets added as arrays, then
+    the largest |entry|, NaN when an entry is."""
+    eye = np.eye(3)
+    bracket = lambda v, w: np.array(alg.bracket(v, w))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf + -inf is NaN here, as in the float sum
+        j = (bracket(bracket(eye[0], eye[1]), eye[2])
+             + bracket(bracket(eye[1], eye[2]), eye[0])
+             + bracket(bracket(eye[2], eye[0]), eye[1]))
+        return float(np.max(np.abs(j)))
+
+
+# entries up to 1e308, so that products overflow to inf and some sums are inf - inf = NaN
+_huge = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e308, -1e308]),
+                  st.floats(-1e308, 1e308), st.floats(-1e3, 1e3))
+_huge_triple = st.tuples(_huge, _huge, _huge)
+_row_algebra = st.tuples(st.sampled_from(CASE_IDS), st.integers(0, 2**32 - 1), st.integers(0, 99)).map(
+    lambda d: from_case(sample_case(d[0], np.random.default_rng(d[1]), d[2])))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(alg=st.one_of(st.tuples(_huge_triple, _huge_triple, _huge_triple).map(lambda t: _unchecked(*t)),
+                     st.just(sl2cover.ALGEBRA), _row_algebra))
+@example(alg=_unchecked((0.0, 0.0, 1e308), (1e308, 0.0, 0.0), (0.0, 1e308, 0.0)))
+@example(alg=_unchecked((1e308, 1e308, 1.0), (1e308, -1e308, 0.0), (1e308, 1e308, 0.0)))
+def test_jacobi_defect_matches_the_array_formula_bit_for_bit(alg):
+    got, want = alg.jacobi_defect(), _reference_jacobi_defect(alg)
+    assert type(got) is float
+    assert struct.pack("<d", got) == struct.pack("<d", want), (got, want)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
@@ -135,7 +168,7 @@ _GAMMA6, _UNDERFLOW = Fraction(6, 2**53 - 6), 9 * Fraction(2) ** -1074
 @example(table=(sl2cover.ALGEBRA.b12, sl2cover.ALGEBRA.b13, sl2cover.ALGEBRA.b23))
 def test_killing_form_is_bitwise_symmetric_and_within_the_summation_bound_of_the_exact_sum(table):
     alg = _unchecked(*table)
-    K = alg.killing_form()
+    K = np.asarray(alg.killing_form())
     assert K.shape == (3, 3) and K.tobytes() == np.ascontiguousarray(K.T).tobytes()
     for i in range(3):
         for j in range(3):
@@ -148,7 +181,7 @@ def test_killing_form_is_symmetric_and_matches_the_closed_form():
     for cid in CASE_IDS:
         for i in range(20):
             alg = from_case(sample_case(cid, rng, i))
-            K = alg.killing_form()
+            K = np.asarray(alg.killing_form())
             assert np.array_equal(K, K.T)
             want, size = _closed_form_killing(alg)
             assert np.all(np.abs(K - want) <= 1e-15 * size.max())
@@ -160,6 +193,7 @@ def test_killing_axes_match_an_eigvalsh_reference_on_the_sl2_rows():
         for i in range(40):
             K = from_case(sample_case(cid, rng, i)).killing_form()
             evals, axes, scale = killing_axes(K)
+            K, axes = np.asarray(K), np.asarray(axes)
             want = np.linalg.eigvalsh(K)
             assert scale == max(-evals[0], evals[2])
             assert np.all(np.abs(np.array(evals) - want) <= 1e-14 * scale), (cid, evals, want)
@@ -171,7 +205,8 @@ def test_killing_axes_follow_the_row_not_the_eigenvalue_order():
     # row 10 at chi = 1: X3 is timelike for |kappa| < 1, spacelike and last otherwise,
     # where K11 and K33 cross at kappa = 2 without the axes swapping
     for kappa, timelike_x3 in ((0.0, True), (0.5, True), (1.999, False), (2.001, False), (-2.0, False)):
-        _, (t, s1, s2), _ = killing_axes(from_case(SubLorentzCase("10", kappa=kappa, chi=1.0)).killing_form())
+        _, axes, _ = killing_axes(from_case(SubLorentzCase("10", kappa=kappa, chi=1.0)).killing_form())
+        t, s1, s2 = np.asarray(axes)
         if timelike_x3:
             assert t[:2].tolist() == [0.0, 0.0] and s1[1:].tolist() == [0.0, 0.0] and s2[2] == 0.0
         else:
@@ -186,10 +221,10 @@ def test_killing_axes_need_the_contact_layout():
 
 
 def test_derived_subalgebra_dimensions():
-    assert heisenberg().derived_subalgebra().shape[0] == 1
+    assert len(heisenberg().derived_subalgebra()) == 1
     assert np.allclose(np.abs(heisenberg().derived_subalgebra()[0]), [0, 0, 1])
-    assert ABELIAN.derived_subalgebra().shape[0] == 0
-    assert from_case(SubLorentzCase("10", kappa=-2.0, chi=-1.0)).derived_subalgebra().shape[0] == 3
+    assert len(ABELIAN.derived_subalgebra()) == 0
+    assert len(from_case(SubLorentzCase("10", kappa=-2.0, chi=-1.0)).derived_subalgebra()) == 3
 
 
 def _layout_rows(alg) -> np.ndarray:
@@ -237,7 +272,7 @@ def test_kernel_and_derived_are_mutual_annihilators():
         alg = from_case(sample_case(cid, rng, 0))
         _, s, vt = np.linalg.svd(_layout_rows(alg))
         kernel = vt[(s > 1e-10).sum():]
-        derived = alg.derived_subalgebra()
+        derived = np.asarray(alg.derived_subalgebra())
         assert kernel.shape[0] + derived.shape[0] == 3
         if kernel.shape[0] and derived.shape[0]:
             assert np.max(np.abs(kernel @ derived.T)) <= 1e-10
@@ -260,11 +295,11 @@ def test_killing_form_spot_values():
 def test_killing_form_symmetric_and_invariant():
     rng = np.random.default_rng(11)
     alg = from_case(SubLorentzCase("19", kappa=0.7, chi=-1.3))
-    K = alg.killing_form()
+    K = np.asarray(alg.killing_form())
     assert np.max(np.abs(K - K.T)) == 0.0
     for _ in range(50):
         u, v, w = rng.normal(size=(3, 3))
-        lhs = alg.bracket(u, v) @ K @ w + v @ K @ alg.bracket(u, w)
+        lhs = np.asarray(alg.bracket(u, v)) @ K @ w + v @ K @ np.asarray(alg.bracket(u, w))
         assert abs(lhs) <= 1e-10 * max(1.0, np.abs(K).max())
 
 

@@ -148,7 +148,7 @@ def test_rows_4_and_7_split_off_an_exact_abelian_ideal_at_every_tau(cid, variant
         model = SemidirectModel(alg)
         assert all(map(math.isfinite, model._act))
         w, i0, i1 = (model.unsplit(a, (b, c)) for a, b, c in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
-        images = [alg.bracket(w, i0), alg.bracket(w, i1)]
+        images = [np.asarray(alg.bracket(w, i0)), np.asarray(alg.bracket(w, i1))]
         scale = max(float(np.max(np.abs(v))) for v in images)
         residual = max(float(np.max(np.abs(alg.bracket(i0, i1)))), *(abs(float(w @ v)) for v in images))
         assert residual <= 4 * np.finfo(float).eps * scale, (tau, residual, scale)
@@ -189,7 +189,7 @@ def test_the_fixed_ideal_direction_has_exact_rows(case):
         assert (E[2:], S[2:], x[2][2:], x[1][1]) == ((0.0, 1.0), (0.0, h), (0.0, 1.0), h * v1)
 
 
-# (case, dt) whose increment of the row (1, 0.3, 0) takes each branch of _exp_flow
+# (case, dt) whose exponential of the row (1, 0.3, 0) takes each branch of _exp_flow
 CARRIED_E_BRANCHES = {
     "nilpotent": (HEIS, 1e-3),
     "confluent series": (SubLorentzCase("12", kappa=-1.0, chi=-1.0), 1e-4),
@@ -210,7 +210,7 @@ def test_carried_exponential_tracks_the_closed_form(branch):
     assert {"nilpotent": w2 == 0.0, "confluent series": 0.0 < abs(w2) < _CONFLUENT_W2,
             "w2 > 0": w2 >= _CONFLUENT_W2, "w2 < 0": w2 <= -_CONFLUENT_W2}[branch]
     # 10 000 products carry E; _advance would take the run's exponential once, over 10 000 dt
-    inc = model.increment(u, dt)
+    inc = model.exp(u, dt)
     states = list(itertools.accumulate([inc] * 10_000, model.step, initial=model.identity()))[1:]
     # the reference is taken at the exact multiple k tau of the row's own t increment, so
     # that the rounding of the running sum t (the same as before E was carried) stays out
@@ -271,14 +271,14 @@ def test_sampled_rows_follow_each_models_run_shape(case, dt, rows):
     want = []
     for u, run in itertools.groupby(rows.tolist()):
         start, folded = x, model.identity()
-        phi = model.step(model.identity(), model.increment(u, dt))
+        phi = model.step(model.identity(), u, dt) if isinstance(model, CoverModel) else None
         for j in range(1, len(list(run)) + 1):
             if isinstance(model, SemidirectModel):
                 x = model.multiply(start, model.exp(u, j * dt))
             elif isinstance(model, CoverModel):
                 x = model.multiply(start, sl2cover.power(phi, j))
             else:
-                folded = model.step(folded, model.increment(u, dt))
+                folded = model.step(folded, model.exp(u, dt))
                 x = model.multiply(start, folded)
             want.append(x)
     got = []
@@ -453,7 +453,7 @@ def _bits(x):
 def test_cover_step_matches_array_form_bit_for_bit(frame, inputs):
     x, u, dt = inputs
     model = CoverModel(COVER_FRAMES[frame])
-    assert _bits(model.step(x, model.increment(u, dt))) == _bits(reference_cover_step(model.frame, x, u, dt))
+    assert _bits(model.step(x, u, dt)) == _bits(reference_cover_step(model.frame, x, u, dt))
 
 
 def test_a_powered_cover_run_stays_within_rk4_error_of_a_fine_reference():
@@ -468,9 +468,9 @@ def test_a_powered_cover_run_stays_within_rk4_error_of_a_fine_reference():
             st = build_structure(sample_case(row, rng, draw))
             r, b = rng.uniform(0.6, 1.2), rng.uniform(-0.5, 0.5)
             u = (r, r * b, 0.0)
-            x, inc = st.model.identity(), st.model.increment(u, 1.0 / 4096)
+            x = st.model.identity()
             for _ in range(4096):
-                x = st.model.step(x, inc)
+                x = st.model.step(x, u, 1.0 / 4096)
             for n in worst:
                 result = integrate(constant_curve(st, u, n=n))
                 end = st.model.coords(result.endpoint)
@@ -499,7 +499,7 @@ def cover_run_rows(draw):
     model = build_structure(case).model
     r = draw(hs.floats(1e-3, 6.0))
     b = draw(hs.floats(-1.0, 1.0, exclude_min=True, exclude_max=True))
-    return model.step(sl2cover.IDENTITY, model.increment((r, r * b, 0.0), 1.0 / draw(hs.integers(1, 64))))
+    return model.step(sl2cover.IDENTITY, (r, r * b, 0.0), 1.0 / draw(hs.integers(1, 64)))
 
 
 @hs.composite
@@ -593,7 +593,7 @@ def test_quaternion_model_matches_array_form_bit_for_bit():
         x, want = model.identity(), np.array([1.0, 0.0, 0.0, 0.0])
         for _ in range(int(rng.integers(1, 64))):
             u, dt = rng.uniform(-1, 1, 3).tolist(), float(10.0 ** rng.uniform(-3, 0))
-            x = model.step(x, model.increment(u, dt))
+            x = model.step(x, model.exp(u, dt))
             want = reference_quaternion_multiply(want, reference_quaternion_exp(model.scales, u, dt))
             assert _quaternion_bits(x) == [c.hex() for c in want.tolist()]
         # unit, grown and shrunk bases, so that some powers overflow or underflow
@@ -609,7 +609,7 @@ def test_the_powered_witness_endpoint_matches_array_form_bit_for_bit(demand, ste
     st = build_structure(SubLorentzCase("9", kappa=0.3, chi=-1.7))
     curve = su2_unbounded_witness(st, demand, steps_per_loop=steps)
     x = np.array([1.0, 0.0, 0.0, 0.0])
-    for u in curve.loop.controls:
+    for u in curve.loop.to_json()["controls"]:
         x = reference_quaternion_multiply(x, reference_quaternion_exp(st.model.scales, u, curve.dt))
     # one traversal is stepped as it is; more are powered from the renormalized block endpoint
     want = x if curve.repeat == 1 else reference_quaternion_power(x / math.sqrt(plain_dot(x, x)), curve.repeat)
@@ -1088,18 +1088,18 @@ def test_a_semidirect_run_is_one_exponential_and_one_step(monkeypatch):
     steps = _counted(monkeypatch, SemidirectModel, "step")
     values = _counted(monkeypatch, AntiNorm, "__call__")
     search = _Search(st, target, 32, budget=1)
-    # a run from the identity ends at its increment, with no product
+    # a run from the identity ends at its exponential, with no product
     search.rollout(_listed(np.full((32, 2), [0.9, 0.1])))
     assert (len(exps), len(steps)) == (1, 0)
-    # a later run is one increment and one product
+    # a later run is one exponential and one product
     exps.clear()
     search.rollout(_listed(np.repeat([[1.1, -0.2], [0.8, 0.3]], 16, axis=0)))
     assert (len(exps), len(steps)) == (2, 1)
 
-    # a one-row move takes one value, and one increment for each piece whose count is new:
+    # a one-row move takes one value, and one exponential for each piece whose count is new:
     # inside a run of four equal rows, the run's head (if the moved row is not its first),
     # the moved row and the run's tail (if it is not its last); the other runs keep theirs.
-    # A second move of the same row takes the head's and the tail's increments from the
+    # A second move of the same row takes the head's and the tail's exponentials from the
     # first, and the head's end state, so it takes no product for the head either.
     for base, run in ((_distinct_theta(32), 1), (np.repeat(_distinct_theta(8), 4, axis=0), 4)):
         search.rollout(_listed(base))
@@ -1198,7 +1198,7 @@ def test_a_cover_step_takes_four_push_forwards(monkeypatch):
     pushes = _counted(monkeypatch, sl2cover, "push_forward")
     steps = _counted(monkeypatch, CoverModel, "step")
     model = st.model
-    model.step(model.identity(), model.increment((0.9, 0.18, 0.0), 1.0 / 16))
+    model.step(model.identity(), (0.9, 0.18, 0.0), 1.0 / 16)
     assert (len(steps), len(pushes)) == (1, 4)
     # a constant candidate of 16 rows is one run: one RK4 row from the identity, then powers
     search = _Search(st, target, 16, budget=1)
@@ -1212,11 +1212,12 @@ def test_a_cover_step_takes_four_push_forwards(monkeypatch):
 @pytest.mark.parametrize("case", [HEIS, SL2])
 def test_an_identical_candidate_takes_no_step_and_keeps_the_last_score(monkeypatch, case):
     # a move that leaves its row's control as it was (the same pair, r clamped again, b
-    # clamped again, a zero b's sign flipped) returns the kept score with no increment,
-    # no run element and no step, inside a run as well as on a run of one row
+    # clamped again, a zero b's sign flipped) returns the kept score with no exponential,
+    # no run element and no step, inside a run as well as on a run of one row (the cover
+    # model takes no exponential: its run is one RK4 step from the identity)
     st = build_structure(case)
     target = integrate(constant_curve(st, (1.0, 0.2, 0.0), n=4)).endpoint
-    incs = _counted(monkeypatch, type(st.model), "increment")
+    incs = _counted(monkeypatch, type(st.model), "exp") if isinstance(st.model, SemidirectModel) else []
     elements = _counted(monkeypatch, type(st.model), "run")
     steps = _counted(monkeypatch, type(st.model), "step")
     search = _Search(st, target, 16, budget=1)
@@ -1368,7 +1369,7 @@ from sublorentz.oracle import sample_case
 rng = np.random.default_rng(1729)
 for cid in ("6", "8", "19"):
     for i in range(60):
-        print(cid, i, from_case(sample_case(cid, rng, i)).killing_form().tobytes().hex())
+        print(cid, i, np.array(from_case(sample_case(cid, rng, i)).killing_form()).tobytes().hex())
 frame = sl2_cover_frame(from_case(SubLorentzCase("19", kappa=1.1905580696825613, chi=-0.7963636471793467)))
 print([[x.hex() for x in row] for row in frame])
 """
@@ -1420,12 +1421,12 @@ def test_the_cover_frame_is_accurate():
                 alg = from_case(sample_case(cid, rng, n))
                 F = sl2_cover_frame(alg)
                 assert type(F) is tuple and all(type(c) is float for row in F for c in row)
-                K = alg.killing_form().tolist()
-                T, S1, S2 = (axis.tolist() for axis in killing_axes(K)[1])
+                K = alg.killing_form()
+                T, S1, S2 = killing_axes(K)[1]
                 exact = lambda a, b: sum(Fraction(x) * Fraction(y) for x, y in zip(a, b))
                 if exact(T, K[0]) > 0:
                     T = [-t for t in T]
-                if exact([exact(S2, col) for col in K], alg.bracket(T, S1).tolist()) < 0:
+                if exact([exact(S2, col) for col in K], alg.bracket(T, S1)) < 0:
                     S2 = [-t for t in S2]
                 for got, row in zip(F, ([-t for t in T], S1, S2)):
                     for g, col in zip(got, K):
@@ -1471,7 +1472,7 @@ def test_the_result_curve_has_the_reported_length_and_endpoint_error(case):
     rows = [[1.0, 0.2, 0.0], [0.8, -0.3, 0.0], [1.1, 0.5, 0.0], [0.9, 0.0, 0.0]]
     target = integrate(ControlCurve(0.25, rows, st)).endpoint
     res = maximize(st, target, n_steps=8, budget=2000, seed=3)
-    assert res.found and len(np.unique(res.curve.controls, axis=0)) > 1
+    assert res.found and len(np.unique(res.curve.to_json()["controls"], axis=0)) > 1
     err = _distance(st.model.coords(integrate(res.curve).endpoint), st.model.coords(target))
     assert (length(res.curve).hex(), err.hex()) == (res.length.hex(), res.endpoint_error.hex())
 
@@ -1484,7 +1485,7 @@ def test_maximize_heisenberg_recovers_straight_arc():
     bound = distance_upper_bound(st, target, np.array(check_case(HEIS).witness))
     assert 0.98 <= res.length <= bound + 1e-9
     assert res.endpoint_error <= 1e-4
-    for u in res.curve.controls:
+    for u in res.curve.to_json()["controls"]:
         assert u[0] > 0 and abs(u[1]) <= u[0]
 
 
@@ -1538,7 +1539,7 @@ def test_solver_respects_subcone_structures():
     target = target_from_exp2(narrow, (1.0, 0.0, 0.0))
     res = maximize(narrow, target, n_steps=8, budget=800, seed=2)
     assert res.found
-    for u in res.curve.controls:
+    for u in res.curve.to_json()["controls"]:
         assert abs(u[1]) <= 0.5 * u[0] + 1e-12
 
 
@@ -1762,9 +1763,9 @@ def looped(loop: ControlCurve, repeat: int, base=None) -> ControlCurve:
 
 
 def _expanded(curve: ControlCurve) -> ControlCurve:
-    blocks = [curve.loop.controls] * curve.repeat
-    blocks.append(ControlCurve.from_runs(curve.dt, curve.runs, curve.structure).controls)
-    return ControlCurve(curve.dt, np.vstack(blocks), curve.structure)
+    rows = curve.loop.to_json()["controls"] * curve.repeat
+    rows += ControlCurve.from_runs(curve.dt, curve.runs, curve.structure).to_json()["controls"]
+    return ControlCurve(curve.dt, rows, curve.structure)
 
 
 def _cone_rows(n: int):
@@ -1798,9 +1799,9 @@ def test_plain_curve_runs_as_a_loop_repeated_once(case, u):
     assert np.array_equal(got.trajectory, want.trajectory)
     x = st.model.identity()
     for row, sample in zip(rows, got.trajectory[1:]):
-        inc = st.model.increment(row, 0.1)
         # a cover run of one row is the RK4 row from the identity, translated to x
-        x = st.model.multiply(x, st.model.step(st.model.identity(), inc)) if case is SL2 else st.model.step(x, inc)
+        x = (st.model.multiply(x, st.model.step(st.model.identity(), row, 0.1)) if case is SL2
+             else st.model.step(x, st.model.exp(row, 0.1)))
         assert np.array_equal(sample, st.model.coords(x))
     assert length(curve) == length(looped(curve, 1))
 
@@ -1886,7 +1887,7 @@ def test_a_witness_curve_is_its_runs(monkeypatch):
     data = curve.to_json()
     assert data["loop_rows"] == len(data["controls"]) == MAX_STEPS
     assert data["controls"] == [list(row)] * MAX_STEPS
-    assert np.array_equal(curve.loop.controls, np.tile(row, (MAX_STEPS, 1)))
+    assert np.array_equal(curve.loop.to_json()["controls"], np.tile(row, (MAX_STEPS, 1)))
 
 
 def test_equal_rows_keep_their_bits_in_a_curve():
@@ -1896,7 +1897,7 @@ def test_equal_rows_keep_their_bits_in_a_curve():
     rows = [[1.0, 0.0, 0.0], [1.0, -0.0, 0.0], [1.0, 0.0, 0.0], [0.5, 0.1, 0.0]]
     curve = ControlCurve(0.25, rows, st)
     assert json.dumps(curve.to_json()["controls"]) == json.dumps(rows)
-    assert curve.controls.tolist() == rows
+    assert curve.to_json()["controls"] == rows
     assert [k for _, k in curve.runs] == [1, 1, 1, 1]
     assert [k for _, k in longarc._merged(curve.runs)] == [3, 1]
     joined = ControlCurve(0.25, [[1.0, 0.0, 0.0]] * 3 + [[0.5, 0.1, 0.0]], st)
@@ -1942,12 +1943,34 @@ def test_su2_witness_rejections():
         su2_unbounded_witness(st, 0.0)
     with pytest.raises(ValueError, match=f"steps per loop must be <= {MAX_STEPS}"):
         su2_unbounded_witness(st, 10.0, steps_per_loop=MAX_STEPS + 1)
-    assert len(su2_unbounded_witness(st, 10.0, steps_per_loop=MAX_STEPS).loop.controls) >= MAX_STEPS
+    assert len(su2_unbounded_witness(st, 10.0, steps_per_loop=MAX_STEPS).loop.to_json()["controls"]) >= MAX_STEPS
     with pytest.raises(ValueError, match="case 9"):
         su2_unbounded_witness(build_structure(HEIS), 5.0)
 
 
 # -- plumbing -----------------------------------------------------------------------------
+
+def _python_floats(x) -> bool:
+    """True iff x is a float, or a tuple or list of them at any depth; numpy.float64 subclasses
+    float, so the type is compared exactly."""
+    if isinstance(x, (tuple, list)):
+        return all(map(_python_floats, x))
+    return type(x) is float
+
+
+def test_the_algebra_answers_in_python_floats_and_each_model_steps_in_one_part():
+    rng = np.random.default_rng(40)
+    for cid in CASE_IDS:
+        for i in range(2):
+            alg = from_case(sample_case(cid, rng, i))
+            K = alg.killing_form()
+            results = [alg.bracket(*rng.normal(size=(2, 3))), alg.bracket(*rng.normal(size=(2, 3)).tolist()),
+                       K, alg.derived_subalgebra()] + ([killing_axes(K)] if cid in SL2_CASES else [])
+            for result in results:
+                assert isinstance(result, (tuple, list)) and _python_floats(result), (cid, result)
+    for case in (HEIS, SU2, SL2):
+        assert not hasattr(build_structure(case).model, "increment")
+
 
 def test_curve_json_shape():
     st = build_structure(HEIS)
@@ -1966,7 +1989,7 @@ def test_curve_json_rows_are_the_floats_of_each_row():
     rows = [[1.0, -0.0, 0.0], [5e-324, -5e-324, 2.2250738585072014e-308], [1e-310, 0.1, 1.0 / 3.0],
             [1.7e308, -1.7e308, 0.0]]
     curve = ControlCurve(0.25, rows, st)
-    want = [list(map(float, row)) for row in curve.controls]
+    want = [list(map(float, row)) for row in rows]
     got = curve.to_json()["controls"]
     assert all(type(c) is float for row in got for c in row)
     assert json.dumps(got) == json.dumps(want)
@@ -1999,7 +2022,7 @@ def test_sl2_cover_frame_maps_the_brackets_and_follows_the_axis_rule():
                 got = np.array([sl2cover.ALGEBRA.bracket(F @ x, F @ y) for x, y in pairs])
                 want = np.array([F @ alg.bracket(x, y) for x, y in pairs])
                 assert np.max(np.abs(got - want)) <= 2e-15 * np.max(np.abs(want)), (cid, n)
-                axis = 0 if alg.killing_form()[2, 2] < 0.0 else 2
+                axis = 0 if alg.killing_form()[2][2] < 0.0 else 2
                 assert F[:, 2].tolist().count(0.0) == 2 and F[axis, 2] != 0.0, (cid, n, F)
 
 

@@ -347,10 +347,11 @@ def test_growth_ratio_of_a_tiny_nonzero_vector(tiny):
 def test_algebra_bracket_is_antisymmetric_and_jacobi():
     rng = np.random.default_rng(2)
     a, b, c = rng.normal(size=(3, 3))
-    assert np.max(np.abs(ALGEBRA.bracket(a, b) + ALGEBRA.bracket(b, a))) <= 1e-12
-    j1 = ALGEBRA.bracket(ALGEBRA.bracket(a, b), c)
-    j2 = ALGEBRA.bracket(ALGEBRA.bracket(b, c), a)
-    j3 = ALGEBRA.bracket(ALGEBRA.bracket(c, a), b)
+    bracket = lambda v, w: np.asarray(ALGEBRA.bracket(v, w))
+    assert np.max(np.abs(bracket(a, b) + bracket(b, a))) <= 1e-12
+    j1 = bracket(bracket(a, b), c)
+    j2 = bracket(bracket(b, c), a)
+    j3 = bracket(bracket(c, a), b)
     assert np.max(np.abs(j1 + j2 + j3)) <= 1e-10
 
 
