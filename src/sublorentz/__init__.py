@@ -9,10 +9,7 @@ realizations of the groups (including the universal cover of SL2(R)).
 
 from .conegeom import (
     DEFAULT_CONE,
-    CircularCone,
     SegmentCone,
-    acute,
-    cone_from_json,
     cone_subspace_trivial,
     contains,
     dual_contains,

@@ -6,13 +6,10 @@ Subcommands:
                 admissible parameters (exit 2 on any disagreement with the
                 reference verdicts);
 * ``check``     verdict for a single case (JSON);
-* ``sl2``       cover-group calculator (mul, inv, project, push, tau);
 * ``solve``     near-longest curve search with the calibration upper bound;
-* ``witness``   unbounded-length loop construction for case 9;
-* ``cone``      dual membership / subspace intersection utilities.
+* ``witness``   unbounded-length loop construction for case 9.
 
-All output is deterministic for a fixed seed (default 1729); floats in the
-``sl2`` subcommand are formatted with 17 significant digits.  Exit codes:
+All output is deterministic for a fixed seed (default 1729).  Exit codes:
 0 success / agreement, 1 usage or constraint error, 2 verdict mismatch,
 3 solver target not found.
 """
@@ -31,13 +28,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .conegeom import (
-    _json_vec3,
-    cone_from_json,
-    cone_subspace_trivial,
-    dual_contains,
-    find_interior_dual_in_annihilator,
-)
 from .existence import check_case
 from .liealg3 import CASE_IDS, CASE_LABELS, SL2_CASES, SU2_CASE, SubLorentzCase
 from .longarc import (
@@ -53,16 +43,12 @@ from .longarc import (
     target_from_exp2,
 )
 from .oracle import expected_outcome, sample_case
-from .sl2cover import CoverElement, inverse, multiply, project, push_forward
+from .sl2cover import CoverElement
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_MISMATCH = 2
 EXIT_NOT_FOUND = 3
-
-
-def _f17(x: float) -> str:
-    return f"{float(x):.17g}"
 
 
 # ---------------------------------------------------------------------------
@@ -107,27 +93,13 @@ def _format_params(params: dict) -> str:
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # no option looks like a number, so a token such as "-2e-8" or
-        # "-0.5,1,0" is a value; argparse's own pattern only takes plain
-        # negatives such as "-2" and "-0.5" as values
+        # no option looks like a number, so a token such as "-2e-8" is a
+        # value; argparse's own pattern only takes plain negatives such as
+        # "-2", "-0.5" and "-.5" as values
         self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def error(self, message):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-def _triple(text: str) -> tuple[float, float, float]:
-    parts = [float(t) for t in text.split(",")]
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("expected three comma-separated numbers")
-    if not all(math.isfinite(t) for t in parts):
-        raise argparse.ArgumentTypeError("expected three finite numbers")
-    return tuple(parts)  # type: ignore[return-value]
-
-
-def _cover_element(text: str) -> CoverElement:
-    c, real, imag = _triple(text)
-    return CoverElement(c, complex(real, imag))
 
 
 def _emit(text: str, out_path: Optional[str]) -> None:
@@ -174,20 +146,6 @@ def make_parser() -> _Parser:
     for p in (p_table, p_check):
         p.add_argument("--format", choices=("json", "text"), default="json")
 
-    p_sl2 = sub.add_parser("sl2", help="cover group calculator")
-    sl2_sub = p_sl2.add_subparsers(dest="sl2_command", required=True)
-    p_mul = sl2_sub.add_parser("mul", parents=[common])
-    p_mul.add_argument("--g1", type=_cover_element, required=True, metavar="c,re,im")
-    p_mul.add_argument("--g2", type=_cover_element, required=True, metavar="c,re,im")
-    p_inv = sl2_sub.add_parser("inv", parents=[common])
-    p_inv.add_argument("--g", type=_cover_element, required=True, metavar="c,re,im")
-    p_proj = sl2_sub.add_parser("project", parents=[common])
-    p_proj.add_argument("--g", type=_cover_element, required=True, metavar="c,re,im")
-    for name in ("push", "tau"):
-        p_pt = sl2_sub.add_parser(name, parents=[common])
-        p_pt.add_argument("--g", type=_cover_element, required=True, metavar="c,re,im")
-        p_pt.add_argument("--v", type=_triple, required=True, metavar="xi,re,im")
-
     p_solve = sub.add_parser("solve", parents=[common], help="near-longest curve search")
     _add_case_arguments(p_solve)
     p_solve.add_argument("--target", required=True,
@@ -202,15 +160,6 @@ def make_parser() -> _Parser:
     p_wit.add_argument("--length", type=float, required=True, dest="demanded_length")
     p_wit.add_argument("--steps-per-loop", type=int, default=64)
 
-    p_cone = sub.add_parser("cone", help="cone utilities")
-    cone_sub = p_cone.add_subparsers(dest="cone_command", required=True)
-    p_dual = cone_sub.add_parser("dual", parents=[common])
-    p_dual.add_argument("--cone", required=True, help="cone JSON")
-    p_dual.add_argument("--p", type=_triple, required=True, metavar="x,y,z")
-    p_dual.add_argument("--strict", action="store_true")
-    p_int = cone_sub.add_parser("intersect", parents=[common])
-    p_int.add_argument("--cone", required=True, help="cone JSON")
-    p_int.add_argument("--subspace", required=True, help="JSON list of basis vectors")
     return parser
 
 
@@ -240,38 +189,6 @@ def cmd_check(args) -> int:
               f"{verdict.outcome.value} via {verdict.rationale}\n", args.out)
     else:
         _emit(json.dumps(payload) + "\n", args.out)
-    return EXIT_OK
-
-
-#: Each ``sl2`` command's JSON output, filled with its values at 17 digits.
-_SL2_FORMATS = {
-    "mul": '{"c": %s, "w": [%s, %s]}',
-    "inv": '{"c": %s, "w": [%s, %s]}',
-    "project": '{"matrix": [[%s, %s], [%s, %s], [%s, %s], [%s, %s]]}',
-    "push": '{"xi": %s, "zeta": [%s, %s]}',
-    "tau": '{"tau": %s}',
-}
-
-
-def _sl2_values(args) -> tuple:
-    if args.sl2_command in ("mul", "inv"):
-        c, w = multiply(args.g1, args.g2) if args.sl2_command == "mul" else inverse(args.g)
-        return c, w.real, w.imag
-    if args.sl2_command == "project":
-        return tuple(x for z in project(args.g).ravel().tolist() for x in (z.real, z.imag))
-    xi, zeta = push_forward(args.g, (args.v[0], complex(args.v[1], args.v[2])))
-    return (xi, zeta.real, zeta.imag) if args.sl2_command == "push" else (xi,)
-
-
-def cmd_sl2(args) -> int:
-    try:
-        values = _sl2_values(args)
-    except ArithmeticError:
-        # |w|^2 overflows, or an angle sum does and leaves the product's denominator nan
-        values = (math.inf,)
-    if not all(math.isfinite(x) for x in values):
-        raise ValueError(f"sl2 {args.sl2_command}: the values are out of float range")
-    _emit(_SL2_FORMATS[args.sl2_command] % tuple(map(_f17, values)) + "\n", args.out)
     return EXIT_OK
 
 
@@ -346,29 +263,13 @@ def cmd_witness(args) -> int:
     return EXIT_OK
 
 
-def cmd_cone(args) -> int:
-    cone = cone_from_json(json.loads(args.cone))
-    if args.cone_command == "dual":
-        payload = {"contains": dual_contains(cone, args.p, strict=args.strict), "strict": args.strict}
-    else:  # the answers are Python bools and a float triple or None
-        subspace = json.loads(args.subspace)
-        if not isinstance(subspace, list):
-            raise ValueError("--subspace must be a JSON list of basis vectors")
-        subspace = [_json_vec3(u, "a --subspace basis vector") for u in subspace]
-        payload = {"trivial": cone_subspace_trivial(cone, subspace),
-                   "witness": find_interior_dual_in_annihilator(cone, subspace)}
-    _emit(json.dumps(payload) + "\n", args.out)
-    return EXIT_OK
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = make_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    commands = {"table": cmd_table, "check": cmd_check, "sl2": cmd_sl2, "solve": cmd_solve,
-                "witness": cmd_witness, "cone": cmd_cone}
+    commands = {"table": cmd_table, "check": cmd_check, "solve": cmd_solve, "witness": cmd_witness}
     try:
         code = commands[args.command](args)
         sys.stdout.flush()  # a reader that left early fails here, not in the interpreter's exit flush

@@ -1,26 +1,17 @@
-"""Closed convex acute cones in 3-space and their duals.
+"""Planar segment cones in 3-space and their duals.
 
-Two cone shapes are supported:
-
-* :class:`SegmentCone`: the planar cone {a u1 + b u2 : a >= 0, |b| <= h a}
-  with half-width ``h`` (``h = math.inf`` produces the half-plane a >= 0,
-  which contains the line through u2 and is therefore not acute; it exists
-  so that degenerate configurations are constructible and detectable).
-  The default structure cone is the segment cone with u1 = X1, u2 = X2,
-  i.e. {(x1, x2, 0) : |x2| <= x1}.
-
-* :class:`CircularCone`: the solid cone {v : v.axis >= sqrt(eta+1) |v_perp|}
-  around a spatial axis; ``eta = 0`` is the widest member of the family.
+The admissible cone of a contact structure lies in the contact plane, so the
+package has one cone shape, :class:`SegmentCone`: the planar cone
+{a u1 + b u2 : a >= 0, |b| <= h a} with finite half-width ``h``.  It contains
+no line.  The default structure cone is the segment cone with u1 = X1,
+u2 = X2, i.e. {(x1, x2, 0) : |x2| <= x1}.
 
 Vectors and covectors are float triples (:func:`_vec3`).  A cone builds once
-what its questions need: a segment cone its unit normal, the inverse of its
-frame (u1, u2, normal) and its extreme rays u1 +- h u2, which must be finite;
-a circular cone its unit axis.  Questions are decided in closed form on the
-rays or by axis/transverse decomposition, with one left-to-right dot
+what its questions need: its unit normal, the inverse of its frame
+(u1, u2, normal) and its extreme rays u1 +- h u2, which must be finite.
+Questions are decided in closed form on the rays, with one left-to-right dot
 (:func:`_dot`) and ``math.hypot`` lengths; numpy only checks inputs, inverts
-the frame, and takes a subspace's SVD and a circular plane's eigenvalues.
-A cone is acute unless it is a half-plane, so :func:`acute` reads that off
-the shape.
+the frame and takes a subspace's SVD.
 
 Exact-zero comparisons use ``ZERO_TOL``: the independence test of a segment
 cone's generators is relative to their lengths; the membership and duality
@@ -38,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -93,10 +84,10 @@ class SegmentCone:
     u2: Vec3
     half_width: float = 1.0
     #: Unit normal of the carrier plane, the rows of the inverse of the frame (u1, u2, normal),
-    #: and the extreme rays (None for a half-plane).
+    #: and the extreme rays.
     _normal: Vec3 = field(init=False, repr=False, compare=False)
     _frame_inv: tuple[Vec3, Vec3, Vec3] = field(init=False, repr=False, compare=False)
-    _rays: Optional[tuple[Vec3, Vec3]] = field(init=False, repr=False, compare=False)
+    _rays: tuple[Vec3, Vec3] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         u1, u2, h = _vec3(self.u1), _vec3(self.u2), float(self.half_width)
@@ -108,14 +99,14 @@ class SegmentCone:
         length = math.hypot(*n)
         if length <= ZERO_TOL * math.hypot(*s1) * math.hypot(*s2):
             raise ValueError("u1 and u2 must be linearly independent")
-        if not (h >= 0.0):
-            raise ValueError("half_width must be >= 0 (math.inf allowed)")
-        rays = None
-        if not math.isinf(h):
-            rays = (tuple(a + h * b for a, b in zip(u1, u2)), tuple(a - h * b for a, b in zip(u1, u2)))
-            if not all(map(math.isfinite, rays[0] + rays[1])):
-                raise ValueError(f"the extreme rays u1 +- h u2 of a segment cone of half-width {h!r} "
-                                 "are not finite")
+        if not math.isfinite(h):
+            raise ValueError(f"half_width must be finite, got {h!r}")
+        if h < 0.0:
+            raise ValueError("half_width must be >= 0")
+        rays = (tuple(a + h * b for a, b in zip(u1, u2)), tuple(a - h * b for a, b in zip(u1, u2)))
+        if not all(map(math.isfinite, rays[0] + rays[1])):
+            raise ValueError(f"the extreme rays u1 +- h u2 of a segment cone of half-width {h!r} "
+                             "are not finite")
         normal = tuple(x / length for x in n)
         frame_inv = tuple(map(tuple, np.linalg.inv(np.column_stack([u1, u2, normal])).tolist()))
         for name, value in zip(("u1", "u2", "half_width", "_normal", "_frame_inv", "_rays"),
@@ -123,95 +114,37 @@ class SegmentCone:
             object.__setattr__(self, name, value)
 
     def rays(self) -> tuple[Vec3, Vec3]:
-        """Extreme rays u1 +- h u2 of the closed cone (finite half-width only)."""
-        if self._rays is None:
-            raise ValueError("a half-plane cone has no extreme ray pair")
+        """Extreme rays u1 +- h u2 of the closed cone."""
         return self._rays
 
-
-@dataclass(frozen=True)
-class CircularCone:
-    axis: Vec3
-    eta: float = 0.0
-    _unit_axis: Vec3 = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        a = _vec3(self.axis)
-        if not any(a):
-            raise ValueError("axis must be nonzero")
-        object.__setattr__(self, "axis", a)
-        object.__setattr__(self, "eta", float(self.eta))
-        if not math.isfinite(self.eta):
-            raise ValueError(f"eta must be finite, got {self.eta!r}")
-        if self.eta < 0.0:
-            raise ValueError("eta must be >= 0")
-        object.__setattr__(self, "_unit_axis", _unit(a))
-
-    def aperture(self) -> float:
-        """The slope bound sqrt(eta + 1) of the membership inequality."""
-        return math.sqrt(self.eta + 1.0)
-
-
-SolidCone = Union[SegmentCone, CircularCone]
 
 #: The default admissible cone {(x1, x2, 0) : |x2| <= x1}.
 DEFAULT_CONE = SegmentCone((1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
 
 
-def _axial(cone: CircularCone, v) -> tuple[float, float]:
-    """(v . a, |v - (v . a) a|) for the unit axis a."""
-    a = cone._unit_axis
-    xi = _dot(v, a)
-    return xi, math.hypot(*(x - xi * y for x, y in zip(v, a)))
-
-
-def contains(cone: SolidCone, v, strict: bool = False) -> bool:
+def contains(cone: SegmentCone, v, strict: bool = False) -> bool:
     """Membership in the closed cone; with ``strict``, in its relative interior."""
     v = _vec3(v)
-    if isinstance(cone, SegmentCone):
-        a, b, c = (_dot(row, v) for row in cone._frame_inv)
-        if abs(c) > ZERO_TOL * max(1.0, *map(abs, v)):
-            return False
-        h = cone.half_width
-        if strict:
-            if a <= ZERO_TOL:
-                return False
-            return True if math.isinf(h) else abs(b) < h * a - ZERO_TOL
-        if a < -ZERO_TOL:
-            return False
-        return True if math.isinf(h) else abs(b) <= h * a + ZERO_TOL
-    xi, transverse = _axial(cone, v)
-    bound = cone.aperture() * transverse
-    return xi > bound + ZERO_TOL if strict else xi >= bound - ZERO_TOL
+    a, b, c = (_dot(row, v) for row in cone._frame_inv)
+    if abs(c) > ZERO_TOL * max(1.0, *map(abs, v)):
+        return False
+    h = cone.half_width
+    if strict:
+        return a > ZERO_TOL and abs(b) < h * a - ZERO_TOL
+    return a >= -ZERO_TOL and abs(b) <= h * a + ZERO_TOL
 
 
-def acute(cone: SolidCone) -> bool:
-    """True iff the cone contains no line: every circular cone, and a segment cone of finite half-width."""
-    return isinstance(cone, CircularCone) or not math.isinf(cone.half_width)
-
-
-def _require_acute(cone: SolidCone) -> None:
-    if not acute(cone):
-        raise ValueError("cone is not acute (it contains a line)")
-
-
-def dual_contains(cone: SolidCone, p, strict: bool = False) -> bool:
+def dual_contains(cone: SegmentCone, p, strict: bool = False) -> bool:
     """Dual-cone membership: p nonnegative on the cone; strictly positive with ``strict``.
 
-    Decided in closed form: on the two extreme rays for a segment cone, and by
-    axis/transverse comparison for a circular cone.  Both are taken on p 2^-e
+    Decided in closed form on the two extreme rays, taken on p 2^-e
     (:func:`_split`) against the margin ``ZERO_TOL`` 2^-e, which is the answer
     on p itself wherever its products are finite.
     """
-    _require_acute(cone)
     s, e = _split(_vec3(p))
     tol = math.ldexp(ZERO_TOL, -e)
-    if isinstance(cone, SegmentCone):
-        values, bound = [_dot(s, r) for r in cone._rays], 0.0
-    else:
-        xi, transverse = _axial(cone, s)
-        values, bound = [xi], transverse / cone.aperture()
-    return all(v > bound + tol for v in values) if strict else all(v >= bound - tol for v in values)
+    values = [_dot(s, r) for r in cone._rays]
+    return all(v > tol for v in values) if strict else all(v >= -tol for v in values)
 
 
 def _subspace(subspace) -> tuple[list, list, list]:
@@ -229,23 +162,15 @@ def _subspace(subspace) -> tuple[list, list, list]:
     return U.tolist(), vt[:k].tolist(), vt[k:].tolist()
 
 
-def cone_subspace_trivial(cone: SolidCone, subspace) -> bool:
+def cone_subspace_trivial(cone: SegmentCone, subspace) -> bool:
     """True iff the cone meets the given subspace only at the origin."""
-    _require_acute(cone)
     U, B, A = _subspace(subspace)
     k = len(U)
     if k == 0:
         return True
     if k == 3:
         return False
-    if isinstance(cone, CircularCone):
-        if k == 2:
-            # plane vs solid circular cone: sign of the restricted quadratic form
-            a, B = np.asarray(cone._unit_axis), np.asarray(B)
-            Q = cone.aperture() ** 2 * (np.eye(3) - np.outer(a, a)) - np.outer(a, a)
-            return float(np.min(np.linalg.eigvalsh(B @ Q @ B.T))) > ZERO_TOL
-        d = B[0]
-    elif all(abs(_dot(s, cone._normal)) <= RANK_TOL * math.hypot(*s) for s in (_split(u)[0] for u in U)):
+    if all(abs(_dot(s, cone._normal)) <= RANK_TOL * math.hypot(*s) for s in (_split(u)[0] for u in U)):
         # the subspace lies in the carrier plane (tested on rows scaled by powers of two, so that
         # no product of a long row overflows); a plane of it holds the cone
         if k == 2:
@@ -259,7 +184,7 @@ def cone_subspace_trivial(cone: SolidCone, subspace) -> bool:
     return not (contains(cone, d) or contains(cone, [-x for x in d]))
 
 
-def find_interior_dual_in_annihilator(cone: SolidCone, subspace) -> Optional[Vec3]:
+def find_interior_dual_in_annihilator(cone: SegmentCone, subspace) -> Optional[Vec3]:
     """A covector strictly positive on the punctured cone and vanishing on the subspace.
 
     Returns ``None`` when no such covector exists.  The construction is direct
@@ -267,74 +192,28 @@ def find_interior_dual_in_annihilator(cone: SolidCone, subspace) -> Optional[Vec
     parametrized by an orthonormal basis and the strict dual inequalities are
     solved on it in closed form.
     """
-    _require_acute(cone)
     B = _subspace(subspace)[2]
     m = len(B)
     if m == 0:
         return None
-
-    if isinstance(cone, SegmentCone):
-        r1, r2 = cone._rays
-        if m == 3:
-            return _unit([x + y for x, y in zip(_unit(r1), _unit(r2))])
-        if m == 1:
-            b = B[0]
-            t1, t2 = _dot(b, r1), _dot(b, r2)
-            for sign in (1.0, -1.0):
-                if sign * t1 > ZERO_TOL and sign * t2 > ZERO_TOL:
-                    return tuple(sign * x for x in b)
-            return None
-        # the rays' coordinates in the annihilator's basis, and their unit vectors
-        a1, a2 = [_dot(b, r1) for b in B], [_dot(b, r2) for b in B]
-        ray_scale = max(1.0, math.hypot(*r1), math.hypot(*r2))
-        if math.hypot(*a1) <= ZERO_TOL * ray_scale or math.hypot(*a2) <= ZERO_TOL * ray_scale:
-            return None
-        c1, c2 = _unit(a1), _unit(a2)
-        if _dot(c1, c2) <= -1.0 + ZERO_TOL:  # the cosine of a1 and a2
-            return None
-        y0, y1 = c1[0] + c2[0], c1[1] + c2[1]
-        p = _unit([y0 * x + y1 * z for x, z in zip(*B)])
-        return p if _dot(p, r1) > ZERO_TOL and _dot(p, r2) > ZERO_TOL else None
-
-    ahat = cone._unit_axis
-    inv_alpha = 1.0 / cone.aperture()
+    r1, r2 = cone._rays
     if m == 3:
-        return ahat
+        return _unit([x + y for x, y in zip(_unit(r1), _unit(r2))])
     if m == 1:
         b = B[0]
-        pi = _dot(b, ahat)
-        rho = math.sqrt(max(0.0, 1.0 - pi * pi))
-        return tuple(math.copysign(1.0, pi) * x for x in b) if abs(pi) > inv_alpha * rho + ZERO_TOL else None
-    # the axis projected onto the annihilator
-    c = [_dot(b, ahat) for b in B]
-    proj = [_dot(c, column) for column in zip(*B)]
-    length = math.hypot(*proj)
-    if length <= ZERO_TOL:
+        t1, t2 = _dot(b, r1), _dot(b, r2)
+        for sign in (1.0, -1.0):
+            if sign * t1 > ZERO_TOL and sign * t2 > ZERO_TOL:
+                return tuple(sign * x for x in b)
         return None
-    rho = math.sqrt(max(0.0, 1.0 - length * length))
-    return tuple(x / length for x in proj) if length > inv_alpha * rho + ZERO_TOL else None
-
-
-def _json_vec3(value, name: str) -> tuple:
-    """A vector read from JSON: a list of three finite numbers, no JSON boolean among them."""
-    if not (isinstance(value, list) and len(value) == 3 and all(
-            isinstance(t, (int, float)) and not isinstance(t, bool) and math.isfinite(t) for t in value)):
-        raise ValueError(f"{name} must be three finite numbers")
-    return tuple(value)
-
-
-def cone_from_json(data: dict) -> SolidCone:
-    if not isinstance(data, dict):
-        raise ValueError("a cone must be a JSON object")
-    kind = data.get("kind")
-
-    def required(key: str) -> tuple:
-        if key not in data:
-            raise ValueError(f"a {kind} cone needs the key {key!r}")
-        return _json_vec3(data[key], f"a {kind} cone's {key!r}")
-
-    if kind == "segment":
-        return SegmentCone(required("u1"), required("u2"), data.get("half_width", 1.0))
-    if kind == "circular":
-        return CircularCone(required("axis"), data.get("eta", 0.0))
-    raise ValueError(f"unknown cone kind {kind!r}")
+    # the rays' coordinates in the annihilator's basis, and their unit vectors
+    a1, a2 = [_dot(b, r1) for b in B], [_dot(b, r2) for b in B]
+    ray_scale = max(1.0, math.hypot(*r1), math.hypot(*r2))
+    if math.hypot(*a1) <= ZERO_TOL * ray_scale or math.hypot(*a2) <= ZERO_TOL * ray_scale:
+        return None
+    c1, c2 = _unit(a1), _unit(a2)
+    if _dot(c1, c2) <= -1.0 + ZERO_TOL:  # the cosine of a1 and a2
+        return None
+    y0, y1 = c1[0] + c2[0], c1[1] + c2[1]
+    p = _unit([y0 * x + y1 * z for x, z in zip(*B)])
+    return p if _dot(p, r1) > ZERO_TOL and _dot(p, r2) > ZERO_TOL else None

@@ -19,12 +19,10 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .conegeom import (DEFAULT_CONE, ZERO_TOL, SegmentCone, SolidCone, _dot, _vec3, dual_contains,
-                       find_interior_dual_in_annihilator)
+from .conegeom import DEFAULT_CONE, ZERO_TOL, SegmentCone, _dot, _vec3, dual_contains, find_interior_dual_in_annihilator
 from .liealg3 import (SL2_CASES, SU2_CASE, LieAlgebra3, SubLorentzCase, from_case,
                       killing_axes, su2_loop_period)
 
@@ -67,7 +65,7 @@ class Verdict:
         return out
 
 
-def check_solvable(algebra: LieAlgebra3, cone: SolidCone = DEFAULT_CONE) -> Verdict:
+def check_solvable(algebra: LieAlgebra3, cone: SegmentCone = DEFAULT_CONE) -> Verdict:
     """Certificate search for groups admitting a translation-invariant calibration.
 
     Looks for a covector that is strictly positive on the punctured cone and
@@ -85,8 +83,8 @@ def check_solvable(algebra: LieAlgebra3, cone: SolidCone = DEFAULT_CONE) -> Verd
 def killing_containment(algebra: LieAlgebra3, cone: SegmentCone = DEFAULT_CONE) -> Optional[float]:
     """Certificate that the punctured cone lies in the open negativity cone of the Killing form.
 
-    Requires a nondegenerate Killing form with exactly one negative direction
-    and a planar segment cone of finite width; anything else is rejected.
+    Requires a nondegenerate Killing form with exactly one negative direction;
+    anything else is rejected.
     Returns the maximum of the Killing quadratic over the cone cross-section
     u1 + s u2, |s| <= h, when containment holds (then strictly negative) and
     ``None`` otherwise.  The restriction is a quadratic in s; the maximum is
@@ -98,8 +96,6 @@ def killing_containment(algebra: LieAlgebra3, cone: SegmentCone = DEFAULT_CONE) 
     """
     K = algebra.killing_form()
     _, _, scale = killing_axes(K)
-    if not isinstance(cone, SegmentCone) or math.isinf(cone.half_width):
-        raise ValueError("the containment test needs a planar segment cone of finite width")
     # u K v as (u K) . v; K is symmetric, so (u K)_j is its row j dotted with u
     u1, u2 = cone.u1, cone.u2
     u1K, u2K = [_dot(u1, row) for row in K], [_dot(u2, row) for row in K]
@@ -119,7 +115,7 @@ def _loop_description(case: SubLorentzCase) -> dict:
     return {"control": [1.0, 0.0, 0.0], "period": su2_loop_period(case)}
 
 
-def check_case(case: SubLorentzCase, cone: SolidCone = DEFAULT_CONE) -> Verdict:
+def check_case(case: SubLorentzCase, cone: SegmentCone = DEFAULT_CONE) -> Verdict:
     """Verdict for one classification row at one admissible parameter point."""
     algebra = from_case(case)
     cid = case.case_id
@@ -136,7 +132,7 @@ def check_case(case: SubLorentzCase, cone: SolidCone = DEFAULT_CONE) -> Verdict:
     return dataclasses.replace(base, case_id=cid, params=case.params())
 
 
-def witness_is_valid(algebra: LieAlgebra3, cone: SolidCone, witness) -> bool:
+def witness_is_valid(algebra: LieAlgebra3, cone: SegmentCone, witness) -> bool:
     """Check a covector certificate: strict dual membership plus annihilation."""
     p = _vec3(witness)
     return dual_contains(cone, p, strict=True) and all(

@@ -77,8 +77,9 @@ class LieAlgebra3:
         except ValueError:  # a row's constants overflow, such as sqrt(kappa + tau^2) on row 2*
             raise ValueError(f"the structure constants of {self.label} are out of float range") from None
         defect = self.jacobi_defect()
-        if defect > ZERO_TOL:
-            raise ValueError(f"structure constants violate the Jacobi identity (defect {defect:.3e})")
+        if not defect <= ZERO_TOL:  # NaN included: double brackets past the float range give inf - inf
+            detail = f"defect {defect:.3e}" if math.isfinite(defect) else f"non-finite defect {defect}"
+            raise ValueError(f"structure constants violate the Jacobi identity ({detail})")
 
     def bracket(self, v, w) -> tuple[float, float, float]:
         """Bilinear antisymmetric extension of the basis bracket table.

@@ -72,7 +72,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import sl2cover
-from .conegeom import DEFAULT_CONE, ZERO_TOL, SegmentCone, SolidCone, _dot, _vec3, contains
+from .conegeom import DEFAULT_CONE, ZERO_TOL, SegmentCone, _dot, _vec3, contains
 from .existence import witness_is_valid
 from .liealg3 import (_EYE, SL2_CASES, SU2_CASE, LieAlgebra3, SubLorentzCase, from_case,
                       killing_axes, su2_loop_period)
@@ -485,13 +485,13 @@ class CaseStructure:
     """A row's algebra bundled with its cone, anti-norm and concrete group model."""
 
     algebra: LieAlgebra3
-    cone: SolidCone
+    cone: SegmentCone
     anti_norm: AntiNorm
     model: object
 
 
 def build_structure(case: SubLorentzCase, anti_norm: AntiNorm = LORENTZIAN,
-                    cone: Optional[SolidCone] = None) -> CaseStructure:
+                    cone: Optional[SegmentCone] = None) -> CaseStructure:
     """Structure of a classification row on its simply connected group."""
     algebra = from_case(case)
     cone = DEFAULT_CONE if cone is None else cone
@@ -796,13 +796,12 @@ _B_MAX = 1.0 - 1e-9
 _R_MIN = 1e-7
 
 
-def _b_max(cone: SolidCone) -> float:
+def _b_max(cone: SegmentCone) -> float:
     """The clamp on b that keeps the search's rows [r, r b, 0] inside a cone of u1 along +X1 and u2
     along X2: ``_B_MAX`` min(1, h |u2[1]| / u1[0]), which is ``_B_MAX`` on the default cone."""
-    if isinstance(cone, SegmentCone):
-        (a, a2, a3), (c1, c, c3) = cone.u1, cone.u2
-        if a > 0.0 and a2 == a3 == c1 == c3 == 0.0:
-            return _B_MAX * min(1.0, cone.half_width * abs(c) / a)
+    (a, a2, a3), (c1, c, c3) = cone.u1, cone.u2
+    if a > 0.0 and a2 == a3 == c1 == c3 == 0.0:
+        return _B_MAX * min(1.0, cone.half_width * abs(c) / a)
     raise ValueError("the search proposes controls [r, r b, 0], so it needs a segment cone whose u1 is "
                      "a positive multiple of X1 and whose u2 is a multiple of X2")
 

@@ -21,8 +21,7 @@ only: the differential of left translation (:func:`push_forward`), the angle
 linear bound (:func:`growth_ratio`, :func:`growth_bound_constants`), which
 support the existence certificate on this group.  Its Lie algebra
 :data:`ALGEBRA`, a :class:`~sublorentz.liealg3.LieAlgebra3` on the basis
-(xi, Re zeta, Im zeta), is the reference the cover frame is tested against;
-cone membership is decided by :mod:`sublorentz.conegeom`.
+(xi, Re zeta, Im zeta), is the reference the cover frame is tested against.
 """
 
 from __future__ import annotations
@@ -33,8 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .conegeom import CircularCone, contains
-from .liealg3 import LieAlgebra3
+from .liealg3 import ZERO_TOL, LieAlgebra3
 
 
 class CoverElement(NamedTuple):
@@ -208,15 +206,17 @@ def growth_bound_constants(eta: float) -> tuple[float, float]:
 def growth_ratio(base: CoverElement, u: TangentVector, eta: float) -> float:
     """|v| / dc(v) for v the push-forward of an identity cone vector u.
 
-    ``u`` must lie in the closed cone {xi >= sqrt(eta+1) |zeta|} of parameter
-    ``eta > 0`` (decided by :func:`sublorentz.conegeom.contains`) and be nonzero;
-    the angle component of the push-forward is then strictly positive, so the
-    ratio is finite.  It satisfies ratio <= A + B |w(base)| with (A, B) from
+    ``u`` must be finite, nonzero and lie in the closed cone
+    {xi >= sqrt(eta+1) |zeta|} of a finite parameter ``eta > 0`` (up to
+    ``ZERO_TOL``); the angle component of the push-forward is then strictly
+    positive, so the ratio is finite.  It satisfies ratio <= A + B |w(base)| with (A, B) from
     :func:`growth_bound_constants`.
     """
     if not eta > 0.0:
         raise ValueError("the growth ratio needs eta > 0")
-    if not contains(CircularCone((1.0, 0.0, 0.0), eta), (u.xi, u.zeta.real, u.zeta.imag)):
+    if not all(map(math.isfinite, (eta, u.xi, u.zeta.real, u.zeta.imag))):
+        raise ValueError("eta and u must be finite")
+    if not u.xi >= math.sqrt(eta + 1.0) * math.hypot(u.zeta.real, u.zeta.imag) - ZERO_TOL:
         raise ValueError("u is outside the admissible cone for this eta")
     if not (u.xi or u.zeta):
         raise ValueError("u must be nonzero")

@@ -11,7 +11,6 @@ import sys
 import time
 import warnings
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
@@ -25,7 +24,6 @@ from sublorentz.cli import (
     main,
 )
 from sublorentz.liealg3 import CASE_IDS, SL2_CASES
-from sublorentz.sl2cover import CoverElement, multiply
 
 
 # the CLI runs in a child process, importing the package from this checkout
@@ -69,10 +67,6 @@ def test_byte_determinism(capsys):
         _, out, _ = run(capsys, "table", "--samples", "3", "--seed", "1729")
         outputs.append(out)
     assert outputs[0] == outputs[1]
-    for _ in range(2):
-        _, out, _ = run(capsys, "sl2", "mul", "--g1", "0.5,1,0", "--g2", "0.5,1,0")
-        outputs.append(out)
-    assert outputs[2] == outputs[3]
 
 
 def test_check_command(capsys):
@@ -90,8 +84,9 @@ def test_check_command(capsys):
 @pytest.mark.parametrize("argv", [
     # the Killing signature test is relative, so this small-scale row is decided
     ["check", "--case", "10", "--kappa", "-2e-8", "--chi", "-1e-8"],
-    ["sl2", "mul", "--g1", "0.5,1,0", "--g2", "-1.1,0.3,2"],
-    ["sl2", "inv", "--g", "-.5,2,-1"],
+    ["check", "--case", "10", "--kappa", "-.5", "--chi", "-.25"],
+    ["solve", "--case", "12", "--kappa", "-.5", "--chi", "-5e-1", "--target", "[1,0,0]", "--steps", "8",
+     "--budget", "600"],
 ])
 def test_negative_values_are_read_in_every_notation(capsys, argv):
     code, out, _ = run(capsys, *argv)
@@ -119,51 +114,12 @@ def test_usage_error_exit_code(capsys):
     assert run(capsys, "nonsense")[0] == EXIT_USAGE
 
 
-def test_sl2_mul_matches_library(capsys):
-    code, out, _ = run(capsys, "sl2", "mul", "--g1", "0.5,1,0", "--g2", "0.5,1,0")
-    assert code == EXIT_OK
-    data = json.loads(out)
-    expected = multiply(CoverElement(0.5, 1.0), CoverElement(0.5, 1.0))
-    assert math.isclose(data["c"], expected.c, rel_tol=0, abs_tol=1e-15)
-    assert math.isclose(data["w"][0], expected.w.real, rel_tol=0, abs_tol=1e-15)
-
-
-@pytest.mark.parametrize("g1,g2", [("0,1e8,0", "0,-1e8,0"), ("3,1e8,2e8", "-3,-1e8,-2e8"),
-                                   ("-1.5,3e150,-2e150", "1.5,-3e150,2e150")])
-def test_sl2_mul_of_an_element_and_its_inverse_prints_the_identity(capsys, g1, g2):
-    code, out, _ = run(capsys, "sl2", "mul", "--g1", g1, "--g2", g2)
-    assert (code, out) == (EXIT_OK, '{"c": 0, "w": [0, 0]}\n')
-
-
-def test_sl2_inv_and_project(capsys):
-    _, out, _ = run(capsys, "sl2", "inv", "--g", "0.3,2,-1")
-    data = json.loads(out)
-    assert data["c"] == -0.3 and data["w"] == [-2.0, 1.0]
-
-    _, out, _ = run(capsys, "sl2", "project", "--g", "0,0,0")
-    m = json.loads(out)["matrix"]
-    assert m == [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
-
-
-def test_sl2_mul_and_project_where_the_square_of_w_overflows(capsys):
-    # sqrt(1 + |w|^2) is |w| there, which is in float range
-    assert run(capsys, "sl2", "mul", "--g1", "0,1.4e154,0", "--g2", "0,0,0") == (
-        EXIT_OK, '{"c": 0, "w": [1.4e+154, 0]}\n', "")
-    # |w1|^2 overflows in the product's quotient, whose w is about 1.4e154 (sqrt(2) - 1)
-    assert run(capsys, "sl2", "mul", "--g1", "0,1.4e154,0", "--g2", "0,-1,0") == (
-        EXIT_OK, '{"c": 0, "w": [5.7989898732233315e+153, 0]}\n', "")
-    code, out, err = run(capsys, "sl2", "project", "--g", "0,1e200,0")
-    assert (code, err) == (EXIT_OK, "")
-    assert json.loads(out)["matrix"] == [[1e200, 0.0], [1e200, 0.0], [1e200, -0.0], [1e200, -0.0]]
-
-
-def test_sl2_push_and_tau(capsys):
-    _, out, _ = run(capsys, "sl2", "tau", "--g", "0,3,0", "--v", "1,0,0")
-    assert json.loads(out)["tau"] == 1.0
-    _, out, _ = run(capsys, "sl2", "push", "--g", "0,2,1", "--v", "1,0,0")
-    data = json.loads(out)
-    assert data["xi"] == 1.0
-    assert np.allclose(data["zeta"], [1.0, -2.0])
+@pytest.mark.parametrize("argv", [["sl2", "mul", "--g1", "0,0,0", "--g2", "0,0,0"],
+                                  ["cone", "dual", "--cone", "{}", "--p", "1,0,0"]])
+def test_the_cone_and_sl2_calculators_are_no_commands(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert f"error: argument command: invalid choice: '{argv[0]}'" in err
 
 
 def test_solve_command(capsys):
@@ -335,15 +291,6 @@ def test_witness_for_a_huge_length_is_fast_and_small():
      "needs too many loops"),
     (["witness", "--case", "9", "--kappa", "0", "--chi=-2", "--length", "1.7976931348623157e308"],
      "gives a witness of infinite length"),
-    (["cone", "dual", "--cone", '{"kind":"segment","u1":[1,0,0]}', "--p", "1,0,0"],
-     "a segment cone needs the key 'u2'"),
-    (["cone", "dual", "--cone", '{"kind":"circular"}', "--p", "1,0,0"],
-     "a circular cone needs the key 'axis'"),
-    (["cone", "dual", "--cone", "[1,2]", "--p", "1,0,0"], "a cone must be a JSON object"),
-    (["sl2", "mul", "--g1", "nan,0,0", "--g2", "0,0,0"], "expected three finite numbers"),
-    (["sl2", "inv", "--g", "nan,0,0"], "expected three finite numbers"),
-    (["sl2", "push", "--v", "nan,0,0"], "expected three finite numbers"),
-    (["sl2", "project", "--g", "inf,0,0"], "expected three finite numbers"),
     *[(["witness", "--case", "9", "--kappa", "0", "--chi", "-1", "--length", demand],
        "from the identity, above 0.0001")
       for demand in ("1e14", "1e16")],
@@ -353,7 +300,6 @@ def test_witness_for_a_huge_length_is_fast_and_small():
       "--steps-per-loop", "10001"], "steps per loop must be <= 10000"),
     (["solve", "--case", "1", "--kappa", "0", "--target", "[1,0,0]", "--steps", "2", "--budget", "5",
       "--format", "text"], "unrecognized arguments"),
-    (["sl2", "mul", "--g1", "0,0,0", "--g2", "0,0,0", "--format", "text"], "unrecognized arguments"),
     (["solve", "--case", "10", "--kappa", "-2", "--chi", "-1", "--target", "[1,0,0]"],
      "this model takes targets in its own coordinates"),
     (["solve", "--case", "3", "--kappa", "0.5", "--target", "[1e6,1,0]", "--steps", "8",
@@ -361,23 +307,12 @@ def test_witness_for_a_huge_length_is_fast_and_small():
     (["solve", "--case", "1", "--kappa", "0", "--target", "[1,0,0]", "--steps", "2", "--budget", "5",
       "--seed", "-1"], "--seed must be >= 0"),
     (["table", "--seed", "-1"], "--seed must be >= 0"),
-    *[(["cone", "dual", "--cone", '{"kind":"circular","axis":[1,0,0],"eta":"%s"}' % eta, "--p",
-        "1,0,0"], "eta must be finite") for eta in ("nan", "inf")],
-    (["cone", "intersect", "--cone", '{"kind":"circular","axis":[1,0,0],"eta":"nan"}',
-      "--subspace", "[[0,1,0]]"], "eta must be finite"),
     *[(["solve", "--case", row, "--tau", "-1e4", "--target", "[1,0,0]", "--steps", "2", "--budget", "5"],
        "its exponential overflows") for row in ("4", "7")],
     (["solve", "--case", "7", "--variant", "2", "--tau=-1.7976931348623157e308", "--target", "[0,0,1]", "--steps",
       "2", "--budget", "5"], "the semidirect model of case-7 does not apply"),
     (["witness", "--case", "2", "--kappa", "-1e300", "--length", "5"],
      "the loop construction applies to the su2 structure (case 9), not to case 2"),
-    (["sl2", "mul", "--g1", "1.7e308,0,0", "--g2", "1.7e308,0,0"], "sl2 mul: the values are out of float range"),
-    *[(["sl2", command, "--g", "1e300,1e300,0", "--v", "1,0,0"], f"sl2 {command}: the values are out of float range")
-      for command in ("push", "tau")],
-    (["sl2", "mul", "--g1", "0,1e300,0", "--g2", "0,1e300,0"], "sl2 mul: the values are out of float range"),
-    (["sl2", "project", "--g", "0,1.7e308,1.7e308"], "sl2 project: the values are out of float range"),
-    (["sl2", "tau", "--g", "-0,1e154,0", "--v", "1e300,1e300,1e-300"], "sl2 tau: the values are out of float range"),
-    (["sl2", "push", "--g", "0,1e150,0", "--v", "1e300,0,0"], "sl2 push: the values are out of float range"),
     # the product overflows without raising, to coordinates nan
     (["solve", "--case", "7", "--tau", "1e300", "--target", "[0,1,0]", "--steps", "2", "--budget", "5"],
      "its exponential overflows"),
@@ -394,15 +329,6 @@ def test_witness_for_a_huge_length_is_fast_and_small():
      "a target in exponential coordinates is three finite numbers"),
     (["solve", "--case", "10", "--kappa", "-2", "--chi", "-1", "--target", '{"c": true, "w": [0, 0]}',
       "--steps", "2", "--budget", "5"], 'a cover target is {"c": c, "w": [re, im]} with finite numbers'),
-    # a vector read from JSON is three finite numbers, a JSON boolean or string not among them
-    *[(["cone", "dual", "--cone", '{"kind":"segment","u1":%s,"u2":[0,1,0]}' % u1, "--p", "1,0,0"],
-       "a segment cone's 'u1' must be three finite numbers") for u1 in ("5", "[1,0]", '["1",0,0]', "[1,0,0,0]")],
-    (["cone", "dual", "--cone", '{"kind":"circular","axis":[true,0,0]}', "--p", "1,0,0"],
-     "a circular cone's 'axis' must be three finite numbers"),
-    *[(["cone", "intersect", "--cone", '{"kind":"segment","u1":[1,0,0],"u2":[0,1,0]}', "--subspace", subspace],
-       "a --subspace basis vector must be three finite numbers") for subspace in ("[[1,2]]", "[[NaN,0,1]]", "[1,0,0]")],
-    (["cone", "intersect", "--cone", '{"kind":"segment","u1":[1,0,0],"u2":[0,1,0]}', "--subspace", "5"],
-     "--subspace must be a JSON list of basis vectors"),
     # row 1's algebra takes no kappa, so a tiny one is not rounded to zero and echoed unused
     (["check", "--case", "1", "--kappa", "1e-13"], "case 1 requires kappa = 0"),
 ])
@@ -465,28 +391,6 @@ def test_values_out_of_float_range_are_named_without_a_warning(argv, message):
     assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_USAGE, "", f"error: {message}\n")
 
 
-@pytest.mark.parametrize("cone", ['{"kind":"segment","u1":[1,0,0],"u2":[0,1,0]}',
-                                  '{"kind":"circular","axis":[1,1,0],"eta":1}'])
-def test_cone_dual_near_the_largest_float_answers_without_a_warning(cone):
-    # p . r overflows on the raw covector; it lies on the segment cone's dual boundary and
-    # on the circular cone's axis
-    for strict, want in ((False, True), (True, "circular" in cone)):
-        proc = subprocess.run([sys.executable, "-W", "error", "-m", "sublorentz.cli", "cone", "dual", "--cone", cone,
-                               "--p", "1.7e308,1.7e308,0", *(["--strict"] if strict else [])],
-                              capture_output=True, text=True, env=_ENV)
-        assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
-        assert json.loads(proc.stdout) == {"contains": want, "strict": strict}
-
-
-@pytest.mark.parametrize("argv", [["dual", "--p", "1,0,0"], ["intersect", "--subspace", "[[0,0,1]]"]])
-def test_a_segment_cone_whose_extreme_rays_overflow_is_a_named_error(argv):
-    cone = '{"kind":"segment","u1":[1,0,0],"u2":[0,2,0],"half_width":1e308}'
-    proc = subprocess.run([sys.executable, "-W", "error", "-m", "sublorentz.cli", "cone", argv[0], "--cone", cone,
-                           *argv[1:]], capture_output=True, text=True, env=_ENV)
-    message = "the extreme rays u1 +- h u2 of a segment cone of half-width 1e+308 are not finite"
-    assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_USAGE, "", f"error: {message}\n")
-
-
 @pytest.mark.parametrize("row,target", [(["2*", "--kappa", "-1", "--tau", "1.5"], "[30,0,0]"),
                                         (["11", "--kappa", "1", "--chi", "1"], "[30,30,30]")])
 def test_far_targets_on_exists_rows_get_a_finite_bound(row, target):
@@ -544,30 +448,6 @@ def _run_with_warnings_as_errors(argv) -> tuple[int, str]:
     return code, err.getvalue()
 
 
-_SL2_NUMERALS = ["0", "-0", "5e-324", "-5e-324", "1e-300", "-1e-300", "1", "-1", "1e154", "1e200", "1e300",
-                 "-1e300", "1.7976931348623157e308", "nan", "inf", "-inf"]
-_SL2_OPTIONS = {"mul": ("--g1", "--g2"), "inv": ("--g",), "project": ("--g",), "push": ("--g", "--v"),
-                "tau": ("--g", "--v")}
-
-
-@hs.composite
-def sl2_argv(draw):
-    command = draw(hs.sampled_from(sorted(_SL2_OPTIONS)))
-    argv = ["sl2", command]
-    for option in _SL2_OPTIONS[command]:
-        argv += [option, ",".join(draw(hs.lists(hs.sampled_from(_SL2_NUMERALS), min_size=3, max_size=3)))]
-    return argv
-
-
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(sl2_argv())
-def test_every_sl2_input_ends_in_json_or_a_named_usage_error(argv):
-    code, err = _run_with_warnings_as_errors(argv)
-    if code == EXIT_USAGE:
-        assert "error:" in err
-        assert "Traceback" not in err and "(34," not in err
-
-
 _NUMERALS = ["0", "-0", "5e-324", "1e-300", "-1e-300", "0.5", "-0.5", "1", "-1", "1.5", "2", "-2", "-2.5", "3",
              "7", "10", "-10", "20", "30", "-30", "1e8", "-1e8", "1e154", "1e200", "1e300", "-1e300",
              "1.7976931348623157e308", "nan", "inf", "-inf"]
@@ -613,18 +493,6 @@ def test_solve_never_reports_a_non_finite_length_as_found():
     assert proc.returncode == EXIT_NOT_FOUND, proc.stderr
     data = json.loads(proc.stdout, parse_constant=_reject_constant)
     assert data["found"] is False and data["upper_bound"] == 1e300
-
-
-def test_cone_commands(capsys):
-    cone = '{"kind":"segment","u1":[1,0,0],"u2":[0,1,0]}'
-    code, out, _ = run(capsys, "cone", "dual", "--cone", cone, "--p", "1,0,0", "--strict")
-    assert code == EXIT_OK and json.loads(out)["contains"] is True
-    code, out, _ = run(capsys, "cone", "intersect", "--cone", cone, "--subspace", "[[0,0,1]]")
-    data = json.loads(out)
-    assert data["trivial"] is True and data["witness"] is not None
-    code, out, _ = run(capsys, "cone", "intersect", "--cone", cone, "--subspace", "[[1,-1,0]]")
-    data = json.loads(out)
-    assert data["trivial"] is False and data["witness"] is None
 
 
 def test_out_file(tmp_path, capsys):

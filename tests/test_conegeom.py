@@ -9,7 +9,6 @@ it passes alone as it does in the full suite.
 import decimal
 import itertools
 import math
-import sys
 import warnings
 from decimal import Decimal
 from fractions import Fraction
@@ -21,10 +20,7 @@ from hypothesis import strategies as st
 
 from sublorentz.conegeom import (
     DEFAULT_CONE,
-    CircularCone,
     SegmentCone,
-    acute,
-    cone_from_json,
     cone_subspace_trivial,
     contains,
     dual_contains,
@@ -63,45 +59,22 @@ def test_default_cone_matches_inequality_description():
         assert contains(DEFAULT_CONE, v) == described
 
 
-@pytest.mark.parametrize("eta", [math.nan, math.inf, "nan", "inf"])
-def test_circular_cone_rejects_a_non_finite_eta(eta):
-    # a nan eta made the axis covector fall outside the dual cone, and an
-    # infinite one the axis outside the cone (inf * 0 is nan)
-    with pytest.raises(ValueError, match="eta must be finite"):
-        CircularCone((1, 0, 0), eta=eta)
-
-
-def test_contains_circular():
-    cone = CircularCone((1, 0, 0), eta=1.0)
-    root2 = math.sqrt(2.0)
-    assert contains(cone, (root2, 1, 0))
-    assert not contains(cone, (root2, 1, 0), strict=True)
-    assert contains(cone, (2, 1, 0), strict=True)
-    assert not contains(cone, (1, 1, 0))
-
-
-def test_acute():
-    assert acute(DEFAULT_CONE)
-    half_plane = SegmentCone((1, 0, 0), (0, 1, 0), half_width=math.inf)
-    assert contains(half_plane, (0, 1, 0)) and contains(half_plane, (0, -1, 0))
-    assert not acute(half_plane)
-    # a zero-width segment cone is the ray through u1, which holds no line
+def test_a_zero_width_segment_cone_is_the_ray_through_u1():
     ray = SegmentCone((1, 0.5, 0), (0, 1, 0.3), half_width=0.0)
     assert contains(ray, (2, 1, 0)) and not contains(ray, (-2, -1, 0))
     assert not contains(ray, (0, 1, 0.3)) and not contains(ray, (0, -1, -0.3))
-    assert acute(ray)
-    for eta in (0.0, 1.0, 5.0):
-        assert acute(CircularCone((0.3, -1.0, 0.2), eta))
 
 
-def test_degenerate_cone_rejected_by_dual_operations():
-    half_plane = SegmentCone((1, 0, 0), (0, 1, 0), half_width=math.inf)
-    with pytest.raises(ValueError, match="not acute"):
-        dual_contains(half_plane, (1, 0, 0))
-    with pytest.raises(ValueError, match="not acute"):
-        cone_subspace_trivial(half_plane, [(0, 0, 1)])
-    with pytest.raises(ValueError, match="not acute"):
-        find_interior_dual_in_annihilator(half_plane, [(0, 0, 1)])
+@pytest.mark.parametrize("h", [math.nan, math.inf, "nan", "inf", -math.inf])
+def test_segment_cone_rejects_a_non_finite_half_width(h):
+    # a cone of infinite width is a half-plane, which holds a line and has no extreme rays
+    with pytest.raises(ValueError, match="half_width must be finite"):
+        SegmentCone((1, 0, 0), (0, 1, 0), h)
+
+
+def test_segment_cone_rejects_a_negative_half_width():
+    with pytest.raises(ValueError, match="half_width must be >= 0"):
+        SegmentCone((1, 0, 0), (0, 1, 0), -0.5)
 
 
 @pytest.mark.parametrize("scale", [1e-9, 1e-6, 1e6])
@@ -145,53 +118,29 @@ def test_dual_contains_examples():
     assert abs(np.dot([1, 1, 0], [1, -1, 0])) == 0.0
 
 
-def test_dual_contains_circular():
-    cone = CircularCone((1, 0, 0), eta=1.0)
-    assert dual_contains(cone, (1, 0, 0), strict=True)
-    # dual cone is wider: slope bound is 1/sqrt(eta+1)
-    assert dual_contains(cone, (1, 1.2, 0), strict=True)
-    assert not dual_contains(cone, (1, 1.5, 0))
-
-
 def _raw_dual_contains(cone, p, strict: bool) -> tuple[bool, bool]:
     """(the answer of the raw float formula of dual_contains, whether its values are finite):
-    p on the extreme rays against ZERO_TOL, or p on the axis against the transverse length."""
+    p on the extreme rays against ZERO_TOL."""
     from sublorentz.conegeom import ZERO_TOL
 
     p = np.asarray(p, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        if isinstance(cone, SegmentCone):
-            d = [float(np.dot(p, r)) for r in cone.rays()]
-            answer = all(v > ZERO_TOL for v in d) if strict else all(v >= -ZERO_TOL for v in d)
-            return answer, all(map(math.isfinite, d))
-        ahat = np.asarray(cone._unit_axis)
-        pi = float(np.dot(p, ahat))
-        bound = math.hypot(*(p - pi * ahat)) / cone.aperture()  # inf past the largest float
-        answer = pi > bound + ZERO_TOL if strict else pi >= bound - ZERO_TOL
-        return answer, math.isfinite(pi) and math.isfinite(bound)
+        d = [float(np.dot(p, r)) for r in cone.rays()]
+    answer = all(v > ZERO_TOL for v in d) if strict else all(v >= -ZERO_TOL for v in d)
+    return answer, all(map(math.isfinite, d))
 
 
 def _exact_dual_contains(cone, p, strict: bool) -> bool:
     """Dual membership on the exact rationals of p and the cone's floats, without a margin."""
-    from fractions import Fraction
-
-    p = [Fraction(float(c)) for c in p]
-    if isinstance(cone, SegmentCone):
-        d = [sum(a * Fraction(float(b)) for a, b in zip(p, r)) for r in cone.rays()]
-        return all(v > 0 for v in d) if strict else all(v >= 0 for v in d)
-    a = [Fraction(float(c)) for c in cone.axis]
-    pa, aa, pp = (sum(x * y for x, y in zip(u, v)) for u, v in ((p, a), (a, a), (p, p)))
-    # p.a > |p_perp| |a| / sqrt(eta + 1), squared: (eta + 1) (p.a)^2 > (|p|^2 |a|^2 - (p.a)^2)
-    lhs, rhs = Fraction(cone.eta + 1.0) * pa * pa, pp * aa - pa * pa
-    return pa > 0 and lhs > rhs if strict else pa >= 0 and lhs >= rhs
+    d = [sum(Fraction(float(a)) * Fraction(float(b)) for a, b in zip(p, r)) for r in cone.rays()]
+    return all(v > 0 for v in d) if strict else all(v >= 0 for v in d)
 
 
-DUAL_GRID_CONES = (DEFAULT_CONE, SegmentCone((1.0, 1.0, 1.0), (1.0, -1.0, 0.5), 0.5),
-                   CircularCone((1.0, 1.0, 0.0), 1.0), CircularCone((0.0, 0.0, 1.0), 0.0))
+DUAL_GRID_CONES = (DEFAULT_CONE, SegmentCone((1.0, 1.0, 1.0), (1.0, -1.0, 0.5), 0.5))
 
 
 def test_dual_contains_keeps_every_finite_answer_and_decides_overflowing_ones():
-    # a grid of covectors from tiny to the largest floats, on both kinds of cone; 1.7e308 and
+    # a grid of covectors from tiny to the largest floats, on two segment cones; 1.7e308 and
     # the float below it leave a margin far below ZERO_TOL once scaled, which must still count
     values = (0.0, 1.0, -1.0, 3.5, -2.0, 1e-300, 1e150, -1e200, 1.7e308, math.nextafter(1.7e308, 0.0), -1.7e308,
               8.9e307)
@@ -257,14 +206,6 @@ def test_cone_subspace_trivial_boundary_plane():
     assert not cone_subspace_trivial(DEFAULT_CONE, [(1, 1, 0), (0, 0, 1)])
 
 
-def test_cone_subspace_trivial_circular():
-    cone = CircularCone((1, 0, 0), eta=1.0)
-    assert cone_subspace_trivial(cone, [(0, 1, 0)])
-    assert not cone_subspace_trivial(cone, [(1, 0, 0)])
-    assert not cone_subspace_trivial(cone, [(1, 0, 0), (0, 1, 0)])
-    assert cone_subspace_trivial(cone, [(0, 1, 0), (0, 0, 1)])
-
-
 # -- annihilator witnesses -----------------------------------------------------
 
 def test_witness_for_central_derived_line():
@@ -293,9 +234,6 @@ def test_witness_absent_when_annihilator_is_the_spacelike_axis():
 def test_witness_for_trivial_subspace():
     w = find_interior_dual_in_annihilator(DEFAULT_CONE, np.zeros((0, 3)))
     assert w is not None and dual_contains(DEFAULT_CONE, w, strict=True)
-    cone = CircularCone((0, 0, 1), eta=2.0)
-    w2 = find_interior_dual_in_annihilator(cone, np.zeros((0, 3)))
-    assert w2 is not None and dual_contains(cone, w2, strict=True)
 
 
 def test_witness_none_on_boundary_tangent_plane():
@@ -351,30 +289,11 @@ def test_primal_dual_equivalence_randomized():
             assert float(np.max(np.abs(U @ np.asarray(witness)))) <= 1e-10
 
 
-def test_circular_cone_annihilator_witness_matches_primal_test():
-    # 1- and 2-dimensional annihilators of a circular cone: the closed-form
-    # witness exists exactly when the cone meets the subspace only at 0
-    rng = np.random.default_rng(31)
-    seen = set()
-    for _ in range(400):
-        cone = CircularCone(tuple(rng.normal(size=3)), float(rng.uniform(0.0, 3.0)))
-        U = rng.normal(size=(int(rng.integers(1, 3)), 3))
-        trivial = cone_subspace_trivial(cone, U)
-        witness = find_interior_dual_in_annihilator(cone, U)
-        assert trivial == (witness is not None)
-        if witness is not None:
-            assert dual_contains(cone, witness, strict=True)
-            assert float(np.max(np.abs(U @ np.asarray(witness)))) <= 1e-9
-        seen.add((3 - U.shape[0], trivial))
-    assert seen == {(1, False), (1, True), (2, False), (2, True)}
-
-
 _coord = st.floats(-1.0, 1.0, allow_nan=False)
 _row = st.tuples(_coord, _coord, _coord)
 _WITNESS_CONES = (
     DEFAULT_CONE,
     SegmentCone((1.0, 0.2, -0.3), (0.1, 1.0, 0.4), 0.6),
-    CircularCone((0.2, 0.3, 1.0), 0.5),
 )
 
 
@@ -425,46 +344,20 @@ def _cone_answers(cone, p, rows) -> tuple:
                 cone_subspace_trivial(cone, rows), find_interior_dual_in_annihilator(cone, rows))
 
 
-_unit_coord = st.floats(-1.0, 1.0, allow_subnormal=False)
-
-
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(axis=st.tuples(_unit_coord, _unit_coord, _unit_coord).filter(lambda a: max(map(abs, a)) > 1e-3),
-       k=st.integers(-1000, 1000), eta=st.floats(0.0, 5.0),
-       p=st.tuples(_unit_coord, _unit_coord, _unit_coord),
-       rows=st.lists(st.tuples(_unit_coord, _unit_coord, _unit_coord), min_size=1, max_size=2))
-def test_a_circular_cone_answers_the_same_for_an_axis_scaled_by_a_power_of_two(axis, k, eta, p, rows):
-    # scaling by 2^k rounds no bit, so only an overflowing or underflowing norm could
-    # tell the two axes apart; a component scaled into the subnormals would round one
-    rows = np.array(rows)
-    assume(np.linalg.svd(rows, compute_uv=False)[-1] > 1e-3)
-    assume(all(a == 0.0 or abs(math.ldexp(a, k)) >= sys.float_info.min for a in axis))
-    want = _cone_answers(CircularCone(axis, eta), p, rows)
-    assert _cone_answers(CircularCone(tuple(math.ldexp(a, k) for a in axis), eta), p, rows) == want
-
-
-@pytest.mark.parametrize("eta", [0.0, 1.0])
-@pytest.mark.parametrize("p,rows", [((1, 0, 0), [[0, 1, 0]]), ((0, 1, 0), [[0, 0, 1]]),
-                                    ((1, 0.5, 0), [[0, 1, 0], [0, 0, 1]]), ((1, 0, 0), [[1, 1, 0]])])
-def test_a_circular_cone_of_axis_1e300_answers_as_the_unit_axis(eta, p, rows):
-    want = _cone_answers(CircularCone((1.0, 0.0, 0.0), eta), p, rows)
-    assert _cone_answers(CircularCone((1e300, 0.0, 0.0), eta), p, rows) == want
-    assert _cone_answers(CircularCone((1e-300, 0.0, 0.0), eta), p, rows) == want
-
-
-@pytest.mark.parametrize("cone", [DEFAULT_CONE, CircularCone((1.0, 0.0, 0.0), 1.0)])
+@pytest.mark.parametrize("cone", [DEFAULT_CONE, SegmentCone((1.0, 0.0, 0.0), (0.0, 1.0, 1.0), 0.5)])
 @pytest.mark.parametrize("long,short", [([1e300, 1, 0], [1, 0, 0]), ([0, 1e300, 0], [0, 1, 0]),
                                         ([1e300, 0, 1e300], [1, 0, 1])])
 def test_a_long_subspace_row_answers_as_its_direction(cone, long, short):
     assert _cone_answers(cone, (1, 0, 0), [long]) == _cone_answers(cone, (1, 0, 0), [short])
 
 
-@pytest.mark.parametrize("eta", [0.0, 1.0])
+@pytest.mark.parametrize("h", [0.0, 1.0])
 @pytest.mark.parametrize("long,short", [((1e300, 1e300, 0), (1, 1, 0)), ((2e300, 1e300, 0), (2, 1, 0)),
                                         ((1e300, 0, -1e300), (1, 0, -1)), ((0, 1e300, 0), (0, 1, 0))])
-def test_a_long_vector_or_covector_answers_as_its_direction(eta, long, short):
-    # the transverse length is taken on the vector scaled by a power of two
-    cone = CircularCone((1.0, 0.0, 0.0), eta)
+def test_a_long_vector_or_covector_answers_as_its_direction(h, long, short):
+    # the distance off the plane is scaled by the vector's largest entry, and dual
+    # membership is decided on the covector scaled by a power of two
+    cone = SegmentCone((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), h)
 
     def answers(v):
         return [f(cone, v, strict) for f in (contains, dual_contains) for strict in (False, True)]
@@ -527,13 +420,3 @@ def test_a_segment_cone_normal_is_the_unit_cross_product_to_within_two_ulps(u1, 
             exact = [Fraction(Decimal(x) / length) for x in n.tolist()]
         assert all(_within_ulps(x, e, 2) for x, e in zip(normal, exact)), (normal, exact)
         assert _unit_to_within_ulps(normal, 2)
-
-
-# -- serialization -------------------------------------------------------------
-
-def test_cone_json_round_trip():
-    for data, cone in (({"kind": "segment", "u1": [1.0, 0.0, 0.0], "u2": [0.0, 1.0, 0.0]}, DEFAULT_CONE),
-                       ({"kind": "segment", "u1": [1, 0.2, 0], "u2": [0, 1, 0.3], "half_width": 0.7},
-                        SegmentCone((1, 0.2, 0), (0, 1, 0.3), 0.7)),
-                       ({"kind": "circular", "axis": [0, 0, 2], "eta": 1.5}, CircularCone((0, 0, 2), 1.5))):
-        assert cone_from_json(data) == cone

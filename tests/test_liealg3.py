@@ -127,6 +127,18 @@ def test_jacobi_defect_matches_the_array_formula_bit_for_bit(alg):
     assert struct.pack("<d", got) == struct.pack("<d", want), (got, want)
 
 
+@pytest.mark.parametrize("table, shown", [
+    # double brackets past the float range: inf - inf in a sum makes the defect NaN
+    (((1e308, 1e308, 1.0), (1e308, -1e308, 0.0), (1e308, 1e308, 0.0)), "nan"),
+    (((0.0, 0.0, 1e308), (1e308, 0.0, 0.0), (0.0, 1e308, 0.0)), "inf"),
+])
+def test_a_table_whose_jacobi_defect_is_not_finite_is_rejected(table, shown):
+    defect = _unchecked(*table).jacobi_defect()
+    assert not math.isfinite(defect) and str(defect) == shown
+    with pytest.raises(ValueError, match=rf"Jacobi identity \(non-finite defect {shown}\)"):
+        LieAlgebra3(*table)
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 def test_bracket_rejects_non_finite_vectors(bad):
     alg = heisenberg()

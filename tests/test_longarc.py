@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from sublorentz.conegeom import DEFAULT_CONE, CircularCone, SegmentCone, contains
+from sublorentz.conegeom import DEFAULT_CONE, SegmentCone, contains
 from sublorentz.existence import check_case
 from sublorentz.liealg3 import CASE_IDS, SL2_CASES, LieAlgebra3, SubLorentzCase, from_case, killing_axes
 from sublorentz.oracle import sample_case
@@ -305,7 +305,7 @@ def test_su2_constant_control_closes_after_one_period():
 
 
 def test_cover_pure_rotation_matches_multiply_iteration():
-    st = CaseStructure(sl2cover.ALGEBRA, CircularCone((1, 0, 0), 1.0), LORENTZIAN, CoverModel())
+    st = CaseStructure(sl2cover.ALGEBRA, DEFAULT_CONE, LORENTZIAN, CoverModel())
     xi, total, n = 0.8, 1.5, 24
     curve = constant_curve(st, (xi, 0.0, 0.0), n=n, total=total)
     end = integrate(curve).endpoint
@@ -1564,7 +1564,7 @@ def test_the_search_needs_a_cone_that_holds_its_controls():
     # the clamp on b is _B_MAX itself on the default cone, so no default-cone solve moves
     assert longarc._b_max(DEFAULT_CONE) == _B_MAX
     assert longarc._b_max(SegmentCone((2, 0, 0), (0, -0.5, 0), 3.0)) == _B_MAX * 0.75
-    cover = build_structure(SL2, cone=CircularCone((1, 0, 0), 1.0))
+    cover = build_structure(SL2, cone=SegmentCone((1, 0, 0), (0, 0, 1)))
     tilted = build_structure(HEIS, cone=SegmentCone((1, 0.1, 0), (0, 1, 0), 0.5))
     for st in (cover, tilted):
         with pytest.raises(ValueError, match="needs a segment cone whose u1 is a positive multiple of X1"):

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
-from sublorentz.conegeom import CircularCone, contains
 from sublorentz.sl2cover import (
     ALGEBRA,
     IDENTITY,
@@ -113,19 +112,21 @@ def test_multiply_and_project_keep_their_floats_where_the_square_of_w_is_finite(
         assert project(g1).tolist() == [[z, g1.w], [g1.w.conjugate(), z.conjugate()]]
 
 
-@pytest.mark.parametrize("g1, g2", [
-    # |w1|^2 overflows in the quotient
-    (CoverElement(0.0, 1.4e154), CoverElement(0.0, -1.0)),
-    (CoverElement(0.3, 1e200), CoverElement(-0.2, -1e-150)),
+@pytest.mark.parametrize("g1, g2, w", [
+    # |w1|^2 overflows in the quotient; w is 1.4e154 (sqrt(2) - 1)
+    (CoverElement(0.0, 1.4e154), CoverElement(0.0, -1.0), 5.7989898732233315e153),
+    (CoverElement(0.3, 1e200), CoverElement(-0.2, -1e-150), None),
     # every square is finite, and their sum overflows
-    (CoverElement(0.0, 1.3e154), CoverElement(0.0, complex(-0.7, 0.7))),
+    (CoverElement(0.0, 1.3e154), CoverElement(0.0, complex(-0.7, 0.7)), None),
     # (Im z)^2 overflows
-    (CoverElement(1.0, complex(3e100, -1e154)), CoverElement(-2.0, complex(-1e60, 5e60))),
+    (CoverElement(1.0, complex(3e100, -1e154)), CoverElement(-2.0, complex(-1e60, 5e60)), None),
 ], ids=["w1 squared", "w1 squared, small w2", "sum of squares", "Im z squared"])
-def test_a_quotient_whose_squares_overflow_is_taken_on_scaled_values(g1, g2):
+def test_a_quotient_whose_squares_overflow_is_taken_on_scaled_values(g1, g2, w):
     assert decimal_angle(g1, g2) is not None
     assert_angle_matches_decimal(g1, g2)
     assert cmath.isfinite(multiply(g1, g2).w)
+    if w is not None:
+        assert abs(multiply(g1, g2).w - w) <= 1e-12 * w
 
 
 @pytest.mark.parametrize("w", [1.4e154, complex(-3e200, 4e200), 1e308])
@@ -320,8 +321,7 @@ def test_growth_ratio_bound_sweep():
 def test_growth_ratio_linear_along_boundary_ray():
     eta = 1.0
     A, B = growth_bound_constants(eta)
-    u = TangentVector(1.0, 1.0 / math.sqrt(eta + 1.0))
-    assert contains(CircularCone((1.0, 0.0, 0.0), eta), (u.xi, u.zeta.real, u.zeta.imag))
+    u = TangentVector(1.0, 1.0 / math.sqrt(eta + 1.0))  # growth_ratio refuses a vector outside the cone
     for wmag in (10.0, 100.0, 1000.0):
         base = CoverElement(0.4, complex(wmag, 0.0))
         assert growth_ratio(base, u, eta) <= A + B * wmag
@@ -336,6 +336,48 @@ def test_growth_ratio_rejections():
         growth_ratio(IDENTITY, TangentVector(0.0, 0.0), 1.0)
     with pytest.raises(ValueError, match="nonzero"):
         growth_ratio(IDENTITY, TangentVector(-0.0, complex(0.0, -0.0)), 1.0)
+
+
+def _outside_the_solid_cone(xi: float, zeta: complex, eta: float) -> bool:
+    """The reference test that u = (xi, zeta) is refused by the closed solid cone
+    {xi >= sqrt(eta+1) |zeta|} of axis (1, 0, 0): a parameter eta that is not finite and > 0 or a
+    vector that is not finite is refused; otherwise the axial part (a dot product with the axis
+    summed from 0.0) is compared with the aperture times the length of the transverse part, less
+    ZERO_TOL."""
+    v = (xi, zeta.real, zeta.imag)
+    if not eta > 0.0 or not math.isfinite(eta) or not all(map(math.isfinite, v)):
+        return True
+    axial = 0.0
+    for x, a in zip(v, (1.0, 0.0, 0.0)):
+        axial += x * a
+    transverse = math.hypot(*(x - axial * a for x, a in zip(v, (1.0, 0.0, 0.0))))
+    return not axial >= math.sqrt(eta + 1.0) * transverse - 1e-12
+
+
+def test_growth_ratio_refuses_exactly_the_vectors_outside_its_solid_cone():
+    # a boundary grid: signed zeros, values at the tolerance and on the cone's boundary, the
+    # ends of float range and non-finite inputs
+    root2 = math.sqrt(2.0)
+    xis = [0.0, -0.0, 1e-12, -1e-12, 2e-12, 1.0, -1.0, root2, math.nextafter(root2, 0.0), 1e300, 1.7e308,
+           math.inf, -math.inf, math.nan]
+    parts = [0.0, -0.0, 1e-12, -1e-12, 1.0, -1.0, 1.0 / root2, 1e300, 1.7e308, math.inf, math.nan]
+    etas = [-1.0, -0.0, 0.0, 1e-300, 0.5, 1.0, 3.0, 1e300, 1.7976931348623157e308, math.inf, math.nan]
+    seen = set()
+    for xi in xis:
+        for re in parts:
+            for im in parts:
+                for eta in etas:
+                    u = TangentVector(xi, complex(re, im))
+                    try:
+                        growth_ratio(IDENTITY, u, eta)
+                        refused = False
+                    except ValueError as exc:
+                        refused = "nonzero" not in str(exc)  # the zero vector passes the cone test
+                    except ArithmeticError:  # past the cone test: a pushed angle form that is not positive
+                        refused = False
+                    assert refused == _outside_the_solid_cone(xi, complex(re, im), eta), (u, eta)
+                    seen.add(refused)
+    assert seen == {False, True}
 
 
 @pytest.mark.parametrize("tiny", [1e-170, 5e-324])
