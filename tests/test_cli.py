@@ -114,12 +114,68 @@ def test_usage_error_exit_code(capsys):
     assert run(capsys, "nonsense")[0] == EXIT_USAGE
 
 
+# -- the removed cone and sl2 calculators ---------------------------------------
+# An invocation of either ends in argparse's invalid-choice error, which names the four
+# commands; the tests below keep the inputs they ran while the calculators existed.
+
+def _no_command(name: str) -> str:
+    return (f"error: argument command: invalid choice: '{name}' "
+            "(choose from 'table', 'check', 'solve', 'witness')\n")
+
+
+def assert_no_command(capsys, *argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.endswith(_no_command(argv[0])) and "Traceback" not in err
+
+
+def assert_no_command_in_a_child(*argv):
+    """As :func:`assert_no_command`, in a child interpreter that turns warnings into errors."""
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "sublorentz.cli", *argv],
+                          capture_output=True, text=True, env=_ENV)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_USAGE, "", "sublorentz: " + _no_command(argv[0]))
+
+
 @pytest.mark.parametrize("argv", [["sl2", "mul", "--g1", "0,0,0", "--g2", "0,0,0"],
                                   ["cone", "dual", "--cone", "{}", "--p", "1,0,0"]])
 def test_the_cone_and_sl2_calculators_are_no_commands(capsys, argv):
-    code, out, err = run(capsys, *argv)
-    assert (code, out) == (EXIT_USAGE, "")
-    assert f"error: argument command: invalid choice: '{argv[0]}'" in err
+    assert_no_command(capsys, *argv)
+
+
+def test_cone_commands(capsys):
+    cone = '{"kind":"segment","u1":[1,0,0],"u2":[0,1,0]}'
+    assert_no_command(capsys, "cone", "dual", "--cone", cone, "--p", "1,0,0", "--strict")
+    assert_no_command(capsys, "cone", "intersect", "--cone", cone, "--subspace", "[[0,0,1]]")
+
+
+def test_sl2_inv_and_project(capsys):
+    assert_no_command(capsys, "sl2", "inv", "--g", "0.3,2,-1")
+    assert_no_command(capsys, "sl2", "project", "--g", "0,0,0")
+
+
+def test_sl2_mul_and_project_where_the_square_of_w_overflows(capsys):
+    # the products and projections these printed are pinned in test_sl2cover
+    assert_no_command(capsys, "sl2", "mul", "--g1", "0,1.4e154,0", "--g2", "0,-1,0")
+    assert_no_command(capsys, "sl2", "project", "--g", "0,1e200,0")
+
+
+def test_sl2_push_and_tau(capsys):
+    assert_no_command(capsys, "sl2", "tau", "--g", "0,3,0", "--v", "1,0,0")
+    assert_no_command(capsys, "sl2", "push", "--g", "0,2,1", "--v", "1,0,0")
+
+
+@pytest.mark.parametrize("cone", ['{"kind":"segment","u1":[1,0,0],"u2":[0,1,0]}',
+                                  '{"kind":"circular","axis":[1,1,0],"eta":1}'])
+def test_cone_dual_near_the_largest_float_answers_without_a_warning(cone):
+    for strict in ([], ["--strict"]):
+        assert_no_command_in_a_child("cone", "dual", "--cone", cone, "--p", "1.7e308,1.7e308,0", *strict)
+
+
+@pytest.mark.parametrize("argv", [["dual", "--p", "1,0,0"], ["intersect", "--subspace", "[[0,0,1]]"]])
+def test_a_segment_cone_whose_extreme_rays_overflow_is_a_named_error(argv):
+    # the library's error is test_conegeom's test_a_segment_cone_whose_extreme_rays_overflow_is_rejected
+    cone = '{"kind":"segment","u1":[1,0,0],"u2":[0,2,0],"half_width":1e308}'
+    assert_no_command_in_a_child("cone", argv[0], "--cone", cone, *argv[1:])
 
 
 def test_solve_command(capsys):
@@ -291,6 +347,16 @@ def test_witness_for_a_huge_length_is_fast_and_small():
      "needs too many loops"),
     (["witness", "--case", "9", "--kappa", "0", "--chi=-2", "--length", "1.7976931348623157e308"],
      "gives a witness of infinite length"),
+    (["table", "--samples", "0"], "samples must be >= 1"),
+    (["solve", "--case", "1", "--kappa", "0", "--target", "[1,0,0]", "--steps", "0", "--budget", "5"],
+     "steps must be >= 1"),
+    (["solve", "--case", "1", "--kappa", "0", "--target", "[1,0,0]", "--steps", "2", "--budget", "-1"],
+     "budget must be >= 0"),
+    (["solve", "--case", "9", "--kappa", "0", "--chi", "-1", "--target", "[1,0,0]", "--steps", "2", "--budget", "5"],
+     "case 9 has infinite distance to every attainable point"),
+    (["check", "--case", "1", "--variant", "2"], "case 1 has a single canonical pattern; variant must be 1"),
+    (["check", "--case", "10", "--kappa", "-2", "--chi", "nan"], "chi must be finite"),
+    (["check", "--case", "3", "--kappa", "0.5", "--tau", "inf"], "tau must be finite"),
     *[(["witness", "--case", "9", "--kappa", "0", "--chi", "-1", "--length", demand],
        "from the identity, above 0.0001")
       for demand in ("1e14", "1e16")],
@@ -300,6 +366,8 @@ def test_witness_for_a_huge_length_is_fast_and_small():
       "--steps-per-loop", "10001"], "steps per loop must be <= 10000"),
     (["solve", "--case", "1", "--kappa", "0", "--target", "[1,0,0]", "--steps", "2", "--budget", "5",
       "--format", "text"], "unrecognized arguments"),
+    (["witness", "--case", "9", "--kappa", "0", "--chi", "-1", "--length", "5", "--format", "text"],
+     "unrecognized arguments"),
     (["solve", "--case", "10", "--kappa", "-2", "--chi", "-1", "--target", "[1,0,0]"],
      "this model takes targets in its own coordinates"),
     (["solve", "--case", "3", "--kappa", "0.5", "--target", "[1e6,1,0]", "--steps", "8",
@@ -307,12 +375,25 @@ def test_witness_for_a_huge_length_is_fast_and_small():
     (["solve", "--case", "1", "--kappa", "0", "--target", "[1,0,0]", "--steps", "2", "--budget", "5",
       "--seed", "-1"], "--seed must be >= 0"),
     (["table", "--seed", "-1"], "--seed must be >= 0"),
+    # a row's parameters are named when missing or outside the row
+    (["check", "--case", "10"], "case 10 requires kappa"),
+    (["check", "--case", "10", "--kappa", "-2"], "case 10 requires chi"),
+    (["check", "--case", "5", "--tau", "3"], "case 5 requires |tau| < 2"),
     *[(["solve", "--case", row, "--tau", "-1e4", "--target", "[1,0,0]", "--steps", "2", "--budget", "5"],
        "its exponential overflows") for row in ("4", "7")],
     (["solve", "--case", "7", "--variant", "2", "--tau=-1.7976931348623157e308", "--target", "[0,0,1]", "--steps",
       "2", "--budget", "5"], "the semidirect model of case-7 does not apply"),
     (["witness", "--case", "2", "--kappa", "-1e300", "--length", "5"],
      "the loop construction applies to the su2 structure (case 9), not to case 2"),
+    # argparse names a value it cannot read, and a missing command
+    (["check", "--case", "42"], "argument --case: invalid choice: '42'"),
+    (["check", "--case", "1", "--variant", "3"], "argument --variant: invalid choice: 3"),
+    (["check", "--case", "1", "--format", "xml"], "argument --format: invalid choice: 'xml'"),
+    (["check", "--case", "10", "--kappa", "x", "--chi", "-1"], "argument --kappa: invalid float value: 'x'"),
+    (["table", "--samples", "x"], "argument --samples: invalid int value: 'x'"),
+    (["witness", "--case", "9", "--kappa", "0", "--chi", "-1", "--length", "5", "--steps-per-loop", "x"],
+     "argument --steps-per-loop: invalid int value: 'x'"),
+    ([], "the following arguments are required: command"),
     # the product overflows without raising, to coordinates nan
     (["solve", "--case", "7", "--tau", "1e300", "--target", "[0,1,0]", "--steps", "2", "--budget", "5"],
      "its exponential overflows"),
@@ -329,6 +410,17 @@ def test_witness_for_a_huge_length_is_fast_and_small():
      "a target in exponential coordinates is three finite numbers"),
     (["solve", "--case", "10", "--kappa", "-2", "--chi", "-1", "--target", '{"c": true, "w": [0, 0]}',
       "--steps", "2", "--budget", "5"], 'a cover target is {"c": c, "w": [re, im]} with finite numbers'),
+    (["solve", "--case", "1", "--kappa", "0", "--steps", "2", "--budget", "5"],
+     "the following arguments are required: --target"),
+    (["witness", "--case", "9", "--kappa", "0", "--chi", "-1"], "the following arguments are required: --length"),
+    *[(["solve", "--case", "1", "--kappa", "0", "--target", target, "--steps", "2", "--budget", "5"], message)
+      for target, message in (("[1,0", "Expecting ',' delimiter"), ("", "Expecting value"))],
+    *[(["witness", "--case", "9", "--kappa", "0", "--chi", "-1", "--length", demand],
+       "demanded length must be positive and finite") for demand in ("0", "nan")],
+    (["check", "--case", "2", "--kappa", "1e300"], "the Killing form of case-2 is out of float range"),
+    (["check", "--case", "13", "--kappa", "1", "--chi", "1"], "case 13 requires kappa = -7 chi"),
+    (["solve", "--case", "1", "--kappa", "0", "--target", "[1,0,0]", "--steps", "2", "--budget", "5",
+      "--steps-per-loop", "3"], "unrecognized arguments"),
     # row 1's algebra takes no kappa, so a tiny one is not rounded to zero and echoed unused
     (["check", "--case", "1", "--kappa", "1e-13"], "case 1 requires kappa = 0"),
 ])
@@ -446,6 +538,30 @@ def _run_with_warnings_as_errors(argv) -> tuple[int, str]:
     if code in (EXIT_OK, EXIT_NOT_FOUND):
         json.loads(out.getvalue(), parse_constant=_reject_constant)
     return code, err.getvalue()
+
+
+_SL2_NUMERALS = ["0", "-0", "5e-324", "-5e-324", "1e-300", "-1e-300", "1", "-1", "1e154", "1e200", "1e300",
+                 "-1e300", "1.7976931348623157e308", "nan", "inf", "-inf"]
+_SL2_OPTIONS = {"mul": ("--g1", "--g2"), "inv": ("--g",), "project": ("--g",), "push": ("--g", "--v"),
+                "tau": ("--g", "--v")}
+
+
+@hs.composite
+def sl2_argv(draw):
+    command = draw(hs.sampled_from(sorted(_SL2_OPTIONS)))
+    argv = ["sl2", command]
+    for option in _SL2_OPTIONS[command]:
+        argv += [option, ",".join(draw(hs.lists(hs.sampled_from(_SL2_NUMERALS), min_size=3, max_size=3)))]
+    return argv
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(sl2_argv())
+def test_every_sl2_input_ends_in_json_or_a_named_usage_error(argv):
+    # the calculator is gone, so every input, however its values parse, is the same usage error
+    code, err = _run_with_warnings_as_errors(argv)
+    assert code == EXIT_USAGE
+    assert err.endswith(_no_command("sl2")) and "Traceback" not in err
 
 
 _NUMERALS = ["0", "-0", "5e-324", "1e-300", "-1e-300", "0.5", "-0.5", "1", "-1", "1.5", "2", "-2", "-2.5", "3",

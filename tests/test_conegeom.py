@@ -59,7 +59,11 @@ def test_default_cone_matches_inequality_description():
         assert contains(DEFAULT_CONE, v) == described
 
 
-def test_a_zero_width_segment_cone_is_the_ray_through_u1():
+def test_acute():
+    # a segment cone holds no line: it takes v but not -v, down to the width 0 of the ray
+    # through u1, and the half-plane of infinite width cannot be built
+    for v in ((1, 0, 0), (1, 1, 0), (1, -1, 0)):
+        assert contains(DEFAULT_CONE, v) and not contains(DEFAULT_CONE, tuple(-x for x in v))
     ray = SegmentCone((1, 0.5, 0), (0, 1, 0.3), half_width=0.0)
     assert contains(ray, (2, 1, 0)) and not contains(ray, (-2, -1, 0))
     assert not contains(ray, (0, 1, 0.3)) and not contains(ray, (0, -1, -0.3))
@@ -75,6 +79,14 @@ def test_segment_cone_rejects_a_non_finite_half_width(h):
 def test_segment_cone_rejects_a_negative_half_width():
     with pytest.raises(ValueError, match="half_width must be >= 0"):
         SegmentCone((1, 0, 0), (0, 1, 0), -0.5)
+
+
+def test_degenerate_cone_rejected_by_dual_operations():
+    # the half-plane, whose dual is a ray, is refused as it is built, before an operation answers on it
+    for operation, argument in ((dual_contains, (1, 0, 0)), (cone_subspace_trivial, [(0, 0, 1)]),
+                                (find_interior_dual_in_annihilator, [(0, 0, 1)])):
+        with pytest.raises(ValueError, match="half_width must be finite"):
+            operation(SegmentCone((1, 0, 0), (0, 1, 0), half_width=math.inf), argument)
 
 
 @pytest.mark.parametrize("scale", [1e-9, 1e-6, 1e6])
