@@ -48,11 +48,13 @@ per run of equal rows, a constant one straight from its (r, b) pair (one run
 element and no product) and a one-row move from the runs of the kept
 candidate, and its endpoint error is a plain sum of squares on Python floats.
 On the semidirect model an element's first coordinate t is a homomorphism
-G -> R, so a candidate's endpoint t is its runs' h (f . u) summed in the
-products' order, with no exponential, and sqrt(d^2), d = t - the target's t,
-is a lower bound on its endpoint error that holds in floats.  A grid
-candidate or a descent move that this bound shows can neither become the
-best nor be kept is counted but not stepped, and no output byte changes.
+G -> R, and so is q1 where the derived subalgebra is a line (rows 1 and 2*):
+together they read the image in G/[G,G].  A candidate's endpoint coordinate
+is its runs' h (g . u) summed in the products' order, with no exponential,
+and the distance of those coordinates to the target's is a lower bound on
+its endpoint error that holds in floats.  A grid candidate or a descent
+move that this bound shows can neither become the best nor be kept is
+counted but not stepped, and no output byte changes.
 Its random restarts draw from ``random.Random``.
 """
 
@@ -253,7 +255,8 @@ class SemidirectModel:
             v0, v1 = v0 / nv, v1 / nv
             frame, k = ((v1, 0.0 - v0, 0.0), (v0, v1, 0.0), (0.0, 0.0, 1.0)), 2
         self._frame, self._derived = frame, k
-        imgs = [[_dot(row, algebra.bracket(frame[0], ideal)) for row in frame] for ideal in frame[1:]]
+        images = [algebra.bracket(frame[0], ideal) for ideal in frame[1:]]
+        imgs = [[_dot(row, image) for row in frame] for image in images]
         if not all(map(math.isfinite, itertools.chain(*imgs))):
             raise ValueError(f"the semidirect model of {algebra.label} does not apply: its bracket "
                              "images are out of float range")
@@ -836,8 +839,9 @@ class _Search:
     Each candidate counts as one evaluation of the budget, also one that is
     not stepped (see ``_descend`` and :meth:`rollout`): before any step, a
     candidate's length, and on the semidirect model a lower bound lb on its
-    endpoint error read off its endpoint's t, can show that it neither
-    becomes the best nor is kept.  ``rollouts`` counts those stepped.
+    endpoint error read off its endpoint's image in G/[G,G] (t, and q1 on
+    rows 1 and 2*), can show that it neither becomes the best nor is kept.
+    ``rollouts`` counts those stepped.
     """
 
     # Feasible candidates are ranked by length minus a multiple of the endpoint
@@ -856,8 +860,15 @@ class _Search:
         #: candidates stepped to their endpoint, out of ``evals``
         self.rollouts = 0
         self.tcoords = self.model.coords(target)
-        #: f, the semidirect frame's first row: a row u's exponential over h has t = h (f . u)
-        self._tf = self.model._frame[0] if isinstance(self.model, SemidirectModel) else None
+        #: (coordinate index, frame row g) of each homomorphism G -> R that is a coordinate of
+        #: the model's elements: a row u's exponential over h has that coordinate h (g . u).  On
+        #: the semidirect model t, and q1 where the derived subalgebra is a line (rows 1 and 2*),
+        #: so G/[G,G] is the plane of both; none on the cover and quaternion models, whose
+        #: algebras (sl2, su2) are perfect
+        self._homs: tuple = ()
+        if isinstance(self.model, SemidirectModel):
+            frame = self.model._frame
+            self._homs = ((0, frame[0]), (2, frame[2])) if self.model._derived == 1 else ((0, frame[0]),)
         self.best: Optional[tuple[float, list, float]] = None
         self.best_rank = -math.inf  # that of ``best``, which a candidate must beat to replace it
         # the kept candidate: runs (start, row, count, element, row value, start state), none once
@@ -892,9 +903,11 @@ class _Search:
         either ell - mu lb^2 is at most ``bar`` (a descent's move) or lb is above ``cap`` (the
         grid's third least error so far).  It is then (ell, lb), and :meth:`keep` cannot keep
         it.  lb = 0 rules out a move whose length is at most the bar and the best rank.  On the
-        semidirect model lb is sqrt(d^2), d = t - the target's t, t the endpoint's first
-        coordinate, whose runs' h (f . u) are summed in the order of the rollout's products
-        with no exponential: at most ``_error``'s sqrt(d^2 + ...), as rounding is monotone."""
+        semidirect model lb is the distance in G/[G,G]: sqrt(d_t^2), d_t = t - the target's t,
+        t the endpoint's first coordinate, and on rows 1 and 2* sqrt(d_t^2 + d_q1^2), q1 its
+        third.  Each is summed from the start state's over the runs' h (g . u), or a kept
+        run's element's, in the order of the rollout's products with no exponential, so lb is
+        at most ``_error``'s sqrt(d_t^2 + d_q0^2 + d_q1^2), as rounding is monotone."""
         self._cand = None
         model, runs, dt, b_max = self.model, self._runs, self.dt, self.b_max
         if len(theta) == 2:
@@ -931,19 +944,20 @@ class _Search:
             x = runs[j0][5] if runs else model.identity()
         if bar is not None and ell <= bar and ell <= self.best_rank:
             return ell, 0.0
-        tf = self._tf
-        if tf and (bar is not None or cap < math.inf):
-            f0, f1, f2 = tf
-            if new is None:
-                t = n * dt * (f0 * u[0] + f1 * u[1] + f2 * u[2])
-            else:  # from the start state's t, each run's as the products sum them
-                t = x[0]
-                for _, u, k, _, _, _ in new:
-                    t += k * dt * (f0 * u[0] + f1 * u[1] + f2 * u[2])
-                for run in rest:
-                    t += run[3][0]
-            d = t - self.tcoords[0]
-            lb = math.sqrt(d * d)
+        if self._homs and (bar is not None or cap < math.inf):
+            ss = 0.0
+            for c, (g0, g1, g2) in self._homs:
+                if new is None:
+                    y = n * dt * (g0 * u[0] + g1 * u[1] + g2 * u[2])
+                else:  # from the start state's coordinate, each run's as the products sum them
+                    y = x[1][c - 1] if c else x[0]
+                    for _, w, k, _, _, _ in new:
+                        y += k * dt * (g0 * w[0] + g1 * w[1] + g2 * w[2])
+                    for run in rest:
+                        y += run[3][1][c - 1] if c else run[3][0]
+                d = y - self.tcoords[c]
+                ss += d * d
+            lb = math.sqrt(ss)
             if (lb > ENDPOINT_TOL or ell - self.ERR_WEIGHT * lb <= self.best_rank) and (
                     (bar is not None and ell - mu * lb * lb <= bar) or lb > cap):
                 return ell, lb
@@ -1074,8 +1088,9 @@ def maximize(structure: CaseStructure, target, n_steps: int = 24, budget: int = 
     a descent move whose length, less mu lb^2, is at most the descent's bar,
     and a grid candidate whose error bound lb is above the third least grid
     error so far, which is ranked by lb and so stays out of the grid's first
-    three (lb being the semidirect model's bound of :meth:`_Search.rollout`,
-    0 on the others).  A curve counts as reaching the target when its endpoint is
+    three (lb being the semidirect model's distance in G/[G,G] of
+    :meth:`_Search.rollout`, 0 on the cover and quaternion models, whose
+    algebras are perfect).  A curve counts as reaching the target when its endpoint is
     within 1e-4 of it in group coordinates; if no candidate gets that close the
     result is marked not found.  A candidate far enough out overflows in floats
     and scores as infeasible.  The candidates are control rows [r, r b, 0], with

@@ -208,9 +208,12 @@ def growth_ratio(base: CoverElement, u: TangentVector, eta: float) -> float:
 
     ``u`` must be finite, nonzero and lie in the closed cone
     {xi >= sqrt(eta+1) |zeta|} of a finite parameter ``eta > 0`` (up to
-    ``ZERO_TOL``); the angle component of the push-forward is then strictly
-    positive, so the ratio is finite.  It satisfies ratio <= A + B |w(base)| with (A, B) from
-    :func:`growth_bound_constants`.
+    ``ZERO_TOL``), and the angle component of its push-forward must be
+    positive, so that the ratio is finite.  That holds for every nonzero vector
+    of the exact cone; one that passes the cone test only within ``ZERO_TOL``
+    (as (0, 1e-13) does), or whose angle component rounds away on the
+    boundary, is a ``ValueError``.  The ratio satisfies
+    ratio <= A + B |w(base)| with (A, B) from :func:`growth_bound_constants`.
     """
     if not eta > 0.0:
         raise ValueError("the growth ratio needs eta > 0")
@@ -223,5 +226,6 @@ def growth_ratio(base: CoverElement, u: TangentVector, eta: float) -> float:
     v = TangentVector(*push_forward(base, u))
     tau = v.xi
     if not tau > 0.0:
-        raise ArithmeticError("internal error: angle form not positive on the pushed cone")
+        raise ValueError("u is on the boundary of the admissible cone to within ZERO_TOL, "
+                         "and its push-forward has no positive angle component")
     return v.norm() / tau

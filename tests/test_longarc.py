@@ -1020,13 +1020,16 @@ def test_a_candidate_that_its_length_rules_out_could_not_pay(structure_args, n, 
        hs.data())
 def test_the_error_bound_is_the_endpoints_t_and_at_most_its_error(cid, seed, n, data):
     # ruled out whatever its bound (best rank inf, cap -1), a candidate is (length, lb) with no
-    # step.  lb is sqrt(d^2), d = t - the target's t, t the first coordinate of its curve's
-    # endpoint integrated afresh, bit for bit: against the target's t and against a target t
-    # of 0, where it is |t|.  lb is at most the error stepped in full.  Moves are drawn from a
-    # kept candidate, which each stepped candidate may become
+    # step.  lb is the distance in G/[G,G]: sqrt(d_t^2), d_t = t - the target's t, t the first
+    # coordinate of its curve's endpoint integrated afresh, and on rows 1 and 2*, whose derived
+    # subalgebra is a line, sqrt(d_t^2 + d_q1^2), q1 the third coordinate, bit for bit: against
+    # the target and against the zero target.  lb is at most the error stepped in full.  Moves
+    # are drawn from a kept candidate, which each stepped candidate may become
     st = build_structure(sample_case(cid, np.random.default_rng(seed), 0))
     search = _search(st, n)
-    target = search.tcoords
+    target, zero = search.tcoords, (0.0, 0.0, 0.0)
+    with_q1 = st.model._derived == 1
+    assert with_q1 == (cid in ("1", "2*"))
     kept = data.draw(runs_of_pairs(n))
     search.rollout(_listed(kept))
     search.keep()
@@ -1041,8 +1044,7 @@ def test_the_error_bound_is_the_endpoints_t_and_at_most_its_error(cid, seed, n, 
             theta = np.tile(pair, (n, 1))
             args = (list(pair), None)
         search.best_rank, rollouts, bounds = math.inf, search.rollouts, []
-        for t_target in (target[0], 0.0):
-            search.tcoords = (t_target,) + target[1:]
+        for search.tcoords in (target, zero):
             bounds.append(search.rollout(*args, cap=-1.0))
         search.tcoords, search.best_rank = target, -math.inf
         if bounds[0] is search._score:  # the move leaves its row as it was: the kept score
@@ -1052,12 +1054,15 @@ def test_the_error_bound_is_the_endpoints_t_and_at_most_its_error(cid, seed, n, 
         assert all(ell == full for ell, _ in bounds) and bounds[0][1] <= err
         with np.errstate(over="ignore", invalid="ignore"):
             try:
-                t = st.model.coords(integrate(ControlCurve(search.dt, _controls(theta), st)).endpoint)[0]
+                t, _, q1 = st.model.coords(integrate(ControlCurve(search.dt, _controls(theta), st)).endpoint)
             except OverflowError:
                 assert err == math.inf
             else:
-                d = t - target[0]
-                assert [lb.hex() for _, lb in bounds] == [math.sqrt(d * d).hex(), math.sqrt(t * t).hex()]
+                want = []
+                for t_target, _, q1_target in (target, zero):
+                    d_t, d_q1 = t - t_target, q1 - q1_target
+                    want.append(math.sqrt(d_t * d_t + d_q1 * d_q1) if with_q1 else math.sqrt(d_t * d_t))
+                assert [lb.hex() for _, lb in bounds] == [lb.hex() for lb in want]
         if data.draw(hs.booleans()):
             search.keep()
             kept = theta
@@ -1611,12 +1616,13 @@ def _probe_target(st, rng, n: int, runs: int):
     return integrate(ControlCurve(1.0 / n, [rows[0]] * head + [rows[1]] * (n - head), st)).endpoint
 
 
-def _spied_solve(monkeypatch, st, target, n: int, budget: int, seed: int, bound: bool = True):
+def _spied_solve(monkeypatch, st, target, n: int, budget: int, seed: int, bound=True):
     """maximize, with the numbers of the evaluations that were counted without a rollout
     (skipped), those whose rollout ruled them out before any step (pruned), each with its
     kind, the grid's or the descents', and the search's path: the start and arguments of each
-    descent, the constant descents' starts being the grid's first three.  With ``bound`` off
-    the search has no endpoint t, so its error bound is 0 and only the length rules out."""
+    descent, the constant descents' starts being the grid's first three.  With ``bound``
+    False the search reads no homomorphism coordinate, so its error bound is 0 and only the
+    length rules out; with ``bound`` "t" it reads the endpoint's t alone."""
     counted, rolled, pruned, path = [], set(), {}, []
     count, rollout, descend, init = _Search.count, _Search.rollout, _Search._descend, _Search.__init__
 
@@ -1636,16 +1642,16 @@ def _spied_solve(monkeypatch, st, target, n: int, budget: int, seed: int, bound:
         path.append((list(x), args))
         return descend(self, x, *args)
 
-    def init_without_t(self, *args):
+    def init_with_a_cut_bound(self, *args):
         init(self, *args)
-        self._tf = None
+        self._homs = self._homs[:1] if bound == "t" else ()
 
     with monkeypatch.context() as m:
         m.setattr(_Search, "count", spy_count)
         m.setattr(_Search, "rollout", spy_rollout)
         m.setattr(_Search, "_descend", spy_descend)
-        if not bound:
-            m.setattr(_Search, "__init__", init_without_t)
+        if bound is not True:
+            m.setattr(_Search, "__init__", init_with_a_cut_bound)
         res = maximize(st, target, n_steps=n, budget=budget, seed=seed)
     return res, [e for e in counted if e not in rolled], pruned, path
 
@@ -1675,7 +1681,7 @@ def test_the_descents_give_the_bytes_of_the_loop_that_scores_every_move(monkeypa
     assert kinds == {"skipped", "pruned"}
 
 
-@pytest.mark.parametrize("cid", ["1", "3", "12", "13"])
+@pytest.mark.parametrize("cid", ["1", "2*", "3", "12", "13"])
 def test_the_error_bound_rules_out_candidates_without_changing_a_byte(monkeypatch, cid):
     # ruling grid candidates and descent moves out by the error bound changes no byte, no
     # count and no descent's start: those of the search with the bound off, for budgets that
@@ -1699,6 +1705,38 @@ def test_the_error_bound_rules_out_candidates_without_changing_a_byte(monkeypatc
             assert json.dumps(got.to_json()) == json.dumps(want.to_json()) and path == want_path, (runs, b)
             assert got.evaluations == want.evaluations == b and got.rollouts <= want.rollouts
         assert got.found == (runs == 1) and len(path) > 3 and got.rollouts < want.rollouts
+
+
+@pytest.mark.parametrize("cid", ["1", "2*"])
+def test_the_q1_term_of_the_bound_rules_out_more_without_changing_a_byte(monkeypatch, cid):
+    # on rows 1 and 2* the bound reads t and q1, the coordinates of G/[G,G]: it changes no byte,
+    # no count and no descent's start against the bound cut to t, for a budget that ends inside
+    # the grid, one that ends on a candidate that only the q1 term rules out, and the full
+    # budget, and it steps fewer candidates
+    rng = np.random.default_rng(5)
+    st = build_structure(sample_case(cid, rng, 0))
+    n, budget, seed = 8, 1600, 7
+    for runs in (1, 2):
+        target = _probe_target(st, rng, n, runs)
+        _, _, pruned, _ = _spied_solve(monkeypatch, st, target, n, budget, seed)
+        _, _, by_t, _ = _spied_solve(monkeypatch, st, target, n, budget, seed, bound="t")
+        assert by_t.items() <= pruned.items()
+        by_q1 = sorted(e for e in pruned if e not in by_t)
+        assert by_q1
+        for b in (60, by_q1[len(by_q1) // 2], budget):
+            got, _, _, path = _spied_solve(monkeypatch, st, target, n, b, seed)
+            want, _, _, want_path = _spied_solve(monkeypatch, st, target, n, b, seed, bound="t")
+            assert json.dumps(got.to_json()) == json.dumps(want.to_json()) and path == want_path, (runs, b)
+            assert got.evaluations == want.evaluations == b and got.rollouts <= want.rollouts
+        assert got.rollouts < want.rollouts
+
+
+def test_the_heisenberg_cli_solve_steps_at_most_a_fifth_of_its_candidates():
+    # the same solve: the endpoint's t and q1, which G/[G,G] reads, rule out most grid
+    # candidates and moves before any step
+    st = build_structure(HEIS)
+    res = maximize(st, target_from_exp2(st, (1.0, 0.0, 0.0)), n_steps=32, budget=10000)
+    assert res.evaluations == 10000 and 0 < res.rollouts <= 2000
 
 
 def test_the_heisenberg_cli_solve_steps_at_most_half_its_candidates():

@@ -336,6 +336,10 @@ def test_growth_ratio_rejections():
         growth_ratio(IDENTITY, TangentVector(0.0, 0.0), 1.0)
     with pytest.raises(ValueError, match="nonzero"):
         growth_ratio(IDENTITY, TangentVector(-0.0, complex(0.0, -0.0)), 1.0)
+    # inside the cone only within ZERO_TOL, with a pushed angle component that is not positive
+    for u in (TangentVector(0.0, 1e-13j), TangentVector(0.0, 1e-13 + 0j), TangentVector(-1e-13, 0j)):
+        with pytest.raises(ValueError, match="no positive angle component"):
+            growth_ratio(IDENTITY, u, 1.0)
 
 
 def _outside_the_solid_cone(xi: float, zeta: complex, eta: float) -> bool:
@@ -372,9 +376,8 @@ def test_growth_ratio_refuses_exactly_the_vectors_outside_its_solid_cone():
                         growth_ratio(IDENTITY, u, eta)
                         refused = False
                     except ValueError as exc:
-                        refused = "nonzero" not in str(exc)  # the zero vector passes the cone test
-                    except ArithmeticError:  # past the cone test: a pushed angle form that is not positive
-                        refused = False
+                        # past the cone test: the zero vector and a pushed angle form that is not positive
+                        refused = not ("nonzero" in str(exc) or "no positive angle component" in str(exc))
                     assert refused == _outside_the_solid_cone(xi, complex(re, im), eta), (u, eta)
                     seen.add(refused)
     assert seen == {False, True}
