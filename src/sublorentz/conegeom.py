@@ -7,22 +7,19 @@ no line.  The default structure cone is the segment cone with u1 = X1,
 u2 = X2, i.e. {(x1, x2, 0) : |x2| <= x1}.
 
 Vectors and covectors are float triples (:func:`_vec3`).  A cone builds once
-what its questions need: its unit normal, the inverse of its frame
-(u1, u2, normal) and its extreme rays u1 +- h u2, which must be finite.
-Questions are decided in closed form on the rays, with one left-to-right dot
-(:func:`_dot`) and ``math.hypot`` lengths; numpy only checks inputs, inverts
-the frame and takes a subspace's SVD.
+what its questions need: its unit normal, its extreme rays u1 +- h u2, which
+must be finite, and their unit vectors.  A subspace is its dimension and one
+unit vector (:func:`_subspace`).  Questions are decided in closed form on unit
+vectors, with cross products (:func:`_cross`), one left-to-right dot
+(:func:`_dot`) and ``math.hypot`` lengths; numpy only checks inputs.
 
-Exact-zero comparisons use ``ZERO_TOL``: the independence test of a segment
-cone's generators is relative to their lengths; the membership and duality
-tests are absolute (the distance off a segment cone's plane is scaled by
-max(1, largest |v_i|)), so their inputs are expected to be of order one.
-Unit vectors are taken on the vector scaled by a power of two
-(:func:`_split`), and dual membership decides on the covector so scaled
-against the margin scaled alike, so huge or tiny inputs neither overflow nor
-underflow.  The tolerance pair below is the one the whole package uses; this
-module imports nothing from the package, so every other module can take it
-from here.
+Exact-zero comparisons use ``ZERO_TOL`` and rank tests ``RANK_TOL``, both on
+unit vectors taken on the vector scaled by a power of two (:func:`_split`), so
+no answer but dual membership depends on the scale of a vector, a subspace row
+or the generators, and nothing overflows or underflows.  Dual membership keeps
+an absolute margin, scaled by the covector's power of two.  The tolerance pair
+below is the one the whole package uses; this module imports nothing from the
+package, so every other module can take it from here.
 """
 
 from __future__ import annotations
@@ -83,11 +80,10 @@ class SegmentCone:
     u1: Vec3
     u2: Vec3
     half_width: float = 1.0
-    #: Unit normal of the carrier plane, the rows of the inverse of the frame (u1, u2, normal),
-    #: and the extreme rays.
+    #: Unit normal of the carrier plane n = u1 x u2 / |u1 x u2|, the extreme rays and their unit vectors.
     _normal: Vec3 = field(init=False, repr=False, compare=False)
-    _frame_inv: tuple[Vec3, Vec3, Vec3] = field(init=False, repr=False, compare=False)
     _rays: tuple[Vec3, Vec3] = field(init=False, repr=False, compare=False)
+    _unit_rays: tuple[Vec3, Vec3] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         u1, u2, h = _vec3(self.u1), _vec3(self.u2), float(self.half_width)
@@ -108,9 +104,8 @@ class SegmentCone:
             raise ValueError(f"the extreme rays u1 +- h u2 of a segment cone of half-width {h!r} "
                              "are not finite")
         normal = tuple(x / length for x in n)
-        frame_inv = tuple(map(tuple, np.linalg.inv(np.column_stack([u1, u2, normal])).tolist()))
-        for name, value in zip(("u1", "u2", "half_width", "_normal", "_frame_inv", "_rays"),
-                               (u1, u2, h, normal, frame_inv, rays)):
+        for name, value in zip(("u1", "u2", "half_width", "_normal", "_rays", "_unit_rays"),
+                               (u1, u2, h, normal, rays, tuple(map(_unit, rays)))):
             object.__setattr__(self, name, value)
 
     def rays(self) -> tuple[Vec3, Vec3]:
@@ -122,16 +117,18 @@ class SegmentCone:
 DEFAULT_CONE = SegmentCone((1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
 
 
-def contains(cone: SegmentCone, v, strict: bool = False) -> bool:
-    """Membership in the closed cone; with ``strict``, in its relative interior."""
+def contains(cone: SegmentCone, v) -> bool:
+    """Membership in the closed cone, decided on v's unit vector v' (the zero vector is in it).
+
+    With n the unit normal and r1', r2' the unit rays, |v'.n| <= ``ZERO_TOL``, (r2' x v').n,
+    (v' x r1').n and v'.(r1' + r2') >= -``ZERO_TOL``; the last keeps out -u1 at half-width 0.
+    """
     v = _vec3(v)
-    a, b, c = (_dot(row, v) for row in cone._frame_inv)
-    if abs(c) > ZERO_TOL * max(1.0, *map(abs, v)):
-        return False
-    h = cone.half_width
-    if strict:
-        return a > ZERO_TOL and abs(b) < h * a - ZERO_TOL
-    return a >= -ZERO_TOL and abs(b) <= h * a + ZERO_TOL
+    if not any(v):
+        return True
+    v, n, (r1, r2) = _unit(v), cone._normal, cone._unit_rays
+    return (abs(_dot(v, n)) <= ZERO_TOL and _dot(_cross(r2, v), n) >= -ZERO_TOL
+            and _dot(_cross(v, r1), n) >= -ZERO_TOL and _dot(v, [a + b for a, b in zip(r1, r2)]) >= -ZERO_TOL)
 
 
 def dual_contains(cone: SegmentCone, p, strict: bool = False) -> bool:
@@ -147,73 +144,61 @@ def dual_contains(cone: SegmentCone, p, strict: bool = False) -> bool:
     return all(v > tol for v in values) if strict else all(v >= -tol for v in values)
 
 
-def _subspace(subspace) -> tuple[list, list, list]:
-    """Basis rows U, and rows of an orthonormal basis of their span and of its annihilator, from one SVD."""
-    U = np.asarray(subspace, dtype=float)
-    if U.size == 0:
-        return [], [], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
-    U = U.reshape(-1, 3)
-    k = U.shape[0]
+def _subspace(subspace) -> tuple[int, Optional[Vec3]]:
+    """(k, d): the dimension of the span of basis rows, and d its unit direction (k = 1), its unit
+    normal (k = 2) or ``None``.  Taken as unit rows, the row, their cross or their triple product
+    must be above ``RANK_TOL``; a zero row stays zero and a non-finite one turns NaN, so either fails.
+    """
+    rows = np.asarray(subspace, dtype=float).reshape(-1, 3).tolist()
+    k = len(rows)
     if k > 3:
         raise ValueError("at most three basis vectors in 3-space")
-    _, s, vt = np.linalg.svd(U)
-    if int(np.sum(s > RANK_TOL * max(1.0, s[0]))) != k:
+    if k == 0:
+        return 0, None
+    units = [_unit(r) if any(r) else r for r in rows]
+    d = units[0] if k == 1 else _cross(units[0], units[1])
+    if not (math.hypot(*d) if k < 3 else abs(_dot(d, units[2]))) > RANK_TOL:
         raise ValueError("subspace basis vectors are linearly dependent")
-    return U.tolist(), vt[:k].tolist(), vt[k:].tolist()
+    return k, (d if k == 1 else _unit(d) if k == 2 else None)
 
 
 def cone_subspace_trivial(cone: SegmentCone, subspace) -> bool:
     """True iff the cone meets the given subspace only at the origin."""
-    U, B, A = _subspace(subspace)
-    k = len(U)
-    if k == 0:
-        return True
-    if k == 3:
-        return False
-    if all(abs(_dot(s, cone._normal)) <= RANK_TOL * math.hypot(*s) for s in (_split(u)[0] for u in U)):
-        # the subspace lies in the carrier plane (tested on rows scaled by powers of two, so that
-        # no product of a long row overflows); a plane of it holds the cone
-        if k == 2:
+    k, d = _subspace(subspace)
+    if k in (0, 3):
+        return k == 0
+    if k == 2:
+        # the line where the subspace's plane meets the carrier plane; none where they are one plane,
+        # which holds the cone
+        d = _cross(d, cone._normal)
+        if math.hypot(*d) <= RANK_TOL:
             return False
-        d = B[0]
-    elif k == 1:
-        return True
-    else:
-        # the line where the subspace's plane meets the carrier plane
-        d = _unit(_cross(A[0], cone._normal))
     return not (contains(cone, d) or contains(cone, [-x for x in d]))
 
 
 def find_interior_dual_in_annihilator(cone: SegmentCone, subspace) -> Optional[Vec3]:
-    """A covector strictly positive on the punctured cone and vanishing on the subspace.
+    """A unit covector strictly positive on the punctured cone and vanishing on the subspace.
 
-    Returns ``None`` when no such covector exists.  The construction is direct
-    (no reliance on the primal intersection test): the annihilator is
-    parametrized by an orthonormal basis and the strict dual inequalities are
-    solved on it in closed form.
+    Returns ``None`` when no such covector exists.  It is built directly on the subspace's
+    unit vector d and the cone's unit rays r': +-d for a plane; for a line, the bisector of
+    the rays projected off it, d x (r' x d), each sine |r' x d| above ``RANK_TOL`` (the rank
+    test of :func:`_subspace`); for {0}, the rays' bisector.  It must exceed ``ZERO_TOL`` on both r'.
     """
-    B = _subspace(subspace)[2]
-    m = len(B)
-    if m == 0:
+    k, d = _subspace(subspace)
+    r1, r2 = cone._unit_rays
+    if k == 3:
         return None
-    r1, r2 = cone._rays
-    if m == 3:
-        return _unit([x + y for x, y in zip(_unit(r1), _unit(r2))])
-    if m == 1:
-        b = B[0]
-        t1, t2 = _dot(b, r1), _dot(b, r2)
-        for sign in (1.0, -1.0):
-            if sign * t1 > ZERO_TOL and sign * t2 > ZERO_TOL:
-                return tuple(sign * x for x in b)
-        return None
-    # the rays' coordinates in the annihilator's basis, and their unit vectors
-    a1, a2 = [_dot(b, r1) for b in B], [_dot(b, r2) for b in B]
-    ray_scale = max(1.0, math.hypot(*r1), math.hypot(*r2))
-    if math.hypot(*a1) <= ZERO_TOL * ray_scale or math.hypot(*a2) <= ZERO_TOL * ray_scale:
-        return None
-    c1, c2 = _unit(a1), _unit(a2)
-    if _dot(c1, c2) <= -1.0 + ZERO_TOL:  # the cosine of a1 and a2
-        return None
-    y0, y1 = c1[0] + c2[0], c1[1] + c2[1]
-    p = _unit([y0 * x + y1 * z for x, z in zip(*B)])
+    if k == 2:
+        p = d if _dot(d, r1) > 0.0 else tuple(-x for x in d)
+    else:
+        c1, c2 = r1, r2
+        if k == 1:
+            q1, q2 = _cross(r1, d), _cross(r2, d)
+            if not min(math.hypot(*q1), math.hypot(*q2)) > RANK_TOL:
+                return None
+            c1, c2 = _unit(_cross(d, q1)), _unit(_cross(d, q2))
+        s = [x + y for x, y in zip(c1, c2)]
+        if not any(s):  # opposite projected rays: the line runs through the cone
+            return None
+        p = _unit(s)
     return p if _dot(p, r1) > ZERO_TOL and _dot(p, r2) > ZERO_TOL else None

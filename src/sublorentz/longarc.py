@@ -1095,10 +1095,15 @@ def maximize(structure: CaseStructure, target, n_steps: int = 24, budget: int = 
     result is marked not found.  A candidate far enough out overflows in floats
     and scores as infeasible.  The candidates are control rows [r, r b, 0], with
     b clamped so that they stay inside the structure's cone; a cone that holds
-    no such clamp is a ``ValueError`` (see :func:`_b_max`).
+    no such clamp is a ``ValueError`` (see :func:`_b_max`), and so, after it, is a
+    target within 1e-4 of the identity in group coordinates, which the search cannot
+    tell from the identity.
     """
     search = _Search(structure, target, n_steps, budget)
     model = structure.model
+    if _distance(search.tcoords, model.coords(model.identity())) <= ENDPOINT_TOL:
+        raise ValueError(f"the target is within the endpoint tolerance {ENDPOINT_TOL:g} of the identity, "
+                         "so the search cannot tell a curve to it from one to the identity")
 
     log_theta = log_u = None
     if isinstance(model, SemidirectModel):

@@ -228,6 +228,19 @@ def test_solve_zero_budget_is_not_found(capsys):
     assert data["found"] is False and data["evaluations"] == 0
 
 
+@pytest.mark.parametrize("row,target", [
+    *[(row, f"[{t},0,0]") for row in (["1", "--kappa", "0"], ["12", "--kappa", "-1", "--chi", "-1"], ["3"])
+      for t in ("1e-8", "1e-300")],
+    (["10", "--kappa", "-2", "--chi", "-1"], '{"c": 1e-9, "w": [0, 0]}'),
+])
+def test_a_target_within_the_endpoint_tolerance_of_the_identity_is_a_usage_error(capsys, row, target):
+    # every short curve would reach it: the search would report the length of its shortest rows
+    code, out, err = run(capsys, "solve", "--case", *row, "--target", target, "--steps", "4", "--budget", "50")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == ("error: the target is within the endpoint tolerance 0.0001 of the identity, "
+                   "so the search cannot tell a curve to it from one to the identity\n")
+
+
 def test_solve_payload_layout(capsys):
     _, out, _ = run(capsys, "solve", "--case", "1", "--kappa", "0", "--target", "[1,0,0]",
                     "--steps", "4", "--budget", "20", "--seed", "1")

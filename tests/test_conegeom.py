@@ -37,13 +37,15 @@ def section_directions(cone: SegmentCone, n: int) -> np.ndarray:
 # -- membership -------------------------------------------------------------
 
 def test_contains_examples():
+    # an interior vector keeps its neighbours in the plane, a boundary vector does not, and
+    # the zero vector is in the closed cone while the tiniest vector is decided on its direction
     assert contains(DEFAULT_CONE, (1, 0.5, 0))
-    assert contains(DEFAULT_CONE, (1, 0.5, 0), strict=True)
+    assert all(contains(DEFAULT_CONE, (1, 0.5 + t, 0)) for t in (-1e-3, 1e-3))
     assert contains(DEFAULT_CONE, (1, 1, 0))
-    assert not contains(DEFAULT_CONE, (1, 1, 0), strict=True)
+    assert not contains(DEFAULT_CONE, (1, 1 + 1e-9, 0))
     assert not contains(DEFAULT_CONE, (1, 0, 0.1))
     assert contains(DEFAULT_CONE, (0, 0, 0))
-    assert not contains(DEFAULT_CONE, (0, 0, 0), strict=True)
+    assert not contains(DEFAULT_CONE, (-5e-324, 0, 0)) and contains(DEFAULT_CONE, (5e-324, 0, 0))
 
 
 def test_default_cone_matches_inequality_description():
@@ -367,12 +369,12 @@ def test_a_long_subspace_row_answers_as_its_direction(cone, long, short):
 @pytest.mark.parametrize("long,short", [((1e300, 1e300, 0), (1, 1, 0)), ((2e300, 1e300, 0), (2, 1, 0)),
                                         ((1e300, 0, -1e300), (1, 0, -1)), ((0, 1e300, 0), (0, 1, 0))])
 def test_a_long_vector_or_covector_answers_as_its_direction(h, long, short):
-    # the distance off the plane is scaled by the vector's largest entry, and dual
-    # membership is decided on the covector scaled by a power of two
+    # membership is decided on the vector's unit vector, and dual membership on the
+    # covector scaled by a power of two
     cone = SegmentCone((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), h)
 
     def answers(v):
-        return [f(cone, v, strict) for f in (contains, dual_contains) for strict in (False, True)]
+        return [contains(cone, v)] + [dual_contains(cone, v, strict) for strict in (False, True)]
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -398,6 +400,60 @@ def test_a_segment_cone_of_generators_1e300_answers_as_the_unit_one(rows):
             assert [dual_contains(cone, p, strict) for strict in (False, True)] == \
                 [dual_contains(DEFAULT_CONE, p, strict) for strict in (False, True)]
         assert find_interior_dual_in_annihilator(cone, rows) == find_interior_dual_in_annihilator(DEFAULT_CONE, rows)
+
+
+def test_a_segment_cone_of_generators_1e300_meets_a_subspace_as_the_unit_one():
+    # membership is decided on unit vectors, so the line through X2 misses the cone at every scale
+    cone = SegmentCone((1e300, 0, 0), (0, 1e300, 0))
+    assert cone_subspace_trivial(cone, [[0, 1, 0]]) and cone_subspace_trivial(DEFAULT_CONE, [[0, 1, 0]])
+    assert not contains(cone, (0, 1, 0)) and contains(cone, (1, 1, 0))
+
+
+def test_a_subspace_row_of_any_length_is_a_line():
+    # independence is decided on unit rows, so a short row is a line, not a dependent basis
+    for rows in ([[0, 0, 1e-200]], [[0, 0, 5e-324]], [[1e-200, 0, 0], [0, 0, 1e200]]):
+        long = [[math.copysign(1.0, x) if x else 0.0 for x in row] for row in rows]
+        assert cone_subspace_trivial(DEFAULT_CONE, rows) == cone_subspace_trivial(DEFAULT_CONE, long)
+        assert find_interior_dual_in_annihilator(DEFAULT_CONE, rows) == \
+            find_interior_dual_in_annihilator(DEFAULT_CONE, long)
+    assert find_interior_dual_in_annihilator(DEFAULT_CONE, [[0, 0, 1e-200]]) == (1.0, 0.0, 0.0)
+    for rows in ([[0, 0, 0]], [[1, 0, 0], [1e-200, 0, 0]], [[1, 0, 0], [0, 1, 0], [1, 1, 0]]):
+        with pytest.raises(ValueError, match="subspace basis vectors are linearly dependent"):
+            cone_subspace_trivial(DEFAULT_CONE, rows)
+    with pytest.raises(ValueError, match="at most three basis vectors in 3-space"):
+        cone_subspace_trivial(DEFAULT_CONE, np.eye(4)[:, :3])
+
+
+def _answer(f, *args):
+    """What f answers, or the message of the ValueError it raises."""
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _normal(x: float) -> bool:
+    return 2.2250738585072014e-308 <= abs(x) < math.inf
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(cone=st.sampled_from(_WITNESS_CONES + (SegmentCone((1.0, 0.5, 0.0), (0.0, 1.0, 0.3), 0.0),)),
+       v=_row, rows=st.lists(_row, min_size=1, max_size=2),
+       exps=st.tuples(*[st.integers(-1000, 1000)] * 4))
+def test_cone_answers_do_not_change_when_inputs_are_scaled_by_powers_of_two(cone, v, rows, exps):
+    # v, each subspace row and both generators are scaled by their own power of two, which
+    # keeps every nonzero component, and each of the scaled rays u1 +- h u2, normal
+    ev, eg, *er = exps
+    scale = lambda x, e: tuple(math.ldexp(t, e) for t in x)
+    h, u1, u2 = cone.half_width, scale(cone.u1, eg), scale(cone.u2, eg)
+    rays = [a + s * h * b for a, b in zip(u1, u2) for s in (1.0, -1.0)] + [h * b for b in u2]
+    vectors = [(v, ev), *zip(rows, er), (u1 + u2 + tuple(rays), 0)]
+    assume(all(_normal(t) and _normal(math.ldexp(t, e)) for x, e in vectors for t in x if t))
+    scaled_v, scaled_rows = scale(v, ev), [scale(r, e) for r, e in zip(rows, er)]
+    big = SegmentCone(u1, u2, h)
+    assert contains(big, scaled_v) == contains(cone, v)
+    for f in (cone_subspace_trivial, find_interior_dual_in_annihilator):
+        assert _answer(f, big, scaled_rows) == _answer(f, cone, rows)
 
 
 _ordinary = st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3))

@@ -47,6 +47,18 @@ def test_boundary_kernel_rows_are_inconclusive(cid, kwargs, variant):
     assert check_case(case).outcome == Outcome.INCONCLUSIVE
 
 
+@pytest.mark.parametrize("cid,tau", [("4", 3e11), ("7", 2e11)])
+@pytest.mark.parametrize("variant", [1, 2])
+def test_rows_4_and_7_at_a_large_tau_are_inconclusive(cid, tau, variant):
+    # the derived subalgebra is the plane of (1, +-1, 0) and X3 at every tau, and its annihilator
+    # vanishes on a ray; in floats the bracket rows are nearly parallel, so their SVD gives a line
+    # whose sine off that ray is about 1/(sqrt(2) tau), below RANK_TOL: the ray lies on it
+    case = SubLorentzCase(cid, tau=tau, variant=variant)
+    assert len(from_case(case).derived_subalgebra()) == 1
+    verdict = check_case(case)
+    assert (verdict.outcome, verdict.witness) == (Outcome.INCONCLUSIVE, None)
+
+
 def test_killing_containment_branches():
     assert killing_containment(from_case(SubLorentzCase("10", kappa=-2.0, chi=-1.0)))
     assert not killing_containment(from_case(SubLorentzCase("10", kappa=2.0, chi=-1.0)))

@@ -1900,9 +1900,9 @@ def test_a_witness_curve_is_its_runs(monkeypatch):
     calls = {"contains": 0, "nu": 0}
     real_contains = longarc.contains
 
-    def counted_contains(cone, v, strict=False):
+    def counted_contains(cone, v):
         calls["contains"] += 1
-        return real_contains(cone, v, strict)
+        return real_contains(cone, v)
 
     def counted_nu(u):
         calls["nu"] += 1
