@@ -181,8 +181,8 @@ def find_interior_dual_in_annihilator(cone: SegmentCone, subspace) -> Optional[V
 
     Returns ``None`` when no such covector exists.  It is built directly on the subspace's
     unit vector d and the cone's unit rays r': +-d for a plane; for a line, the bisector of
-    the rays projected off it, d x (r' x d), each sine |r' x d| above ``RANK_TOL`` (the rank
-    test of :func:`_subspace`); for {0}, the rays' bisector.  It must exceed ``ZERO_TOL`` on both r'.
+    the rays projected off it, d x (r' x d), none where a projection is zero; for {0}, the
+    rays' bisector.  It must exceed ``ZERO_TOL`` on both r', the only tolerance on it.
     """
     k, d = _subspace(subspace)
     r1, r2 = cone._unit_rays
@@ -193,10 +193,10 @@ def find_interior_dual_in_annihilator(cone: SegmentCone, subspace) -> Optional[V
     else:
         c1, c2 = r1, r2
         if k == 1:
-            q1, q2 = _cross(r1, d), _cross(r2, d)
-            if not min(math.hypot(*q1), math.hypot(*q2)) > RANK_TOL:
+            c1, c2 = _cross(d, _cross(r1, d)), _cross(d, _cross(r2, d))
+            if not (any(c1) and any(c2)):  # a ray on the line
                 return None
-            c1, c2 = _unit(_cross(d, q1)), _unit(_cross(d, q2))
+            c1, c2 = _unit(c1), _unit(c2)
         s = [x + y for x, y in zip(c1, c2)]
         if not any(s):  # opposite projected rays: the line runs through the cone
             return None

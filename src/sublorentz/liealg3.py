@@ -23,16 +23,16 @@ trace(ad_Xi ad_Xj) is a tuple of rows read off the table rows, its sums in
 the fixed order given in :meth:`LieAlgebra3.killing_form`, so none of its
 floats goes through BLAS.  :func:`killing_axes` reads the Killing
 eigenvalues and axes (tuples) off the layout's K13 = K23 = 0 in closed
-form.  The derived subalgebra's orthonormal rows come from one SVD, as lists.
+form.  :meth:`LieAlgebra3.derived_subalgebra` reads the derived subalgebra's
+orthonormal rows (lists) off the layout exactly, with no tolerance.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
-
-import numpy as np
 
 from .conegeom import RANK_TOL, ZERO_TOL, _vec3
 
@@ -109,9 +109,23 @@ class LieAlgebra3:
         return next((d for d in defects if d != d), max(defects))
 
     def derived_subalgebra(self) -> list[list[float]]:
-        """Orthonormal basis (rows) of the span of all basis brackets."""
-        _, s, vt = np.linalg.svd([self.b12, self.b13, self.b23])
-        return vt[:int((s > RANK_TOL).sum())].tolist()
+        """Orthonormal rows of [g, g] = span{y, rows of M}, read off the contact layout exactly.
+
+        With y = (b1, b2, 1), M = [[c, a12], [a21, -c]]: the line of y when M = 0; when M is nilpotent,
+        c^2 + a12 a21 = 0 in exact arithmetic (in floats row 6 at kappa = 1e-9 would pass), the plane of
+        X3 and v, M's first nonzero row, which holds y by the Jacobi identity; else the whole space.
+        """
+        (b1, b2, one), (c, a12, zero13), (a21, minus_c, zero23) = self.b12, self.b13, self.b23
+        if not (one == 1.0 and zero13 == zero23 == 0.0 and minus_c == -c):
+            raise ValueError("the bracket table is not in the contact layout")
+        if c == a12 == a21 == 0.0:
+            n = math.hypot(math.hypot(b1, b2), 1.0)
+            return [[b1 / n, b2 / n, 1.0 / n]]
+        if Fraction(c) ** 2 + Fraction(a12) * Fraction(a21) != 0:
+            return [list(row) for row in _EYE]
+        v0, v1 = (c, a12) if c or a12 else (a21, minus_c)
+        nv = math.hypot(v0, v1)
+        return [[v0 / nv, v1 / nv, 0.0], [0.0, 0.0, 1.0]]
 
     def killing_form(self) -> tuple[tuple[float, float, float], ...]:
         """Symmetric matrix K[i,j] = trace(ad_Xi ad_Xj), as rows of Python floats off the table rows.

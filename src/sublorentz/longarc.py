@@ -68,7 +68,6 @@ import operator
 import random
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -209,20 +208,16 @@ def _exp_flow(A: tuple, h: float) -> tuple[tuple, tuple]:
 class SemidirectModel:
     """Simply connected group R x| R^2 realizing a solvable case algebra.
 
-    The algebra must be a solvable row of the contact layout, read off its
-    table: [X1, X2] = (b1, b2, 1), [X1, X3] = (c, a12, 0),
-    [X2, X3] = (a21, -c, 0) with M = [[c, a12], [a21, -c]] nilpotent, that is
-    c^2 + a12 a21 = 0 exactly, a structural zero on every solvable row (which
-    model a row gets is decided by its id).  The algebra is split as
-    span{W} + I with I a two-dimensional abelian ideal whose leading k
-    directions span the derived subalgebra:
+    The algebra must be a solvable row of the contact layout, one whose
+    derived subalgebra (:meth:`LieAlgebra3.derived_subalgebra`) has k = 1 or
+    2 rows (which model a row gets is decided by its id).  The algebra is
+    split as span{W} + I with I a two-dimensional abelian ideal whose leading
+    k directions are those rows:
 
-    * M = 0 (rows 1 and 2*): X3 is central, the derived subalgebra is
-      span{y}, y = (b1, b2, 1), and I = span{y, z} with z proportional to
-      (b1, b2, -|b|^2), which commutes with y and is orthogonal to it (X1
-      where b = 0); k = 1;
-    * otherwise I is the derived plane span{v, X3}, v the first nonzero row
-      of M, abelian because M^2 = 0; k = 2.
+    * k = 1 (rows 1 and 2*): X3 is central, the derived row is y = (b1, b2, 1)
+      normalized, and I = span{y, z} with z proportional to (b1, b2, -|b|^2),
+      which commutes with y and is orthogonal to it (X1 where b = 0);
+    * k = 2: I is the derived plane, abelian because M^2 = 0.
 
     W = I0 x I1, so the frame (W, I0, I1) is orthonormal and its inverse is
     its transpose.  ad_W maps I into its derived directions and acts on I
@@ -238,22 +233,21 @@ class SemidirectModel:
     """
 
     def __init__(self, algebra: LieAlgebra3):
-        (b1, b2, one), (c, a12, zero13), (a21, minus_c, zero23) = algebra.b12, algebra.b13, algebra.b23
-        # exact, as float products round (row 6 at kappa = 1e-9 would pass as 1 + (kappa - 1)(kappa + 1))
-        nilpotent = Fraction(c) ** 2 + Fraction(a12) * Fraction(a21) == 0
-        if not (one == 1.0 and zero13 == zero23 == 0.0 and minus_c == -c and nilpotent):
+        try:
+            derived = tuple(map(tuple, algebra.derived_subalgebra()))
+        except ValueError:  # a table outside the contact layout
+            derived = _EYE
+        k = len(derived)
+        if k == 3:
             raise ValueError(f"the semidirect model of {algebra.label} does not apply: its bracket table "
                              "is not a solvable row of the contact layout")
-        if c == a12 == a21 == 0.0:
-            nb = math.hypot(b1, b2)
+        if k == 1:
+            (b1, b2, _), nb = algebra.b12, math.hypot(algebra.b12[0], algebra.b12[1])
             n = math.hypot(nb, 1.0)
             h0, h1 = (b1 / nb, b2 / nb) if nb else (1.0, 0.0)
-            frame, k = ((-h1, h0, 0.0), (b1 / n, b2 / n, 1.0 / n), (h0 / n, h1 / n, -nb / n)), 1
+            frame = ((-h1, h0, 0.0), *derived, (h0 / n, h1 / n, -nb / n))
         else:
-            v0, v1 = (c, a12) if c or a12 else (a21, minus_c)
-            nv = math.hypot(v0, v1)
-            v0, v1 = v0 / nv, v1 / nv
-            frame, k = ((v1, 0.0 - v0, 0.0), (v0, v1, 0.0), (0.0, 0.0, 1.0)), 2
+            frame = ((derived[0][1], 0.0 - derived[0][0], 0.0), *derived)
         self._frame, self._derived = frame, k
         images = [algebra.bracket(frame[0], ideal) for ideal in frame[1:]]
         imgs = [[_dot(row, image) for row in frame] for image in images]

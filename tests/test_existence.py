@@ -50,13 +50,39 @@ def test_boundary_kernel_rows_are_inconclusive(cid, kwargs, variant):
 @pytest.mark.parametrize("cid,tau", [("4", 3e11), ("7", 2e11)])
 @pytest.mark.parametrize("variant", [1, 2])
 def test_rows_4_and_7_at_a_large_tau_are_inconclusive(cid, tau, variant):
-    # the derived subalgebra is the plane of (1, +-1, 0) and X3 at every tau, and its annihilator
-    # vanishes on a ray; in floats the bracket rows are nearly parallel, so their SVD gives a line
-    # whose sine off that ray is about 1/(sqrt(2) tau), below RANK_TOL: the ray lies on it
+    # the derived subalgebra is the plane of (1, +-1, 0) and X3 at every tau, read off the layout
+    # exactly, and its annihilator vanishes on a ray of the cone
     case = SubLorentzCase(cid, tau=tau, variant=variant)
-    assert len(from_case(case).derived_subalgebra()) == 1
+    s = 1.0 / math.sqrt(2.0)
+    assert from_case(case).derived_subalgebra() == [[s, s if variant == 1 else -s, 0.0], [0.0, 0.0, 1.0]]
     verdict = check_case(case)
     assert (verdict.outcome, verdict.witness) == (Outcome.INCONCLUSIVE, None)
+
+
+def _check(capsys, argv) -> dict:
+    assert main(["check", *argv]) == EXIT_OK
+    return json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("argv", [["--case", "11", "--kappa", "-1e-11", "--chi", "1e-11"],
+                                  ["--case", "12", "--kappa", "1e-11", "--chi", "-1e-11"],
+                                  ["--case", "16", "--kappa", "-7e-11", "--chi", "-1e-11"],
+                                  ["--case", "17", "--kappa", "-3e-11", "--chi", "-1e-11"],
+                                  ["--case", "18", "--kappa", "-9e-11", "--chi", "-1e-11"]],
+                         ids=lambda argv: argv[1])
+def test_small_rows_keep_their_derived_plane_and_are_inconclusive(capsys, argv):
+    # at 1e-11 the rows of M are far below RANK_TOL but not zero: the derived subalgebra is still
+    # the plane of M's row and X3, and no covector positive on the cone annihilates it
+    out = _check(capsys, argv)
+    assert (out["outcome"], out["witness"]) == ("inconclusive", None)
+
+
+def test_row_2star_at_a_large_tau_exists_with_a_valid_witness(capsys):
+    # the derived line y = (tau, sqrt(kappa + tau^2), 1) lies at a sine of about 1/(sqrt(2) tau) off a
+    # ray of the cone, below RANK_TOL but not on the ray, so a covector positive on the cone annihilates it
+    out = _check(capsys, ["--case", "2*", "--kappa", "1", "--tau", "3e11"])
+    assert out["outcome"] == "exists"
+    assert witness_is_valid(from_case(SubLorentzCase("2*", kappa=1.0, tau=3e11)), DEFAULT_CONE, out["witness"])
 
 
 def test_killing_containment_branches():
@@ -232,8 +258,8 @@ def test_verdict_json_round_trip():
 
 def test_every_sampled_witness_is_a_float_unit_covector_that_certifies_its_row():
     # 50 draws of every solvable row at seeds 1-10, each witness a unit covector to within
-    # 3 ulps of 1, its squares summed exactly: a witness normalized here is within one, but the
-    # SVD row that is the witness of a one-dimensional annihilator reaches 2 ulps and a hair
+    # 3 ulps of 1, its squares summed exactly: every witness is a unit vector that conegeom
+    # normalizes, and each is within one
     ulp = Fraction(math.ulp(1.0))
     checked = 0
     for seed in range(1, 11):

@@ -233,10 +233,39 @@ def test_killing_axes_need_the_contact_layout():
 
 
 def test_derived_subalgebra_dimensions():
-    assert len(heisenberg().derived_subalgebra()) == 1
-    assert np.allclose(np.abs(heisenberg().derived_subalgebra()[0]), [0, 0, 1])
-    assert len(ABELIAN.derived_subalgebra()) == 0
+    assert heisenberg().derived_subalgebra() == [[0.0, 0.0, 1.0]]
+    # the abelian table has no X3 in [X1, X2], so it is not in the contact layout
+    with pytest.raises(ValueError, match="the bracket table is not in the contact layout"):
+        ABELIAN.derived_subalgebra()
     assert len(from_case(SubLorentzCase("10", kappa=-2.0, chi=-1.0)).derived_subalgebra()) == 3
+
+
+#: The dimension of each row's derived subalgebra [g, g] = span{y, rows of M}: 1 + rank M.
+_DERIVED_DIMENSION = {**dict.fromkeys(("1", "2*"), 1),
+                      **dict.fromkeys(("3", "4", "5", "7", "11", "12", "13", "14", "15", "16", "17", "18"), 2),
+                      **dict.fromkeys(("2", "6", "8", "9", "10", "19"), 3)}
+
+
+def test_every_row_has_its_derived_dimension_at_every_scale():
+    # six draws of each row with kappa, tau and chi scaled by 10^e wherever the row stays admissible:
+    # the dimension is read off the layout exactly, so small brackets (rows 11, 12 and 16-18 at
+    # 1e-11) keep their plane and large ones (rows 4 and 7 at tau = 1e11) do not fold it to a line
+    rng = np.random.default_rng(44)
+    scales = {cid: set() for cid in CASE_IDS}
+    for cid in CASE_IDS:
+        for i in range(6):
+            case = sample_case(cid, rng, i)
+            for e in range(-12, 40):
+                scaled = [None if v is None else v * 10.0 ** e for v in (case.kappa, case.tau, case.chi)]
+                try:
+                    scaled_case = SubLorentzCase(cid, *scaled, variant=case.variant)
+                except ValueError:  # the row's side conditions fail at this scale
+                    continue
+                assert len(from_case(scaled_case).derived_subalgebra()) == _DERIVED_DIMENSION[cid], scaled_case
+                scales[cid].add(e)
+    assert all(scales.values())
+    assert all(-11 in scales[cid] for cid in ("11", "12", "16", "17", "18"))
+    assert all(11 in scales[cid] for cid in ("2*", "4", "7"))
 
 
 def _layout_rows(alg) -> np.ndarray:
